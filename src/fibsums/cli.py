@@ -61,22 +61,31 @@ def _fail_usage(message: str) -> int:
 
 
 def _fail_unknown_id(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    code = _fail_usage(message)
     print("known catalog entries:", file=sys.stderr)
     sys.stderr.write(_catalog_text())
-    return 2
+    return code
 
 
 # ---------------------------------------------------------------------------
 # seq
 # ---------------------------------------------------------------------------
 
-_SEQ_NEEDS = {"fib": (), "lucas": (), "pell": (), "pell_lucas": (),
-              "horadam": ("a", "b", "p", "q"), "u": ("p", "q"), "v": ("p", "q")}
+#: family -> (required flags, function of those flags' values and n)
+_SEQ_FAMILIES = {
+    "fib": ((), fib),
+    "lucas": ((), lucas),
+    "pell": ((), pell),
+    "pell_lucas": ((), pell_lucas),
+    "horadam": (("a", "b", "p", "q"),
+                lambda a, b, p, q, n: horadam_w(HoradamParams(a, b, p, q), n)),
+    "u": (("p", "q"), lucas_u),
+    "v": (("p", "q"), lucas_v),
+}
 
 
 def _cmd_seq(args) -> int:
-    needs = _SEQ_NEEDS[args.family]
+    needs, term = _SEQ_FAMILIES[args.family]
     given = {k: getattr(args, k) for k in ("a", "b", "p", "q")
              if getattr(args, k) is not None}
     missing = [k for k in needs if k not in given]
@@ -86,21 +95,7 @@ def _cmd_seq(args) -> int:
     if extra:
         return _fail_usage(f"seq {args.family} does not take -{' -'.join(extra)}")
     try:
-        if args.family == "fib":
-            value = fib(args.n)
-        elif args.family == "lucas":
-            value = lucas(args.n)
-        elif args.family == "pell":
-            value = pell(args.n)
-        elif args.family == "pell_lucas":
-            value = pell_lucas(args.n)
-        elif args.family == "horadam":
-            value = horadam_w(HoradamParams(given["a"], given["b"],
-                                            given["p"], given["q"]), args.n)
-        elif args.family == "u":
-            value = lucas_u(given["p"], given["q"], args.n)
-        else:
-            value = lucas_v(given["p"], given["q"], args.n)
+        value = term(*(given[k] for k in needs), args.n)
     except DomainError as exc:
         return _fail_usage(str(exc))
     print(render_scalar(value))
@@ -188,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_seq = sub.add_parser("seq", help="print one exact sequence term")
-    p_seq.add_argument("family", choices=sorted(_SEQ_NEEDS))
+    p_seq.add_argument("family", choices=sorted(_SEQ_FAMILIES))
     p_seq.add_argument("-n", type=int, required=True, help="term index")
     for flag in ("a", "b", "p", "q"):
         p_seq.add_argument(f"-{flag}", type=int, help=f"parameter {flag}")
@@ -210,6 +205,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Exact terms and witnesses routinely pass CPython's 4,300-digit int->str
+    # default (e.g. F_21000); Python 3.10 before 3.10.7 has no limit at all.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args, extras = parser.parse_known_args(argv)
     try:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from ..scalars import CharRoots, make_roots
 from ..sequences import SeqTable
@@ -91,7 +91,6 @@ class Outcome:
 
     sides: list = field(default_factory=list)
     witnesses: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,6 @@ class Evaluation:
     bindings: dict
     sides: list
     witnesses: list
-    notes: list
     variant_ok: dict
     ok: bool
     first_diff: Optional[tuple]    # (label, label) of first unequal pair
@@ -224,12 +222,6 @@ class Context:
     def v(self, p: int, q: int) -> SeqTable:
         return self.table(2, p, p, q)
 
-    def w(self, a, b, p: int, q: int) -> SeqTable:
-        return self.table(a, b, p, q)
-
-    def gib(self, g0: int, g1: int) -> SeqTable:
-        return self.table(g0, g1, 1, -1)
-
     def roots(self, p: int, q: int) -> CharRoots:
         key = (p, q)
         r = self._roots.get(key)
@@ -278,8 +270,7 @@ def _finish(entry: Entry, bindings: dict, out: Outcome) -> Evaluation:
         bad = next(w for w in out.witnesses if not w.ok)
         primary_diff = (bad.label, "remainder != 0")
     return Evaluation(entry.id, dict(bindings), out.sides, out.witnesses,
-                      list(out.notes), variant_ok,
-                      variant_ok[entry.primary_variant], primary_diff)
+                      variant_ok, variant_ok[entry.primary_variant], primary_diff)
 
 
 def _first_violated_guard(entry: Entry, ctx: Context, b: dict) -> Optional[str]:
@@ -321,12 +312,7 @@ def resolve_axes(entry: Entry, overrides: Optional[dict]) -> list:
     """
     if not overrides:
         return list(entry.grid)
-    unknown = sorted(set(overrides) - set(entry.params))
-    if unknown:
-        raise UsageError(f"{entry.id}: unknown parameter(s) {', '.join(unknown)}")
-    missing = [p for p in entry.required_params if p not in overrides]
-    if missing:
-        raise UsageError(f"{entry.id}: missing parameter(s) {', '.join(missing)}")
+    _check_bindings(entry, overrides)
     return [axis(p, overrides[p]) for p in entry.params if p in overrides]
 
 

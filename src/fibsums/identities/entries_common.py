@@ -1,0 +1,117 @@
+"""Guards, grid axes and closed forms that several catalog entries share.
+
+A divisibility corollary (D entry) often divides the closed-form numerator
+of an I-catalog identity by that identity's denominator. Both entries call
+the one numerator and denominator function defined here, so a fix lands in
+both. Within one entry the sides still come from independent expressions:
+a closed form is shared between entries, never an algebraic step between
+two sides.
+"""
+
+from __future__ import annotations
+
+from ..sequences import neg_one
+from .engine import Guard, axis, irange
+
+GUARD_N = Guard("n >= 0", ("n",), lambda ctx, b: b["n"] >= 0)
+GUARD_T = Guard("t >= 0", ("t",), lambda ctx, b: b["t"] >= 0)
+GUARD_R_NONZERO = Guard("r != 0", ("r",), lambda ctx, b: b["r"] != 0)
+GUARD_R_POSITIVE = Guard("r >= 1", ("r",), lambda ctx, b: b["r"] >= 1)
+GUARD_M_ODD_POSITIVE = Guard("m odd and m >= 1", ("m",),
+                             lambda ctx, b: b["m"] % 2 != 0 and b["m"] >= 1)
+GUARD_PQ = Guard("p != 0 and q != 0", ("p", "q"),
+                 lambda ctx, b: b["p"] != 0 and b["q"] != 0)
+GUARD_UR = Guard("u_r != 0", ("p", "q", "r"),
+                 lambda ctx, b: ctx.u(b["p"], b["q"])(b["r"]) != 0)
+GUARD_VR = Guard("v_r != 0", ("p", "q", "r"),
+                 lambda ctx, b: ctx.v(b["p"], b["q"])(b["r"]) != 0)
+GUARD_F_KR_KS = Guard("F_(k+r) F_(k+s) != 0", ("r", "k", "s"),
+                      lambda ctx, b: ctx.fib()(b["k"] + b["r"]) != 0
+                      and ctx.fib()(b["k"] + b["s"]) != 0)
+
+PQ_VALUES = [k for k in range(-4, 5) if k != 0]
+SEED_PANEL = [(0, 1), (2, 1), (2, 3), (-1, 2)]
+
+#: r in -6..6 by n in 0..10, the default grid of most (r, n) entries.
+R_N_AXES = (axis("r", irange(-6, 6)), axis("n", irange(0, 10)))
+#: The nonzero (p, q) rows every general-sequence entry sweeps first.
+PQ_AXES = (axis("p", PQ_VALUES), axis("q", PQ_VALUES))
+
+
+# closed-form denominators of I10/I11 and I16/I17, and their guards
+
+def _i10_den(ctx, b):
+    F = ctx.fib()
+    r = b["r"]
+    return F(r) ** 2 + F(r) * F(r - 1) - F(r - 1) ** 2
+
+
+GUARD_I10_DEN = Guard("F_r^2 + F_r F_(r-1) - F_(r-1)^2 != 0", ("r",),
+                      lambda ctx, b: _i10_den(ctx, b) != 0)
+
+
+def _i16_den(ctx, b):
+    L = ctx.luc()
+    r = b["r"]
+    return L(r - 2) * L(r + 1) + L(r) * L(r - 1)
+
+
+GUARD_I16_DEN = Guard("L_(r-2) L_(r+1) + L_r L_(r-1) != 0", ("r",),
+                      lambda ctx, b: _i16_den(ctx, b) != 0)
+
+
+# closed-form numerators, each named after the identity that displays it
+
+def _i10_num(ctx, b):
+    F, L = ctx.fib(), ctx.luc()
+    r, n = b["r"], b["n"]
+    return (F(r) ** (n + 2) * L(n) + F(r - 1) * F(r) ** (n + 1) * L(n + 1)
+            + F(r) * F(r - 1) ** (n + 1) - 2 * F(r - 1) ** (n + 2))
+
+
+def _i11_num(ctx, b):
+    F = ctx.fib()
+    r, n = b["r"], b["n"]
+    return (F(r) ** (n + 2) * F(n) + F(r - 1) * F(r) ** (n + 1) * F(n + 1)
+            - F(r) * F(r - 1) ** (n + 1))
+
+
+def _i12_num(ctx, b):
+    L = ctx.luc()
+    r, n = b["r"], b["n"]
+    return (neg_one(r + 1) * L(2 * r * (n + 1)) - neg_one(r * (n + 1)) * L(2 * r)
+            + L(2 * r * n) + 2 * neg_one(r * n))
+
+
+def _i13_num(ctx, b):
+    F = ctx.fib()
+    r, n = b["r"], b["n"]
+    return (neg_one(r + 1) * F(2 * r * (n + 1)) + neg_one(r * (n + 1)) * F(2 * r)
+            + F(2 * r * n))
+
+
+def _i14_num(ctx, b):
+    L = ctx.luc()
+    r, n = b["r"], b["n"]
+    return L(2 * r) ** (n + 1) - 2 ** (n + 1)
+
+
+def _i16_num(ctx, b):
+    L = ctx.luc()
+    r, t, n = b["r"], b["t"], b["n"]
+    return (L(r) ** (2 * n + 1) * (L(r) * L(2 * n + t) + L(r - 1) * L(2 * n + t + 1))
+            - L(r - 1) ** (2 * n + 1) * (L(r) * L(t - 1) + L(r - 1) * L(t)))
+
+
+def _i17_num(ctx, b):
+    F, L = ctx.fib(), ctx.luc()
+    r, t, n = b["r"], b["t"], b["n"]
+    return (L(r) ** (2 * n + 1) * (L(r) * F(2 * n + t) + L(r - 1) * F(2 * n + t + 1))
+            - L(r - 1) ** (2 * n + 1) * (L(r) * F(t - 1) + L(r - 1) * F(t)))
+
+
+def _i18_num(ctx, b):
+    L = ctx.luc()
+    r, k, s, n = b["r"], b["k"], b["s"], b["n"]
+    return (L(2 * k + r + s) ** (n + 1)
+            - neg_one((k + s) * (n + 1)) * L(r - s) ** (n + 1))

@@ -2,9 +2,10 @@
 
 Every entry produces Witness records (divisor, dividend, quotient, residue)
 via exact integer division, so a verified report doubles as a table of
-certificates: divisor * quotient == dividend with residue 0. Entries whose
-dividend is one of the closed-form numerators from the I-catalog rebuild
-that numerator with the same expression the identity entry uses.
+certificates: divisor * quotient == dividend with residue 0. Where a
+dividend is the closed-form numerator of an I-catalog identity, the entry
+calls the numerator function that identity calls (from entries_common)
+instead of re-typing the expression.
 """
 
 from __future__ import annotations
@@ -13,14 +14,12 @@ from fractions import Fraction
 
 from ..sequences import neg_one
 from .engine import Entry, Guard, Outcome, Side, axis, irange, joint, make_witness
-
-GUARD_N = Guard("n >= 0", ("n",), lambda ctx, b: b["n"] >= 0)
-GUARD_PQ = Guard("p != 0 and q != 0", ("p", "q"),
-                 lambda ctx, b: b["p"] != 0 and b["q"] != 0)
-GUARD_R_NONZERO = Guard("r != 0 (so F_r != 0)", ("r",), lambda ctx, b: b["r"] != 0)
-
-PQ_VALUES = [k for k in range(-4, 5) if k != 0]
-SEED_PANEL = [(0, 1), (2, 1), (2, 3), (-1, 2)]
+from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
+                             GUARD_M_ODD_POSITIVE, GUARD_N, GUARD_PQ,
+                             GUARD_R_NONZERO, GUARD_R_POSITIVE, GUARD_T,
+                             GUARD_UR, GUARD_VR, PQ_AXES, R_N_AXES, SEED_PANEL,
+                             _i10_den, _i10_num, _i11_num, _i12_num, _i13_num,
+                             _i14_num, _i16_den, _i16_num, _i17_num, _i18_num)
 
 
 def _d01(ctx, b):
@@ -73,24 +72,10 @@ D03 = Entry(
 # D04/D05: the closed-form numerators behind the corrected convolution sums
 # are divisible by their denominator F_r^2 + F_r F_(r-1) - F_(r-1)^2.
 
-def _i10_den(ctx, b):
-    F = ctx.fib()
-    r = b["r"]
-    return F(r) ** 2 + F(r) * F(r - 1) - F(r - 1) ** 2
-
-
-GUARD_I10_DEN = Guard("F_r^2 + F_r F_(r-1) - F_(r-1)^2 != 0", ("r",),
-                      lambda ctx, b: _i10_den(ctx, b) != 0)
-
-
 def _d04(ctx, b):
-    F, L = ctx.fib(), ctx.luc()
-    r, n = b["r"], b["n"]
-    num = (F(r) ** (n + 2) * L(n) + F(r - 1) * F(r) ** (n + 1) * L(n + 1)
-           + F(r) * F(r - 1) ** (n + 1) - 2 * F(r - 1) ** (n + 2))
     return Outcome(witnesses=[
         make_witness("denominator | Lucas-weighted numerator",
-                     _i10_den(ctx, b), num)])
+                     _i10_den(ctx, b), _i10_num(ctx, b))])
 
 
 D04 = Entry(
@@ -99,18 +84,14 @@ D04 = Entry(
               "+ F_(r-1) F_r^(n+1) L_(n+1) + F_r F_(r-1)^(n+1) - 2 F_(r-1)^(n+2)",
     params=("r", "n"), domain="divisor != 0; n >= 0",
     guards=(GUARD_N, GUARD_I10_DEN), evaluate=_d04,
-    grid=(axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_N_AXES,
 )
 
 
 def _d05(ctx, b):
-    F = ctx.fib()
-    r, n = b["r"], b["n"]
-    num = (F(r) ** (n + 2) * F(n) + F(r - 1) * F(r) ** (n + 1) * F(n + 1)
-           - F(r) * F(r - 1) ** (n + 1))
     return Outcome(witnesses=[
         make_witness("denominator | Fibonacci-weighted numerator",
-                     _i10_den(ctx, b), num)])
+                     _i10_den(ctx, b), _i11_num(ctx, b))])
 
 
 D05 = Entry(
@@ -119,7 +100,7 @@ D05 = Entry(
               "+ F_(r-1) F_r^(n+1) F_(n+1) - F_r F_(r-1)^(n+1)",
     params=("r", "n"), domain="divisor != 0; n >= 0",
     guards=(GUARD_N, GUARD_I10_DEN), evaluate=_d05,
-    grid=(axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_N_AXES,
 )
 
 
@@ -172,11 +153,8 @@ D08 = Entry(
 
 def _d09(ctx, b):
     F = ctx.fib()
-    r, n = b["r"], b["n"]
-    val = (neg_one(r + 1) * F(2 * r * (n + 1))
-           + neg_one(r * (n + 1)) * F(2 * r) + F(2 * r * n))
     return Outcome(witnesses=[make_witness("5 F_r^2 | alternating F-combination",
-                                           5 * F(r) ** 2, val)])
+                                           5 * F(b["r"]) ** 2, _i13_num(ctx, b))])
 
 
 D09 = Entry(
@@ -184,7 +162,7 @@ D09 = Entry(
     statement="5 F_r^2 divides (-1)^(r+1) F_(2r(n+1)) + (-1)^(r(n+1)) F_(2r) + F_(2rn)",
     params=("r", "n"), domain="r != 0; n >= 0",
     guards=(GUARD_N, GUARD_R_NONZERO), evaluate=_d09,
-    grid=(axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_N_AXES,
 )
 
 
@@ -206,8 +184,7 @@ D10 = Entry(
 def _d11(ctx, b):
     F, L = ctx.fib(), ctx.luc()
     r, n = b["r"], b["n"]
-    combo = (neg_one(r + 1) * L(2 * r * (n + 1)) - neg_one(r * (n + 1)) * L(2 * r)
-             + L(2 * r * n) + 2 * neg_one(r * n))
+    combo = _i12_num(ctx, b)
     decomp = (neg_one(r + 1) * 5 * F(r) * F(2 * r * n + r)
               - neg_one(r * (n + 1)) * 5 * F(r) ** 2)
     return Outcome(
@@ -226,16 +203,15 @@ D11 = Entry(
               "hence 5 F_r^2 divides it (using F_r | F_(r(2n+1)))",
     params=("r", "n"), domain="r != 0; n >= 0",
     guards=(GUARD_N, GUARD_R_NONZERO), evaluate=_d11,
-    grid=(axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_N_AXES,
 )
 
 
 def _d12(ctx, b):
-    F, L = ctx.fib(), ctx.luc()
-    r, n = b["r"], b["n"]
+    F = ctx.fib()
     return Outcome(witnesses=[
         make_witness("5 F_r^2 | L_(2r)^(n+1) - 2^(n+1)",
-                     5 * F(r) ** 2, L(2 * r) ** (n + 1) - 2 ** (n + 1))])
+                     5 * F(b["r"]) ** 2, _i14_num(ctx, b))])
 
 
 D12 = Entry(
@@ -252,10 +228,9 @@ D12 = Entry(
 
 def _d13(ctx, b):
     L = ctx.luc()
-    r, n = b["r"], b["n"]
     return Outcome(witnesses=[
         make_witness("L_r^2 | L_(2r)^(n+1) - 2^(n+1)",
-                     L(r) ** 2, L(2 * r) ** (n + 1) - 2 ** (n + 1))])
+                     L(b["r"]) ** 2, _i14_num(ctx, b))])
 
 
 D13 = Entry(
@@ -272,33 +247,24 @@ D13 = Entry(
 # L_(r-2) L_(r+1) + L_r L_(r-1); at (r, t) = (2, 0) the divisor is 11 and
 # the dividend collapses to the displayed mod-11 particular.
 
-def _i16_den(ctx, b):
-    L = ctx.luc()
-    r = b["r"]
-    return L(r - 2) * L(r + 1) + L(r) * L(r - 1)
-
-
-GUARD_I16_DEN = Guard("L_(r-2) L_(r+1) + L_r L_(r-1) != 0", ("r",),
-                      lambda ctx, b: _i16_den(ctx, b) != 0)
+def _lucas_pair(ctx, b, label, num, display, particular):
+    """Witness den | num; at (r, t) = (2, 0) also match the displayed particular."""
+    out = Outcome(witnesses=[make_witness(label, _i16_den(ctx, b), num)])
+    if (b["r"], b["t"]) == (2, 0):
+        part = particular(ctx.fib(), ctx.luc(), b["n"])
+        out.sides.extend([
+            Side(f"displayed particular {display}", part, group="mod-11 particular"),
+            Side("numerator at (r, t) = (2, 0)", num, group="mod-11 particular"),
+        ])
+        out.witnesses.append(make_witness(f"11 | {display}", 11, part))
+    return out
 
 
 def _d14(ctx, b):
-    F, L = ctx.fib(), ctx.luc()
-    r, t, n = b["r"], b["t"], b["n"]
-    num = (L(r) ** (2 * n + 1) * (L(r) * L(2 * n + t) + L(r - 1) * L(2 * n + t + 1))
-           - L(r - 1) ** (2 * n + 1) * (L(r) * L(t - 1) + L(r - 1) * L(t)))
-    out = Outcome(witnesses=[
-        make_witness("denominator | Lucas-pair L-numerator", _i16_den(ctx, b), num)])
-    if (r, t) == (2, 0):
-        part = 3 ** (2 * n + 1) * (L(2 * n) + 5 * F(2 * n + 1)) + 1
-        out.sides.extend([
-            Side("displayed particular 3^(2n+1) (L_(2n) + 5 F_(2n+1)) + 1", part,
-                 group="mod-11 particular"),
-            Side("numerator at (r, t) = (2, 0)", num, group="mod-11 particular"),
-        ])
-        out.witnesses.append(
-            make_witness("11 | 3^(2n+1) (L_(2n) + 5 F_(2n+1)) + 1", 11, part))
-    return out
+    return _lucas_pair(
+        ctx, b, "denominator | Lucas-pair L-numerator", _i16_num(ctx, b),
+        "3^(2n+1) (L_(2n) + 5 F_(2n+1)) + 1",
+        lambda F, L, n: 3 ** (2 * n + 1) * (L(2 * n) + 5 * F(2 * n + 1)) + 1)
 
 
 D14 = Entry(
@@ -314,22 +280,10 @@ D14 = Entry(
 
 
 def _d15(ctx, b):
-    F, L = ctx.fib(), ctx.luc()
-    r, t, n = b["r"], b["t"], b["n"]
-    num = (L(r) ** (2 * n + 1) * (L(r) * F(2 * n + t) + L(r - 1) * F(2 * n + t + 1))
-           - L(r - 1) ** (2 * n + 1) * (L(r) * F(t - 1) + L(r - 1) * F(t)))
-    out = Outcome(witnesses=[
-        make_witness("denominator | Lucas-pair F-numerator", _i16_den(ctx, b), num)])
-    if (r, t) == (2, 0):
-        part = 3 ** (2 * n + 1) * (F(2 * n) + L(2 * n + 1)) - 3
-        out.sides.extend([
-            Side("displayed particular 3^(2n+1) (F_(2n) + L_(2n+1)) - 3", part,
-                 group="mod-11 particular"),
-            Side("numerator at (r, t) = (2, 0)", num, group="mod-11 particular"),
-        ])
-        out.witnesses.append(
-            make_witness("11 | 3^(2n+1) (F_(2n) + L_(2n+1)) - 3", 11, part))
-    return out
+    return _lucas_pair(
+        ctx, b, "denominator | Lucas-pair F-numerator", _i17_num(ctx, b),
+        "3^(2n+1) (F_(2n) + L_(2n+1)) - 3",
+        lambda F, L, n: 3 ** (2 * n + 1) * (F(2 * n) + L(2 * n + 1)) - 3)
 
 
 D15 = Entry(
@@ -345,13 +299,11 @@ D15 = Entry(
 
 
 def _d16(ctx, b):
-    F, L = ctx.fib(), ctx.luc()
-    r, k, s, n = b["r"], b["k"], b["s"], b["n"]
-    val = (L(2 * k + r + s) ** (n + 1)
-           - neg_one((k + s) * (n + 1)) * L(r - s) ** (n + 1))
+    F = ctx.fib()
+    r, k, s = b["r"], b["k"], b["s"]
     return Outcome(witnesses=[
         make_witness("5 F_(k+r) F_(k+s) | L-power difference",
-                     5 * F(k + r) * F(k + s), val)])
+                     5 * F(k + r) * F(k + s), _i18_num(ctx, b))])
 
 
 D16 = Entry(
@@ -359,24 +311,19 @@ D16 = Entry(
     statement="5 F_(k+r) F_(k+s) divides L_(2k+r+s)^(n+1) "
               "- (-1)^((k+s)(n+1)) L_(r-s)^(n+1)",
     params=("r", "k", "s", "n"), domain="F_(k+r) F_(k+s) != 0; n >= 0",
-    guards=(GUARD_N,
-            Guard("F_(k+r) F_(k+s) != 0", ("r", "k", "s"),
-                  lambda ctx, b: ctx.fib()(b["k"] + b["r"]) != 0
-                  and ctx.fib()(b["k"] + b["s"]) != 0)),
-    evaluate=_d16,
+    guards=(GUARD_N, GUARD_F_KR_KS), evaluate=_d16,
     grid=(axis("r", irange(-6, 6)), axis("k", irange(-6, 6)),
           axis("s", irange(-6, 6)), axis("n", irange(0, 10))),
 )
 
 
 def _d17(ctx, b):
-    F, L = ctx.fib(), ctx.luc()
-    r, k, n = b["r"], b["k"], b["n"]
-    val = (L(2 * (k + r)) ** (n + 1)
-           - neg_one((k + r) * (n + 1)) * 2 ** (n + 1))
+    # the D16 dividend at s = r, where L_(r-s) = L_0 = 2
+    F = ctx.fib()
+    r, k = b["r"], b["k"]
     return Outcome(witnesses=[
         make_witness("5 F_(k+r)^2 | L_(2(k+r))^(n+1) - (-1)^((k+r)(n+1)) 2^(n+1)",
-                     5 * F(k + r) ** 2, val)])
+                     5 * F(k + r) ** 2, _i18_num(ctx, dict(b, s=r)))])
 
 
 D17 = Entry(
@@ -407,9 +354,7 @@ D18 = Entry(
     statement="for odd m: F_m^n L_m F_(rm) divides F_(m(r+1))^(n+1) - F_(m(r-1))^(n+1)",
     params=("m", "r", "n"), domain="m odd, m >= 1; r >= 1; n >= 0",
     guards=(GUARD_N,
-            Guard("m odd and m >= 1", ("m",),
-                  lambda ctx, b: b["m"] % 2 != 0 and b["m"] >= 1),
-            Guard("r >= 1", ("r",), lambda ctx, b: b["r"] >= 1)),
+            GUARD_M_ODD_POSITIVE, GUARD_R_POSITIVE),
     evaluate=_d18,
     grid=(axis("m", [1, 3, 5]), axis("r", irange(1, 6)), axis("n", irange(0, 10))),
 )
@@ -433,7 +378,7 @@ D19 = Entry(
     guards=(GUARD_N,
             Guard("m even and m >= 2", ("m",),
                   lambda ctx, b: b["m"] % 2 == 0 and b["m"] >= 2),
-            Guard("r >= 1", ("r",), lambda ctx, b: b["r"] >= 1)),
+            GUARD_R_POSITIVE),
     evaluate=_d19,
     grid=(axis("m", [2, 4, 6]), axis("r", irange(1, 6)), axis("n", irange(0, 10))),
 )
@@ -458,14 +403,11 @@ D20 = Entry(
     statement="u_r divides u_(r(n+1)) in the generalized sequence",
     params=("p", "q", "r", "n"),
     domain="p, q != 0; u_r != 0; both values integral; n >= 0",
-    guards=(GUARD_N, GUARD_PQ,
-            Guard("u_r != 0", ("p", "q", "r"),
-                  lambda ctx, b: ctx.u(b["p"], b["q"])(b["r"]) != 0),
+    guards=(GUARD_N, GUARD_PQ, GUARD_UR,
             Guard("u_r and u_(r(n+1)) are integers", ("p", "q", "r", "n"),
                   _d20_integral)),
     evaluate=_d20,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
+    grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
 )
 
 
@@ -476,7 +418,7 @@ def _d21(ctx, b):
     if "m" in b:
         wits.append(make_witness("v_r | v_(rm)", v(r), v(r * b["m"])))
     if all(k in b for k in ("a", "b", "t", "n")):
-        w = ctx.w(b["a"], b["b"], p, q)
+        w = ctx.table(b["a"], b["b"], p, q)
         t, n = b["t"], b["n"]
         wits.append(make_witness("v_r | w_(t+rn) - q^(rn) w_(t-rn)", v(r),
                                  w(t + r * n) - q ** (r * n) * w(t - r * n)))
@@ -491,18 +433,13 @@ D21 = Entry(
               "and in particular u_(rn) for even n",
     params=("p", "q", "a", "b", "r", "m", "t", "n"),
     domain="p, q != 0; v_r != 0; r >= 0; m odd >= 1; t >= 0; n even >= 2",
-    guards=(GUARD_PQ,
-            Guard("v_r != 0", ("p", "q", "r"),
-                  lambda ctx, b: ctx.v(b["p"], b["q"])(b["r"]) != 0),
+    guards=(GUARD_PQ, GUARD_VR,
             Guard("r >= 0", ("r",), lambda ctx, b: b["r"] >= 0),
-            Guard("m odd and m >= 1", ("m",),
-                  lambda ctx, b: b["m"] % 2 != 0 and b["m"] >= 1),
-            Guard("t >= 0", ("t",), lambda ctx, b: b["t"] >= 0),
+            GUARD_M_ODD_POSITIVE, GUARD_T,
             Guard("n even and n >= 2", ("n",),
                   lambda ctx, b: b["n"] % 2 == 0 and b["n"] >= 2)),
     evaluate=_d21, required=("p", "q", "r"),
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          joint(("a", "b"), SEED_PANEL),
+    grid=(*PQ_AXES, joint(("a", "b"), SEED_PANEL),
           axis("r", irange(0, 4)), axis("m", [1, 3]),
           axis("t", irange(0, 4)), axis("n", [2, 4, 6])),
 )
@@ -518,7 +455,7 @@ def _d22_x(ctx, b):
 def _d22(ctx, b):
     p, q, a, bb = b["p"], b["q"], b["a"], b["b"]
     m, s, r, t, n = b["m"], b["s"], b["r"], b["t"], b["n"]
-    u, w = ctx.u(p, q), ctx.w(a, bb, p, q)
+    u, w = ctx.u(p, q), ctx.table(a, bb, p, q)
     y = (q ** m * u(r - s) ** (n + 2) * w(m * n + t)
          + q ** m * u(r - s) ** (n + 1) * u(r - m) * w(m * n + m + t - s)
          + neg_one(n) * u(r - m) ** (n + 1)
@@ -541,12 +478,11 @@ D22 = Entry(
     guards=(GUARD_N, GUARD_PQ,
             Guard("r >= m >= s >= 0", ("m", "s", "r"),
                   lambda ctx, b: b["r"] >= b["m"] >= b["s"] >= 0),
-            Guard("t >= 0", ("t",), lambda ctx, b: b["t"] >= 0),
+            GUARD_T,
             Guard("X != 0", ("p", "q", "m", "s", "r"),
                   lambda ctx, b: _d22_x(ctx, b) != 0)),
     evaluate=_d22,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          joint(("a", "b"), [(0, 1), (2, 3)]),
+    grid=(*PQ_AXES, joint(("a", "b"), [(0, 1), (2, 3)]),
           joint(("m", "s", "r"),
                 [(m, s, r) for r in range(5) for m in range(r + 1)
                  for s in range(m + 1)]),

@@ -2,24 +2,27 @@
 
 Each evaluate function computes every displayed side independently from its
 printed expression; no algebra is shared between sides, so a typo in one
-side cannot hide behind a simplification of another. Four entries (I10,
-I11, I16, I17) carry two readings of a printed summand under the variant
-protocol; the corrected reading is the one their proofs imply, and sweeps
-tally both so the report pins down exactly one verifying form.
+side cannot hide behind a simplification of another. Closed-form numerators
+that a divisibility corollary reuses are called from entries_common, where
+each is written once. Four entries (I10, I11, I16, I17) carry two readings
+of a printed summand under the variant protocol; the corrected reading is
+the one their proofs imply, and sweeps tally both so the report pins down
+exactly one verifying form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from ..scalars import QuadExt
 from ..sequences import neg_one
 from .engine import (Entry, Guard, Outcome, RejectedInstance, Side, axis,
                      irange, joint)
-
-GUARD_N = Guard("n >= 0", ("n",), lambda ctx, b: b["n"] >= 0)
-GUARD_R_NONZERO = Guard("r != 0", ("r",), lambda ctx, b: b["r"] != 0)
+from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
+                             GUARD_N, GUARD_R_NONZERO, R_N_AXES, _i10_den,
+                             _i10_num, _i11_num, _i12_num, _i13_num, _i14_num,
+                             _i16_den, _i16_num, _i17_num, _i18_num)
 
 HALVES = [Fraction(k, 2) for k in range(-6, 7)]
 
@@ -86,7 +89,7 @@ I03 = Entry(
     statement="sum_{j=0..n} 2^j L_(j+r) = 2^(n+1) F_(n+r+1) - F_r",
     params=("r", "n"), domain="any integer r; n >= 0",
     guards=(GUARD_N,), evaluate=_i03,
-    grid=(axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_N_AXES,
 )
 
 
@@ -104,13 +107,13 @@ I04 = Entry(
     statement="sum_{j=0..n} 2^j F_(j+r) = (2^(n+1) L_(n+r+1) - L_r) / 5",
     params=("r", "n"), domain="any integer r; n >= 0",
     guards=(GUARD_N,), evaluate=_i04,
-    grid=(axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_N_AXES,
 )
 
 
 def _i05(ctx, b):
     g0, g1, r, n = b["g0"], b["g1"], b["r"], b["n"]
-    G = ctx.gib(g0, g1)
+    G = ctx.table(g0, g1, 1, -1)
     return Outcome(sides=[
         Side("sum", sum(2 ** j * (G(j + r + 1) + G(j + r - 1)) for j in range(n + 1))),
         Side("closed form", 2 ** (n + 1) * G(n + r + 1) - G(r)),
@@ -220,7 +223,7 @@ I07 = Entry(
               "= sum_{j=0..n} (L_r/2)^j L_(r(n-j)) = 2 F_(r(n+1)) / F_r",
     params=("r", "n"), domain="r != 0; n >= 0",
     guards=(GUARD_N, GUARD_R_NONZERO), evaluate=_i07,
-    grid=(axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_N_AXES,
 )
 
 
@@ -244,7 +247,7 @@ I08 = Entry(
               "+ sum_{j=1..n} (F_r/2)^(2j-1) 5^j F_(r(2n-2j+1)) = 2 L_(r(2n+1)) / L_r",
     params=("r", "n"), domain="any integer r; n >= 0",
     guards=(GUARD_N,), evaluate=_i08,
-    grid=(axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_N_AXES,
 )
 
 
@@ -268,23 +271,13 @@ I09 = Entry(
               "+ sum_{j=1..n} (F_r/2)^(2j-1) 5^(j-1) L_(r(2n-2j)) = 2 F_(2rn) / L_r",
     params=("r", "n"), domain="any integer r; n >= 0",
     guards=(GUARD_N,), evaluate=_i09,
-    grid=(axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_N_AXES,
 )
 
 
 # ---------------------------------------------------------------------------
 # I10/I11: mixed F_r, F_{r-1} powers; middle-sum weight carried as variants
 # ---------------------------------------------------------------------------
-
-def _i10_den(ctx, b):
-    F = ctx.fib()
-    r = b["r"]
-    return F(r) ** 2 + F(r) * F(r - 1) - F(r - 1) ** 2
-
-
-GUARD_I10_DEN = Guard("F_r^2 + F_r F_(r-1) - F_(r-1)^2 != 0", ("r",),
-                      lambda ctx, b: _i10_den(ctx, b) != 0)
-
 
 def _i10(ctx, b):
     r, n = b["r"], b["n"]
@@ -298,9 +291,7 @@ def _i10(ctx, b):
                     F(r - 1) ** (n - j) * L(r * j))
                    for j in range(n + 1))
 
-    num = (F(r) ** (n + 2) * L(n) + F(r - 1) * F(r) ** (n + 1) * L(n + 1)
-           + F(r) * F(r - 1) ** (n + 1) - 2 * F(r - 1) ** (n + 2))
-    s3 = Fraction(num, _i10_den(ctx, b))
+    s3 = Fraction(_i10_num(ctx, b), _i10_den(ctx, b))
     return Outcome(sides=[
         Side("left sum", s1),
         Side("middle sum, weight 1/2^(j-1)", middle(-1), variant="as-printed"),
@@ -318,7 +309,7 @@ I10 = Entry(
     params=("r", "n"),
     domain="F_r^2 + F_r F_(r-1) - F_(r-1)^2 != 0; n >= 0",
     guards=(GUARD_N, GUARD_I10_DEN), evaluate=_i10,
-    grid=(axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_N_AXES,
     variants=("as-printed", "as-proved"), primary="as-proved",
     notes=("The displayed middle-sum weight 1/2^(j-1) fails for every n >= 1; "
            "the generating lemma's weight is 1/2^(j+1), which verifies.",),
@@ -336,9 +327,7 @@ def _i11(ctx, b):
                     F(r - 1) ** (n - j) * F(r * j))
                    for j in range(n + 1))
 
-    num = (F(r) ** (n + 2) * F(n) + F(r - 1) * F(r) ** (n + 1) * F(n + 1)
-           - F(r) * F(r - 1) ** (n + 1))
-    s3 = Fraction(num, _i10_den(ctx, b))
+    s3 = Fraction(_i11_num(ctx, b), _i10_den(ctx, b))
     return Outcome(sides=[
         Side("left sum", s1),
         Side("middle sum, weight 1/2^(j-1)", middle(-1), variant="as-printed"),
@@ -356,7 +345,7 @@ I11 = Entry(
     params=("r", "n"),
     domain="F_r^2 + F_r F_(r-1) - F_(r-1)^2 != 0; n >= 0",
     guards=(GUARD_N, GUARD_I10_DEN), evaluate=_i11,
-    grid=(axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_N_AXES,
     variants=("as-printed", "as-proved"), primary="as-proved",
     notes=("Same weight correction as I10.",),
 )
@@ -373,9 +362,7 @@ def _i12(ctx, b):
     s2 = sum(Fraction(L(r), 2) ** j * (L(r * (2 * n - j)) + neg_one(r * (n - j)) * L(r * j))
              for j in range(n + 1))
     F = ctx.fib()
-    num = (neg_one(r + 1) * L(2 * r * (n + 1)) - neg_one(r * (n + 1)) * L(2 * r)
-           + L(2 * r * n) + 2 * neg_one(r * n))
-    s3 = Fraction(2 * num, neg_one(r + 1) * 5 * F(r) ** 2)
+    s3 = Fraction(2 * _i12_num(ctx, b), neg_one(r + 1) * 5 * F(r) ** 2)
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -388,7 +375,7 @@ I12 = Entry(
               "+ 2(-1)^(rn)) / ((-1)^(r+1) 5 F_r^2)",
     params=("r", "n"), domain="r != 0; n >= 0",
     guards=(GUARD_N, GUARD_R_NONZERO), evaluate=_i12,
-    grid=(axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_N_AXES,
 )
 
 
@@ -398,9 +385,7 @@ def _i13(ctx, b):
     s1 = 2 * sum(neg_one(r * (n - j)) * F(2 * r * j) for j in range(n + 1))
     s2 = sum(Fraction(L(r), 2) ** j * (F(r * (2 * n - j)) + neg_one(r * (n - j)) * F(r * j))
              for j in range(n + 1))
-    num = (neg_one(r + 1) * F(2 * r * (n + 1)) + neg_one(r * (n + 1)) * F(2 * r)
-           + F(2 * r * n))
-    s3 = Fraction(2 * num, neg_one(r + 1) * 5 * F(r) ** 2)
+    s3 = Fraction(2 * _i13_num(ctx, b), neg_one(r + 1) * 5 * F(r) ** 2)
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -413,7 +398,7 @@ I13 = Entry(
               "/ ((-1)^(r+1) 5 F_r^2)",
     params=("r", "n"), domain="r != 0; n >= 0",
     guards=(GUARD_N, GUARD_R_NONZERO), evaluate=_i13,
-    grid=(axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_N_AXES,
 )
 
 
@@ -425,11 +410,11 @@ def _i14(ctx, b):
     if r % 2 == 0:
         s2 = sum(Fraction(L(r) ** 2, 2) ** j * (L(2 * r) ** (n - j) + 2 ** (n - j))
                  for j in range(n + 1))
-        s3 = Fraction(2 * (L(2 * r) ** (n + 1) - 2 ** (n + 1)), 5 * F(r) ** 2)
+        s3 = Fraction(2 * _i14_num(ctx, b), 5 * F(r) ** 2)
     else:
         s2 = sum(Fraction(5 * F(r) ** 2, 2) ** j * (L(2 * r) ** (n - j) + 2 ** (n - j))
                  for j in range(n + 1))
-        s3 = Fraction(2 * (L(2 * r) ** (n + 1) - 2 ** (n + 1)), L(r) ** 2)
+        s3 = Fraction(2 * _i14_num(ctx, b), L(r) ** 2)
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -442,7 +427,7 @@ I14 = Entry(
               "L_r^2 and 5 F_r^2 between weight and denominator]",
     params=("r", "n"), domain="r != 0; n >= 0",
     guards=(GUARD_N, GUARD_R_NONZERO), evaluate=_i14,
-    grid=(axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_N_AXES,
 )
 
 
@@ -468,7 +453,7 @@ I15 = Entry(
     params=("r", "n"),
     domain="any integer r (the denominator 5 F_r^2 - (-1)^r 4 never vanishes); n >= 0",
     guards=(GUARD_N,), evaluate=_i15,
-    grid=(axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_N_AXES,
 )
 
 
@@ -476,16 +461,6 @@ I15 = Entry(
 # I16/I17: the L_r, L_{r-1} power family; three printed slips carried
 # as variants (inner-index shift, one base letter, one prefactor)
 # ---------------------------------------------------------------------------
-
-def _i16_den(ctx, b):
-    L = ctx.luc()
-    r = b["r"]
-    return L(r - 2) * L(r + 1) + L(r) * L(r - 1)
-
-
-GUARD_I16_DEN = Guard("L_(r-2) L_(r+1) + L_r L_(r-1) != 0", ("r",),
-                      lambda ctx, b: _i16_den(ctx, b) != 0)
-
 
 def _i16(ctx, b):
     r, t, n = b["r"], b["t"], b["n"]
@@ -502,9 +477,7 @@ def _i16(ctx, b):
                     + L(r - 1) ** (2 * n - 2 * j + 1) * F((2 * j - 1) * r + t))
                    for j in range(1, n + 1))
 
-    num = (L(r) ** (2 * n + 1) * (L(r) * L(2 * n + t) + L(r - 1) * L(2 * n + t + 1))
-           - L(r - 1) ** (2 * n + 1) * (L(r) * L(t - 1) + L(r - 1) * L(t)))
-    s3 = Fraction(num, _i16_den(ctx, b))
+    s3 = Fraction(_i16_num(ctx, b), _i16_den(ctx, b))
     return Outcome(sides=[
         Side("left sum", s1),
         Side("middle sum, inner index 2n-2j+(2j-1)r+t", first + second(0),
@@ -553,9 +526,7 @@ def _i17(ctx, b):
                     + L(r - 1) ** (2 * n - 2 * j + 1) * L((2 * j - 1) * r + t))
                    for j in range(1, n + 1))
 
-    num = (L(r) ** (2 * n + 1) * (L(r) * F(2 * n + t) + L(r - 1) * F(2 * n + t + 1))
-           - L(r - 1) ** (2 * n + 1) * (L(r) * F(t - 1) + L(r - 1) * F(t)))
-    s3 = Fraction(num, _i16_den(ctx, b))
+    s3 = Fraction(_i17_num(ctx, b), _i16_den(ctx, b))
     return Outcome(sides=[
         Side("left sum", s1),
         Side("middle sum, F_(r-1) base, 5^j weight, printed index",
@@ -596,9 +567,7 @@ def _i18(ctx, b):
     s2 = sum(Fraction(L(k + r) * L(k + s), 2) ** j
              * (L(2 * k + r + s) ** (n - j) + neg_one((k + s) * (n - j)) * L(r - s) ** (n - j))
              for j in range(n + 1))
-    s3 = Fraction(2 * (L(2 * k + r + s) ** (n + 1)
-                       - neg_one((k + s) * (n + 1)) * L(r - s) ** (n + 1)),
-                  5 * F(k + r) * F(k + s))
+    s3 = Fraction(2 * _i18_num(ctx, b), 5 * F(k + r) * F(k + s))
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -612,11 +581,7 @@ I18 = Entry(
               "/ (5 F_(k+r) F_(k+s))",
     params=("r", "k", "s", "n"),
     domain="F_(k+r) F_(k+s) != 0; n >= 0",
-    guards=(GUARD_N,
-            Guard("F_(k+r) F_(k+s) != 0", ("r", "k", "s"),
-                  lambda ctx, b: ctx.fib()(b["k"] + b["r"]) != 0
-                  and ctx.fib()(b["k"] + b["s"]) != 0)),
-    evaluate=_i18,
+    guards=(GUARD_N, GUARD_F_KR_KS), evaluate=_i18,
     grid=(axis("r", irange(-6, 6)), axis("k", irange(-6, 6)),
           axis("s", irange(-6, 6)), axis("n", irange(0, 10))),
 )

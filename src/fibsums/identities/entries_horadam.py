@@ -14,19 +14,11 @@ from fractions import Fraction
 
 from ..sequences import neg_one
 from .engine import Entry, Guard, Outcome, Side, axis, irange, joint
+from .entries_common import (GUARD_N, GUARD_PQ, GUARD_UR, GUARD_VR, PQ_AXES,
+                             SEED_PANEL)
 
-GUARD_N = Guard("n >= 0", ("n",), lambda ctx, b: b["n"] >= 0)
-GUARD_PQ = Guard("p != 0 and q != 0", ("p", "q"),
-                 lambda ctx, b: b["p"] != 0 and b["q"] != 0)
 GUARD_DISC = Guard("p^2 - 4q != 0", ("p", "q"),
                    lambda ctx, b: b["p"] ** 2 - 4 * b["q"] != 0)
-GUARD_UR = Guard("u_r != 0", ("p", "q", "r"),
-                 lambda ctx, b: ctx.u(b["p"], b["q"])(b["r"]) != 0)
-GUARD_VR = Guard("v_r != 0", ("p", "q", "r"),
-                 lambda ctx, b: ctx.v(b["p"], b["q"])(b["r"]) != 0)
-
-PQ_VALUES = [k for k in range(-4, 5) if k != 0]
-SEED_PANEL = [(0, 1), (2, 1), (2, 3), (-1, 2)]
 
 
 def _disc(b):
@@ -62,7 +54,7 @@ LEM2 = Entry(
               "q^s +- sigma^(2s) = sigma^s (v_s or Delta u_s)",
     params=("p", "q", "s"), domain="p, q != 0; p^2 - 4q != 0; any integer s",
     guards=(GUARD_PQ, GUARD_DISC), evaluate=_lem2,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES), axis("s", irange(-4, 4))),
+    grid=(*PQ_AXES, axis("s", irange(-4, 4))),
 )
 
 
@@ -103,15 +95,14 @@ LEM3 = Entry(
               "Fibonacci/Lucas alpha-beta counterparts)",
     params=("p", "q", "r", "s"), domain="p, q != 0; p^2 - 4q != 0",
     guards=(GUARD_PQ, GUARD_DISC), evaluate=_lem3,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          axis("r", irange(-4, 4)), axis("s", irange(-4, 4))),
+    grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("s", irange(-4, 4))),
 )
 
 
 def _lem4(ctx, b):
     p, q, a, bb, n = b["p"], b["q"], b["a"], b["b"], b["n"]
     tau, sig, delta = ctx.roots(p, q)
-    w = ctx.w(a, bb, p, q)
+    w = ctx.table(a, bb, p, q)
     tau_n, sig_n = ctx.root_pow(p, q, n)
     A = (bb - a * sig) / delta
     B = (a * tau - bb) / delta
@@ -131,8 +122,7 @@ LEM4 = Entry(
               "A sigma^n + B tau^n = q^n w_(-n)",
     params=("p", "q", "a", "b", "n"), domain="p, q != 0; p^2 - 4q != 0",
     guards=(GUARD_PQ, GUARD_DISC), evaluate=_lem4,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          axis("a", irange(-3, 3)), axis("b", irange(-3, 3)),
+    grid=(*PQ_AXES, axis("a", irange(-3, 3)), axis("b", irange(-3, 3)),
           axis("n", irange(0, 6))),
 )
 
@@ -167,8 +157,7 @@ LEM5 = Entry(
               "(and the sigma and v-weighted counterparts)",
     params=("p", "q", "r", "m", "s"), domain="p, q != 0; p^2 - 4q != 0",
     guards=(GUARD_PQ, GUARD_DISC), evaluate=_lem5,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          axis("r", irange(-4, 4)), axis("m", irange(-4, 4)),
+    grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("m", irange(-4, 4)),
           axis("s", irange(-4, 4))),
 )
 
@@ -197,8 +186,7 @@ LEM6 = Entry(
     params=("p", "q", "n", "m"),
     domain="p, q != 0 (the repeated-root case is included: no root appears)",
     guards=(GUARD_PQ,), evaluate=_lem6,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          axis("n", irange(-4, 4)), axis("m", irange(-4, 4))),
+    grid=(*PQ_AXES, axis("n", irange(-4, 4)), axis("m", irange(-4, 4))),
 )
 
 
@@ -208,7 +196,7 @@ LEM6 = Entry(
 
 def _h01(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
-    w, u, v = ctx.w(a, bb, p, q), ctx.u(p, q), ctx.v(p, q)
+    w, u, v = ctx.table(a, bb, p, q), ctx.u(p, q), ctx.v(p, q)
     qf = Fraction(q)
     s1 = sum(qf ** (r * j) * w(r * (n - 2 * j) + t) for j in range(n + 1))
     s2 = w(t) * sum(Fraction(1, 2 ** (j + 1)) * v(r) ** j * v(r * (n - j))
@@ -230,8 +218,7 @@ H01 = Entry(
     params=("p", "q", "a", "b", "r", "t", "n"),
     domain="p, q != 0; u_r != 0; p^2 - 4q != 0; n >= 0",
     guards=(GUARD_N, GUARD_PQ, GUARD_UR, GUARD_DISC), evaluate=_h01,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          joint(("a", "b"), SEED_PANEL),
+    grid=(*PQ_AXES, joint(("a", "b"), SEED_PANEL),
           axis("r", irange(-4, 4)), axis("t", irange(-4, 4)),
           axis("n", irange(0, 6))),
 )
@@ -251,8 +238,7 @@ H02 = Entry(
     params=("p", "q", "r", "n"),
     domain="p, q != 0; n >= 0 (repeated root included)",
     guards=(GUARD_N, GUARD_PQ), evaluate=_h02,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
+    grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
 )
 
 
@@ -272,13 +258,13 @@ H03 = Entry(
     params=("p", "q", "n"),
     domain="p, q != 0; n >= 0 (repeated root included)",
     guards=(GUARD_N, GUARD_PQ), evaluate=_h03,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES), axis("n", irange(0, 6))),
+    grid=(*PQ_AXES, axis("n", irange(0, 6))),
 )
 
 
 def _h04(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
-    w, u, v = ctx.w(a, bb, p, q), ctx.u(p, q), ctx.v(p, q)
+    w, u, v = ctx.table(a, bb, p, q), ctx.u(p, q), ctx.v(p, q)
     qf = Fraction(q)
     s1 = 2 * sum(qf ** (r * (n - j)) * w(2 * r * j + t) for j in range(n + 1))
     s2 = sum(Fraction(1, 2 ** j) * v(r) ** j
@@ -300,8 +286,7 @@ H04 = Entry(
     params=("p", "q", "a", "b", "r", "t", "n"),
     domain="p, q != 0; u_r != 0; p^2 - 4q != 0; n >= 0",
     guards=(GUARD_N, GUARD_PQ, GUARD_UR, GUARD_DISC), evaluate=_h04,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          joint(("a", "b"), SEED_PANEL),
+    grid=(*PQ_AXES, joint(("a", "b"), SEED_PANEL),
           axis("r", irange(-4, 4)), axis("t", irange(-4, 4)),
           axis("n", irange(0, 6))),
 )
@@ -317,7 +302,7 @@ def _h05_x0(ctx, b):
 def _h05(ctx, b):
     p, q, a, bb = b["p"], b["q"], b["a"], b["b"]
     m, s, r, t, n = b["m"], b["s"], b["r"], b["t"], b["n"]
-    w, u = ctx.w(a, bb, p, q), ctx.u(p, q)
+    w, u = ctx.table(a, bb, p, q), ctx.u(p, q)
     qf = Fraction(q)
     s1 = sum(neg_one(j) * qf ** ((m - s) * j) * u(r - s) ** (n - j) * u(r - m) ** j
              * w((s - m) * j + m * n + t) for j in range(n + 1))
@@ -352,8 +337,7 @@ H05 = Entry(
             Guard("X0 != 0", ("p", "q", "m", "s", "r"),
                   lambda ctx, b: _h05_x0(ctx, b) != 0)),
     evaluate=_h05,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          joint(("a", "b"), [(0, 1), (2, 3)]),
+    grid=(*PQ_AXES, joint(("a", "b"), [(0, 1), (2, 3)]),
           joint(("m", "s", "r"),
                 [(1, 0, 2), (2, 1, 3), (0, 0, 1), (2, -1, -2), (-1, -2, 0),
                  (3, 1, 1), (4, 2, -3), (-2, -4, 3), (2, 2, 2), (1, -3, -1)]),
@@ -379,7 +363,7 @@ def _growth(ctx, b):
 
 def _h06(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
-    w, u, v = ctx.w(a, bb, p, q), ctx.u(p, q), ctx.v(p, q)
+    w, u, v = ctx.table(a, bb, p, q), ctx.u(p, q), ctx.v(p, q)
     qf = Fraction(q)
     g = _growth(ctx, b)
     s1 = sum(neg_one(j) * qf ** (r * j) * w(2 * r * (n - j) + t)
@@ -402,8 +386,7 @@ H06 = Entry(
     params=("p", "q", "a", "b", "r", "t", "n"),
     domain="p, q != 0; v_r != 0; u_r != 0 unless n = 0; n >= 0",
     guards=(GUARD_N, GUARD_PQ, GUARD_VR, GUARD_H06), evaluate=_h06,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          joint(("a", "b"), SEED_PANEL),
+    grid=(*PQ_AXES, joint(("a", "b"), SEED_PANEL),
           axis("r", irange(-4, 4)), axis("t", irange(-4, 4)),
           axis("n", irange(0, 6))),
 )
@@ -411,7 +394,7 @@ H06 = Entry(
 
 def _h07(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
-    w, u, v = ctx.w(a, bb, p, q), ctx.u(p, q), ctx.v(p, q)
+    w, u, v = ctx.table(a, bb, p, q), ctx.u(p, q), ctx.v(p, q)
     qf = Fraction(q)
     g = _growth(ctx, b)
     c = w(t + 1) - q * w(t - 1)
@@ -436,8 +419,7 @@ H07 = Entry(
     params=("p", "q", "a", "b", "r", "t", "n"),
     domain="p, q != 0; v_r != 0; u_r != 0 and p^2 - 4q != 0 unless n = 0; n >= 0",
     guards=(GUARD_N, GUARD_PQ, GUARD_VR, GUARD_H07), evaluate=_h07,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          joint(("a", "b"), SEED_PANEL),
+    grid=(*PQ_AXES, joint(("a", "b"), SEED_PANEL),
           axis("r", irange(-4, 4)), axis("t", irange(-4, 4)),
           axis("n", irange(0, 6))),
 )
@@ -457,8 +439,7 @@ H08 = Entry(
     params=("p", "q", "r", "n"),
     domain="p, q != 0; n >= 0 (no other constraint: the sum telescopes to zero)",
     guards=(GUARD_N, GUARD_PQ), evaluate=_h08,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
+    grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
 )
 
 
@@ -476,8 +457,7 @@ H09 = Entry(
     params=("p", "q", "r", "n"),
     domain="p, q != 0; n >= 0",
     guards=(GUARD_N, GUARD_PQ), evaluate=_h09,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
+    grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
 )
 
 
@@ -512,8 +492,7 @@ H10 = Entry(
     params=("p", "q", "r", "t", "n"),
     domain="p, q != 0; v_r != 0; u_r != 0 and p^2 - 4q != 0 unless n = 0; n >= 0",
     guards=(GUARD_N, GUARD_PQ, GUARD_VR, GUARD_H07), evaluate=_h10,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          axis("r", irange(-4, 4)), axis("t", irange(-2, 2)),
+    grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("t", irange(-2, 2)),
           axis("n", irange(0, 6))),
     variants=("as-printed", "as-proved"), primary="as-proved",
     notes=("The display carries a '+t' inside the left sum that the t-free "
@@ -546,8 +525,7 @@ H11 = Entry(
     params=("p", "q", "r", "n"),
     domain="p, q != 0; v_r != 0; u_r != 0 unless n = 0; n >= 0",
     guards=(GUARD_N, GUARD_PQ, GUARD_VR, GUARD_H06), evaluate=_h11,
-    grid=(axis("p", PQ_VALUES), axis("q", PQ_VALUES),
-          axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
+    grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
 )
 
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..polynomials import (POLY_ONE, POLY_X, cheb_T, cheb_U, fib_poly,
-                           lucas_poly, poly_add, poly_mul, poly_pow,
-                           poly_scale, poly_sub, poly_eval)
+                           lucas_poly, poly_add, poly_eval, poly_mul,
+                           poly_scale, poly_sub)
 from ..scalars import QuadExt
 from ..sequences import neg_one
-from .engine import Entry, Guard, Outcome, Side, axis, irange
-
-GUARD_N = Guard("n >= 0", ("n",), lambda ctx, b: b["n"] >= 0)
+from .engine import Entry, Outcome, Side, axis, irange
+from .entries_common import GUARD_N, GUARD_R_POSITIVE
 
 
 def _powers(base, count):
@@ -127,7 +126,7 @@ P04 = Entry(
               "= 2 (F_(r+1)(x)^(n+1) - F_(r-1)(x)^(n+1)) "
               "(both sums multiplied by x F_r(x), which the display divides by)",
     params=("r", "n"), domain="r >= 1; n >= 0",
-    guards=(GUARD_N, Guard("r >= 1", ("r",), lambda ctx, b: b["r"] >= 1)),
+    guards=(GUARD_N, GUARD_R_POSITIVE),
     evaluate=_p04,
     grid=(axis("r", irange(1, 6)), axis("n", irange(0, 15))),
 )
@@ -185,7 +184,7 @@ P06 = Entry(
               "even r: L_n(i L_r) = i^n L_(rn) and F_r F_n(i L_r) = i^(n-1) F_(rn) "
               "with i^2 = -1",
     params=("r", "n"), domain="r >= 1; n >= 0",
-    guards=(GUARD_N, Guard("r >= 1", ("r",), lambda ctx, b: b["r"] >= 1)),
+    guards=(GUARD_N, GUARD_R_POSITIVE),
     evaluate=_p06,
     grid=(axis("r", irange(1, 6)), axis("n", irange(0, 15))),
 )

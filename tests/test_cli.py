@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 
 import jsonschema
 import pytest
@@ -100,6 +101,20 @@ class TestSeq:
         code, _, err = run_cli(capsys, "seq", "horadam", "-a", "0", "-b", "1",
                                "-p", "0", "-q", "1", "-n", "3")
         assert code == 2 and "p != 0" in err
+
+    def test_term_past_the_default_int_str_limit(self, capsys):
+        # F_21000 has 4,389 digits; CPython's default limit is 4,300
+        limited = hasattr(sys, "set_int_max_str_digits")
+        if limited:
+            previous = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run_cli(capsys, "seq", "fib", "-n", "21000")
+        finally:
+            if limited:
+                sys.set_int_max_str_digits(previous)
+        assert code == 0 and err == ""
+        assert len(out) == 4389 + 1 and out.strip().isdigit()
 
     def test_argparse_level_errors_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -38,6 +38,12 @@ class TestCatalog:
             assert grid_names == set(e.params)
             assert set(e.required_params) <= set(e.params)
 
+    def test_guards_need_only_entry_params(self):
+        # a guard that needs a parameter the entry lacks is never checked
+        for e in catalog():
+            for g in e.guards:
+                assert set(g.needs) <= set(e.params), (e.id, g.text)
+
     def test_variant_declarations(self):
         for e in catalog():
             if e.id in FLAGGED:
