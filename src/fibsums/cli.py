@@ -33,9 +33,12 @@ def _parse_ranges(extras: list[str]) -> dict[str, list[int]]:
                 f"unrecognized argument {token!r} "
                 "(parameter ranges look like --r=-6..6 or --n=0)")
         name, lo, hi = m.group(1), int(m.group(2)), m.group(3)
+        hi = lo if hi is None else int(hi)
         if name in ranges:
             raise UsageError(f"duplicate range for parameter {name!r}")
-        ranges[name] = irange(lo, int(hi)) if hi is not None else [lo]
+        if lo > hi:
+            raise UsageError(f"empty range {lo}..{hi} for parameter {name!r}")
+        ranges[name] = irange(lo, hi)
     return ranges
 
 
@@ -205,10 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Exact terms and witnesses routinely pass CPython's 4,300-digit int->str
-    # default (e.g. F_21000); Python 3.10 before 3.10.7 has no limit at all.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args, extras = parser.parse_known_args(argv)
     try:

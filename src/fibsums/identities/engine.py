@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from ..scalars import CharRoots, make_roots
+from ..scalars import CharRoots, Rat, make_roots
 from ..sequences import SeqTable
 
 
@@ -41,14 +41,20 @@ class RejectedInstance(Exception):
 class Side:
     """One exactly evaluated expression. Sides sharing a group must agree.
 
-    variant None means the side is common to every reading of the entry;
-    otherwise it belongs to the named reading only.
+    value is an int, Fraction, QuadExt or polynomial coefficient tuple: a
+    kernel ``Rat`` is stored as its reduced Fraction. variant None means
+    the side is common to every reading of the entry; otherwise it belongs
+    to the named reading only.
     """
 
     label: str
     value: object
     group: str = "eq"
     variant: Optional[str] = None
+
+    def __post_init__(self):
+        if type(self.value) is Rat:
+            object.__setattr__(self, "value", self.value.canonical())
 
 
 @dataclass(frozen=True)

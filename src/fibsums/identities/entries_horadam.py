@@ -10,8 +10,7 @@ instead of full Cartesian ranges so the whole catalog stays desk-scale.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from ..scalars import Rat, power
 from ..sequences import neg_one
 from .engine import Entry, Guard, Outcome, Side, axis, irange, joint
 from .entries_common import (GUARD_N, GUARD_PQ, GUARD_UR, GUARD_VR, PQ_AXES,
@@ -35,7 +34,7 @@ def _lem2(ctx, b):
     u, v = ctx.u(p, q), ctx.v(p, q)
     tau_s, sig_s = ctx.root_pow(p, q, s)
     tau_2s, sig_2s = ctx.root_pow(p, q, 2 * s)
-    qs = Fraction(q) ** s
+    qs = power(q, s)
     return Outcome(sides=[
         Side("q^s + tau^(2s)", qs + tau_2s, group="tau-plus"),
         Side("tau^s v_s", tau_s * v(s), group="tau-plus"),
@@ -111,7 +110,7 @@ def _lem4(ctx, b):
         Side("(w_(n+1) - q w_(n-1)) / Delta", (w(n + 1) - q * w(n - 1)) / delta,
              group="difference"),
         Side("A sigma^n + B tau^n", A * sig_n + B * tau_n, group="swapped"),
-        Side("q^n w_(-n)", Fraction(q) ** n * w(-n), group="swapped"),
+        Side("q^n w_(-n)", power(q, n) * w(-n), group="swapped"),
     ])
 
 
@@ -134,7 +133,7 @@ def _lem5(ctx, b):
     tau_r, sig_r = ctx.root_pow(p, q, r)
     tau_m, sig_m = ctx.root_pow(p, q, m)
     tau_s, sig_s = ctx.root_pow(p, q, s)
-    qms = Fraction(q) ** (m - s)
+    qms = power(q, m - s)
     return Outcome(sides=[
         Side("tau^r u_(m-s)", tau_r * u(m - s), group="u-tau"),
         Side("tau^m u_(r-s) - q^(m-s) tau^s u_(r-m)",
@@ -165,7 +164,7 @@ LEM5 = Entry(
 def _lem6(ctx, b):
     p, q, n, m = b["p"], b["q"], b["n"], b["m"]
     u, v = ctx.u(p, q), ctx.v(p, q)
-    qm = Fraction(q) ** m
+    qm = power(q, m)
     d = _disc(b)
     return Outcome(sides=[
         Side("u_(n+m) - q^m u_(n-m)", u(n + m) - qm * u(n - m), group="u-minus"),
@@ -197,14 +196,13 @@ LEM6 = Entry(
 def _h01(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w, u, v = ctx.table(a, bb, p, q), ctx.u(p, q), ctx.v(p, q)
-    qf = Fraction(q)
-    s1 = sum(qf ** (r * j) * w(r * (n - 2 * j) + t) for j in range(n + 1))
-    s2 = w(t) * sum(Fraction(1, 2 ** (j + 1)) * v(r) ** j * v(r * (n - j))
+    s1 = sum(power(q, r * j) * w(r * (n - 2 * j) + t) for j in range(n + 1))
+    s2 = w(t) * sum(Rat(1, 2 ** (j + 1)) * v(r) ** j * v(r * (n - j))
                     for j in range(n + 1))
     M = r * (n + 1)
-    num = (w(t + 1 + M) - qf ** M * w(t + 1 - M)
-           - q * (w(t - 1 + M) - qf ** M * w(t - 1 - M)))
-    s3 = num / (u(r) * _disc(b))
+    num = (w(t + 1 + M) - power(q, M) * w(t + 1 - M)
+           - q * (w(t - 1 + M) - power(q, M) * w(t - 1 - M)))
+    s3 = num / Rat(u(r) * _disc(b))
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -227,9 +225,8 @@ H01 = Entry(
 def _h02(ctx, b):
     p, q, r, n = b["p"], b["q"], b["r"], b["n"]
     u = ctx.u(p, q)
-    qf = Fraction(q)
-    s = sum(qf ** (r * j) * u(r * (n - 2 * j)) for j in range(n + 1))
-    return Outcome(sides=[Side("sum", s), Side("zero", Fraction(0))])
+    s = sum(power(q, r * j) * u(r * (n - 2 * j)) for j in range(n + 1))
+    return Outcome(sides=[Side("sum", s), Side("zero", 0)])
 
 
 H02 = Entry(
@@ -245,9 +242,8 @@ H02 = Entry(
 def _h03(ctx, b):
     p, q, n = b["p"], b["q"], b["n"]
     u, v = ctx.u(p, q), ctx.v(p, q)
-    qf = Fraction(q)
-    s1 = sum(qf ** j * v(n - 2 * j) for j in range(n + 1))
-    s2 = sum(Fraction(p, 2) ** j * v(n - j) for j in range(n + 1))
+    s1 = sum(power(q, j) * v(n - 2 * j) for j in range(n + 1))
+    s2 = sum(Rat(p, 2) ** j * v(n - j) for j in range(n + 1))
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", 2 * u(n + 1))])
 
@@ -265,14 +261,13 @@ H03 = Entry(
 def _h04(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w, u, v = ctx.table(a, bb, p, q), ctx.u(p, q), ctx.v(p, q)
-    qf = Fraction(q)
-    s1 = 2 * sum(qf ** (r * (n - j)) * w(2 * r * j + t) for j in range(n + 1))
-    s2 = sum(Fraction(1, 2 ** j) * v(r) ** j
-             * (w(r * (2 * n - j) + t) + qf ** (r * (n - j)) * w(r * j + t))
+    s1 = 2 * sum(power(q, r * (n - j)) * w(2 * r * j + t) for j in range(n + 1))
+    s2 = sum(Rat(1, 2 ** j) * v(r) ** j
+             * (w(r * (2 * n - j) + t) + power(q, r * (n - j)) * w(r * j + t))
              for j in range(n + 1))
     num = 2 * (w(r * (2 * n + 1) + t + 1) - q * w(r * (2 * n + 1) + t - 1)
-               - qf ** (r * (n + 1)) * (w(t - r + 1) - q * w(t - r - 1)))
-    s3 = num / (u(r) * _disc(b))
+               - power(q, r * (n + 1)) * (w(t - r + 1) - q * w(t - r - 1)))
+    s3 = num / Rat(u(r) * _disc(b))
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -295,7 +290,7 @@ H04 = Entry(
 def _h05_x0(ctx, b):
     u, v = ctx.u(b["p"], b["q"]), ctx.v(b["p"], b["q"])
     m, s, r = b["m"], b["s"], b["r"]
-    return (u(r - s) ** 2 + Fraction(b["q"]) ** (m - s) * u(r - m) ** 2
+    return (u(r - s) ** 2 + power(b["q"], m - s) * u(r - m) ** 2
             + u(r - s) * u(r - m) * v(m - s))
 
 
@@ -303,21 +298,20 @@ def _h05(ctx, b):
     p, q, a, bb = b["p"], b["q"], b["a"], b["b"]
     m, s, r, t, n = b["m"], b["s"], b["r"], b["t"], b["n"]
     w, u = ctx.table(a, bb, p, q), ctx.u(p, q)
-    qf = Fraction(q)
-    s1 = sum(neg_one(j) * qf ** ((m - s) * j) * u(r - s) ** (n - j) * u(r - m) ** j
+    s1 = sum(neg_one(j) * power(q, (m - s) * j) * u(r - s) ** (n - j) * u(r - m) ** j
              * w((s - m) * j + m * n + t) for j in range(n + 1))
-    s2 = sum(Fraction(1, 2 ** (j + 1)) * u(m - s) ** j
+    s2 = sum(Rat(1, 2 ** (j + 1)) * u(m - s) ** j
              * (u(r - s) ** (n - j) * w((r - m) * j + m * n + t)
-                + neg_one(n - j) * qf ** ((m - s) * (n - j)) * u(r - m) ** (n - j)
+                + neg_one(n - j) * power(q, (m - s) * (n - j)) * u(r - m) ** (n - j)
                 * w(s * (n - j) + t + r * j))
              for j in range(n + 1))
-    x0 = Fraction(_h05_x0(ctx, b))
+    x0 = Rat(_h05_x0(ctx, b))
     s3 = ((u(r - s) ** (n + 2) * w(m * n + t)
            + u(r - s) ** (n + 1) * u(r - m) * w(m * n + m + t - s)) / x0
           + neg_one(n) * u(r - m) ** (n + 1)
-          * (qf ** ((m - s) * (n + 1) + m) * u(r - s) * w(s * n + s + t - m)
-             + qf ** ((m - s) * (n + 2) + s) * u(r - m) * w(s * n + t))
-          / (qf ** m * x0))
+          * (power(q, (m - s) * (n + 1) + m) * u(r - s) * w(s * n + s + t - m)
+             + power(q, (m - s) * (n + 2) + s) * u(r - m) * w(s * n + t))
+          / (power(q, m) * x0))
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -358,21 +352,20 @@ GUARD_H07 = Guard("n = 0 or (u_r != 0 and p^2 - 4q != 0)", ("p", "q", "r", "n"),
 
 def _growth(ctx, b):
     # the squared-root weight (u_r Delta / 2)^2 shared by H06-H11 middles
-    return Fraction(_disc(b), 4) * ctx.u(b["p"], b["q"])(b["r"]) ** 2
+    return Rat(_disc(b), 4) * ctx.u(b["p"], b["q"])(b["r"]) ** 2
 
 
 def _h06(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w, u, v = ctx.table(a, bb, p, q), ctx.u(p, q), ctx.v(p, q)
-    qf = Fraction(q)
     g = _growth(ctx, b)
-    s1 = sum(neg_one(j) * qf ** (r * j) * w(2 * r * (n - j) + t)
+    s1 = sum(neg_one(j) * power(q, r * j) * w(2 * r * (n - j) + t)
              for j in range(2 * n + 1))
-    s2 = Fraction(1, 2) * w(t) * sum(g ** j * v(2 * r * (n - j)) for j in range(n + 1))
+    s2 = Rat(1, 2) * w(t) * sum(g ** j * v(2 * r * (n - j)) for j in range(n + 1))
     if n >= 1:
         s2 += w(t) * sum(g ** j * u(r * (2 * n - 2 * j + 1)) for j in range(1, n + 1)) \
-            / Fraction(u(r))
-    s3 = w(t) * v(r * (2 * n + 1)) / Fraction(v(r))
+            / u(r)
+    s3 = w(t) * v(r * (2 * n + 1)) / Rat(v(r))
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -395,16 +388,15 @@ H06 = Entry(
 def _h07(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w, u, v = ctx.table(a, bb, p, q), ctx.u(p, q), ctx.v(p, q)
-    qf = Fraction(q)
     g = _growth(ctx, b)
     c = w(t + 1) - q * w(t - 1)
-    s1 = sum(neg_one(j) * qf ** (r * j) * w(r * (2 * n - 1 - 2 * j) + t)
+    s1 = sum(neg_one(j) * power(q, r * j) * w(r * (2 * n - 1 - 2 * j) + t)
              for j in range(2 * n))
-    s2 = Fraction(1, 2) * c * sum(g ** j * u(r * (2 * n - 2 * j - 1)) for j in range(n))
+    s2 = Rat(1, 2) * c * sum(g ** j * u(r * (2 * n - 2 * j - 1)) for j in range(n))
     if n >= 1:
         s2 += c * sum(g ** j * v(r * (2 * n - 2 * j)) for j in range(1, n + 1)) \
-            / Fraction(u(r) * _disc(b))
-    s3 = (w(t + 2 * r * n) - qf ** (2 * r * n) * w(t - 2 * r * n)) / Fraction(v(r))
+            / (u(r) * _disc(b))
+    s3 = (w(t + 2 * r * n) - power(q, 2 * r * n) * w(t - 2 * r * n)) / Rat(v(r))
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -428,9 +420,8 @@ H07 = Entry(
 def _h08(ctx, b):
     p, q, r, n = b["p"], b["q"], b["r"], b["n"]
     u = ctx.u(p, q)
-    qf = Fraction(q)
-    s = sum(neg_one(j) * qf ** (r * j) * u(2 * r * (n - j)) for j in range(2 * n + 1))
-    return Outcome(sides=[Side("sum", s), Side("zero", Fraction(0))])
+    s = sum(neg_one(j) * power(q, r * j) * u(2 * r * (n - j)) for j in range(2 * n + 1))
+    return Outcome(sides=[Side("sum", s), Side("zero", 0)])
 
 
 H08 = Entry(
@@ -446,9 +437,8 @@ H08 = Entry(
 def _h09(ctx, b):
     p, q, r, n = b["p"], b["q"], b["r"], b["n"]
     v = ctx.v(p, q)
-    qf = Fraction(q)
-    s = sum(neg_one(j) * qf ** (r * j) * v(r * (2 * n - 1 - 2 * j)) for j in range(2 * n))
-    return Outcome(sides=[Side("sum", s), Side("zero", Fraction(0))])
+    s = sum(neg_one(j) * power(q, r * j) * v(r * (2 * n - 1 - 2 * j)) for j in range(2 * n))
+    return Outcome(sides=[Side("sum", s), Side("zero", 0)])
 
 
 H09 = Entry(
@@ -464,17 +454,16 @@ H09 = Entry(
 def _h10(ctx, b):
     p, q, r, t, n = b["p"], b["q"], b["r"], b["t"], b["n"]
     u, v = ctx.u(p, q), ctx.v(p, q)
-    qf = Fraction(q)
     g = _growth(ctx, b)
-    left_printed = sum(neg_one(j) * qf ** (r * j) * u(r * (2 * n - 1 - 2 * j) + t)
+    left_printed = sum(neg_one(j) * power(q, r * j) * u(r * (2 * n - 1 - 2 * j) + t)
                        for j in range(2 * n))
-    left = sum(neg_one(j) * qf ** (r * j) * u(r * (2 * n - 1 - 2 * j))
+    left = sum(neg_one(j) * power(q, r * j) * u(r * (2 * n - 1 - 2 * j))
                for j in range(2 * n))
     mid = sum(g ** j * u(r * (2 * n - 2 * j - 1)) for j in range(n))
     if n >= 1:
         mid += 2 * sum(g ** j * v(r * (2 * n - 2 * j)) for j in range(1, n + 1)) \
-            / Fraction(u(r) * _disc(b))
-    s3 = 2 * u(2 * r * n) / Fraction(v(r))
+            / (u(r) * _disc(b))
+    s3 = 2 * u(2 * r * n) / Rat(v(r))
     return Outcome(sides=[
         Side("left sum with displayed shift t", left_printed, variant="as-printed"),
         Side("left sum without shift", left, variant="as-proved"),
@@ -504,14 +493,13 @@ H10 = Entry(
 def _h11(ctx, b):
     p, q, r, n = b["p"], b["q"], b["r"], b["n"]
     u, v = ctx.u(p, q), ctx.v(p, q)
-    qf = Fraction(q)
     g = _growth(ctx, b)
-    s1 = sum(neg_one(j) * qf ** (r * j) * v(2 * r * (n - j)) for j in range(2 * n + 1))
+    s1 = sum(neg_one(j) * power(q, r * j) * v(2 * r * (n - j)) for j in range(2 * n + 1))
     s2 = sum(g ** j * v(2 * r * (n - j)) for j in range(n + 1))
     if n >= 1:
         s2 += 2 * sum(g ** j * u(r * (2 * n - 2 * j + 1)) for j in range(1, n + 1)) \
-            / Fraction(u(r))
-    s3 = 2 * v(r * (2 * n + 1)) / Fraction(v(r))
+            / u(r)
+    s3 = 2 * v(r * (2 * n + 1)) / Rat(v(r))
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 

@@ -15,7 +15,7 @@ from importlib import metadata
 
 from .identities import Evaluation, SweepReport, Witness
 from .polynomials import render_poly
-from .scalars import render_scalar
+from .scalars import int_text, render_scalar
 
 #: Bumped when the report document layout changes.
 REPORT_FORMAT = 1
@@ -38,10 +38,10 @@ def render_value(value) -> str:
 def witness_payload(w: Witness) -> dict:
     return {
         "label": w.label,
-        "divisor": str(w.divisor),
-        "dividend": str(w.dividend),
-        "quotient": None if w.quotient is None else str(w.quotient),
-        "residue": None if w.residue is None else str(w.residue),
+        "divisor": int_text(w.divisor),
+        "dividend": int_text(w.dividend),
+        "quotient": None if w.quotient is None else int_text(w.quotient),
+        "residue": None if w.residue is None else int_text(w.residue),
     }
 
 

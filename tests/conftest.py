@@ -1,5 +1,6 @@
 """Shared fixtures: independent naive oracles used across test modules."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,3 +28,30 @@ def naive_horadam():
         return lo
 
     return _naive
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """Run a test under CPython's default 4,300-digit int->str limit.
+
+    Yields ``exact_str(n)``: ``str(n)`` taken with the limit lifted for that
+    one call. The limit the process had before is restored afterwards.
+    Interpreters without the limit run the test unchanged.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield str
+        return
+
+    def exact_str(n):
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(4300)
+
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield exact_str
+    finally:
+        sys.set_int_max_str_digits(previous)

@@ -187,6 +187,14 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "I07", "--r=1..2", "--r=3")
         assert code == 2 and "duplicate range" in err
 
+    def test_empty_range_is_a_usage_error(self, capsys):
+        # lo > hi would sweep nothing and still "verify"
+        code, out, err = run_cli(capsys, "verify", "I07", "--r=2..2", "--n=5..3")
+        assert code == 2 and out == ""
+        assert "empty range 5..3" in err and "'n'" in err
+        code, out, err = run_cli(capsys, "div", "D01", "--r=3..1", "--m=1..1")
+        assert code == 2 and out == "" and "'r'" in err
+
     def test_ranges_only_for_verify_and_div(self, capsys):
         code, _, err = run_cli(capsys, "catalog", "--r=1..2")
         assert code == 2 and "does not take parameter ranges" in err

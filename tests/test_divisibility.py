@@ -1,5 +1,8 @@
 """Divisibility entries: witness soundness, frozen quotients, rejections."""
 
+import csv
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,8 @@ import pytest
 from fibsums.identities import (Context, RejectedInstance, check_divisibility,
                                 evaluate_identity, get_entry, make_witness,
                                 sweep)
+from fibsums.reports import (div_csv, document, sweep_payload, to_json,
+                             witness_row)
 
 
 class TestMakeWitness:
@@ -149,3 +154,27 @@ class TestWitnessSoundnessSweeps:
         rep = sweep(get_entry(entry_id), None, Context(), on_result=check)
         assert rep.verified
         assert rep.checked == len(seen) > 0
+
+
+class TestDigitLimit:
+    def test_witness_tables_past_the_default_int_str_limit(self, default_int_str_limit):
+        # 2^20102 L_20102 has about 10,250 digits; the default limit is 4,300
+        entry = get_entry("D06")
+        evaluations, rows = [], []
+
+        def keep(ev):
+            evaluations.append(ev)
+            rows.append(witness_row(ev))
+
+        rep = sweep(entry, {"n": [20100, 20101]}, Context(), on_result=keep)
+        doc = json.loads(to_json(document("div", [sweep_payload(rep, rows=rows)])))
+        table = list(csv.reader(io.StringIO(div_csv(entry.params, rows))))
+        assert rep.verified and len(evaluations) == 2 and len(table) == 3
+        for ev, row, line in zip(evaluations, doc["reports"][0]["rows"], table[1:]):
+            (w,) = ev.witnesses
+            expected = [default_int_str_limit(x)
+                        for x in (w.divisor, w.dividend, w.quotient)]
+            (got,) = row["witnesses"]
+            assert [got["divisor"], got["dividend"], got["quotient"]] == expected
+            assert line[2:5] == expected and line[5] == ""
+            assert len(expected[1]) > 10000

@@ -1,12 +1,13 @@
 """Catalog structure, single-point evaluation, grid sweeps, variants."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from fibsums.identities import (ENTRIES, Context, RejectedInstance,
+from fibsums.identities import (ENTRIES, Axis, Context, RejectedInstance,
                                 UsageError, catalog, check_divisibility,
-                                evaluate_identity, get_entry, sury_f,
+                                evaluate_identity, get_entry, sury_f, sweep,
                                 verify_grid)
 from fibsums.polynomials import poly_eval
 from fibsums.scalars import QuadExt, fib_roots
@@ -208,3 +209,27 @@ class TestVerifyGrid:
     def test_divisibility_gate(self):
         with pytest.raises(UsageError, match="not a divisibility entry"):
             check_divisibility("I07", {"r": 1, "n": 1})
+
+
+# |q| = 1 (integer terms both ways), |q| > 1 (fractions below index 0), and a
+# square discriminant (rational roots) at p = 3, q = 2
+BOUNDARY_PQ = ((1, -1), (-1, 3), (4, -4), (3, 2))
+
+
+class TestSideValueBoundary:
+    @pytest.mark.parametrize("entry_id", [i for i in EXPECTED_IDS
+                                          if i.startswith(("LEM", "H"))])
+    def test_sides_leave_the_kernel_canonical(self, entry_id):
+        entry = get_entry(entry_id)
+        assert [ax.names for ax in entry.grid[:2]] == [("p",), ("q",)]
+        inner = [Axis(ax.names, ax.values[::max(1, len(ax.values) // 3)])
+                 for ax in entry.grid[2:]]
+        ctx, values = Context(), []
+        for p, q in BOUNDARY_PQ:
+            grid = (Axis(("p",), ((p,),)), Axis(("q",), ((q,),)), *inner)
+            rep = sweep(dataclasses.replace(entry, grid=grid), ctx=ctx,
+                        on_result=lambda ev: values.extend(
+                            s.value for s in ev.sides))
+            assert rep.checked and rep.verified
+        assert values
+        assert {type(v) for v in values} <= {int, Fraction, QuadExt}

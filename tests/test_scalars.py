@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibsums.scalars import (CharRoots, DomainError, QuadExt, fib_roots,
-                             make_roots, quad_op, quad_pow, rat_op,
-                             render_scalar)
+from fibsums.scalars import (_REDUCE_BITS, CharRoots, DomainError, QuadExt,
+                             Rat, fib_roots, make_roots, power, quad_op,
+                             quad_pow, rat_op, render_scalar)
+from fibsums.sequences import fib
 
 HALF = Fraction(1, 2)
 ALPHA = QuadExt(HALF, HALF, 5)
@@ -236,3 +237,230 @@ class TestRendering:
 
     def test_repr_frozen(self):
         assert repr(ALPHA) == "QuadExt(Fraction(1, 2), Fraction(1, 2), 5)"
+
+    def test_render_past_the_default_int_str_limit(self, default_int_str_limit):
+        for n in (fib(21000), fib(100000)):      # 4,389 and 20,899 digits
+            text = default_int_str_limit(n)
+            assert render_scalar(n) == text
+            assert render_scalar(-n) == "-" + text
+            assert render_scalar(Fraction(1, n)) == "1/" + text
+            assert render_scalar(QuadExt(n, 1, 5)) == text + " + sqrt(5)"
+
+
+# ---------------------------------------------------------------------------
+# kernel: lazily reduced Rat and integer-form QuadExt against Fraction
+# ---------------------------------------------------------------------------
+
+RAT_OPS = ("+", "-", "*", "/", "**", "r+", "r-", "r*", "r/")
+WIDE_RAT = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                        max_denominator=10 ** 6)
+
+
+@st.composite
+def operand(draw):
+    """An int, Fraction or (unreduced) Rat, with its Fraction value."""
+    f = draw(WIDE_RAT)
+    kind = draw(st.sampled_from(["int", "Fraction", "Rat"]))
+    if kind == "int":
+        return int(f), Fraction(int(f))
+    if kind == "Fraction":
+        return f, f
+    k = draw(st.integers(1, 50))
+    return Rat(f.numerator * k, f.denominator * k), f
+
+
+def apply(op, x, y):
+    """x op y; 'r'-prefixed ops put y on the left, '**' raises to small y."""
+    if op == "+":
+        return x + y
+    if op == "-":
+        return x - y
+    if op == "*":
+        return x * y
+    if op == "/":
+        return x / y
+    if op == "r+":
+        return y + x
+    if op == "r-":
+        return y - x
+    if op == "r*":
+        return y * x
+    if op == "r/":
+        return y / x
+    return x ** y
+
+
+def long_value(f: Fraction) -> bool:
+    return abs(f.numerator).bit_length() + f.denominator.bit_length() > 600
+
+
+class TestRatKernel:
+    @given(st.lists(st.tuples(st.sampled_from(RAT_OPS), operand(),
+                              st.integers(-3, 3)), min_size=10, max_size=40))
+    def test_chains_match_fraction_reference(self, chain):
+        # operand denominators reach 20 bits, so most chains pass _REDUCE_BITS
+        x, ref = Rat(1), Fraction(1)
+        for op, (y, yref), e in chain:
+            if op == "**":
+                if long_value(ref):
+                    continue
+                y = yref = e
+            try:
+                expected = apply(op, ref, yref)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    apply(op, x, y)
+                continue
+            x, ref = apply(op, x, y), expected
+            assert type(x) is Rat and x.d > 0
+            assert x == ref and x.canonical() == ref
+        assert hash(x) == hash(ref)
+
+    def test_long_chain_crosses_the_reduction_threshold(self):
+        x, ref = Rat(0), Fraction(0)
+        for k in range(1, 120):
+            x, ref = x + Rat(1, k), ref + Fraction(1, k)
+            x, ref = x * Rat(k + 1, 3), ref * Fraction(k + 1, 3)
+            assert x == ref
+        assert x.canonical() == ref
+
+    def test_unchanged_value_keeps_a_bounded_denominator(self):
+        x = Rat(5, 3)
+        for _ in range(200):
+            x = x * Rat(7, 11) / Fraction(7, 11)
+            assert x.d.bit_length() <= _REDUCE_BITS + 8
+        assert x == Fraction(5, 3)
+
+    def test_fraction_and_int_operands_fall_back_to_the_kernel(self):
+        # Fraction's operators return NotImplemented for Rat on 3.10-3.13
+        h = Rat(1, 3)
+        for out in (Fraction(1, 2) + h, Fraction(1, 2) - h, Fraction(1, 2) * h,
+                    Fraction(1, 2) / h, 2 + h, 2 - h, 2 * h, 2 / h, h ** -2):
+            assert type(out) is Rat
+        assert Fraction(1, 2) - h == Fraction(1, 6)
+        assert 2 / h == 6
+
+    def test_no_float_ever(self):
+        assert type(Rat(7) / 2) is Rat and Rat(7) / 2 == Fraction(7, 2)
+        assert type(Rat(2) ** -3) is Rat and Rat(2) ** -3 == Fraction(1, 8)
+
+    @given(st.integers(-6, 6), st.integers(-12, 12))
+    def test_power_is_exact_and_never_a_float(self, base, e):
+        if base == 0 and e < 0:
+            with pytest.raises(ZeroDivisionError):
+                power(base, e)
+            return
+        out = power(base, e)
+        assert out == Fraction(base) ** e
+        assert type(out) is (int if base in (1, -1) else Rat)
+
+    def test_constructor(self):
+        assert Rat(4, -6) == Fraction(-2, 3) and Rat(4, -6).d > 0
+        assert Rat(Fraction(3, 4)) == Fraction(3, 4)
+        assert Rat(Rat(3, 4)) == Fraction(3, 4)
+        with pytest.raises(TypeError):
+            Rat(0.5)
+        with pytest.raises(ZeroDivisionError):
+            Rat(1, 0)
+
+    @given(WIDE_RAT, st.integers(1, 10 ** 6))
+    def test_equality_and_hash_across_types(self, f, k):
+        r = Rat(f.numerator * k, f.denominator * k)
+        assert r == f and f == r and hash(r) == hash(f)
+        assert (r == f + 1) is False and r != f + 1
+        if f.denominator == 1:
+            assert r == int(f) and int(f) == r and hash(r) == hash(int(f))
+        q = QuadExt(r, 1, 7) - QuadExt(0, Rat(k, k), 7)
+        assert q == r and r == q and q == f and hash(q) == hash(f)
+        assert len({r, f, q}) == 1
+
+    def test_division_by_zero(self):
+        zeros = (0, Fraction(0), Rat(0), Rat(0, 5))
+        for z in zeros:
+            with pytest.raises(ZeroDivisionError):
+                Rat(1, 2) / z
+        for x in (1, Fraction(1, 2), Rat(1, 2)):
+            with pytest.raises(ZeroDivisionError):
+                x / Rat(0, 3)
+        with pytest.raises(ZeroDivisionError):
+            Rat(0, 7) ** -1
+
+
+def quad_ref(op, x, y, d):
+    """Componentwise-Fraction reference for x op y over Q(sqrt d)."""
+    (a, b), (c, e) = x, y
+    if op == "+":
+        return a + c, b + e
+    if op == "-":
+        return a - c, b - e
+    if op == "*":
+        return a * c + b * e * d, a * e + b * c
+    n = c * c - e * e * d
+    if n == 0:
+        raise DomainError("zero norm")
+    return quad_ref("*", x, (c / n, -e / n), d)
+
+
+@st.composite
+def quad_operand(draw, d):
+    """A QuadExt over sqrt(d), or an int/Fraction/Rat, with its (a, b) pair."""
+    if draw(st.booleans()):
+        a, b = draw(WIDE_RAT), draw(WIDE_RAT)
+        return QuadExt(a, b, d), (a, b)
+    y, f = draw(operand())
+    return y, (f, Fraction(0))
+
+
+class TestQuadExtKernel:
+    @given(st.data(), st.sampled_from([2, 3, 5, 7, 10, -1, -3]))
+    def test_chains_match_componentwise_reference(self, data, d):
+        x, ref = QuadExt(1, 1, d), (Fraction(1), Fraction(1))
+        for _ in range(data.draw(st.integers(10, 30))):
+            op = data.draw(st.sampled_from(["+", "-", "*", "/", "r-", "r/"]))
+            y, yref = data.draw(quad_operand(d))
+            lhs, rhs = (y, x) if op.startswith("r") else (x, y)
+            lref, rref = (yref, ref) if op.startswith("r") else (ref, yref)
+            try:
+                expected = quad_ref(op[-1], lref, rref, d)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    apply(op[-1], lhs, rhs)
+                continue
+            x, ref = apply(op[-1], lhs, rhs), expected
+            if long_value(ref[0]) or long_value(ref[1]):
+                x, ref = QuadExt(1, 1, d), (Fraction(1), Fraction(1))
+                continue
+            assert type(x) is QuadExt
+            assert (x.a, x.b) == ref
+            assert type(x.a) is Fraction and type(x.b) is Fraction
+        assert x == QuadExt(*ref, d) and hash(x) == hash(QuadExt(*ref, d))
+        assert x.norm() == ref[0] ** 2 - d * ref[1] ** 2
+
+    @given(quad_pair(), st.integers(-6, 6))
+    def test_powers_match_repeated_products(self, pair, n):
+        u, _ = pair
+        if not u:
+            return
+        expected = QuadExt(1, 0, u.d)
+        for _ in range(abs(n)):
+            expected = expected * u if n > 0 else expected / u
+        assert u ** n == expected
+        assert repr(u ** n) == repr(expected)
+
+    def test_unreduced_results_render_and_compare_canonically(self):
+        x = ALPHA
+        for _ in range(200):                      # den passes _REDUCE_BITS
+            x = x * Rat(7, 11) * Fraction(11, 7)
+        assert x == ALPHA and hash(x) == hash(ALPHA)
+        assert repr(x) == repr(ALPHA) and render_scalar(x) == render_scalar(ALPHA)
+
+    def test_zero_norm_inverse_and_zero_division(self):
+        zero = ALPHA - ALPHA
+        for divisor in (zero, 0, Fraction(0), Rat(0)):
+            with pytest.raises(DomainError):
+                ALPHA / divisor
+        for x in (1, Fraction(1, 2), Rat(1, 2), ALPHA):
+            with pytest.raises(DomainError):
+                x / zero
+        with pytest.raises(DomainError):
+            zero ** -2
