@@ -32,8 +32,13 @@ def _parse_ranges(extras: list[str]) -> dict[str, list[int]]:
             raise UsageError(
                 f"unrecognized argument {token!r} "
                 "(parameter ranges look like --r=-6..6 or --n=0)")
-        name, lo, hi = m.group(1), int(m.group(2)), m.group(3)
-        hi = lo if hi is None else int(hi)
+        name, lo, hi = m.group(1), m.group(2), m.group(3)
+        try:
+            lo = int(lo)
+            hi = lo if hi is None else int(hi)
+        except ValueError:      # past CPython's str->int digit limit
+            raise UsageError(
+                f"range for parameter {name!r} has too many digits") from None
         if name in ranges:
             raise UsageError(f"duplicate range for parameter {name!r}")
         if lo > hi:

@@ -195,6 +195,14 @@ class TestVerify:
         code, out, err = run_cli(capsys, "div", "D01", "--r=3..1", "--m=1..1")
         assert code == 2 and out == "" and "'r'" in err
 
+    def test_range_past_the_default_digit_limit_is_a_usage_error(
+            self, capsys, default_int_str_limit):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int<->str digit limit")
+        code, out, err = run_cli(capsys, "verify", "I07", "--r=1",
+                                 "--n=0.." + "9" * 5000)
+        assert code == 2 and out == "" and "too many digits" in err
+
     def test_ranges_only_for_verify_and_div(self, capsys):
         code, _, err = run_cli(capsys, "catalog", "--r=1..2")
         assert code == 2 and "does not take parameter ranges" in err
