@@ -7,6 +7,16 @@ formula admits two readings, the entry carries both as named variants and
 the verdict is computed against the reading its proof implies; sweep
 reports tally every variant so exactly one should verify in full.
 
+A sweep walks its grid one axis level at a time, binding each axis into one
+bindings dict that keeps axis order. Each guard is checked once per row of
+the shallowest level at which it and every guard declared before it are
+bound, so guards still run in declaration order and each only after the
+earlier ones held; a failing guard rejects its whole subtree at once. This
+relies on a guard reading nothing but its ``needs``. A point that passes
+only bumps counters: an Evaluation is built for a primary-reading failure
+or when the caller streams results. An exception raised by an entry's
+evaluate function is recorded as a failing instance, not propagated.
+
 Everything here is pure and deterministic: sweeps iterate grids in
 declaration order, failures are collected exhaustively in that order, and
 no timing or environment data enters a report.
@@ -14,7 +24,7 @@ no timing or environment data enters a report.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -84,11 +94,13 @@ def make_witness(label: str, divisor, dividend) -> Witness:
 
 
 def _to_int(x) -> int:
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         if x.denominator != 1:
             raise ValueError(f"expected an integer value, got {x}")
         return x.numerator
-    return x
+    raise TypeError(f"expected an int or integral Fraction, got {type(x).__name__}")
 
 
 @dataclass
@@ -263,20 +275,24 @@ def _sides_agree(sides, variant: str) -> Optional[tuple]:
     return None
 
 
-def _finish(entry: Entry, bindings: dict, out: Outcome) -> Evaluation:
-    wit_ok = all(w.ok for w in out.witnesses)
+def _verdicts(entry: Entry, out: Outcome) -> tuple:
+    """(variant -> ok, first difference of the primary reading or None)."""
+    bad = None
+    for w in out.witnesses:
+        if not w.ok:
+            bad = w
+            break
+    primary = entry.primary_variant
     variant_ok = {}
     primary_diff = None
     for v in entry.variants:
         diff = _sides_agree(out.sides, v)
-        variant_ok[v] = diff is None and wit_ok
-        if v == entry.primary_variant:
+        variant_ok[v] = diff is None and bad is None
+        if v == primary:
             primary_diff = diff
-    if primary_diff is None and not wit_ok:
-        bad = next(w for w in out.witnesses if not w.ok)
+    if primary_diff is None and bad is not None:
         primary_diff = (bad.label, "remainder != 0")
-    return Evaluation(entry.id, dict(bindings), out.sides, out.witnesses,
-                      variant_ok, variant_ok[entry.primary_variant], primary_diff)
+    return variant_ok, primary_diff
 
 
 def _first_violated_guard(entry: Entry, ctx: Context, b: dict) -> Optional[str]:
@@ -306,7 +322,10 @@ def evaluate_entry(entry: Entry, bindings: dict, ctx: Optional[Context] = None) 
     violated = _first_violated_guard(entry, ctx, bindings)
     if violated is not None:
         raise RejectedInstance(entry.id, violated, bindings)
-    return _finish(entry, bindings, entry.evaluate(ctx, bindings))
+    out = entry.evaluate(ctx, bindings)
+    variant_ok, diff = _verdicts(entry, out)
+    return Evaluation(entry.id, dict(bindings), out.sides, out.witnesses,
+                      variant_ok, variant_ok[entry.primary_variant], diff)
 
 
 def resolve_axes(entry: Entry, overrides: Optional[dict]) -> list:
@@ -322,33 +341,105 @@ def resolve_axes(entry: Entry, overrides: Optional[dict]) -> list:
     return [axis(p, overrides[p]) for p in entry.params if p in overrides]
 
 
+def _guard_levels(entry: Entry, axes: list) -> list:
+    """Guards by the number of axes bound when each is checked.
+
+    A guard's level is the deepest axis among its ``needs`` and those of
+    every guard declared before it, so declaration order is kept. Guards
+    needing a parameter the grid does not bind are skipped.
+    """
+    depth = {name: i + 1 for i, ax in enumerate(axes) for name in ax.names}
+    levels = [[] for _ in range(len(axes) + 1)]
+    level = 0
+    for g in entry.guards:
+        if all(name in depth for name in g.needs):
+            level = max([level, *(depth[name] for name in g.needs)])
+            levels[level].append(g)
+    return levels
+
+
+class _Sweep:
+    """State of one sweep, shared by every level of ``_walk``."""
+
+    __slots__ = ("entry", "primary", "ctx", "on_result", "rows", "guards",
+                 "below", "bindings", "checked", "rejected",
+                 "variant_verified", "failures")
+
+    def __init__(self, entry, ctx, on_result, axes):
+        self.entry = entry
+        self.primary = entry.primary_variant
+        self.ctx = ctx
+        self.on_result = on_result
+        self.rows = [[dict(zip(ax.names, row)) for row in ax.values] for ax in axes]
+        self.guards = _guard_levels(entry, axes)
+        sizes = [len(ax.values) for ax in axes]
+        self.below = [math.prod(sizes[level:]) for level in range(len(axes) + 1)]
+        self.bindings = {}
+        self.checked = self.rejected = 0
+        self.variant_verified = {v: 0 for v in entry.variants}
+        self.failures = []
+
+
+def _walk(sw: _Sweep, level: int):
+    """Check the guards of ``level``, then visit each row of the next axis.
+
+    At the last level the bound point is evaluated. A module-level function,
+    not a self-calling closure: a closure cycle would keep each sweep's
+    Context alive until the cyclic garbage collector runs.
+    """
+    b = sw.bindings
+    for g in sw.guards[level]:
+        if not g.holds(sw.ctx, b):
+            sw.rejected += sw.below[level]
+            return
+    if level < len(sw.rows):
+        for row in sw.rows[level]:
+            b.update(row)
+            _walk(sw, level + 1)
+        return
+    entry = sw.entry
+    try:
+        out = entry.evaluate(sw.ctx, b)
+    except Exception as exc:  # one broken instance must not hide the rest
+        out = Outcome()
+        variant_ok = dict.fromkeys(entry.variants, False)
+        diff = ("error", f"{type(exc).__name__}: {exc}")
+    else:
+        variant_ok, diff = _verdicts(entry, out)
+    sw.checked += 1
+    for v, ok in variant_ok.items():
+        if ok:
+            sw.variant_verified[v] += 1
+    ok = variant_ok[sw.primary]
+    if not ok or sw.on_result is not None:
+        ev = Evaluation(entry.id, dict(b), out.sides, out.witnesses,
+                        variant_ok, ok, diff)
+        if not ok:
+            sw.failures.append(ev)
+        if sw.on_result is not None:
+            sw.on_result(ev)
+
+
 def sweep(entry: Entry, overrides: Optional[dict] = None,
           ctx: Optional[Context] = None,
           on_result: Optional[Callable] = None) -> SweepReport:
     """Evaluate the entry over a grid; collect all primary-reading failures.
 
+    The grid is walked axis by axis in declaration order. Each guard runs
+    once per row of the level where it and all earlier-declared guards are
+    bound, in declaration order, and a violated guard counts its whole
+    subtree as rejected. An instance whose evaluate function raises is a
+    checked failure with first difference ``("error", "<Type>: <message>")``
+    and no sides or witnesses; guard exceptions propagate.
+
     ``on_result`` (if given) receives every checked Evaluation in grid order,
     letting callers stream per-instance rows (witness tables) without the
-    sweep retaining them all.
+    sweep retaining them all. Without it, Evaluations are built only for
+    failures.
     """
     axes = resolve_axes(entry, overrides)
-    ctx = ctx if ctx is not None else Context()
-    names = [n for ax in axes for n in ax.names]
-    checked = rejected = 0
-    variant_verified = {v: 0 for v in entry.variants}
-    failures = []
-    for combo in itertools.product(*(ax.values for ax in axes)):
-        b = dict(zip(names, (x for row in combo for x in row)))
-        if _first_violated_guard(entry, ctx, b) is not None:
-            rejected += 1
-            continue
-        ev = _finish(entry, b, entry.evaluate(ctx, b))
-        checked += 1
-        for v, ok in ev.variant_ok.items():
-            if ok:
-                variant_verified[v] += 1
-        if not ev.ok:
-            failures.append(ev)
-        if on_result is not None:
-            on_result(ev)
-    return SweepReport(entry, axes, checked, rejected, variant_verified, failures)
+    sw = _Sweep(entry, ctx if ctx is not None else Context(), on_result, axes)
+    if sw.below[0]:     # an empty axis leaves no point, so no guard may run
+        _walk(sw, 0)
+    return SweepReport(entry, axes, sw.checked, sw.rejected,
+                       sw.variant_verified, sw.failures)

@@ -231,6 +231,34 @@ class TestVerify:
         assert failure["equal"] is False
         assert failure["sides"][0]["value"] == "0"
 
+    def test_instance_error_is_a_failure_not_a_traceback(self, capsys,
+                                                          monkeypatch):
+        from fibsums import identities
+        from fibsums.identities import Entry, Outcome, Side, axis
+
+        def evaluate(ctx, b):
+            if b["n"] == 1:
+                raise ZeroDivisionError("division by zero")
+            return Outcome(sides=[Side("left", 1), Side("right", 1)])
+
+        broken = Entry(
+            id="XERR", kind="identity", statement="one equals one",
+            params=("n",), domain="any n", guards=(), evaluate=evaluate,
+            grid=(axis("n", [0, 1, 2]),))
+        monkeypatch.setitem(identities._BY_ID, "XERR", broken)
+
+        code, doc, err = run_json(capsys, "verify", "XERR")
+        assert code == 1 and err == ""
+        (rep,) = doc["reports"]
+        assert rep["verified"] is False
+        assert (rep["pass"], rep["failure_count"]) == (2, 1)
+        (failure,) = rep["failures"]
+        assert failure["bindings"] == {"n": "1"}
+        assert failure["first_difference"] == [
+            "error", "ZeroDivisionError: division by zero"]
+        assert failure["sides"] == [] and failure["witnesses"] == []
+        assert failure["variant_equal"] == {"as-stated": False}
+
 
 class TestDiv:
     def test_fully_rejected_grid_exits_0(self, capsys):

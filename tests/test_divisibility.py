@@ -12,6 +12,7 @@ from fibsums.identities import (Context, RejectedInstance, check_divisibility,
                                 sweep)
 from fibsums.reports import (div_csv, document, sweep_payload, to_json,
                              witness_row)
+from fibsums.scalars import QuadExt, Rat
 
 
 class TestMakeWitness:
@@ -42,6 +43,15 @@ class TestMakeWitness:
             make_witness("x", 0, 5)
         with pytest.raises(ValueError):
             make_witness("x", Fraction(1, 2), 1)
+
+    @pytest.mark.parametrize("value", [
+        4.0, Rat(4), Rat(8, 2), QuadExt(Fraction(4), Fraction(0), 5)],
+        ids=["float", "Rat", "unreduced Rat", "QuadExt"])
+    def test_values_other_than_int_or_fraction_are_type_errors(self, value):
+        with pytest.raises(TypeError, match="int or integral Fraction"):
+            make_witness("x", value, 20)
+        with pytest.raises(TypeError, match="int or integral Fraction"):
+            make_witness("x", 4, value)
 
 
 class TestFrozenWitnesses:
