@@ -17,20 +17,37 @@ only bumps counters: an Evaluation is built for a primary-reading failure
 or when the caller streams results. An exception raised by an entry's
 evaluate function is recorded as a failing instance, not propagated.
 
+A sweep of at least SHARD_MIN_POINTS points that streams no results is
+sharded when the process runs one thread and can fork: the parent binds
+the shallow axes once (checking their guards and counting their
+rejections), deals the binding prefixes round-robin over the CPUs in the
+process's affinity mask, walks one share itself and forks a child per
+other share. The children pickle their counts and failures back, and the
+parent merges them in prefix order. A one-process sweep is the one-share
+case: the single prefix ``{}``, no fork. ``taskset -c 0`` forces it.
+
 Everything here is pure and deterministic: sweeps iterate grids in
 declaration order, failures are collected exhaustively in that order, and
-no timing or environment data enters a report.
+no timing or environment data enters a report; sharding changes no byte.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from ..scalars import CharRoots, Rat, make_roots
 from ..sequences import SeqTable
+
+# A grid of at least this many points is sharded over the available CPUs.
+# Forking and merging cost a few milliseconds: on 2 CPUs the cheapest
+# entries (about 6 us a point) break even near 2,000 points.
+SHARD_MIN_POINTS = 2000
 
 
 class UsageError(ValueError):
@@ -192,10 +209,11 @@ class SweepReport:
 
     @property
     def verified(self) -> bool:
-        """No failures; flagged entries must single out one verifying reading."""
-        if self.failures:
+        """Some instance checked and none failed; flagged entries must also
+        single out one verifying reading."""
+        if self.failures or not self.checked:
             return False
-        if self.checked and self.entry.flagged:
+        if self.entry.flagged:
             full = sum(1 for v in self.entry.variants
                        if self.variant_verified[v] == self.checked)
             return full == 1
@@ -420,6 +438,153 @@ def _walk(sw: _Sweep, level: int):
             sw.on_result(ev)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _share_count(sw: _Sweep) -> int:
+    """Processes to spread a sweep over: 1 unless forking can pay off.
+
+    A streamed sweep stays in-process (its caller sees every result in grid
+    order), and so does a small grid or a process running other threads,
+    which must not fork.
+    """
+    if (sw.on_result is None and sw.below[0] >= SHARD_MIN_POINTS
+            and hasattr(os, "fork") and threading.active_count() == 1):
+        return _cpu_count()
+    return 1
+
+
+def _prefixes(sw: _Sweep, want: int) -> tuple:
+    """Bind whole shallow levels until at least ``want`` prefixes survive.
+
+    Returns ``(level, prefixes, rejected, error)``: the prefixes bind the
+    first ``level`` axes in grid order and passed every guard checked before
+    that level, each guard once per row; ``rejected`` counts the points the
+    failing rows hold. A guard that raises ends the expansion with its
+    exception as ``error``, which comes after all prefixes in grid order.
+    """
+    level, prefixes, rejected = 0, [{}], 0
+    while len(prefixes) < want and level < len(sw.rows):
+        deeper = []
+        for b in prefixes:
+            try:
+                held = all(g.holds(sw.ctx, b) for g in sw.guards[level])
+            except Exception as exc:
+                return level + 1, deeper, rejected, exc
+            if held:
+                deeper.extend({**b, **row} for row in sw.rows[level])
+            else:
+                rejected += sw.below[level]
+        level += 1
+        prefixes = deeper
+    return level, prefixes, rejected, None
+
+
+def _run_share(sw: _Sweep, level: int, prefixes: list, share) -> tuple:
+    """Walk the prefixes of one share from ``level`` down.
+
+    Returns ``(checked, rejected, variant_verified, parts, error)``, where
+    ``parts`` pairs each prefix index with the failures found below it and
+    ``error`` is ``(prefix index, exception)`` for a guard that raised, which
+    ends the share, else None.
+    """
+    parts = []
+    for i in share:
+        sw.bindings = dict(prefixes[i])
+        sw.failures = []
+        try:
+            _walk(sw, level)
+        except Exception as exc:
+            return sw.checked, sw.rejected, sw.variant_verified, parts, (i, exc)
+        if sw.failures:
+            parts.append((i, sw.failures))
+    return sw.checked, sw.rejected, sw.variant_verified, parts, None
+
+
+def _child(sw: _Sweep, level: int, prefixes: list, share, r: int, w: int):
+    """Run one share in a forked child, pickle its result to ``w``, exit.
+
+    Leaves only through ``os._exit``, so no handler or buffer inherited from
+    the parent runs twice. A child that cannot report exits non-zero with
+    nothing written, which the parent treats as a lost shard.
+    """
+    status = 1
+    try:
+        import pickle
+        os.close(r)
+        result = _run_share(sw, level, prefixes, share)
+        if result[4] is not None:
+            i, exc = result[4]
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            result = (*result[:4], (i, exc))
+        with os.fdopen(w, "wb") as f:
+            f.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    except BaseException:   # report it here: unwinding would reach the parent's frames
+        import traceback
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _receive(fd: int) -> tuple:
+    """A child's share result, read from its pipe until the child closes it."""
+    import pickle
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    try:
+        return pickle.loads(b"".join(chunks))
+    except Exception:
+        raise RuntimeError("a sweep shard ended without reporting its result") from None
+
+
+def _run_shares(sw: _Sweep, level: int, prefixes: list, workers: int) -> list:
+    """Deal the prefixes round-robin to shares and walk every share.
+
+    The parent walks share 0 itself; each further share runs in a forked
+    child that sends back its ``_run_share`` result over a pipe. Every child
+    is reaped before this returns or raises, and killed first if the parent
+    gives up on it.
+    """
+    shares = [range(k, len(prefixes), workers)
+              for k in range(min(workers, len(prefixes)))]
+    pids, reads = [], []
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(sw, level, prefixes, share, r, w)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        results = [_run_share(sw, level, prefixes, shares[0])]
+        results += [_receive(r) for r in reads]
+    except BaseException:
+        import signal
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for r in reads:
+            os.close(r)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return results
+
+
 def sweep(entry: Entry, overrides: Optional[dict] = None,
           ctx: Optional[Context] = None,
           on_result: Optional[Callable] = None) -> SweepReport:
@@ -432,14 +597,39 @@ def sweep(entry: Entry, overrides: Optional[dict] = None,
     checked failure with first difference ``("error", "<Type>: <message>")``
     and no sides or witnesses; guard exceptions propagate.
 
+    A large enough grid is split into binding prefixes of its shallow axes,
+    dealt over the CPUs the process may use and walked in forked children;
+    the merge restores grid order, so the report equals the one-process
+    walk, which is the one-share case (the single prefix ``{}``). Of several
+    guard exceptions the first in grid order is raised.
+
     ``on_result`` (if given) receives every checked Evaluation in grid order,
     letting callers stream per-instance rows (witness tables) without the
-    sweep retaining them all. Without it, Evaluations are built only for
-    failures.
+    sweep retaining them all; such a sweep runs in one process. Without it,
+    Evaluations are built only for failures.
     """
     axes = resolve_axes(entry, overrides)
     sw = _Sweep(entry, ctx if ctx is not None else Context(), on_result, axes)
+    checked = rejected = 0
+    verified = dict.fromkeys(entry.variants, 0)
+    parts = []
     if sw.below[0]:     # an empty axis leaves no point, so no guard may run
-        _walk(sw, 0)
-    return SweepReport(entry, axes, sw.checked, sw.rejected,
-                       sw.variant_verified, sw.failures)
+        workers = _share_count(sw)
+        # four prefixes a share even out the work the shares get
+        level, prefixes, rejected, error = _prefixes(
+            sw, 4 * workers if workers > 1 else 1)
+        errors = [(len(prefixes), error)] if error is not None else []
+        results = _run_shares(sw, level, prefixes, workers) if prefixes else []
+        for c, r, vv, share_parts, share_error in results:
+            checked += c
+            rejected += r
+            for v, n in vv.items():
+                verified[v] += n
+            parts += share_parts
+            if share_error is not None:
+                errors.append(share_error)
+        if errors:
+            raise min(errors, key=lambda e: e[0])[1]
+        parts.sort(key=lambda part: part[0])
+    return SweepReport(entry, axes, checked, rejected, verified,
+                       [f for _, failures in parts for f in failures])

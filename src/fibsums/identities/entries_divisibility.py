@@ -475,12 +475,13 @@ D22 = Entry(
               "+ q^((m-s)(n+2)+s) u_(r-m) w_(sn+t))",
     params=("p", "q", "a", "b", "m", "s", "r", "t", "n"),
     domain="p, q != 0; r >= m >= s >= 0; t >= 0; X != 0; n >= 0",
-    guards=(GUARD_N, GUARD_PQ,
+    # X != 0 before t and n, so it runs once per (p, q, a, b, m, s, r) row
+    guards=(GUARD_PQ,
             Guard("r >= m >= s >= 0", ("m", "s", "r"),
                   lambda ctx, b: b["r"] >= b["m"] >= b["s"] >= 0),
-            GUARD_T,
             Guard("X != 0", ("p", "q", "m", "s", "r"),
-                  lambda ctx, b: _d22_x(ctx, b) != 0)),
+                  lambda ctx, b: _d22_x(ctx, b) != 0),
+            GUARD_T, GUARD_N),
     evaluate=_d22,
     grid=(*PQ_AXES, joint(("a", "b"), [(0, 1), (2, 3)]),
           joint(("m", "s", "r"),

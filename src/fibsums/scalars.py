@@ -299,6 +299,11 @@ class QuadExt:
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the trusted factory: restoring the
+        # slots one by one would go through the refused __setattr__
+        return _quad, (self._a, self._b, self._den, self.d)
+
     @property
     def a(self) -> Fraction:
         return Fraction(self._a, self._den)

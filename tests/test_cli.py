@@ -195,6 +195,13 @@ class TestVerify:
         code, out, err = run_cli(capsys, "div", "D01", "--r=3..1", "--m=1..1")
         assert code == 2 and out == "" and "'r'" in err
 
+    def test_zero_instance_sweep_exits_1(self, capsys):
+        code, doc, _ = run_json(capsys, "verify", "I07", "--r=0", "--n=1")
+        assert code == 1
+        (rep,) = doc["reports"]
+        assert (rep["pass"], rep["rejected"], rep["failure_count"]) == (0, 1, 0)
+        assert rep["verified"] is False
+
     def test_range_past_the_default_digit_limit_is_a_usage_error(
             self, capsys, default_int_str_limit):
         if not hasattr(sys, "set_int_max_str_digits"):
@@ -261,12 +268,13 @@ class TestVerify:
 
 
 class TestDiv:
-    def test_fully_rejected_grid_exits_0(self, capsys):
+    def test_fully_rejected_grid_exits_1(self, capsys):
+        # no instance was checked, so nothing was verified
         code, doc, _ = run_json(capsys, "div", "D01", "--r=0..0", "--m=1..1")
-        assert code == 0
+        assert code == 1
         (rep,) = doc["reports"]
         assert rep["pass"] == 0 and rep["rejected"] == 1
-        assert rep["verified"] is True and rep["rows"] == []
+        assert rep["verified"] is False and rep["rows"] == []
 
     def test_witness_rows_json(self, capsys):
         code, doc, _ = run_json(capsys, "div", "D01", "--r=3..3", "--m=3..3")

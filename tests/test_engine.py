@@ -1,10 +1,14 @@
-"""Sweep engine: per-level guards against a flat reference, error instances."""
+"""Sweep engine: per-level guards and sharded sweeps against a flat
+reference, error instances, the D22 guard order."""
 
+import contextlib
 import dataclasses
 import gc
 import itertools
 import math
+import os
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -15,6 +19,9 @@ from fibsums.identities import (ENTRIES, Axis, Context, Entry, Evaluation,
                                 Guard, Outcome, RejectedInstance, Side, axis,
                                 evaluate_entry, get_entry, joint, make_witness,
                                 sweep)
+from fibsums.identities import engine
+from fibsums.reports import document, sweep_payload, to_json
+from fibsums.scalars import QuadExt, Rat
 
 
 class Boom(Exception):
@@ -67,12 +74,23 @@ def engine_sweep(entry):
             stream, None)
 
 
+def sharded_sweep(entry):
+    """``sweep`` without ``on_result``, which would keep it in one process;
+    the return shape of ``reference_sweep`` with no stream."""
+    try:
+        rep = sweep(entry)
+    except Exception as exc:
+        return None, None, None, None, None, type(exc)
+    return rep.checked, rep.rejected, rep.variant_verified, rep.failures, None, None
+
+
 def assert_same_sweep(got, want):
     assert got[5] is want[5]
-    assert got[4] == want[4]
-    # dict equality ignores order; bindings must also keep axis order
-    assert [list(ev.bindings) for ev in got[4]] \
-        == [list(ev.bindings) for ev in want[4]]
+    if got[4] is not None:      # a sharded sweep streams nothing
+        assert got[4] == want[4]
+        # dict equality ignores order; bindings must also keep axis order
+        assert [list(ev.bindings) for ev in got[4]] \
+            == [list(ev.bindings) for ev in want[4]]
     if want[5] is None:
         assert got[:4] == want[:4]
         assert [list(ev.bindings.items()) for ev in got[3]] \
@@ -259,6 +277,293 @@ class TestInstanceErrors:
 
         with pytest.raises(RuntimeError, match="guard bug"):
             sweep(self.entry(guards=(Guard("bad", ("n",), holds),)))
+
+
+# ---------------------------------------------------------------------------
+# sharded sweeps: forced onto 2 or 3 processes, they must equal one process
+# ---------------------------------------------------------------------------
+
+def assert_no_children():
+    """Every child a sweep forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def shards(workers):
+    """Shard every sweep over ``workers`` processes; yields the forked pids."""
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_cpu_count", lambda: workers)
+        mp.setattr(engine, "SHARD_MIN_POINTS", 0)
+        mp.setattr(os, "fork", counted_fork)
+        yield forked
+    assert_no_children()
+
+
+def d22_sub_grid():
+    entry = get_entry("D22")
+    grid = (*entry.grid[:2], *(Axis(ax.names, ax.values[:2])
+                               for ax in entry.grid[2:]))
+    return dataclasses.replace(entry, grid=grid)
+
+
+def n_entry(guards=(), evaluate=None):
+    """One axis n = 0..9: with 2 or 3 shares each point is its own prefix."""
+    return Entry(
+        id="XSHD", kind="identity", statement="n = n", params=("n",),
+        domain="any n", guards=guards,
+        evaluate=evaluate or (lambda ctx, b: Outcome(
+            sides=[Side("x", b["n"]), Side("y", b["n"])])),
+        grid=(axis("n", range(10)),))
+
+
+def raising_guard(name, bad):
+    def holds(ctx, b):
+        if b[name] in bad:
+            raise ValueError(f"bad {name} = {b[name]}")
+        return True
+    return Guard(f"{name} is good", (name,), holds)
+
+
+class TwoArgError(Exception):
+    """Pickles, but cannot be rebuilt from its message alone."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+class Interrupt(BaseException):
+    """Stands in for KeyboardInterrupt in the parent's own share."""
+
+
+class TestShardedSweep:
+    @pytest.mark.parametrize("workers", [2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(entry=synthetic_entries())
+    def test_synthetic_entries(self, workers, entry):
+        want = reference_sweep(entry)
+        with shards(workers):
+            got = sharded_sweep(entry)
+        assert_same_sweep(got, want)
+        if want[5] is None:
+            assert got[0] + got[1] == grid_size(entry.grid)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @settings(max_examples=15, deadline=None)
+    @given(entry=catalog_sub_grids())
+    def test_catalog_sub_grids(self, workers, entry):
+        want = reference_sweep(entry)
+        with shards(workers):
+            got = sharded_sweep(entry)
+        assert_same_sweep(got, want)
+        assert got[0] + got[1] == grid_size(entry.grid)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_report_bytes_match_one_process(self, workers):
+        entry = d22_sub_grid()
+        want = to_json(document("verify", [sweep_payload(sweep(entry))]))
+        with shards(workers) as forked:
+            rep = sweep(entry)
+        assert len(forked) == workers - 1
+        assert to_json(document("verify", [sweep_payload(rep)])) == want
+        assert rep.checked + rep.rejected == grid_size(entry.grid)
+
+    def test_one_share_does_not_fork(self):
+        with shards(1) as forked:
+            rep = sweep(d22_sub_grid())
+        assert forked == [] and rep.verified
+
+    def test_streamed_and_small_sweeps_stay_in_process(self, monkeypatch):
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+        assert engine.SHARD_MIN_POINTS > 0
+        monkeypatch.setattr(os, "fork", None)    # any fork would raise
+        entry = n_entry()
+        assert grid_size(entry.grid) < engine.SHARD_MIN_POINTS
+        assert sweep(entry).verified
+        monkeypatch.setattr(engine, "SHARD_MIN_POINTS", 0)
+        assert sweep(entry, on_result=lambda ev: None).verified
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_evaluate_errors_in_child_shares(self, workers):
+        def evaluate(ctx, b):
+            if b["n"] % 2:
+                raise KeyError("m")
+            return Outcome(sides=[Side("x", b["n"]), Side("y", b["n"])])
+
+        entry = n_entry(evaluate=evaluate)
+        with shards(workers) as forked:
+            rep = sweep(entry)
+        assert forked
+        assert (rep.checked, rep.rejected) == (10, 0)
+        assert rep.variant_verified == {"as-stated": 5}
+        assert [f.bindings for f in rep.failures] \
+            == [{"n": n} for n in (1, 3, 5, 7, 9)]
+        assert {f.first_diff for f in rep.failures} \
+            == {("error", "KeyError: 'm'")}
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_failing_quadext_sides_cross_the_pipe(self, workers):
+        def evaluate(ctx, b):
+            n = b["n"]
+            x = QuadExt(n, 1, 5)
+            unreduced = x * Rat(7, 11) * Fraction(11, 7)
+            return Outcome(sides=[Side("x", x),
+                                  Side("y", unreduced + (n % 3 == 1))])
+
+        entry = n_entry(evaluate=evaluate)
+        want = sweep(entry)
+        with shards(workers) as forked:
+            got = sweep(entry)
+        assert forked
+        assert [f.bindings["n"] for f in got.failures] == [1, 4, 7]
+        assert got.failures == want.failures
+        assert to_json(document("verify", [sweep_payload(got)])) \
+            == to_json(document("verify", [sweep_payload(want)]))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("bad", [(5, 7), (4, 5, 7)])
+    def test_guard_error_in_a_child_share_matches_one_process(self, workers,
+                                                              bad):
+        entry = n_entry(guards=(raising_guard("n", bad),))
+        with pytest.raises(ValueError) as serial:
+            sweep(entry)
+        with shards(workers) as forked:
+            with pytest.raises(ValueError) as sharded:
+                sweep(entry)
+        assert forked
+        assert str(sharded.value) == str(serial.value) == f"bad n = {bad[0]}"
+
+    def test_unpicklable_guard_error_becomes_runtime_error(self):
+        def holds(ctx, b):
+            if b["n"] == 5:
+                raise TwoArgError("bad n", 5)
+            return True
+
+        entry = n_entry(guards=(Guard("n is good", ("n",), holds),))
+        with pytest.raises(TwoArgError, match=r"^bad n at 5$"):
+            sweep(entry)
+        for workers in (2, 3):
+            with shards(workers):
+                with pytest.raises(RuntimeError,
+                                   match=r"^TwoArgError: bad n at 5$"):
+                    sweep(entry)
+
+    @pytest.mark.parametrize("deeper_bad", [(), ((1, 2),)])
+    def test_guard_error_while_binding_prefixes_keeps_grid_order(
+            self, deeper_bad):
+        # with 2 shares the parent binds a and checks the a guard itself;
+        # a deeper guard failing first in grid order must still win
+        def n_holds(ctx, b):
+            if (b["a"], b["n"]) in deeper_bad:
+                raise ValueError("bad (a, n)")
+            return True
+
+        entry = Entry(
+            id="XPRE", kind="identity", statement="a = a",
+            params=("a", "n"), domain="any", evaluate=lambda ctx, b: Outcome(
+                sides=[Side("x", b["a"]), Side("y", b["a"])]),
+            guards=(raising_guard("a", (2,)), Guard("n ok", ("n",), n_holds)),
+            grid=(axis("a", range(4)), axis("n", range(3))))
+        with pytest.raises(ValueError) as serial:
+            sweep(entry)
+        with shards(2):
+            with pytest.raises(ValueError) as sharded:
+                sweep(entry)
+        assert str(sharded.value) == str(serial.value) \
+            == ("bad (a, n)" if deeper_bad else "bad a = 2")
+
+    @pytest.mark.parametrize("how", ["exit", "kill"])
+    def test_a_lost_shard_never_verifies(self, how, monkeypatch):
+        parent, run_share = os.getpid(), engine._run_share
+
+        def lost(*args):
+            if os.getpid() != parent:
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(0)
+            return run_share(*args)
+
+        monkeypatch.setattr(engine, "_run_share", lost)
+        with shards(2) as forked:
+            with pytest.raises(RuntimeError, match="without reporting"):
+                sweep(n_entry())
+        assert len(forked) == 1
+
+    def test_children_are_reaped_when_the_parent_share_raises(self):
+        parent = os.getpid()
+
+        def holds(ctx, b):
+            if os.getpid() == parent:
+                raise Interrupt
+            return True
+
+        entry = n_entry(guards=(Guard("n ok", ("n",), holds),))
+        with shards(3) as forked:
+            with pytest.raises(Interrupt):
+                sweep(entry)
+        assert len(forked) == 2
+
+    def test_sharded_sweep_leaves_no_reference_cycles(self):
+        entry = d22_sub_grid()
+        with shards(2) as forked:
+            # the first sharded sweep imports pickle, whose pure-Python
+            # exception classes, replaced by _pickle's, are garbage cycles
+            sweep(entry)
+            gc.collect()
+            gc.disable()
+            try:
+                sweep(entry)
+                unreachable = gc.collect()
+            finally:
+                gc.enable()
+        assert forked and unreachable == 0
+
+
+class TestZeroInstanceSweeps:
+    def test_an_empty_axis_does_not_verify(self):
+        # a fully rejected grid: test_identities.py::TestVerifyGrid
+        rep = sweep(get_entry("I07"), {"r": [2], "n": []})
+        assert (rep.checked, rep.rejected, rep.failures) == (0, 0, [])
+        assert not rep.verified
+
+
+class TestD22GuardOrder:
+    def test_x_guard_runs_once_per_row(self):
+        entry = get_entry("D22")
+        assert [g.text for g in entry.guards] == [
+            "p != 0 and q != 0", "r >= m >= s >= 0", "X != 0", "t >= 0",
+            "n >= 0"]
+        calls = []
+
+        def counted(g):
+            def holds(ctx, b):
+                calls.append(dict(b))
+                return g.holds(ctx, b)
+            return dataclasses.replace(g, holds=holds)
+
+        _, q, ab, msr, t, n = entry.grid
+        grid = (axis("p", [0, 1, 3]), Axis(q.names, q.values[:2]), ab, msr,
+                t, n)
+        entry = dataclasses.replace(entry, grid=grid, guards=tuple(
+            counted(g) if g.text == "X != 0" else g for g in entry.guards))
+        with shards(1):
+            rep = sweep(entry)
+        # one call per (p, q, a, b, m, s, r) row with p, q != 0
+        rows = 2 * len(q.values[:2]) * len(ab.values) * len(msr.values)
+        assert len(calls) == rows == 280
+        row = ("p", "q", "a", "b", "m", "s", "r")
+        assert len({tuple(b[k] for k in row) for b in calls}) == rows
+        assert rep.checked + rep.rejected == grid_size(grid)
+        assert rep.verified
 
 
 # ---------------------------------------------------------------------------

@@ -191,10 +191,10 @@ class TestVerifyGrid:
         assert verify_grid("I07", {"r": [2], "n": [0, 1, 2]}).checked == 3
         assert verify_grid("I07", {"r": 2, "n": 0}).checked == 1
 
-    def test_fully_rejected_grid_is_vacuously_verified(self):
+    def test_fully_rejected_grid_does_not_verify(self):
         rep = verify_grid("I07", {"r": 0, "n": 0})
         assert rep.checked == 0 and rep.rejected == 1
-        assert rep.verified
+        assert not rep.verified
 
     def test_override_validation(self):
         with pytest.raises(UsageError, match="unknown parameter"):

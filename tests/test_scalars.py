@@ -1,5 +1,7 @@
 """Exact rational and quadratic-extension arithmetic."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -453,6 +455,17 @@ class TestQuadExtKernel:
             x = x * Rat(7, 11) * Fraction(11, 7)
         assert x == ALPHA and hash(x) == hash(ALPHA)
         assert repr(x) == repr(ALPHA) and render_scalar(x) == render_scalar(ALPHA)
+
+    def test_pickle_and_deepcopy_keep_an_unreduced_value(self):
+        x = ALPHA
+        for _ in range(3):                        # den stays below _REDUCE_BITS
+            x = x * Rat(7, 11) * Fraction(11, 7)
+        assert x._den != ALPHA._den               # not reduced
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert type(y) is QuadExt and y == x == ALPHA
+            assert hash(y) == hash(x) == hash(ALPHA)
+            assert render_scalar(y) == render_scalar(ALPHA)
+            assert (y._a, y._b, y._den, y.d) == (x._a, x._b, x._den, x.d)
 
     def test_zero_norm_inverse_and_zero_division(self):
         zero = ALPHA - ALPHA
