@@ -46,9 +46,6 @@ from .scalars import (
     QuadExt,
     fib_roots,
     make_roots,
-    quad_op,
-    quad_pow,
-    rat_op,
     render_scalar,
 )
 from .sequences import (
@@ -78,6 +75,5 @@ __all__ = [
     "get_entry", "gibonacci", "horadam_w", "lucas", "lucas_poly", "lucas_u",
     "lucas_v", "make_roots", "neg_one", "pell", "pell_lucas", "poly",
     "poly_add", "poly_eval", "poly_mul", "poly_pow", "poly_scale", "poly_sub",
-    "quad_op", "quad_pow", "rat_op", "render_poly", "render_scalar", "sury_f",
-    "verify_grid",
+    "render_poly", "render_scalar", "sury_f", "verify_grid",
 ]

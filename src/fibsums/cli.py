@@ -10,6 +10,7 @@ produce byte-identical bytes on stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -22,10 +23,14 @@ from .sequences import (HoradamParams, fib, horadam_w, lucas, lucas_u,
 
 _RANGE = re.compile(r"^--([A-Za-z][A-Za-z0-9_]*)=(-?\d+)(?:\.\.(-?\d+))?$")
 
+#: Most grid points the given ranges may span together (the product of
+#: their lengths); checked before any value list is built.
+MAX_RANGE_POINTS = 10 ** 6
+
 
 def _parse_ranges(extras: list[str]) -> dict[str, list[int]]:
     """Turn ``--r=-6..6 --n=0`` style flags into value lists."""
-    ranges = {}
+    bounds = {}
     for token in extras:
         m = _RANGE.match(token)
         if m is None:
@@ -39,12 +44,16 @@ def _parse_ranges(extras: list[str]) -> dict[str, list[int]]:
         except ValueError:      # past CPython's str->int digit limit
             raise UsageError(
                 f"range for parameter {name!r} has too many digits") from None
-        if name in ranges:
+        if name in bounds:
             raise UsageError(f"duplicate range for parameter {name!r}")
         if lo > hi:
             raise UsageError(f"empty range {lo}..{hi} for parameter {name!r}")
-        ranges[name] = irange(lo, hi)
-    return ranges
+        bounds[name] = lo, hi
+    points = math.prod(hi - lo + 1 for lo, hi in bounds.values())
+    if points > MAX_RANGE_POINTS:
+        raise UsageError(f"parameter ranges span {points} grid points, "
+                         f"over the limit of {MAX_RANGE_POINTS}")
+    return {name: irange(lo, hi) for name, (lo, hi) in bounds.items()}
 
 
 def _catalog_text() -> str:

@@ -74,29 +74,6 @@ def int_text(n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# rational surface
-# ---------------------------------------------------------------------------
-
-def rat_op(kind: str, u: RationalLike, v: RationalLike) -> Fraction:
-    """Apply one rational-arithmetic operation, always in canonical form.
-
-    kind is one of add, sub, mul, div. Division by zero is a DomainError.
-    """
-    u, v = Fraction(u), Fraction(v)
-    if kind == "add":
-        return u + v
-    if kind == "sub":
-        return u - v
-    if kind == "mul":
-        return u * v
-    if kind == "div":
-        if v == 0:
-            raise DomainError("rational division by zero")
-        return u / v
-    raise ValueError(f"unknown rational op {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # kernel rational
 # ---------------------------------------------------------------------------
 
@@ -479,28 +456,6 @@ def _quad_div(x: tuple, y: tuple, d: int) -> QuadExt:
     if n < 0:
         n, e = -n, -e
     return _quad(e * (A * a - B * b * d), e * (B * a - A * b), den * n, d)
-
-
-def quad_op(kind: str, u: QuadExt, v=None):
-    """One QuadExt operation: add, sub, mul, div take two operands, conj one."""
-    if kind == "conj":
-        return u.conj()
-    if v is None:
-        raise ValueError(f"op {kind!r} needs a second operand")
-    if kind == "add":
-        return u + v
-    if kind == "sub":
-        return u - v
-    if kind == "mul":
-        return u * v
-    if kind == "div":
-        return u / v
-    raise ValueError(f"unknown quadratic op {kind!r}")
-
-
-def quad_pow(u: QuadExt, n: int) -> QuadExt:
-    """u**n for any integer n; negative n needs nonzero norm."""
-    return u ** n
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ w_n(a, b; p, q) with w_n = p*w_{n-1} - q*w_{n-2} plus its classical
 specializations u = w(0,1), v = w(2,p).
 
 Fast paths: fast doubling for F/L, 2x2 matrix binary exponentiation for
-Horadam. Negative indices via the downward recurrence, which for |q| != 1
-leaves the integers, hence Fraction results there.
+Horadam. Below zero the work stays in the integers: y_k = q^k * w_(-k)
+obeys the same recurrence from the seeds (a, p*a - b), so w_(-k) = y_k / q^k
+in Z[1/q]. That one division is the only rational step, and it returns an
+int when it is exact, else a reduced Fraction.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ def neg_one(exponent: int) -> int:
     return -1 if exponent & 1 else 1
 
 
-def _as_int(x: SeqValue) -> SeqValue:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    return x
+def _over(y: int, d: int) -> SeqValue:
+    """y / d canonically: an int when d divides y, else a reduced Fraction."""
+    v, r = divmod(y, d)
+    return Fraction(y, d) if r else v
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +114,17 @@ def _mat_pow(m, e: int):
 def horadam_w(params: HoradamParams, n: int) -> SeqValue:
     """w_n exactly; integral for n >= 0, possibly fractional below zero.
 
-    Computed as the bottom row of [[p,-q],[1,0]]^n applied to (w1, w0);
-    negative n uses the exact inverse matrix, whose entries live in Z[1/q].
+    The bottom row of [[p,-q],[1,0]]^k applied to (w1, w0) gives w_k; for
+    n < 0 the same integer power applied to (p*a - b, a) gives y_(-n),
+    divided once by q^(-n).
     """
     p, q = params.p, params.q
-    if n >= 0:
-        m = _mat_pow((p, -q, 1, 0), n)
-    else:
-        m = _mat_pow((Fraction(0), Fraction(1), Fraction(-1, q), Fraction(p, q)), -n)
-    return _as_int(m[2] * params.b + m[3] * params.a)
+    a, b, k = params.a, params.b, n
+    if n < 0:
+        b, k = p * a - b, -n
+    m = _mat_pow((p, -q, 1, 0), k)
+    y = m[2] * b + m[3] * a
+    return y if n >= 0 else _over(y, q ** k)
 
 
 def lucas_u(p: int, q: int, n: int) -> SeqValue:
@@ -161,17 +165,20 @@ class SeqTable:
 
     Grid sweeps hit the same indices thousands of times; walking the
     recurrence once per index range is far cheaper than per-call matrix
-    powers and stays exact (Fractions appear below index 0 when |q| != 1).
+    powers. Both walks are integer: downward it carries y_k, y_(k+1) and
+    q^k for k = -lo, and stores each new term w_(-k) = y_k / q^k in
+    canonical form.
     """
 
-    __slots__ = ("p", "q", "_vals", "_lo", "_hi")
+    __slots__ = ("p", "q", "_vals", "_lo", "_hi", "_down")
 
-    def __init__(self, a: SeqValue, b: SeqValue, p: int, q: int):
+    def __init__(self, a: int, b: int, p: int, q: int):
         self.p = p
         self.q = q
         self._vals = {0: a, 1: b}
         self._lo = 0
         self._hi = 1
+        self._down = (a, p * a - b, 1)
 
     def __call__(self, n: int) -> SeqValue:
         vals = self._vals
@@ -182,15 +189,11 @@ class SeqTable:
             self._hi = n
         elif n < self._lo:
             p, q = self.p, self.q
+            y0, y1, qk = self._down
             for k in range(self._lo - 1, n - 1, -1):
-                vals[k] = _as_int((p * vals[k + 1] - vals[k + 2]) / Fraction(q))
+                qk *= q
+                vals[k] = _over(y1, qk)
+                y0, y1 = y1, p * y1 - q * y0
+            self._down = (y0, y1, qk)
             self._lo = n
         return vals[n]
-
-
-def fib_table() -> SeqTable:
-    return SeqTable(0, 1, 1, -1)
-
-
-def lucas_table() -> SeqTable:
-    return SeqTable(2, 1, 1, -1)

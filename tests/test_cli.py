@@ -8,6 +8,7 @@ import sys
 import jsonschema
 import pytest
 
+from fibsums import cli
 from fibsums.cli import main
 
 DOCUMENT_SCHEMA = {
@@ -194,6 +195,21 @@ class TestVerify:
         assert "empty range 5..3" in err and "'n'" in err
         code, out, err = run_cli(capsys, "div", "D01", "--r=3..1", "--m=1..1")
         assert code == 2 and out == "" and "'r'" in err
+
+    def test_range_budget_is_checked_before_any_list_is_built(
+            self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "irange", lambda lo, hi: built.append((lo, hi)))
+        limit = cli.MAX_RANGE_POINTS
+        code, out, err = run_cli(capsys, "verify", "I07", "--r=1",
+                                 f"--n=1..{limit + 1}")
+        assert code == 2 and out == "" and f"limit of {limit}" in err
+        code, _, err = run_cli(capsys, "div", "D01", "--r=1..2",
+                               f"--m=1..{limit // 2 + 1}")
+        assert code == 2 and f"limit of {limit}" in err
+        assert built == []
+        cli._parse_ranges(["--r=1..2", f"--n=1..{limit // 2}"])
+        assert built == [(1, 2), (1, limit // 2)]
 
     def test_zero_instance_sweep_exits_1(self, capsys):
         code, doc, _ = run_json(capsys, "verify", "I07", "--r=0", "--n=1")

@@ -1,0 +1,86 @@
+"""Every catalog entry is falsifiable: a sweep catches a side that is off by one.
+
+Each entry's evaluate function is wrapped (never edited) so that one side
+comes out 1 larger, or, for a divisibility entry, one witness dividend does.
+A polynomial side gets 1 added to its constant coefficient. The sweep runs
+on a sub-grid of the default grid that keeps two values of each axis. A
+flagged entry has one side per reading, and each reading is perturbed in
+turn. The printed reading holds only at some points, so its perturbation
+runs on points where it holds; elsewhere it fails already, and a change
+there would show nothing.
+"""
+
+import dataclasses
+
+import pytest
+
+from fibsums.identities import (ENTRIES, Axis, Outcome, axis, make_witness,
+                                sweep)
+from fibsums.polynomials import POLY_ONE, poly_add
+
+CASES = [(e, v) for e in ENTRIES for v in e.variants]
+
+# default-grid points where the printed reading of a flagged entry holds
+PRINTED_HOLDS = {
+    "I10": {"r": [-1], "n": [3]},
+    "I11": {"r": [-6, 2], "n": [0]},
+    "I16": {"r": [-6, 3], "t": [-6, 2], "n": [0]},
+    "I17": {"r": [-6, 3], "t": [-6, 2], "n": [0]},
+    "H10": {"p": [1, 3], "q": [-1, 2], "r": [2], "t": [0], "n": [1, 4]},
+}
+
+
+def _sub_grid(entry, variant):
+    """A few default-grid points at which ``variant`` holds."""
+    if variant != entry.primary_variant:
+        return tuple(axis(p, v) for p, v in PRINTED_HOLDS[entry.id].items())
+    grid = []
+    for ax in entry.grid:
+        n = len(ax.values)
+        # the middle and the last value: the first values are often units
+        picks = sorted({n // 2, n - 1})
+        grid.append(Axis(ax.names, tuple(ax.values[i] for i in picks)))
+    return tuple(grid)
+
+
+def _bump(value):
+    if type(value) is tuple:
+        return poly_add(value, POLY_ONE)
+    return value + 1
+
+
+def _off_by_one(outcome, entry, variant):
+    """``outcome`` with the first side of ``variant`` (or a witness) bumped.
+
+    A divisibility entry bumps the dividend of its first witness whose
+    divisor is not a unit: past a unit divisor every dividend divides.
+    """
+    sides, witnesses = list(outcome.sides), list(outcome.witnesses)
+    if entry.kind == "divisibility":
+        i = next((i for i, w in enumerate(witnesses) if abs(w.divisor) != 1), 0)
+        w = witnesses[i]
+        witnesses[i] = make_witness(w.label, w.divisor, w.dividend + 1)
+    else:
+        owner = variant if entry.flagged else None
+        i = next(i for i, s in enumerate(sides) if s.variant == owner)
+        sides[i] = dataclasses.replace(sides[i], value=_bump(sides[i].value))
+    return Outcome(sides, witnesses)
+
+
+@pytest.mark.parametrize("entry,variant", CASES,
+                         ids=[f"{e.id}-{v}" for e, v in CASES])
+def test_an_off_by_one_side_is_caught(entry, variant):
+    sub = dataclasses.replace(entry, grid=_sub_grid(entry, variant))
+    clean = sweep(sub)
+    assert clean.checked and clean.variant_verified[variant] == clean.checked
+
+    def evaluate(ctx, b):
+        return _off_by_one(entry.evaluate(ctx, b), entry, variant)
+
+    rep = sweep(dataclasses.replace(sub, evaluate=evaluate))
+    assert rep.checked == clean.checked
+    if variant == entry.primary_variant:
+        assert not rep.verified and rep.failures
+    if entry.kind == "identity":
+        # every point is caught, not just one
+        assert rep.variant_verified[variant] == 0

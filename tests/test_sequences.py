@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibsums.scalars import DomainError, make_roots
-from fibsums.sequences import (HoradamParams, SeqTable, fib, fib_table,
-                               gibonacci, horadam_w, lucas, lucas_table,
-                               lucas_u, lucas_v, neg_one, pell, pell_lucas)
+from fibsums.sequences import (HoradamParams, SeqTable, fib, gibonacci,
+                               horadam_w, lucas, lucas_u, lucas_v, neg_one,
+                               pell, pell_lucas)
 
 # classic opening terms (textbook values)
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
@@ -159,17 +159,27 @@ class TestSeqTable:
     def test_matches_fib_and_lucas_in_any_access_order(self):
         indices = list(range(-25, 26))
         random.Random(7).shuffle(indices)
-        ft, lt = fib_table(), lucas_table()
+        ft, lt = SeqTable(0, 1, 1, -1), SeqTable(2, 1, 1, -1)
         for n in indices:
             assert ft(n) == fib(n)
             assert lt(n) == lucas(n)
 
     def test_matches_horadam_with_fractional_tail(self):
-        table = SeqTable(2, 3, 3, 2)
-        params = HoradamParams(2, 3, 3, 2)
-        for n in range(-8, 9):
-            assert table(n) == horadam_w(params, n)
+        rows = [(2, 3, 3, 2),       # w_n = 2^n + 1: fractional below zero
+                (2, 5, 3, 1),       # q = 1
+                (1, 4, 2, -1),      # q = -1
+                (-2, 0, 2, 2),      # gcd(p, q) = 2: some terms below zero integral
+                (3, -1, -2, 3)]     # negative p
+        indices = list(range(-30, 31))
+        random.Random(12).shuffle(indices)
+        for row in rows:
+            table, params = SeqTable(*row), HoradamParams(*row)
+            for n in indices:
+                value = table(n)
+                assert value == horadam_w(params, n), (row, n)
+                integral = Fraction(value).denominator == 1
+                assert (type(value) is int) == integral, (row, n, value)
 
     def test_values_are_cached(self):
-        table = fib_table()
+        table = SeqTable(0, 1, 1, -1)
         assert table(30) is table(30)
