@@ -17,14 +17,18 @@ only bumps counters: an Evaluation is built for a primary-reading failure
 or when the caller streams results. An exception raised by an entry's
 evaluate function is recorded as a failing instance, not propagated.
 
-A sweep of at least SHARD_MIN_POINTS points that streams no results is
-sharded when the process runs one thread and can fork: the parent binds
-the shallow axes once (checking their guards and counting their
-rejections), deals the binding prefixes round-robin over the CPUs in the
+A sweep that streams no results is sharded when the process runs one
+thread, can fork and may use more than one CPU: the parent binds the
+shallow axes once (checking their guards and counting their rejections)
+into binding prefixes, deals them round-robin over the CPUs in the
 process's affinity mask, walks one share itself and forks a child per
 other share. The children pickle their counts and failures back, and the
-parent merges them in prefix order. A one-process sweep is the one-share
-case: the single prefix ``{}``, no fork. ``taskset -c 0`` forces it.
+parent merges them in prefix order. A grid of at least SHARD_MIN_POINTS
+points forks at once. A smaller one is walked prefix by prefix in the
+parent until its measured time per prefix, times the prefixes left,
+reaches SHARD_MIN_SECONDS; the prefixes left then go to the shares, so a
+cheap small sweep never forks. A one-process sweep is the one-share case:
+the single prefix ``{}``, no fork. ``taskset -c 0`` forces it.
 
 Everything here is pure and deterministic: sweeps iterate grids in
 declaration order, failures are collected exhaustively in that order, and
@@ -37,6 +41,7 @@ import math
 import os
 import sys
 import threading
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -44,10 +49,17 @@ from typing import Callable, Optional
 from ..scalars import CharRoots, Rat, make_roots
 from ..sequences import SeqTable
 
-# A grid of at least this many points is sharded over the available CPUs.
-# Forking and merging cost a few milliseconds: on 2 CPUs the cheapest
-# entries (about 6 us a point) break even near 2,000 points.
+# A grid of at least this many points is sharded over the available CPUs at
+# once: on 2 CPUs the cheapest entries (about 6 us a point) break even near
+# 2,000 points. A smaller grid forks once the parent estimates that walking
+# the rest of it alone would take at least SHARD_MIN_SECONDS, a few times
+# what a fork and merge cost (about 2.5 ms on a 2-CPU machine). Probing the large
+# grids too made them slower, so they keep forking at once.
 SHARD_MIN_POINTS = 2000
+SHARD_MIN_SECONDS = 0.01
+
+# The clock the fork gate reads.
+_clock = time.perf_counter
 
 
 class UsageError(ValueError):
@@ -447,14 +459,14 @@ def _cpu_count() -> int:
 
 
 def _share_count(sw: _Sweep) -> int:
-    """Processes to spread a sweep over: 1 unless forking can pay off.
+    """Processes a sweep may spread over: 1 unless it may fork.
 
     A streamed sweep stays in-process (its caller sees every result in grid
-    order), and so does a small grid or a process running other threads,
-    which must not fork.
+    order), and so does a process running other threads, which must not
+    fork.
     """
-    if (sw.on_result is None and sw.below[0] >= SHARD_MIN_POINTS
-            and hasattr(os, "fork") and threading.active_count() == 1):
+    if (sw.on_result is None and hasattr(os, "fork")
+            and threading.active_count() == 1):
         return _cpu_count()
     return 1
 
@@ -511,7 +523,10 @@ def _child(sw: _Sweep, level: int, prefixes: list, share, r: int, w: int):
 
     Leaves only through ``os._exit``, so no handler or buffer inherited from
     the parent runs twice. A child that cannot report exits non-zero with
-    nothing written, which the parent treats as a lost shard.
+    nothing written, which the parent treats as a lost shard. It prints the
+    traceback of what stopped it, unless that is a KeyboardInterrupt: a
+    terminal's Ctrl-C reaches the whole process group, and the parent
+    reports its own.
     """
     status = 1
     try:
@@ -528,6 +543,8 @@ def _child(sw: _Sweep, level: int, prefixes: list, share, r: int, w: int):
         with os.fdopen(w, "wb") as f:
             f.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
         status = 0
+    except KeyboardInterrupt:
+        pass
     except BaseException:   # report it here: unwinding would reach the parent's frames
         import traceback
         traceback.print_exc()
@@ -548,8 +565,10 @@ def _receive(fd: int) -> tuple:
         raise RuntimeError("a sweep shard ended without reporting its result") from None
 
 
-def _run_shares(sw: _Sweep, level: int, prefixes: list, workers: int) -> list:
-    """Deal the prefixes round-robin to shares and walk every share.
+def _run_shares(sw: _Sweep, level: int, prefixes: list, workers: int,
+                start: int = 0) -> list:
+    """Deal the prefixes from index ``start`` on round-robin to shares and
+    walk every share.
 
     The parent walks share 0 itself; each further share runs in a forked
     child that sends back its ``_run_share`` result over a pipe. Every child
@@ -557,7 +576,7 @@ def _run_shares(sw: _Sweep, level: int, prefixes: list, workers: int) -> list:
     gives up on it.
     """
     shares = [range(k, len(prefixes), workers)
-              for k in range(min(workers, len(prefixes)))]
+              for k in range(start, min(start + workers, len(prefixes)))]
     pids, reads = [], []
     try:
         for share in shares[1:]:
@@ -585,6 +604,32 @@ def _run_shares(sw: _Sweep, level: int, prefixes: list, workers: int) -> list:
     return results
 
 
+def _run_gated(sw: _Sweep, level: int, prefixes: list, workers: int,
+               started: float) -> list:
+    """Walk the prefixes in order in this process until forking pays.
+
+    Before prefix i the time since ``started`` (binding the prefixes counts
+    as walking the first) per prefix walked, times the prefixes left,
+    estimates the time the rest would take here. Once that reaches
+    SHARD_MIN_SECONDS, the prefixes left go to ``_run_shares``. Returns
+    share results as ``_run_shares`` does, the walked part's first; the
+    counters are zeroed before the fork, so no share reports them again.
+    """
+    parts = []
+    for i in range(len(prefixes)):
+        if ((_clock() - started) * (len(prefixes) - i)
+                >= SHARD_MIN_SECONDS * max(i, 1)):
+            walked = (sw.checked, sw.rejected, sw.variant_verified, parts, None)
+            sw.checked = sw.rejected = 0
+            sw.variant_verified = dict.fromkeys(sw.variant_verified, 0)
+            return [walked, *_run_shares(sw, level, prefixes, workers, i)]
+        *counts, share_parts, error = _run_share(sw, level, prefixes, (i,))
+        parts += share_parts
+        if error is not None:
+            return [(*counts, parts, error)]
+    return [(sw.checked, sw.rejected, sw.variant_verified, parts, None)]
+
+
 def sweep(entry: Entry, overrides: Optional[dict] = None,
           ctx: Optional[Context] = None,
           on_result: Optional[Callable] = None) -> SweepReport:
@@ -597,11 +642,14 @@ def sweep(entry: Entry, overrides: Optional[dict] = None,
     checked failure with first difference ``("error", "<Type>: <message>")``
     and no sides or witnesses; guard exceptions propagate.
 
-    A large enough grid is split into binding prefixes of its shallow axes,
-    dealt over the CPUs the process may use and walked in forked children;
-    the merge restores grid order, so the report equals the one-process
-    walk, which is the one-share case (the single prefix ``{}``). Of several
-    guard exceptions the first in grid order is raised.
+    Where the process may use several CPUs, the grid is split into binding
+    prefixes of its shallow axes, dealt over those CPUs and walked in forked
+    children: at once for a grid of SHARD_MIN_POINTS or more, otherwise
+    once the prefixes the parent walked first show that the rest would take
+    SHARD_MIN_SECONDS or more. The merge restores grid order, so the report
+    equals the one-process walk, which is the one-share case (the single
+    prefix ``{}``). Of several guard exceptions the first in grid order is
+    raised.
 
     ``on_result`` (if given) receives every checked Evaluation in grid order,
     letting callers stream per-instance rows (witness tables) without the
@@ -615,11 +663,17 @@ def sweep(entry: Entry, overrides: Optional[dict] = None,
     parts = []
     if sw.below[0]:     # an empty axis leaves no point, so no guard may run
         workers = _share_count(sw)
+        started = _clock()
         # four prefixes a share even out the work the shares get
         level, prefixes, rejected, error = _prefixes(
             sw, 4 * workers if workers > 1 else 1)
         errors = [(len(prefixes), error)] if error is not None else []
-        results = _run_shares(sw, level, prefixes, workers) if prefixes else []
+        if not prefixes:
+            results = []
+        elif workers == 1 or sw.below[0] >= SHARD_MIN_POINTS:
+            results = _run_shares(sw, level, prefixes, workers)
+        else:
+            results = _run_gated(sw, level, prefixes, workers, started)
         for c, r, vv, share_parts, share_error in results:
             checked += c
             rejected += r

@@ -228,7 +228,8 @@ class TestPerLevelGuards:
             evaluate=lambda ctx, b: Outcome(sides=[Side("x", 1), Side("y", 1)]),
             grid=(axis("a", [0, 1, 2]), axis("b", [0, 1, 2, 3]),
                   axis("c", [0, 1, 2, 3, 4])))
-        rep = sweep(entry)
+        with shards(1):     # the calls are counted in this process
+            rep = sweep(entry)
         assert calls == {"a": 3, "c": 40, "b": 40}
         assert (rep.checked, rep.rejected) == (30, 30)
 
@@ -236,13 +237,16 @@ class TestPerLevelGuards:
         entry = get_entry("D22")
         grid = (*entry.grid[:2], *(Axis(ax.names, ax.values[:2])
                                    for ax in entry.grid[2:]))
-        gc.collect()
-        gc.disable()
-        try:
-            sweep(dataclasses.replace(entry, grid=grid))
-            unreachable = gc.collect()
-        finally:
-            gc.enable()
+        # one process: a first sharded sweep imports pickle, which leaves
+        # garbage cycles (see test_sharded_sweep_leaves_no_reference_cycles)
+        with shards(1):
+            gc.collect()
+            gc.disable()
+            try:
+                sweep(dataclasses.replace(entry, grid=grid))
+                unreachable = gc.collect()
+            finally:
+                gc.enable()
         assert unreachable == 0
 
 
@@ -384,6 +388,8 @@ class TestShardedSweep:
 
     def test_streamed_and_small_sweeps_stay_in_process(self, monkeypatch):
         monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+        # a small sweep that ends before the fork gate opens
+        monkeypatch.setattr(engine, "_clock", lambda: 0.0)
         assert engine.SHARD_MIN_POINTS > 0
         monkeypatch.setattr(os, "fork", None)    # any fork would raise
         entry = n_entry()
@@ -481,6 +487,24 @@ class TestShardedSweep:
         assert str(sharded.value) == str(serial.value) \
             == ("bad (a, n)" if deeper_bad else "bad a = 2")
 
+    @pytest.mark.parametrize("raised, printed",
+                             [(KeyboardInterrupt, False), (Interrupt, True)])
+    def test_only_an_interrupted_child_prints_no_traceback(
+            self, raised, printed, capfd, monkeypatch):
+        parent, run_share = os.getpid(), engine._run_share
+
+        def interrupted(*args):
+            if os.getpid() != parent:
+                raise raised
+            return run_share(*args)
+
+        monkeypatch.setattr(engine, "_run_share", interrupted)
+        with shards(2) as forked:
+            with pytest.raises(RuntimeError, match="without reporting"):
+                sweep(n_entry())
+        assert len(forked) == 1
+        assert ("Traceback" in capfd.readouterr().err) is printed
+
     @pytest.mark.parametrize("how", ["exit", "kill"])
     def test_a_lost_shard_never_verifies(self, how, monkeypatch):
         parent, run_share = os.getpid(), engine._run_share
@@ -526,6 +550,75 @@ class TestShardedSweep:
             finally:
                 gc.enable()
         assert forked and unreachable == 0
+
+
+# ---------------------------------------------------------------------------
+# small sweeps: walked in this process until the clock says forking pays
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def gate_opens_before(k, workers):
+    """Gate every sweep over ``workers`` CPUs at prefix ``k``; yields the
+    forked pids.
+
+    The sweep reads the clock once before binding its prefixes and once
+    before each prefix it walks alone. The clock stays at 0 s up to the
+    read before prefix k and then jumps by 10^9 s, so the first estimate
+    past SHARD_MIN_SECONDS comes right before prefix k.
+    """
+    reads = itertools.count()
+    with shards(workers) as forked, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "SHARD_MIN_POINTS", 10 ** 9)
+        mp.setattr(engine, "_clock",
+                   lambda: 0.0 if next(reads) <= k else 1e9)
+        yield forked
+
+
+def prefix_count(entry, workers):
+    sw = engine._Sweep(entry, Context(), None, list(entry.grid))
+    return len(engine._prefixes(sw, 4 * workers)[1])
+
+
+def one_process_bytes(entry):
+    with shards(1):
+        return to_json(document("verify", [sweep_payload(sweep(entry))]))
+
+
+class TestTimeGatedSweep:
+    @pytest.mark.parametrize("workers", [2, 3])
+    @settings(max_examples=20, deadline=None)
+    @given(entry=st.one_of(synthetic_entries(), catalog_sub_grids()))
+    def test_every_gate_position_matches_one_process(self, workers, entry):
+        want = reference_sweep(entry)
+        want_bytes = one_process_bytes(entry) if want[5] is None else None
+        for k in range(prefix_count(entry, workers) + 1):
+            with gate_opens_before(k, workers):
+                got = sharded_sweep(entry)
+            assert_same_sweep(got, want)
+            if want_bytes is not None:
+                with gate_opens_before(k, workers):
+                    rep = sweep(entry)
+                assert to_json(document("verify", [sweep_payload(rep)])) \
+                    == want_bytes
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_the_gate_forks_the_prefixes_left(self, workers):
+        entry = n_entry()       # ten prefixes, one a point
+        with gate_opens_before(4, workers) as forked:
+            rep = sweep(entry)
+        assert len(forked) == workers - 1
+        assert (rep.checked, rep.rejected) == (10, 0) and rep.verified
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_guard_error_before_the_gate_opens_forks_nothing(self, workers):
+        entry = n_entry(guards=(raising_guard("n", (3, 7)),))
+        with pytest.raises(ValueError) as serial:
+            sweep(entry)
+        with gate_opens_before(5, workers) as forked:
+            with pytest.raises(ValueError) as gated:
+                sweep(entry)
+        assert forked == []
+        assert str(gated.value) == str(serial.value) == "bad n = 3"
 
 
 class TestZeroInstanceSweeps:
