@@ -18,17 +18,18 @@ or when the caller streams results. An exception raised by an entry's
 evaluate function is recorded as a failing instance, not propagated.
 
 A sweep that streams no results is sharded when the process runs one
-thread, can fork and may use more than one CPU: the parent binds the
-shallow axes once (checking their guards and counting their rejections)
-into binding prefixes, deals them round-robin over the CPUs in the
-process's affinity mask, walks one share itself and forks a child per
-other share. The children pickle their counts and failures back, and the
-parent merges them in prefix order. A grid of at least SHARD_MIN_POINTS
-points forks at once. A smaller one is walked prefix by prefix in the
-parent until its measured time per prefix, times the prefixes left,
-reaches SHARD_MIN_SECONDS; the prefixes left then go to the shares, so a
-cheap small sweep never forks. A one-process sweep is the one-share case:
-the single prefix ``{}``, no fork. ``taskset -c 0`` forces it.
+thread, can fork and may use more than one CPU: the parent binds whole
+shallow axes into binding prefixes, deals them round-robin over the CPUs in
+the process's affinity mask, walks one share itself and forks a child per
+other share. The guards of the bound axes move down to the split level, so
+each prefix checks them once as its walk starts. The children pickle their
+counts and failures back, and the parent merges them in prefix order. One
+driver runs every sweep: a grid of at least SHARD_MIN_POINTS points forks
+at once; a smaller one is walked prefix by prefix in the parent until its
+measured time per prefix, times the prefixes left, reaches
+SHARD_MIN_SECONDS, and the prefixes left then go to the shares, so a cheap
+small sweep never forks. A one-process sweep is the one-share case: the
+single prefix ``{}``, no fork. ``taskset -c 0`` forces it.
 
 Everything here is pure and deterministic: sweeps iterate grids in
 declaration order, failures are collected exhaustively in that order, and
@@ -49,12 +50,13 @@ from typing import Callable, Optional
 from ..scalars import CharRoots, Rat, make_roots
 from ..sequences import SeqTable
 
-# A grid of at least this many points is sharded over the available CPUs at
-# once: on 2 CPUs the cheapest entries (about 6 us a point) break even near
-# 2,000 points. A smaller grid forks once the parent estimates that walking
-# the rest of it alone would take at least SHARD_MIN_SECONDS, a few times
-# what a fork and merge cost (about 2.5 ms on a 2-CPU machine). Probing the large
-# grids too made them slower, so they keep forking at once.
+# The fork gate of the one sweep driver. A grid of at least this many points
+# is sharded over the available CPUs at once: on 2 CPUs the cheapest entries
+# (about 6 us a point) break even near 2,000 points. A smaller grid forks once
+# the parent estimates that walking the rest of it alone would take at least
+# SHARD_MIN_SECONDS, a few times what a fork and merge cost (about 2.5 ms on a
+# 2-CPU machine). Probing the large grids too made them slower, so they keep
+# forking at once.
 SHARD_MIN_POINTS = 2000
 SHARD_MIN_SECONDS = 0.01
 
@@ -371,16 +373,17 @@ def resolve_axes(entry: Entry, overrides: Optional[dict]) -> list:
     return [axis(p, overrides[p]) for p in entry.params if p in overrides]
 
 
-def _guard_levels(entry: Entry, axes: list) -> list:
+def _guard_levels(entry: Entry, axes: list, floor: int = 0) -> list:
     """Guards by the number of axes bound when each is checked.
 
     A guard's level is the deepest axis among its ``needs`` and those of
-    every guard declared before it, so declaration order is kept. Guards
+    every guard declared before it, so declaration order is kept; no level
+    is shallower than ``floor``, the level a sharded walk starts at. Guards
     needing a parameter the grid does not bind are skipped.
     """
     depth = {name: i + 1 for i, ax in enumerate(axes) for name in ax.names}
     levels = [[] for _ in range(len(axes) + 1)]
-    level = 0
+    level = floor
     for g in entry.guards:
         if all(name in depth for name in g.needs):
             level = max([level, *(depth[name] for name in g.needs)])
@@ -401,7 +404,7 @@ class _Sweep:
         self.ctx = ctx
         self.on_result = on_result
         self.rows = [[dict(zip(ax.names, row)) for row in ax.values] for ax in axes]
-        self.guards = _guard_levels(entry, axes)
+        self.guards = None      # by level, once the split level is known
         sizes = [len(ax.values) for ax in axes]
         self.below = [math.prod(sizes[level:]) for level in range(len(axes) + 1)]
         self.bindings = {}
@@ -472,39 +475,29 @@ def _share_count(sw: _Sweep) -> int:
 
 
 def _prefixes(sw: _Sweep, want: int) -> tuple:
-    """Bind whole shallow levels until at least ``want`` prefixes survive.
+    """Bind whole shallow levels until there are at least ``want`` prefixes.
 
-    Returns ``(level, prefixes, rejected, error)``: the prefixes bind the
-    first ``level`` axes in grid order and passed every guard checked before
-    that level, each guard once per row; ``rejected`` counts the points the
-    failing rows hold. A guard that raises ends the expansion with its
-    exception as ``error``, which comes after all prefixes in grid order.
+    Returns ``(level, prefixes)``: every binding of the first ``level`` axes,
+    in grid order. No guard runs here; the walk of each prefix checks the
+    guards of those levels (see ``_guard_levels``).
     """
-    level, prefixes, rejected = 0, [{}], 0
+    level, prefixes = 0, [{}]
     while len(prefixes) < want and level < len(sw.rows):
-        deeper = []
-        for b in prefixes:
-            try:
-                held = all(g.holds(sw.ctx, b) for g in sw.guards[level])
-            except Exception as exc:
-                return level + 1, deeper, rejected, exc
-            if held:
-                deeper.extend({**b, **row} for row in sw.rows[level])
-            else:
-                rejected += sw.below[level]
+        prefixes = [{**b, **row} for b in prefixes for row in sw.rows[level]]
         level += 1
-        prefixes = deeper
-    return level, prefixes, rejected, None
+    return level, prefixes
 
 
 def _run_share(sw: _Sweep, level: int, prefixes: list, share) -> tuple:
-    """Walk the prefixes of one share from ``level`` down.
+    """Walk the prefixes of one share from ``level`` down, from zeroed counts.
 
-    Returns ``(checked, rejected, variant_verified, parts, error)``, where
-    ``parts`` pairs each prefix index with the failures found below it and
-    ``error`` is ``(prefix index, exception)`` for a guard that raised, which
-    ends the share, else None.
+    Returns ``(checked, rejected, variant_verified, parts, error)`` for these
+    prefixes alone, where ``parts`` pairs each prefix index with the failures
+    found below it and ``error`` is ``(prefix index, exception)`` for a guard
+    that raised, which ends the share, else None.
     """
+    sw.checked = sw.rejected = 0
+    sw.variant_verified = dict.fromkeys(sw.variant_verified, 0)
     parts = []
     for i in share:
         sw.bindings = dict(prefixes[i])
@@ -604,30 +597,29 @@ def _run_shares(sw: _Sweep, level: int, prefixes: list, workers: int,
     return results
 
 
-def _run_gated(sw: _Sweep, level: int, prefixes: list, workers: int,
-               started: float) -> list:
-    """Walk the prefixes in order in this process until forking pays.
+def _run_gated(sw: _Sweep, level: int, prefixes: list, workers: int) -> list:
+    """Run a sweep's prefixes: the one driver of every sweep.
 
-    Before prefix i the time since ``started`` (binding the prefixes counts
-    as walking the first) per prefix walked, times the prefixes left,
-    estimates the time the rest would take here. Once that reaches
-    SHARD_MIN_SECONDS, the prefixes left go to ``_run_shares``. Returns
-    share results as ``_run_shares`` does, the walked part's first; the
-    counters are zeroed before the fork, so no share reports them again.
+    A grid of SHARD_MIN_POINTS or more goes to ``_run_shares`` at once.
+    Otherwise the prefixes are walked in order in this process; before
+    prefix i the time since this call began per prefix walked, times the
+    prefixes left, estimates the time the rest would take here, and once
+    that reaches SHARD_MIN_SECONDS the prefixes left go to ``_run_shares``.
+    With one worker ``_run_shares`` forks nothing. Returns share results
+    as ``_run_shares`` does, one per prefix walked alone first.
     """
-    parts = []
+    if sw.below[0] >= SHARD_MIN_POINTS:
+        return _run_shares(sw, level, prefixes, workers)
+    started = _clock()
+    results = []
     for i in range(len(prefixes)):
         if ((_clock() - started) * (len(prefixes) - i)
                 >= SHARD_MIN_SECONDS * max(i, 1)):
-            walked = (sw.checked, sw.rejected, sw.variant_verified, parts, None)
-            sw.checked = sw.rejected = 0
-            sw.variant_verified = dict.fromkeys(sw.variant_verified, 0)
-            return [walked, *_run_shares(sw, level, prefixes, workers, i)]
-        *counts, share_parts, error = _run_share(sw, level, prefixes, (i,))
-        parts += share_parts
-        if error is not None:
-            return [(*counts, parts, error)]
-    return [(sw.checked, sw.rejected, sw.variant_verified, parts, None)]
+            return results + _run_shares(sw, level, prefixes, workers, i)
+        results.append(_run_share(sw, level, prefixes, (i,)))
+        if results[-1][4] is not None:
+            break
+    return results
 
 
 def sweep(entry: Entry, overrides: Optional[dict] = None,
@@ -646,10 +638,11 @@ def sweep(entry: Entry, overrides: Optional[dict] = None,
     prefixes of its shallow axes, dealt over those CPUs and walked in forked
     children: at once for a grid of SHARD_MIN_POINTS or more, otherwise
     once the prefixes the parent walked first show that the rest would take
-    SHARD_MIN_SECONDS or more. The merge restores grid order, so the report
-    equals the one-process walk, which is the one-share case (the single
-    prefix ``{}``). Of several guard exceptions the first in grid order is
-    raised.
+    SHARD_MIN_SECONDS or more. The guards of the shallow axes then run once
+    per prefix, as its walk starts. The merge restores grid order, so the
+    report equals the one-process walk, which is the one-share case (the
+    single prefix ``{}``). Of several guard exceptions the first in grid
+    order is raised.
 
     ``on_result`` (if given) receives every checked Evaluation in grid order,
     letting callers stream per-instance rows (witness tables) without the
@@ -663,18 +656,12 @@ def sweep(entry: Entry, overrides: Optional[dict] = None,
     parts = []
     if sw.below[0]:     # an empty axis leaves no point, so no guard may run
         workers = _share_count(sw)
-        started = _clock()
         # four prefixes a share even out the work the shares get
-        level, prefixes, rejected, error = _prefixes(
-            sw, 4 * workers if workers > 1 else 1)
-        errors = [(len(prefixes), error)] if error is not None else []
-        if not prefixes:
-            results = []
-        elif workers == 1 or sw.below[0] >= SHARD_MIN_POINTS:
-            results = _run_shares(sw, level, prefixes, workers)
-        else:
-            results = _run_gated(sw, level, prefixes, workers, started)
-        for c, r, vv, share_parts, share_error in results:
+        level, prefixes = _prefixes(sw, 4 * workers if workers > 1 else 1)
+        sw.guards = _guard_levels(entry, axes, level)
+        errors = []
+        for c, r, vv, share_parts, share_error in _run_gated(
+                sw, level, prefixes, workers):
             checked += c
             rejected += r
             for v, n in vv.items():

@@ -10,8 +10,6 @@ instead of re-typing the expression.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..sequences import neg_one
 from .engine import Entry, Guard, Outcome, Side, axis, irange, joint, make_witness
 from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
@@ -394,8 +392,8 @@ def _d20(ctx, b):
 def _d20_integral(ctx, b):
     u = ctx.u(b["p"], b["q"])
     ur, urn = u(b["r"]), u(b["r"] * (b["n"] + 1))
-    return (ur == int(ur) if isinstance(ur, Fraction) else True) and \
-        (urn == int(urn) if isinstance(urn, Fraction) else True)
+    # a table term is an int exactly when it is integral
+    return type(ur) is int and type(urn) is int
 
 
 D20 = Entry(

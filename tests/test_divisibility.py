@@ -1,6 +1,7 @@
 """Divisibility entries: witness soundness, frozen quotients, rejections."""
 
 import csv
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -146,6 +147,33 @@ class TestRejections:
         with pytest.raises(RejectedInstance) as exc:
             evaluate_identity("D20", {"p": 3, "q": 2, "r": -1, "n": 1})
         assert "integers" in exc.value.predicate
+
+    @pytest.mark.parametrize("p, q, below_zero_rejected, counts",
+                             [(1, -1, False, (56, 7)), (3, 2, True, (28, 35))])
+    def test_d20_integrality_guard_rejects_only_fractional_terms(
+            self, p, q, below_zero_rejected, counts):
+        # u_(-k)(1, -1) = (-1)^(k+1) F_k is an integer; u_(-k)(3, 2) =
+        # -(2^k - 1) / 2^k never is. u_0 = 0 is rejected by the u_r guard.
+        entry = get_entry("D20")
+        integral = entry.guards[-1]
+        assert "integers" in integral.text
+        refused = []
+
+        def holds(ctx, b):
+            held = integral.holds(ctx, b)
+            if not held:
+                refused.append((b["r"], b["n"]))
+            return held
+
+        entry = dataclasses.replace(entry, guards=(
+            *entry.guards[:-1], dataclasses.replace(integral, holds=holds)))
+        grid = {"p": [p], "q": [q], "r": list(range(-4, 5)),
+                "n": list(range(7))}
+        # a streamed sweep runs in this process, so every call is counted
+        rep = sweep(entry, grid, on_result=lambda ev: None)
+        want = [(r, n) for r in range(-4, 0) for n in range(7)]
+        assert refused == (want if below_zero_rejected else [])
+        assert (rep.checked, rep.rejected) == counts and rep.verified
 
 
 class TestWitnessSoundnessSweeps:

@@ -466,8 +466,8 @@ class TestShardedSweep:
     @pytest.mark.parametrize("deeper_bad", [(), ((1, 2),)])
     def test_guard_error_while_binding_prefixes_keeps_grid_order(
             self, deeper_bad):
-        # with 2 shares the parent binds a and checks the a guard itself;
-        # a deeper guard failing first in grid order must still win
+        # with 2 shares every (a, n) prefix checks the a guard as its walk
+        # starts; the n guard failing first in grid order must still win
         def n_holds(ctx, b):
             if (b["a"], b["n"]) in deeper_bad:
                 raise ValueError("bad (a, n)")
@@ -619,6 +619,34 @@ class TestTimeGatedSweep:
                 sweep(entry)
         assert forked == []
         assert str(gated.value) == str(serial.value) == "bad n = 3"
+
+    def test_bound_levels_check_their_guards_once_per_prefix(self):
+        calls = {"a": 0, "c": 0, "b": 0}
+
+        def counted(name, holds):
+            def check(ctx, b):
+                calls[name] += 1
+                return holds(b)
+            return Guard(f"{name} guard", (name,), check)
+
+        entry = Entry(
+            id="XPFX", kind="identity", statement="x = x",
+            params=("a", "b", "c"), domain="a != 0; b, c any",
+            guards=(counted("a", lambda b: b["a"] != 0),
+                    counted("c", lambda b: True),
+                    counted("b", lambda b: b["b"] != 1)),
+            evaluate=lambda ctx, b: Outcome(sides=[Side("x", 1), Side("y", 1)]),
+            grid=(axis("a", [0, 1, 2]), axis("b", [0, 1, 2, 3]),
+                  axis("c", [0, 1, 2, 3, 4])))
+        prefixes = prefix_count(entry, 2)     # 12: the grid splits after b
+        calls.update(a=0, c=0, b=0)
+        # the gate never opens, so every prefix is walked, and every guard
+        # call counted, in this process
+        with gate_opens_before(prefixes + 1, 2) as forked:
+            rep = sweep(entry)
+        assert forked == []
+        assert calls == {"a": 12, "c": 40, "b": 40}
+        assert (rep.checked, rep.rejected) == (30, 30)
 
 
 class TestZeroInstanceSweeps:
