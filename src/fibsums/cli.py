@@ -27,6 +27,12 @@ _RANGE = re.compile(r"^--([A-Za-z][A-Za-z0-9_]*)=(-?\d+)(?:\.\.(-?\d+))?$")
 #: their lengths); checked before any value list is built.
 MAX_RANGE_POINTS = 10 ** 6
 
+#: Largest magnitude a range bound may have. Sequence tables store every
+#: term up to the indices a sweep reads, so one bound such as --n=5000000
+#: would fill memory although it spans one point. The benchmark's largest
+#: bound is 6,861.
+MAX_RANGE_BOUND = 10 ** 4
+
 
 def _parse_ranges(extras: list[str]) -> dict[str, list[int]]:
     """Turn ``--r=-6..6 --n=0`` style flags into value lists."""
@@ -53,6 +59,11 @@ def _parse_ranges(extras: list[str]) -> dict[str, list[int]]:
     if points > MAX_RANGE_POINTS:
         raise UsageError(f"parameter ranges span {points} grid points, "
                          f"over the limit of {MAX_RANGE_POINTS}")
+    for name, (lo, hi) in bounds.items():
+        reach = max(-lo, hi)
+        if reach > MAX_RANGE_BOUND:
+            raise UsageError(f"range for parameter {name!r} reaches {reach} "
+                             f"in magnitude, over the limit of {MAX_RANGE_BOUND}")
     return {name: irange(lo, hi) for name, (lo, hi) in bounds.items()}
 
 

@@ -78,24 +78,35 @@ class RejectedInstance(Exception):
         super().__init__(f"{entry_id}: rejected ({predicate}) at {bindings}")
 
 
+class _Canonical:
+    """``Side.value``: kept as given in ``raw``, read back canonically."""
+
+    def __get__(self, side, owner=None):
+        if side is None:
+            raise AttributeError("value")   # a required field, no default
+        value = side.raw
+        return value.canonical() if type(value) is Rat else value
+
+    def __set__(self, side, value):
+        side.__dict__["raw"] = value
+
+
 @dataclass(frozen=True)
 class Side:
     """One exactly evaluated expression. Sides sharing a group must agree.
 
-    value is an int, Fraction, QuadExt or polynomial coefficient tuple: a
-    kernel ``Rat`` is stored as its reduced Fraction. variant None means
-    the side is common to every reading of the entry; otherwise it belongs
-    to the named reading only.
+    value reads as an int, Fraction, QuadExt or polynomial coefficient
+    tuple. A side keeps the value it was given, unreduced, in ``raw``, and
+    the verdict compares those; a kernel ``Rat`` is reduced to a Fraction
+    only when ``value`` is read, so a passing point takes no gcd for it.
+    variant None means the side is common to every reading of the entry;
+    otherwise it belongs to the named reading only.
     """
 
     label: str
-    value: object
+    value: object = _Canonical()
     group: str = "eq"
     variant: Optional[str] = None
-
-    def __post_init__(self):
-        if type(self.value) is Rat:
-            object.__setattr__(self, "value", self.value.canonical())
 
 
 @dataclass(frozen=True)
@@ -294,7 +305,11 @@ class Context:
 # ---------------------------------------------------------------------------
 
 def _sides_agree(sides, variant: str) -> Optional[tuple]:
-    """First unequal (label, label) pair for the given reading, else None."""
+    """First unequal (label, label) pair for the given reading, else None.
+
+    Compares the stored values: ``Rat`` and ``QuadExt`` equality
+    cross-multiplies, so no side is reduced to be compared.
+    """
     groups = {}
     for s in sides:
         if s.variant is None or s.variant == variant:
@@ -302,7 +317,7 @@ def _sides_agree(sides, variant: str) -> Optional[tuple]:
     for members in groups.values():
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                if members[i].value != members[j].value:
+                if members[i].raw != members[j].raw:
                     return members[i].label, members[j].label
     return None
 

@@ -7,7 +7,8 @@ that a divisibility corollary reuses are called from entries_common, where
 each is written once. Four entries (I10, I11, I16, I17) carry two readings
 of a printed summand under the variant protocol; the corrected reading is
 the one their proofs imply, and sweeps tally both so the report pins down
-exactly one verifying form.
+exactly one verifying form. Rational values are computed on the kernel
+``Rat``, which a side reduces only when it is read.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from ..scalars import QuadExt
+from ..scalars import QuadExt, Rat
 from ..sequences import neg_one
 from .engine import (Entry, Guard, Outcome, RejectedInstance, Side, axis,
                      irange, joint)
@@ -28,8 +29,9 @@ HALVES = [Fraction(k, 2) for k in range(-6, 7)]
 
 
 def _rat(x):
-    # CLI-supplied bindings arrive as ints; negative powers must stay exact
-    return Fraction(x) if isinstance(x, int) else x
+    # int and Fraction bindings compute on the kernel rational, which keeps
+    # negative powers exact and skips Fraction's gcd per step; QuadExt stays
+    return Rat(x) if isinstance(x, (int, Fraction)) else x
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +100,7 @@ def _i04(ctx, b):
     L, F = ctx.luc(), ctx.fib()
     return Outcome(sides=[
         Side("sum", sum(2 ** j * F(j + r) for j in range(n + 1))),
-        Side("closed form", Fraction(2 ** (n + 1) * L(n + r + 1) - L(r), 5)),
+        Side("closed form", Rat(2 ** (n + 1) * L(n + r + 1) - L(r), 5)),
     ])
 
 
@@ -147,10 +149,11 @@ class SuryForms(NamedTuple):
 def sury_f(x, y, n: int) -> SuryForms:
     """All four forms at (x, y, n); x, y rational or quadratic-extension.
 
+    Rational arguments are computed on the kernel ``Rat``, and the forms
+    come back reduced: an int or Fraction argument gives Fractions.
     Raises RejectedInstance when x = y (closed form divides by x - y) or
     when either variable is 0 (the pair sum takes negative powers).
     """
-    x, y = _rat(x), _rat(y)
     if n < 0:
         raise RejectedInstance("sury_f", "n >= 0", {"x": x, "y": y, "n": n})
     if x == y:
@@ -158,13 +161,15 @@ def sury_f(x, y, n: int) -> SuryForms:
     if x == 0 or y == 0:
         raise RejectedInstance("sury_f", "x != 0 and y != 0",
                                {"x": x, "y": y, "n": n})
+    x, y = _rat(x), _rat(y)
     pair = sum((x * y) ** j * (x ** (n - 2 * j) + y ** (n - 2 * j))
                for j in range(n + 1))
     half = sum(((x + y) / 2) ** j * (x ** (n - j) + y ** (n - j))
                for j in range(n + 1))
     conv = 2 * sum(x ** j * y ** (n - j) for j in range(n + 1))
     closed = 2 * (x ** (n + 1) - y ** (n + 1)) / (x - y)
-    return SuryForms(pair, half, conv, closed)
+    return SuryForms(*(f.canonical() if type(f) is Rat else f
+                       for f in (pair, half, conv, closed)))
 
 
 def _i06(ctx, b):
@@ -193,9 +198,9 @@ I06 = Entry(
     params=("x", "y", "n"),
     domain="x != y, both nonzero and invertible; n >= 0",
     guards=(GUARD_N,
-            Guard("x != y", ("x", "y"), lambda ctx, b: _rat(b["x"]) != _rat(b["y"])),
+            Guard("x != y", ("x", "y"), lambda ctx, b: b["x"] != b["y"]),
             Guard("x != 0 and y != 0", ("x", "y"),
-                  lambda ctx, b: _rat(b["x"]) != 0 and _rat(b["y"]) != 0)),
+                  lambda ctx, b: b["x"] != 0 and b["y"] != 0)),
     evaluate=_i06,
     grid=(joint(("x", "y"),
                 [(u, v) for u in HALVES for v in HALVES] + _QUAD_PAIRS),
@@ -211,8 +216,8 @@ def _i07(ctx, b):
     r, n = b["r"], b["n"]
     L, F = ctx.luc(), ctx.fib()
     s1 = sum(neg_one(r * j) * L(r * (n - 2 * j)) for j in range(n + 1))
-    s2 = sum(Fraction(L(r), 2) ** j * L(r * (n - j)) for j in range(n + 1))
-    s3 = Fraction(2 * F(r * (n + 1)), F(r))
+    s2 = sum(Rat(L(r), 2) ** j * L(r * (n - j)) for j in range(n + 1))
+    s3 = Rat(2 * F(r * (n + 1)), F(r))
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -231,11 +236,11 @@ def _i08(ctx, b):
     r, n = b["r"], b["n"]
     L, F = ctx.luc(), ctx.fib()
     s1 = sum(neg_one(j * (r + 1)) * L(2 * r * (n - j)) for j in range(2 * n + 1))
-    s2 = (sum(Fraction(F(r), 2) ** (2 * j) * 5 ** j * L(2 * r * (n - j))
+    s2 = (sum(Rat(F(r), 2) ** (2 * j) * 5 ** j * L(2 * r * (n - j))
               for j in range(n + 1))
-          + sum(Fraction(F(r), 2) ** (2 * j - 1) * 5 ** j * F(r * (2 * n - 2 * j + 1))
+          + sum(Rat(F(r), 2) ** (2 * j - 1) * 5 ** j * F(r * (2 * n - 2 * j + 1))
                 for j in range(1, n + 1)))
-    s3 = Fraction(2 * L(r * (2 * n + 1)), L(r))
+    s3 = Rat(2 * L(r * (2 * n + 1)), L(r))
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -255,11 +260,11 @@ def _i09(ctx, b):
     r, n = b["r"], b["n"]
     L, F = ctx.luc(), ctx.fib()
     s1 = sum(neg_one(j * (r + 1)) * F(r * (2 * n - 2 * j - 1)) for j in range(2 * n))
-    s2 = (sum(Fraction(F(r), 2) ** (2 * j) * 5 ** j * F(r * (2 * n - 2 * j - 1))
+    s2 = (sum(Rat(F(r), 2) ** (2 * j) * 5 ** j * F(r * (2 * n - 2 * j - 1))
               for j in range(n))
-          + sum(Fraction(F(r), 2) ** (2 * j - 1) * 5 ** (j - 1) * L(r * (2 * n - 2 * j))
+          + sum(Rat(F(r), 2) ** (2 * j - 1) * 5 ** (j - 1) * L(r * (2 * n - 2 * j))
                 for j in range(1, n + 1)))
-    s3 = Fraction(2 * F(2 * r * n), L(r))
+    s3 = Rat(2 * F(2 * r * n), L(r))
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -285,13 +290,13 @@ def _i10(ctx, b):
     s1 = sum(F(r) ** j * F(r - 1) ** (n - j) * L(j) for j in range(n + 1))
 
     def middle(shift):
-        # Fraction(1, 2) ** e stays exact for the negative exponent at j = 0
-        return sum(Fraction(1, 2) ** (j + shift) *
+        # Rat(1, 2) ** e stays exact for the negative exponent at j = 0
+        return sum(Rat(1, 2) ** (j + shift) *
                    (F(r) ** (n - j) * L(n + j * (r - 1)) +
                     F(r - 1) ** (n - j) * L(r * j))
                    for j in range(n + 1))
 
-    s3 = Fraction(_i10_num(ctx, b), _i10_den(ctx, b))
+    s3 = Rat(_i10_num(ctx, b), _i10_den(ctx, b))
     return Outcome(sides=[
         Side("left sum", s1),
         Side("middle sum, weight 1/2^(j-1)", middle(-1), variant="as-printed"),
@@ -322,12 +327,12 @@ def _i11(ctx, b):
     s1 = sum(F(r) ** j * F(r - 1) ** (n - j) * F(j) for j in range(n + 1))
 
     def middle(shift):
-        return sum(Fraction(1, 2) ** (j + shift) *
+        return sum(Rat(1, 2) ** (j + shift) *
                    (F(r) ** (n - j) * F(n + j * (r - 1)) +
                     F(r - 1) ** (n - j) * F(r * j))
                    for j in range(n + 1))
 
-    s3 = Fraction(_i11_num(ctx, b), _i10_den(ctx, b))
+    s3 = Rat(_i11_num(ctx, b), _i10_den(ctx, b))
     return Outcome(sides=[
         Side("left sum", s1),
         Side("middle sum, weight 1/2^(j-1)", middle(-1), variant="as-printed"),
@@ -359,10 +364,10 @@ def _i12(ctx, b):
     r, n = b["r"], b["n"]
     L = ctx.luc()
     s1 = 2 * sum(neg_one(r * (n - j)) * L(2 * r * j) for j in range(n + 1))
-    s2 = sum(Fraction(L(r), 2) ** j * (L(r * (2 * n - j)) + neg_one(r * (n - j)) * L(r * j))
+    s2 = sum(Rat(L(r), 2) ** j * (L(r * (2 * n - j)) + neg_one(r * (n - j)) * L(r * j))
              for j in range(n + 1))
     F = ctx.fib()
-    s3 = Fraction(2 * _i12_num(ctx, b), neg_one(r + 1) * 5 * F(r) ** 2)
+    s3 = Rat(2 * _i12_num(ctx, b), neg_one(r + 1) * 5 * F(r) ** 2)
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -383,9 +388,9 @@ def _i13(ctx, b):
     r, n = b["r"], b["n"]
     L, F = ctx.luc(), ctx.fib()
     s1 = 2 * sum(neg_one(r * (n - j)) * F(2 * r * j) for j in range(n + 1))
-    s2 = sum(Fraction(L(r), 2) ** j * (F(r * (2 * n - j)) + neg_one(r * (n - j)) * F(r * j))
+    s2 = sum(Rat(L(r), 2) ** j * (F(r * (2 * n - j)) + neg_one(r * (n - j)) * F(r * j))
              for j in range(n + 1))
-    s3 = Fraction(2 * _i13_num(ctx, b), neg_one(r + 1) * 5 * F(r) ** 2)
+    s3 = Rat(2 * _i13_num(ctx, b), neg_one(r + 1) * 5 * F(r) ** 2)
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -408,13 +413,13 @@ def _i14(ctx, b):
     s1 = sum(L(2 * r) ** j * 2 ** (n - j + 1) for j in range(n + 1))
     # the middle weight and the closed denominator swap with the parity of r
     if r % 2 == 0:
-        s2 = sum(Fraction(L(r) ** 2, 2) ** j * (L(2 * r) ** (n - j) + 2 ** (n - j))
+        s2 = sum(Rat(L(r) ** 2, 2) ** j * (L(2 * r) ** (n - j) + 2 ** (n - j))
                  for j in range(n + 1))
-        s3 = Fraction(2 * _i14_num(ctx, b), 5 * F(r) ** 2)
+        s3 = Rat(2 * _i14_num(ctx, b), 5 * F(r) ** 2)
     else:
-        s2 = sum(Fraction(5 * F(r) ** 2, 2) ** j * (L(2 * r) ** (n - j) + 2 ** (n - j))
+        s2 = sum(Rat(5 * F(r) ** 2, 2) ** j * (L(2 * r) ** (n - j) + 2 ** (n - j))
                  for j in range(n + 1))
-        s3 = Fraction(2 * _i14_num(ctx, b), L(r) ** 2)
+        s3 = Rat(2 * _i14_num(ctx, b), L(r) ** 2)
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -436,11 +441,11 @@ def _i15(ctx, b):
     L, F = ctx.luc(), ctx.fib()
     s1 = 2 * sum(neg_one(r * j) * 4 ** j * F(r) ** (2 * n - 2 * j) * 5 ** (n - j)
                  for j in range(n + 1))
-    s2 = sum(Fraction(L(r) ** 2, 2) ** j
+    s2 = sum(Rat(L(r) ** 2, 2) ** j
              * (5 ** (n - j) * F(r) ** (2 * (n - j)) + neg_one(r * (n - j)) * 4 ** (n - j))
              for j in range(n + 1))
-    s3 = Fraction(2 * ((5 * F(r) ** 2) ** (n + 1) - neg_one(r * (n + 1)) * 4 ** (n + 1)),
-                  5 * F(r) ** 2 - neg_one(r) * 4)
+    s3 = Rat(2 * ((5 * F(r) ** 2) ** (n + 1) - neg_one(r * (n + 1)) * 4 ** (n + 1)),
+             5 * F(r) ** 2 - neg_one(r) * 4)
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -466,18 +471,18 @@ def _i16(ctx, b):
     r, t, n = b["r"], b["t"], b["n"]
     L, F = ctx.luc(), ctx.fib()
     s1 = sum(L(r) ** j * L(r - 1) ** (2 * n - j) * L(j + t) for j in range(2 * n + 1))
-    first = sum(Fraction(5 ** j, 2 ** (2 * j + 1)) *
+    first = sum(Rat(5 ** j, 2 ** (2 * j + 1)) *
                 (L(r) ** (2 * n - 2 * j) * L(2 * n - 2 * j + 2 * j * r + t)
                  + L(r - 1) ** (2 * n - 2 * j) * L(2 * j * r + t))
                 for j in range(n + 1))
 
     def second(extra):
-        return sum(Fraction(5 ** j, 2 ** (2 * j)) *
+        return sum(Rat(5 ** j, 2 ** (2 * j)) *
                    (L(r) ** (2 * n - 2 * j + 1) * F(2 * n - 2 * j + extra + (2 * j - 1) * r + t)
                     + L(r - 1) ** (2 * n - 2 * j + 1) * F((2 * j - 1) * r + t))
                    for j in range(1, n + 1))
 
-    s3 = Fraction(_i16_num(ctx, b), _i16_den(ctx, b))
+    s3 = Rat(_i16_num(ctx, b), _i16_den(ctx, b))
     return Outcome(sides=[
         Side("left sum", s1),
         Side("middle sum, inner index 2n-2j+(2j-1)r+t", first + second(0),
@@ -515,18 +520,18 @@ def _i17(ctx, b):
     s1 = sum(L(r) ** j * L(r - 1) ** (2 * n - j) * F(j + t) for j in range(2 * n + 1))
 
     def first(base):
-        return sum(Fraction(5 ** j, 2 ** (2 * j + 1)) *
+        return sum(Rat(5 ** j, 2 ** (2 * j + 1)) *
                    (L(r) ** (2 * n - 2 * j) * F(2 * n - 2 * j + 2 * j * r + t)
                     + base(r - 1) ** (2 * n - 2 * j) * F(2 * j * r + t))
                    for j in range(n + 1))
 
     def second(power_base, extra):
-        return sum(Fraction(5 ** (j - power_base), 2 ** (2 * j)) *
+        return sum(Rat(5 ** (j - power_base), 2 ** (2 * j)) *
                    (L(r) ** (2 * n - 2 * j + 1) * L(2 * n - 2 * j + extra + (2 * j - 1) * r + t)
                     + L(r - 1) ** (2 * n - 2 * j + 1) * L((2 * j - 1) * r + t))
                    for j in range(1, n + 1))
 
-    s3 = Fraction(_i17_num(ctx, b), _i16_den(ctx, b))
+    s3 = Rat(_i17_num(ctx, b), _i16_den(ctx, b))
     return Outcome(sides=[
         Side("left sum", s1),
         Side("middle sum, F_(r-1) base, 5^j weight, printed index",
@@ -564,10 +569,10 @@ def _i18(ctx, b):
     L, F = ctx.luc(), ctx.fib()
     s1 = 2 * sum(neg_one((k + s) * j) * L(r - s) ** j * L(2 * k + r + s) ** (n - j)
                  for j in range(n + 1))
-    s2 = sum(Fraction(L(k + r) * L(k + s), 2) ** j
+    s2 = sum(Rat(L(k + r) * L(k + s), 2) ** j
              * (L(2 * k + r + s) ** (n - j) + neg_one((k + s) * (n - j)) * L(r - s) ** (n - j))
              for j in range(n + 1))
-    s3 = Fraction(2 * _i18_num(ctx, b), 5 * F(k + r) * F(k + s))
+    s3 = Rat(2 * _i18_num(ctx, b), 5 * F(k + r) * F(k + s))
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 

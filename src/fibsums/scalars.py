@@ -19,11 +19,15 @@ denominator is longer than ``_REDUCE_BITS`` bits. Denominators therefore
 stay bounded by that length plus one operation's growth, unless the
 reduced value itself needs more.
 
-Canonical at the boundary. Kernel values do not leave the arithmetic
-unreduced. A catalog ``Side`` turns a ``Rat`` into a reduced ``Fraction``
-(``Rat.canonical``). ``QuadExt.a``, ``QuadExt.b`` and ``norm()`` are
-reduced ``Fraction``s. ``==``, ``hash``, ``repr`` and ``render_scalar``
-depend only on the value, never on how far it was reduced.
+Canonical where read. Kernel values stay unreduced until they are read or
+rendered. A catalog ``Side`` keeps the value it was given, and the verdict
+compares those stored values: ``Rat`` and ``QuadExt`` equality
+cross-multiplies, so comparing takes no gcd. Reading ``Side.value`` turns a
+``Rat`` into its reduced ``Fraction`` (``Rat.canonical``), and that is what
+reports render. ``QuadExt.a``, ``QuadExt.b`` and ``norm()`` are reduced
+``Fraction``s. ``==`` and ``hash`` of both types, and ``repr`` and
+``render_scalar`` of a ``QuadExt``, depend only on the value, never on how
+far it was reduced.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ class Rat:
     """Exact rational n/d with d > 0, reduced lazily (see the module docstring).
 
     ``Rat(x)`` takes an int, Fraction or Rat; ``Rat(n, d)`` takes two ints.
-    Results leave the arithmetic through ``canonical()``.
+    ``canonical()`` gives the reduced value to whatever reads or renders it.
     """
 
     __slots__ = ("n", "d")

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import sys
 
 import jsonschema
@@ -208,8 +209,28 @@ class TestVerify:
                                f"--m=1..{limit // 2 + 1}")
         assert code == 2 and f"limit of {limit}" in err
         assert built == []
-        cli._parse_ranges(["--r=1..2", f"--n=1..{limit // 2}"])
-        assert built == [(1, 2), (1, limit // 2)]
+        # exactly the point limit, with every bound inside MAX_RANGE_BOUND
+        side = math.isqrt(limit)
+        cli._parse_ranges([f"--r=1..{side}", f"--n=1..{limit // side}"])
+        assert built == [(1, side), (1, limit // side)]
+
+    def test_range_bound_past_the_magnitude_limit_is_a_usage_error(
+            self, capsys, monkeypatch):
+        # one point, but SeqTable would store every term up to its index
+        built = []
+        monkeypatch.setattr(cli, "irange", lambda lo, hi: built.append((lo, hi)))
+        limit = cli.MAX_RANGE_BOUND
+        for argv in (("verify", "I07", "--r=1", f"--n={limit + 1}"),
+                     ("verify", "I07", f"--r=-{limit + 1}..1", "--n=1"),
+                     ("div", "D06", f"--n=1..{limit + 1}")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert f"reaches {limit + 1}" in err and f"limit of {limit}" in err
+        assert built == []
+        # the limit itself, and the benchmark's largest bound, pass
+        cli._parse_ranges([f"--r=-{limit}..{limit}"])
+        cli._parse_ranges(["--n=6562..6861"])
+        assert built == [(-limit, limit), (6562, 6861)]
 
     def test_zero_instance_sweep_exits_1(self, capsys):
         code, doc, _ = run_json(capsys, "verify", "I07", "--r=0", "--n=1")

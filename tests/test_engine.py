@@ -561,10 +561,11 @@ def gate_opens_before(k, workers):
     """Gate every sweep over ``workers`` CPUs at prefix ``k``; yields the
     forked pids.
 
-    The sweep reads the clock once before binding its prefixes and once
-    before each prefix it walks alone. The clock stays at 0 s up to the
-    read before prefix k and then jumps by 10^9 s, so the first estimate
-    past SHARD_MIN_SECONDS comes right before prefix k.
+    The sweep reads the clock once as ``_run_gated`` starts, after its
+    prefixes are bound, and once before each prefix it walks alone. The
+    clock stays at 0 s up to the read before prefix k and then jumps by
+    10^9 s, so the first estimate past SHARD_MIN_SECONDS comes right before
+    prefix k.
     """
     reads = itertools.count()
     with shards(workers) as forked, pytest.MonkeyPatch.context() as mp:
@@ -708,3 +709,89 @@ class TestGuardContract:
                 assert held == g.holds(ctx, b), (entry.id, g.text, b)
                 if not held:
                     break
+
+
+# ---------------------------------------------------------------------------
+# raw verdicts: sides are compared as stored, unreduced kernel values too
+# ---------------------------------------------------------------------------
+
+VERDICT_ENTRY = Entry(
+    id="XRAW", kind="identity", statement="raw sides", params=(),
+    domain="none", guards=(), evaluate=None, grid=(),
+    variants=("as-printed", "as-proved"), primary="as-proved")
+
+
+@st.composite
+def stored_values(draw, d):
+    """One of a few small values, in any representation a side may store.
+
+    A Rat is drawn with a common factor, sign included; a QuadExt over
+    sqrt(d) is scaled by g/g, which leaves its parts unreduced.
+    """
+    num, den = draw(small), draw(st.integers(1, 3))
+    g = draw(st.integers(1, 4)) * draw(st.sampled_from((1, -1)))
+    kind = draw(st.sampled_from(("int", "Fraction", "Rat", "QuadExt")))
+    if kind == "int":
+        return num
+    if kind == "Fraction":
+        return Fraction(num, den)
+    if kind == "Rat":
+        return Rat(num * g, den * g)
+    b = draw(st.sampled_from((0, Fraction(1, 2), -1)))
+    return QuadExt(Fraction(num, den), b, d) * Rat(g, g)
+
+
+def canonical_form(value):
+    if type(value) is Rat:
+        return value.canonical()
+    if type(value) is QuadExt:
+        return QuadExt(value.a, value.b, value.d)
+    return value
+
+
+class TestRawVerdict:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_stored_values_get_the_verdict_of_their_canonical_forms(self, data):
+        d = data.draw(st.sampled_from((2, 5, -1)))
+        sides = [Side(f"s{i}", data.draw(stored_values(d)),
+                      data.draw(st.sampled_from(("eq", "alt"))),
+                      data.draw(st.sampled_from(VERDICT_ENTRY.variants
+                                                + (None,))))
+                 for i in range(data.draw(st.integers(1, 5)))]
+        canonical = [dataclasses.replace(s, value=canonical_form(s.raw))
+                     for s in sides]
+        assert [s.value for s in sides] == [s.raw for s in canonical]
+        assert engine._verdicts(VERDICT_ENTRY, Outcome(sides)) \
+            == engine._verdicts(VERDICT_ENTRY, Outcome(canonical))
+
+
+def half_off(entry, half):
+    """``entry`` with ``half`` added to its first side at every point."""
+    def evaluate(ctx, b):
+        out = entry.evaluate(ctx, b)
+        first = out.sides[0]
+        return Outcome([dataclasses.replace(first, value=first.raw + half),
+                        *out.sides[1:]], out.witnesses)
+    return dataclasses.replace(entry, evaluate=evaluate)
+
+
+class TestUnreducedFailures:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_unreduced_rat_side_renders_as_its_fraction(self, workers):
+        entry = dataclasses.replace(
+            get_entry("I07"), grid=(axis("r", [1, 2, 3]), axis("n", range(4))))
+        reports = {}
+        for half in (Rat(2, 4), Fraction(1, 2)):
+            with shards(workers) as forked:
+                rep = sweep(half_off(entry, half))
+            assert len(forked) == workers - 1
+            assert (rep.checked, len(rep.failures)) == (12, 12)
+            reports[type(half)] = rep
+        # every failure, also those the child walked, kept its Rat unreduced
+        raws = [f.sides[0].raw for f in reports[Rat].failures]
+        assert {type(x) for x in raws} == {Rat}
+        assert all(math.gcd(x.n, x.d) > 1 for x in raws)
+        rat, frac = (to_json(document("verify", [sweep_payload(reports[t])]))
+                     for t in (Rat, Fraction))
+        assert rat == frac

@@ -10,7 +10,7 @@ from fibsums.identities import (ENTRIES, Axis, Context, RejectedInstance,
                                 evaluate_identity, get_entry, sury_f, sweep,
                                 verify_grid)
 from fibsums.polynomials import poly_eval
-from fibsums.scalars import QuadExt, fib_roots
+from fibsums.scalars import QuadExt, Rat, fib_roots
 
 EXPECTED_IDS = ([f"I{k:02d}" for k in range(1, 19)]
                 + [f"P{k:02d}" for k in range(1, 7)]
@@ -233,3 +233,20 @@ class TestSideValueBoundary:
             assert rep.checked and rep.verified
         assert values
         assert {type(v) for v in values} <= {int, Fraction, QuadExt}
+
+
+class TestIEntrySideValues:
+    @pytest.mark.parametrize("entry_id", [i for i in EXPECTED_IDS
+                                          if i.startswith("I")])
+    def test_streamed_side_values_read_canonical(self, entry_id):
+        entry = get_entry(entry_id)
+        grid = tuple(Axis(ax.names, ax.values[::max(1, len(ax.values) // 3)])
+                     for ax in entry.grid)
+        sides = []
+        rep = sweep(dataclasses.replace(entry, grid=grid),
+                    on_result=lambda ev: sides.extend(ev.sides))
+        assert rep.checked and not rep.failures
+        assert {type(s.value) for s in sides} <= {int, Fraction, QuadExt}
+        for s in sides:
+            if type(s.raw) is Rat:      # stored unreduced, read reduced
+                assert s.value == s.raw
