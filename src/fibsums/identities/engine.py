@@ -250,19 +250,32 @@ class SweepReport:
 # ---------------------------------------------------------------------------
 
 class Context:
-    """Caches per-parameter sequence tables across a sweep.
+    """Caches what a sweep reads again and again, for the Context's life.
 
-    Sweeps iterate (p, q) on the outermost axes, so every inner binding
-    reuses the same few tables; memory stays bounded by the index ranges
-    the formulas actually touch.
+    - ``table``: one sequence table per (a, b, p, q). Sweeps iterate (p, q)
+      on the outermost axes, so every inner binding reuses the same few
+      tables; memory stays bounded by the index ranges the formulas touch.
+    - ``roots``: the characteristic roots of each (p, q).
+    - ``root_pow``: (tau^e, sigma^e) per (p, q, e).
+    - ``memo``: any other value an entry builds from a few integer
+      parameters and reads at many points, such as a coefficient list or a
+      whole sub-sum that no seed or shift changes. Its key is a tuple: the
+      id of the entry whose builder makes the value, then every integer
+      parameter the value reads. Two values of one entry therefore need
+      different parameter lists.
+
+    Each cache grows with the distinct keys the sweeps touch and dies with
+    the Context. A forked shard inherits what the parent filled before the
+    fork and fills its own copy from there.
     """
 
-    __slots__ = ("_tables", "_roots", "_root_pows")
+    __slots__ = ("_tables", "_roots", "_root_pows", "_memo")
 
     def __init__(self):
         self._tables = {}
         self._roots = {}
         self._root_pows = {}
+        self._memo = {}
 
     def table(self, a, b, p, q) -> SeqTable:
         key = (a, b, p, q)
@@ -298,6 +311,14 @@ class Context:
             tau, sigma, _ = self.roots(p, q)
             pair = self._root_pows[key] = (tau ** e, sigma ** e)
         return pair
+
+    def memo(self, key: tuple, build: Callable):
+        """``build()``, computed once per ``key`` for this Context's life."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,20 @@ the H entries are the weighted-sum theorems and their corollaries. Default
 grids keep the stated parameter ranges for every light entry; the five
 heavy ones (H01, H04, H05, H06, H07) sweep curated seed and shift panels
 instead of full Cartesian ranges so the whole catalog stays desk-scale.
+
+Shared factors. The H sweeps visit each (p, q, r, n) once per seed (a, b)
+and shift t; H05 visits each (p, q, m, s, r, n) so. Whatever a point
+computes without reading a, b or t is built once per Context by the
+entry's ``_hNN_shared`` function and kept in ``Context.memo``: the
+coefficient lists (q^(rj), (-1)^j q^(rj), v_r^j / 2^j, the powers of
+u_(r-s), u_(r-m) and q^(m-s)), the middle sums of H01, H06 and H07 that
+w_t or w_(t+1) - q w_(t-1) multiplies, H10's three shift-free sides, and
+the constant factors of the closed forms. H11 is H06 at w = v and t = 0,
+so it reads H06's values. H05's X0 is kept per (p, q, m, s, r), so its
+guard and its closed form read one value. Every printed sum is still
+summed term by term as printed; only the factors no seed or shift can
+change are shared, and no sum is replaced by a shortcut derived from a
+recurrence.
 """
 
 from __future__ import annotations
@@ -16,12 +30,13 @@ from .engine import Entry, Guard, Outcome, Side, axis, irange, joint
 from .entries_common import (GUARD_N, GUARD_PQ, GUARD_UR, GUARD_VR, PQ_AXES,
                              SEED_PANEL)
 
+def _disc(p, q):
+    """Delta^2 = p^2 - 4q."""
+    return p * p - 4 * q
+
+
 GUARD_DISC = Guard("p^2 - 4q != 0", ("p", "q"),
-                   lambda ctx, b: b["p"] ** 2 - 4 * b["q"] != 0)
-
-
-def _disc(b):
-    return b["p"] ** 2 - 4 * b["q"]
+                   lambda ctx, b: _disc(b["p"], b["q"]) != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +180,7 @@ def _lem6(ctx, b):
     p, q, n, m = b["p"], b["q"], b["n"], b["m"]
     u, v = ctx.u(p, q), ctx.v(p, q)
     qm = power(q, m)
-    d = _disc(b)
+    d = _disc(p, q)
     return Outcome(sides=[
         Side("u_(n+m) - q^m u_(n-m)", u(n + m) - qm * u(n - m), group="u-minus"),
         Side("u_m v_n", u(m) * v(n), group="u-minus"),
@@ -193,16 +208,24 @@ LEM6 = Entry(
 # H01-H05: the main weighted-sum theorems
 # ---------------------------------------------------------------------------
 
+def _h01_shared(ctx, p, q, r, n):
+    """q^(rj), the middle sum after w_t, q^(r(n+1)) and u_r Delta^2."""
+    u, v = ctx.u(p, q), ctx.v(p, q)
+    mid = sum(Rat(1, 2 ** (j + 1)) * v(r) ** j * v(r * (n - j)) for j in range(n + 1))
+    return (tuple(power(q, r * j) for j in range(n + 1)), mid, power(q, r * (n + 1)),
+            Rat(u(r) * _disc(p, q)))
+
+
 def _h01(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
-    w, u, v = ctx.table(a, bb, p, q), ctx.u(p, q), ctx.v(p, q)
-    s1 = sum(power(q, r * j) * w(r * (n - 2 * j) + t) for j in range(n + 1))
-    s2 = w(t) * sum(Rat(1, 2 ** (j + 1)) * v(r) ** j * v(r * (n - j))
-                    for j in range(n + 1))
+    w = ctx.table(a, bb, p, q)
+    qr, mid, qM, den = ctx.memo(("H01", p, q, r, n), lambda: _h01_shared(ctx, p, q, r, n))
+    s1 = sum(c * w(r * (n - 2 * j) + t) for j, c in enumerate(qr))
+    s2 = w(t) * mid
     M = r * (n + 1)
-    num = (w(t + 1 + M) - power(q, M) * w(t + 1 - M)
-           - q * (w(t - 1 + M) - power(q, M) * w(t - 1 - M)))
-    s3 = num / Rat(u(r) * _disc(b))
+    num = (w(t + 1 + M) - qM * w(t + 1 - M)
+           - q * (w(t - 1 + M) - qM * w(t - 1 - M)))
+    s3 = num / den
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -258,16 +281,24 @@ H03 = Entry(
 )
 
 
+def _h04_shared(ctx, p, q, r, n):
+    """q^(r(n-j)), v_r^j / 2^j, q^(r(n+1)) and u_r Delta^2."""
+    u, v = ctx.u(p, q), ctx.v(p, q)
+    return (tuple(power(q, r * (n - j)) for j in range(n + 1)),
+            tuple(Rat(1, 2 ** j) * v(r) ** j for j in range(n + 1)),
+            power(q, r * (n + 1)), Rat(u(r) * _disc(p, q)))
+
+
 def _h04(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
-    w, u, v = ctx.table(a, bb, p, q), ctx.u(p, q), ctx.v(p, q)
-    s1 = 2 * sum(power(q, r * (n - j)) * w(2 * r * j + t) for j in range(n + 1))
-    s2 = sum(Rat(1, 2 ** j) * v(r) ** j
-             * (w(r * (2 * n - j) + t) + power(q, r * (n - j)) * w(r * j + t))
+    w = ctx.table(a, bb, p, q)
+    qr, half, qM, den = ctx.memo(("H04", p, q, r, n), lambda: _h04_shared(ctx, p, q, r, n))
+    s1 = 2 * sum(qr[j] * w(2 * r * j + t) for j in range(n + 1))
+    s2 = sum(half[j] * (w(r * (2 * n - j) + t) + qr[j] * w(r * j + t))
              for j in range(n + 1))
     num = 2 * (w(r * (2 * n + 1) + t + 1) - q * w(r * (2 * n + 1) + t - 1)
-               - power(q, r * (n + 1)) * (w(t - r + 1) - q * w(t - r - 1)))
-    s3 = num / Rat(u(r) * _disc(b))
+               - qM * (w(t - r + 1) - q * w(t - r - 1)))
+    s3 = num / den
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -288,30 +319,53 @@ H04 = Entry(
 
 
 def _h05_x0(ctx, b):
-    u, v = ctx.u(b["p"], b["q"]), ctx.v(b["p"], b["q"])
-    m, s, r = b["m"], b["s"], b["r"]
-    return (u(r - s) ** 2 + power(b["q"], m - s) * u(r - m) ** 2
-            + u(r - s) * u(r - m) * v(m - s))
+    """X0, shared by the guard and the closed form."""
+    p, q, m, s, r = b["p"], b["q"], b["m"], b["s"], b["r"]
+
+    def build():
+        u, v = ctx.u(p, q), ctx.v(p, q)
+        return Rat(u(r - s) ** 2 + power(q, m - s) * u(r - m) ** 2
+                   + u(r - s) * u(r - m) * v(m - s))
+
+    return ctx.memo(("H05", p, q, m, s, r), build)
+
+
+def _h05_shared(ctx, b):
+    """Every seed- and shift-free factor of the three sides.
+
+    The left sum's coefficients (-1)^j q^((m-s)j) u_(r-s)^(n-j) u_(r-m)^j;
+    the middle sum's u_(m-s)^j / 2^(j+1), u_(r-s)^(n-j) and
+    (-1)^(n-j) q^((m-s)(n-j)) u_(r-m)^(n-j); the closed form's powers,
+    X0 and q^m X0.
+    """
+    p, q, m, s, r, n = b["p"], b["q"], b["m"], b["s"], b["r"], b["n"]
+    u = ctx.u(p, q)
+    x0 = _h05_x0(ctx, b)
+    qms = [power(q, (m - s) * j) for j in range(n + 3)]
+    us = tuple(u(r - s) ** k for k in range(n + 3))
+    um = [u(r - m) ** k for k in range(n + 2)]
+    left = tuple(neg_one(j) * qms[j] * us[n - j] * um[j] for j in range(n + 1))
+    half = tuple(Rat(1, 2 ** (j + 1)) * u(m - s) ** j for j in range(n + 1))
+    across = tuple(neg_one(k) * qms[k] * um[k] for k in range(n + 1))
+    closed = (us[n + 2], us[n + 1] * u(r - m), neg_one(n) * um[n + 1],
+              qms[n + 1] * power(q, m) * u(r - s), qms[n + 2] * power(q, s) * u(r - m),
+              x0, power(q, m) * x0)
+    return left, half, us, across, closed
 
 
 def _h05(ctx, b):
     p, q, a, bb = b["p"], b["q"], b["a"], b["b"]
     m, s, r, t, n = b["m"], b["s"], b["r"], b["t"], b["n"]
-    w, u = ctx.table(a, bb, p, q), ctx.u(p, q)
-    s1 = sum(neg_one(j) * power(q, (m - s) * j) * u(r - s) ** (n - j) * u(r - m) ** j
-             * w((s - m) * j + m * n + t) for j in range(n + 1))
-    s2 = sum(Rat(1, 2 ** (j + 1)) * u(m - s) ** j
-             * (u(r - s) ** (n - j) * w((r - m) * j + m * n + t)
-                + neg_one(n - j) * power(q, (m - s) * (n - j)) * u(r - m) ** (n - j)
-                * w(s * (n - j) + t + r * j))
+    w = ctx.table(a, bb, p, q)
+    left, half, us, across, closed = ctx.memo(("H05", p, q, m, s, r, n),
+                                              lambda: _h05_shared(ctx, b))
+    s1 = sum(c * w((s - m) * j + m * n + t) for j, c in enumerate(left))
+    s2 = sum(half[j] * (us[n - j] * w((r - m) * j + m * n + t)
+                        + across[n - j] * w(s * (n - j) + t + r * j))
              for j in range(n + 1))
-    x0 = Rat(_h05_x0(ctx, b))
-    s3 = ((u(r - s) ** (n + 2) * w(m * n + t)
-           + u(r - s) ** (n + 1) * u(r - m) * w(m * n + m + t - s)) / x0
-          + neg_one(n) * u(r - m) ** (n + 1)
-          * (power(q, (m - s) * (n + 1) + m) * u(r - s) * w(s * n + s + t - m)
-             + power(q, (m - s) * (n + 2) + s) * u(r - m) * w(s * n + t))
-          / (power(q, m) * x0))
+    a1, a2, sign, c1, c2, x0, qm_x0 = closed
+    s3 = ((a1 * w(m * n + t) + a2 * w(m * n + m + t - s)) / x0
+          + sign * (c1 * w(s * n + s + t - m) + c2 * w(s * n + t)) / qm_x0)
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -347,25 +401,41 @@ GUARD_H06 = Guard("n = 0 or u_r != 0", ("p", "q", "r", "n"),
                   lambda ctx, b: b["n"] == 0 or ctx.u(b["p"], b["q"])(b["r"]) != 0)
 GUARD_H07 = Guard("n = 0 or (u_r != 0 and p^2 - 4q != 0)", ("p", "q", "r", "n"),
                   lambda ctx, b: b["n"] == 0
-                  or (ctx.u(b["p"], b["q"])(b["r"]) != 0 and _disc(b) != 0))
+                  or (ctx.u(b["p"], b["q"])(b["r"]) != 0 and _disc(b["p"], b["q"]) != 0))
 
 
-def _growth(ctx, b):
-    # the squared-root weight (u_r Delta / 2)^2 shared by H06-H11 middles
-    return Rat(_disc(b), 4) * ctx.u(b["p"], b["q"])(b["r"]) ** 2
+def _signed_q_powers(q, r, count):
+    """(-1)^j q^(rj) for j < count."""
+    return tuple(neg_one(j) * power(q, r * j) for j in range(count))
+
+
+def _growth_powers(ctx, p, q, r, count):
+    """g^j for j < count, g = (u_r Delta / 2)^2 the squared-root weight of
+    the H06-H11 middle sums."""
+    g = Rat(_disc(p, q), 4) * ctx.u(p, q)(r) ** 2
+    return tuple(g ** j for j in range(count))
+
+
+def _h06_shared(ctx, p, q, r, n):
+    """(-1)^j q^(rj), both middle sums and v_(r(2n+1)) / v_r."""
+    u, v = ctx.u(p, q), ctx.v(p, q)
+    g = _growth_powers(ctx, p, q, r, n + 1)
+    mid_v = sum(g[j] * v(2 * r * (n - j)) for j in range(n + 1))
+    mid_u = sum(g[j] * u(r * (2 * n - 2 * j + 1)) for j in range(1, n + 1))
+    return (_signed_q_powers(q, r, 2 * n + 1), mid_v, mid_u,
+            v(r * (2 * n + 1)) / Rat(v(r)))
 
 
 def _h06(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
-    w, u, v = ctx.table(a, bb, p, q), ctx.u(p, q), ctx.v(p, q)
-    g = _growth(ctx, b)
-    s1 = sum(neg_one(j) * power(q, r * j) * w(2 * r * (n - j) + t)
-             for j in range(2 * n + 1))
-    s2 = Rat(1, 2) * w(t) * sum(g ** j * v(2 * r * (n - j)) for j in range(n + 1))
+    w = ctx.table(a, bb, p, q)
+    sq, mid_v, mid_u, closed = ctx.memo(("H06", p, q, r, n),
+                                        lambda: _h06_shared(ctx, p, q, r, n))
+    s1 = sum(c * w(2 * r * (n - j) + t) for j, c in enumerate(sq))
+    s2 = Rat(1, 2) * w(t) * mid_v
     if n >= 1:
-        s2 += w(t) * sum(g ** j * u(r * (2 * n - 2 * j + 1)) for j in range(1, n + 1)) \
-            / u(r)
-    s3 = w(t) * v(r * (2 * n + 1)) / Rat(v(r))
+        s2 += w(t) * mid_u / ctx.u(p, q)(r)
+    s3 = w(t) * closed
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -385,18 +455,27 @@ H06 = Entry(
 )
 
 
+def _h07_shared(ctx, p, q, r, n):
+    """(-1)^j q^(rj), both middle sums, u_r Delta^2, q^(2rn) and v_r."""
+    u, v = ctx.u(p, q), ctx.v(p, q)
+    g = _growth_powers(ctx, p, q, r, n + 1)
+    mid_u = sum(g[j] * u(r * (2 * n - 2 * j - 1)) for j in range(n))
+    mid_v = sum(g[j] * v(r * (2 * n - 2 * j)) for j in range(1, n + 1))
+    return (_signed_q_powers(q, r, 2 * n), mid_u, mid_v, u(r) * _disc(p, q),
+            power(q, 2 * r * n), Rat(v(r)))
+
+
 def _h07(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
-    w, u, v = ctx.table(a, bb, p, q), ctx.u(p, q), ctx.v(p, q)
-    g = _growth(ctx, b)
+    w = ctx.table(a, bb, p, q)
+    sq, mid_u, mid_v, den, q2rn, vr = ctx.memo(("H07", p, q, r, n),
+                                               lambda: _h07_shared(ctx, p, q, r, n))
     c = w(t + 1) - q * w(t - 1)
-    s1 = sum(neg_one(j) * power(q, r * j) * w(r * (2 * n - 1 - 2 * j) + t)
-             for j in range(2 * n))
-    s2 = Rat(1, 2) * c * sum(g ** j * u(r * (2 * n - 2 * j - 1)) for j in range(n))
+    s1 = sum(k * w(r * (2 * n - 1 - 2 * j) + t) for j, k in enumerate(sq))
+    s2 = Rat(1, 2) * c * mid_u
     if n >= 1:
-        s2 += c * sum(g ** j * v(r * (2 * n - 2 * j)) for j in range(1, n + 1)) \
-            / (u(r) * _disc(b))
-    s3 = (w(t + 2 * r * n) - power(q, 2 * r * n) * w(t - 2 * r * n)) / Rat(v(r))
+        s2 += c * mid_v / den
+    s3 = (w(t + 2 * r * n) - q2rn * w(t - 2 * r * n)) / vr
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -451,19 +530,24 @@ H09 = Entry(
 )
 
 
+def _h10_shared(ctx, p, q, r, n):
+    """(-1)^j q^(rj) and the three sides that do not read t."""
+    u, v = ctx.u(p, q), ctx.v(p, q)
+    sq = _signed_q_powers(q, r, 2 * n)
+    g = _growth_powers(ctx, p, q, r, n + 1)
+    left = sum(sq[j] * u(r * (2 * n - 1 - 2 * j)) for j in range(2 * n))
+    mid = sum(g[j] * u(r * (2 * n - 2 * j - 1)) for j in range(n))
+    if n >= 1:
+        mid += 2 * sum(g[j] * v(r * (2 * n - 2 * j)) for j in range(1, n + 1)) \
+            / (u(r) * _disc(p, q))
+    return sq, left, mid, 2 * u(2 * r * n) / Rat(v(r))
+
+
 def _h10(ctx, b):
     p, q, r, t, n = b["p"], b["q"], b["r"], b["t"], b["n"]
-    u, v = ctx.u(p, q), ctx.v(p, q)
-    g = _growth(ctx, b)
-    left_printed = sum(neg_one(j) * power(q, r * j) * u(r * (2 * n - 1 - 2 * j) + t)
-                       for j in range(2 * n))
-    left = sum(neg_one(j) * power(q, r * j) * u(r * (2 * n - 1 - 2 * j))
-               for j in range(2 * n))
-    mid = sum(g ** j * u(r * (2 * n - 2 * j - 1)) for j in range(n))
-    if n >= 1:
-        mid += 2 * sum(g ** j * v(r * (2 * n - 2 * j)) for j in range(1, n + 1)) \
-            / (u(r) * _disc(b))
-    s3 = 2 * u(2 * r * n) / Rat(v(r))
+    u = ctx.u(p, q)
+    sq, left, mid, s3 = ctx.memo(("H10", p, q, r, n), lambda: _h10_shared(ctx, p, q, r, n))
+    left_printed = sum(c * u(r * (2 * n - 1 - 2 * j) + t) for j, c in enumerate(sq))
     return Outcome(sides=[
         Side("left sum with displayed shift t", left_printed, variant="as-printed"),
         Side("left sum without shift", left, variant="as-proved"),
@@ -491,17 +575,18 @@ H10 = Entry(
 
 
 def _h11(ctx, b):
+    # H06 at w = v (seeds (2, p)) and t = 0: its two middle sums are H11's,
+    # so H11 reads H06's shared factors rather than building its own
     p, q, r, n = b["p"], b["q"], b["r"], b["n"]
     u, v = ctx.u(p, q), ctx.v(p, q)
-    g = _growth(ctx, b)
-    s1 = sum(neg_one(j) * power(q, r * j) * v(2 * r * (n - j)) for j in range(2 * n + 1))
-    s2 = sum(g ** j * v(2 * r * (n - j)) for j in range(n + 1))
+    sq, mid_v, mid_u, closed = ctx.memo(("H06", p, q, r, n),
+                                        lambda: _h06_shared(ctx, p, q, r, n))
+    s1 = sum(c * v(2 * r * (n - j)) for j, c in enumerate(sq))
+    s2 = mid_v
     if n >= 1:
-        s2 += 2 * sum(g ** j * u(r * (2 * n - 2 * j + 1)) for j in range(1, n + 1)) \
-            / u(r)
-    s3 = 2 * v(r * (2 * n + 1)) / Rat(v(r))
+        s2 += 2 * mid_u / u(r)
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
-                          Side("closed form", s3)])
+                          Side("closed form", 2 * closed)])
 
 
 H11 = Entry(

@@ -513,7 +513,8 @@ def fib_roots() -> CharRoots:
 # ---------------------------------------------------------------------------
 
 def render_scalar(value) -> str:
-    """Exact text form: integers bare, fractions as num/den, QuadExt spelled out."""
+    """Exact text form: integers bare, fractions (a ``Rat`` too) as num/den
+    in lowest terms, QuadExt spelled out."""
     if isinstance(value, QuadExt):
         if value._b == 0:
             return render_scalar(value.a)
@@ -530,7 +531,7 @@ def render_scalar(value) -> str:
         sign = "+" if b > 0 else "-"
         mag = bs.lstrip("-")
         return f"{render_scalar(a)} {sign} {mag}"
-    f = Fraction(value)
+    f = value.canonical() if type(value) is Rat else Fraction(value)
     if f.denominator == 1:
         return int_text(f.numerator)
     return f"{int_text(f.numerator)}/{int_text(f.denominator)}"

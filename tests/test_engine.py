@@ -795,3 +795,92 @@ class TestUnreducedFailures:
         rat, frac = (to_json(document("verify", [sweep_payload(reports[t])]))
                      for t in (Rat, Fraction))
         assert rat == frac
+
+
+# ---------------------------------------------------------------------------
+# Context.memo: the seed- and shift-free factors of the Horadam sums
+# ---------------------------------------------------------------------------
+
+MEMO_ENTRIES = ("H01", "H04", "H05", "H06", "H07", "H10", "H11")
+
+
+# H05's (m, s, r) rows differ in one coordinate at a time, so that a key
+# leaving out any of the three maps two rows to one value
+H05_MSR = ((1, 0, 2), (1, 0, 3), (1, -1, 2), (2, 0, 2))
+
+
+def reversed_sub_grid(entry):
+    """Two (p, q) values a side, two seed rows, three of every other axis,
+    every axis in reverse order."""
+    grid = []
+    for ax in entry.grid:
+        k = 2 if ax.names in (("p",), ("q",), ("a", "b")) else 3
+        picks = ax.values[::max(1, len(ax.values) // k)][:k]
+        if ax.names == ("m", "s", "r"):
+            picks = H05_MSR
+        grid.append(Axis(ax.names, picks[::-1]))
+    return tuple(grid)
+
+
+class TestContextMemo:
+    def test_build_runs_once_per_key(self):
+        ctx, calls = Context(), []
+
+        def build(x):
+            calls.append(x)
+            return [x]
+
+        assert ctx.memo(("X", 1), lambda: build(1)) == [1]
+        assert ctx.memo(("X", 2), lambda: build(2)) == [2]
+        assert ctx.memo(("X", 1), lambda: build(3)) == [1]
+        assert calls == [1, 2]
+        assert Context().memo(("X", 1), lambda: build(4)) == [4]
+
+    def test_shared_context_equals_fresh_evaluation(self):
+        # all the memo-using entries in one Context, as verify --all runs
+        # them; H11 reads the values H06 left there
+        ctx, streamed = Context(), []
+        for entry_id in MEMO_ENTRIES:
+            entry = get_entry(entry_id)
+            sub = dataclasses.replace(entry, grid=reversed_sub_grid(entry))
+            rep = sweep(sub, ctx=ctx, on_result=streamed.append)
+            assert rep.checked and rep.verified, entry_id
+        for ev in streamed:
+            fresh = evaluate_entry(get_entry(ev.entry_id), ev.bindings)
+            assert [(s.label, s.value) for s in ev.sides] \
+                == [(s.label, s.value) for s in fresh.sides], (ev.entry_id, ev.bindings)
+        for entry_id in MEMO_ENTRIES:    # the checked points span the axes
+            points = [ev.bindings for ev in streamed if ev.entry_id == entry_id]
+            assert len({(b["p"], b["q"]) for b in points}) >= 2
+            if "a" in points[0]:
+                assert len({(b["a"], b["b"]) for b in points}) >= 2
+            if "t" in points[0]:
+                assert len({b["t"] for b in points}) >= 3
+            if "m" in points[0]:
+                assert {(b["m"], b["s"], b["r"]) for b in points} == set(H05_MSR)
+
+    def test_h06_middle_sums_are_built_once_per_row(self, monkeypatch):
+        from fibsums.identities import entries_horadam
+
+        entry = get_entry("H06")
+        grid = (axis("p", [3]), axis("q", [2, -1]),
+                joint(("a", "b"), [(0, 1), (2, 1), (2, 3), (-1, 2)]),
+                axis("r", [-1, 0, 2]), axis("t", [-2, 0, 3]), axis("n", [0, 1, 3]))
+        built = []
+        shared = entries_horadam._h06_shared
+
+        def counted(ctx, p, q, r, n):
+            built.append((p, q, r, n))
+            return shared(ctx, p, q, r, n)
+
+        monkeypatch.setattr(entries_horadam, "_h06_shared", counted)
+        with shards(1):
+            rep = sweep(dataclasses.replace(entry, grid=grid))
+        guard_ctx = Context()
+        passing = [(p, q, r, n) for p in (3,) for q in (2, -1)
+                   for r in (-1, 0, 2) for n in (0, 1, 3)
+                   if all(g.holds(guard_ctx, {"p": p, "q": q, "r": r, "n": n})
+                          for g in entry.guards)]
+        assert 0 < len(passing) < 18        # u_0 = 0 rejects r = 0 past n = 0
+        assert rep.verified and rep.checked == len(passing) * 4 * 3
+        assert sorted(built) == sorted(passing)

@@ -196,6 +196,8 @@ class TestRendering:
         (QuadExt(3, 2, -1), "3 + 2*sqrt(-1)"),
         (QuadExt(7, 0, 5), "7"),
         (QuadExt(0, Fraction(-1, 3), 7), "-1/3*sqrt(7)"),
+        (Rat(2, 4), "1/2"),
+        (Rat(-6, 3), "-2"),
     ])
     def test_render_scalar_frozen(self, value, text):
         assert render_scalar(value) == text
