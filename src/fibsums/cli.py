@@ -10,6 +10,7 @@ produce byte-identical bytes on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -145,10 +146,13 @@ def _cmd_verify(args, ranges) -> int:
 
     try:
         entries = list(catalog()) if args.all_entries else [get_entry(args.id)]
-        ctx = Context()
-        reports = [sweep(e, ranges or None, ctx) for e in entries]
     except UsageError as exc:
         return _fail_unknown_id(str(exc))
+    ctx = Context()
+    try:
+        reports = [sweep(e, ranges or None, ctx) for e in entries]
+    except UsageError as exc:
+        return _fail_usage(str(exc))
 
     if args.format == "csv":
         sys.stdout.write(verify_csv(reports))
@@ -204,29 +208,31 @@ def _cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a range such as --a=0..0 must not be read as --all
     parser = argparse.ArgumentParser(
-        prog="fibsums",
+        prog="fibsums", allow_abbrev=False,
         description="Exact verification of weighted Fibonacci/Lucas-family "
                     "sum identities and their divisibility corollaries.")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_seq = sub.add_parser("seq", help="print one exact sequence term")
+    p_seq = add("seq", help="print one exact sequence term")
     p_seq.add_argument("family", choices=sorted(_SEQ_FAMILIES))
     p_seq.add_argument("-n", type=int, required=True, help="term index")
     for flag in ("a", "b", "p", "q"):
         p_seq.add_argument(f"-{flag}", type=int, help=f"parameter {flag}")
 
-    p_ver = sub.add_parser("verify", help="sweep identities over grids")
+    p_ver = add("verify", help="sweep identities over grids")
     p_ver.add_argument("id", nargs="?", help="catalog id, e.g. I07")
     p_ver.add_argument("--all", action="store_true", dest="all_entries",
                        help="sweep every catalog entry on its default grid")
     p_ver.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p_div = sub.add_parser("div", help="divisibility witness tables")
+    p_div = add("div", help="divisibility witness tables")
     p_div.add_argument("id", help="divisibility id, e.g. D01")
     p_div.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p_cat = sub.add_parser("catalog", help="list every catalog entry")
+    p_cat = add("catalog", help="list every catalog entry")
     p_cat.add_argument("--format", choices=["json", "csv", "text"],
                        default="text")
     return parser

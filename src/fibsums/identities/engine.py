@@ -252,73 +252,69 @@ class SweepReport:
 class Context:
     """Caches what a sweep reads again and again, for the Context's life.
 
-    - ``table``: one sequence table per (a, b, p, q). Sweeps iterate (p, q)
-      on the outermost axes, so every inner binding reuses the same few
-      tables; memory stays bounded by the index ranges the formulas touch.
-    - ``roots``: the characteristic roots of each (p, q).
-    - ``root_pow``: (tau^e, sigma^e) per (p, q, e).
-    - ``memo``: any other value an entry builds from a few integer
-      parameters and reads at many points, such as a coefficient list or a
-      whole sub-sum that no seed or shift changes. Its key is a tuple: the
-      id of the entry whose builder makes the value, then every integer
-      parameter the value reads. Two values of one entry therefore need
-      different parameter lists.
+    One cache with one key rule: ``memo(build, *args)`` returns
+    ``build(ctx, *args)``, built once per ``(build, *args)``, so two
+    builders never share a value. ``table`` (and ``fib``, ``luc``, ``u``,
+    ``v``) keeps one sequence table per (a, b, p, q); sweeps iterate (p, q)
+    on the outermost axes, so every inner binding reuses the same few
+    tables. ``roots`` and ``root_pow`` keep the characteristic roots of each
+    (p, q) and (tau^e, sigma^e) per (p, q, e). Entries pass their own
+    builders for any other value built from a few integer parameters and
+    read at many points, such as a sub-sum that no seed or shift changes.
 
-    Each cache grows with the distinct keys the sweeps touch and dies with
+    The cache grows with the distinct keys the sweeps touch and dies with
     the Context. A forked shard inherits what the parent filled before the
     fork and fills its own copy from there.
     """
 
-    __slots__ = ("_tables", "_roots", "_root_pows", "_memo")
+    __slots__ = ("_memo",)
 
     def __init__(self):
-        self._tables = {}
-        self._roots = {}
-        self._root_pows = {}
         self._memo = {}
 
-    def table(self, a, b, p, q) -> SeqTable:
-        key = (a, b, p, q)
-        t = self._tables.get(key)
-        if t is None:
-            t = self._tables[key] = SeqTable(a, b, p, q)
-        return t
-
-    def fib(self) -> SeqTable:
-        return self.table(0, 1, 1, -1)
-
-    def luc(self) -> SeqTable:
-        return self.table(2, 1, 1, -1)
-
-    def u(self, p: int, q: int) -> SeqTable:
-        return self.table(0, 1, p, q)
-
-    def v(self, p: int, q: int) -> SeqTable:
-        return self.table(2, p, p, q)
-
-    def roots(self, p: int, q: int) -> CharRoots:
-        key = (p, q)
-        r = self._roots.get(key)
-        if r is None:
-            r = self._roots[key] = make_roots(p, q)
-        return r
-
-    def root_pow(self, p: int, q: int, e: int):
-        """(tau^e, sigma^e), memoized: root-level sweeps reuse few exponents."""
-        key = (p, q, e)
-        pair = self._root_pows.get(key)
-        if pair is None:
-            tau, sigma, _ = self.roots(p, q)
-            pair = self._root_pows[key] = (tau ** e, sigma ** e)
-        return pair
-
-    def memo(self, key: tuple, build: Callable):
-        """``build()``, computed once per ``key`` for this Context's life."""
+    def memo(self, build: Callable, *args):
+        """``build(self, *args)``, built once per ``(build, *args)``."""
+        key = (build,) + args
         try:
             return self._memo[key]
         except KeyError:
-            value = self._memo[key] = build()
+            value = self._memo[key] = build(self, *args)
             return value
+
+    def table(self, a, b, p, q) -> SeqTable:
+        return self.memo(_table, a, b, p, q)
+
+    def fib(self) -> SeqTable:
+        return self.memo(_table, 0, 1, 1, -1)
+
+    def luc(self) -> SeqTable:
+        return self.memo(_table, 2, 1, 1, -1)
+
+    def u(self, p: int, q: int) -> SeqTable:
+        return self.memo(_table, 0, 1, p, q)
+
+    def v(self, p: int, q: int) -> SeqTable:
+        return self.memo(_table, 2, p, p, q)
+
+    def roots(self, p: int, q: int) -> CharRoots:
+        return self.memo(_roots, p, q)
+
+    def root_pow(self, p: int, q: int, e: int):
+        """(tau^e, sigma^e): root-level sweeps reuse few exponents."""
+        return self.memo(_root_pow, p, q, e)
+
+
+def _table(ctx, a, b, p, q) -> SeqTable:
+    return SeqTable(a, b, p, q)
+
+
+def _roots(ctx, p, q) -> CharRoots:
+    return make_roots(p, q)
+
+
+def _root_pow(ctx, p, q, e):
+    tau, sigma, _ = ctx.roots(p, q)
+    return tau ** e, sigma ** e
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,17 @@ instead of full Cartesian ranges so the whole catalog stays desk-scale.
 
 Shared factors. The H sweeps visit each (p, q, r, n) once per seed (a, b)
 and shift t; H05 visits each (p, q, m, s, r, n) so. Whatever a point
-computes without reading a, b or t is built once per Context by the
-entry's ``_hNN_shared`` function and kept in ``Context.memo``: the
-coefficient lists (q^(rj), (-1)^j q^(rj), v_r^j / 2^j, the powers of
-u_(r-s), u_(r-m) and q^(m-s)), the middle sums of H01, H06 and H07 that
-w_t or w_(t+1) - q w_(t-1) multiplies, H10's three shift-free sides, and
-the constant factors of the closed forms. H11 is H06 at w = v and t = 0,
-so it reads H06's values. H05's X0 is kept per (p, q, m, s, r), so its
-guard and its closed form read one value. Every printed sum is still
-summed term by term as printed; only the factors no seed or shift can
-change are shared, and no sum is replaced by a shortcut derived from a
-recurrence.
+computes without reading a, b or t is built by the entry's ``_hNN_shared``
+function, called as ``ctx.memo(_hNN_shared, p, q, r, n)``, so it is built
+once per Context and argument list: the coefficient lists (q^(rj),
+(-1)^j q^(rj), v_r^j / 2^j, the powers of u_(r-s), u_(r-m) and q^(m-s)),
+the middle sums of H01, H06 and H07 that w_t or w_(t+1) - q w_(t-1)
+multiplies, H10's three shift-free sides, and the constant factors of the
+closed forms. H11 is H06 at w = v and t = 0, so it names H06's builder and
+reads H06's values. H05's guard and closed form read X0 through one
+builder, ``_h05_x0``. Every printed sum is still summed term by term as
+printed; only the factors no seed or shift can change are shared, and no
+sum is replaced by a shortcut derived from a recurrence.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def _h01_shared(ctx, p, q, r, n):
 def _h01(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w = ctx.table(a, bb, p, q)
-    qr, mid, qM, den = ctx.memo(("H01", p, q, r, n), lambda: _h01_shared(ctx, p, q, r, n))
+    qr, mid, qM, den = ctx.memo(_h01_shared, p, q, r, n)
     s1 = sum(c * w(r * (n - 2 * j) + t) for j, c in enumerate(qr))
     s2 = w(t) * mid
     M = r * (n + 1)
@@ -292,7 +292,7 @@ def _h04_shared(ctx, p, q, r, n):
 def _h04(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w = ctx.table(a, bb, p, q)
-    qr, half, qM, den = ctx.memo(("H04", p, q, r, n), lambda: _h04_shared(ctx, p, q, r, n))
+    qr, half, qM, den = ctx.memo(_h04_shared, p, q, r, n)
     s1 = 2 * sum(qr[j] * w(2 * r * j + t) for j in range(n + 1))
     s2 = sum(half[j] * (w(r * (2 * n - j) + t) + qr[j] * w(r * j + t))
              for j in range(n + 1))
@@ -318,19 +318,14 @@ H04 = Entry(
 )
 
 
-def _h05_x0(ctx, b):
+def _h05_x0(ctx, p, q, m, s, r):
     """X0, shared by the guard and the closed form."""
-    p, q, m, s, r = b["p"], b["q"], b["m"], b["s"], b["r"]
-
-    def build():
-        u, v = ctx.u(p, q), ctx.v(p, q)
-        return Rat(u(r - s) ** 2 + power(q, m - s) * u(r - m) ** 2
-                   + u(r - s) * u(r - m) * v(m - s))
-
-    return ctx.memo(("H05", p, q, m, s, r), build)
+    u, v = ctx.u(p, q), ctx.v(p, q)
+    return Rat(u(r - s) ** 2 + power(q, m - s) * u(r - m) ** 2
+               + u(r - s) * u(r - m) * v(m - s))
 
 
-def _h05_shared(ctx, b):
+def _h05_shared(ctx, p, q, m, s, r, n):
     """Every seed- and shift-free factor of the three sides.
 
     The left sum's coefficients (-1)^j q^((m-s)j) u_(r-s)^(n-j) u_(r-m)^j;
@@ -338,9 +333,8 @@ def _h05_shared(ctx, b):
     (-1)^(n-j) q^((m-s)(n-j)) u_(r-m)^(n-j); the closed form's powers,
     X0 and q^m X0.
     """
-    p, q, m, s, r, n = b["p"], b["q"], b["m"], b["s"], b["r"], b["n"]
     u = ctx.u(p, q)
-    x0 = _h05_x0(ctx, b)
+    x0 = ctx.memo(_h05_x0, p, q, m, s, r)
     qms = [power(q, (m - s) * j) for j in range(n + 3)]
     us = tuple(u(r - s) ** k for k in range(n + 3))
     um = [u(r - m) ** k for k in range(n + 2)]
@@ -357,8 +351,7 @@ def _h05(ctx, b):
     p, q, a, bb = b["p"], b["q"], b["a"], b["b"]
     m, s, r, t, n = b["m"], b["s"], b["r"], b["t"], b["n"]
     w = ctx.table(a, bb, p, q)
-    left, half, us, across, closed = ctx.memo(("H05", p, q, m, s, r, n),
-                                              lambda: _h05_shared(ctx, b))
+    left, half, us, across, closed = ctx.memo(_h05_shared, p, q, m, s, r, n)
     s1 = sum(c * w((s - m) * j + m * n + t) for j, c in enumerate(left))
     s2 = sum(half[j] * (us[n - j] * w((r - m) * j + m * n + t)
                         + across[n - j] * w(s * (n - j) + t + r * j))
@@ -383,7 +376,8 @@ H05 = Entry(
     domain="p, q != 0; X0 != 0; n >= 0 (repeated root included)",
     guards=(GUARD_N, GUARD_PQ,
             Guard("X0 != 0", ("p", "q", "m", "s", "r"),
-                  lambda ctx, b: _h05_x0(ctx, b) != 0)),
+                  lambda ctx, b: ctx.memo(_h05_x0, b["p"], b["q"], b["m"], b["s"],
+                                          b["r"]) != 0)),
     evaluate=_h05,
     grid=(*PQ_AXES, joint(("a", "b"), [(0, 1), (2, 3)]),
           joint(("m", "s", "r"),
@@ -429,8 +423,7 @@ def _h06_shared(ctx, p, q, r, n):
 def _h06(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w = ctx.table(a, bb, p, q)
-    sq, mid_v, mid_u, closed = ctx.memo(("H06", p, q, r, n),
-                                        lambda: _h06_shared(ctx, p, q, r, n))
+    sq, mid_v, mid_u, closed = ctx.memo(_h06_shared, p, q, r, n)
     s1 = sum(c * w(2 * r * (n - j) + t) for j, c in enumerate(sq))
     s2 = Rat(1, 2) * w(t) * mid_v
     if n >= 1:
@@ -468,8 +461,7 @@ def _h07_shared(ctx, p, q, r, n):
 def _h07(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w = ctx.table(a, bb, p, q)
-    sq, mid_u, mid_v, den, q2rn, vr = ctx.memo(("H07", p, q, r, n),
-                                               lambda: _h07_shared(ctx, p, q, r, n))
+    sq, mid_u, mid_v, den, q2rn, vr = ctx.memo(_h07_shared, p, q, r, n)
     c = w(t + 1) - q * w(t - 1)
     s1 = sum(k * w(r * (2 * n - 1 - 2 * j) + t) for j, k in enumerate(sq))
     s2 = Rat(1, 2) * c * mid_u
@@ -546,7 +538,7 @@ def _h10_shared(ctx, p, q, r, n):
 def _h10(ctx, b):
     p, q, r, t, n = b["p"], b["q"], b["r"], b["t"], b["n"]
     u = ctx.u(p, q)
-    sq, left, mid, s3 = ctx.memo(("H10", p, q, r, n), lambda: _h10_shared(ctx, p, q, r, n))
+    sq, left, mid, s3 = ctx.memo(_h10_shared, p, q, r, n)
     left_printed = sum(c * u(r * (2 * n - 1 - 2 * j) + t) for j, c in enumerate(sq))
     return Outcome(sides=[
         Side("left sum with displayed shift t", left_printed, variant="as-printed"),
@@ -576,11 +568,10 @@ H10 = Entry(
 
 def _h11(ctx, b):
     # H06 at w = v (seeds (2, p)) and t = 0: its two middle sums are H11's,
-    # so H11 reads H06's shared factors rather than building its own
+    # so H11 names H06's builder and reads the values H06 left
     p, q, r, n = b["p"], b["q"], b["r"], b["n"]
     u, v = ctx.u(p, q), ctx.v(p, q)
-    sq, mid_v, mid_u, closed = ctx.memo(("H06", p, q, r, n),
-                                        lambda: _h06_shared(ctx, p, q, r, n))
+    sq, mid_v, mid_u, closed = ctx.memo(_h06_shared, p, q, r, n)
     s1 = sum(c * v(2 * r * (n - j)) for j, c in enumerate(sq))
     s2 = mid_v
     if n >= 1:

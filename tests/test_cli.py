@@ -11,6 +11,7 @@ import pytest
 
 from fibsums import cli
 from fibsums.cli import main
+from fibsums.identities import SweepReport, catalog, resolve_axes
 
 DOCUMENT_SCHEMA = {
     "type": "object",
@@ -360,6 +361,55 @@ class TestDiv:
         assert rep["verified"] is False
         witness = rep["rows"][0]["witnesses"][0]
         assert witness["quotient"] is None and witness["residue"] == "1"
+
+
+class TestRangeFlags:
+    """Every catalog parameter can be given as a range flag.
+
+    argparse would read a prefix of a long option as that option (--a as
+    --all), so the sweep is replaced by one that records what it is given.
+    """
+
+    CASES = [("verify", e) for e in catalog()] + [
+        ("div", e) for e in catalog() if e.kind == "divisibility"]
+
+    @pytest.mark.parametrize("command,entry", CASES,
+                             ids=[f"{c}-{e.id}" for c, e in CASES])
+    def test_every_parameter_reaches_the_sweep(self, capsys, monkeypatch,
+                                               command, entry):
+        calls = []
+
+        def recorded(entry, overrides=None, ctx=None, on_result=None):
+            calls.append((entry.id, overrides))
+            variants = {v: int(v == entry.primary_variant) for v in entry.variants}
+            return SweepReport(entry, resolve_axes(entry, overrides), 1, 0,
+                               variants, [])
+
+        monkeypatch.setattr(cli, "sweep", recorded)
+        flags = [f"--{name}={i}..{i + 1}" for i, name in enumerate(entry.params)]
+        code, _, err = run_cli(capsys, command, entry.id, *flags)
+        assert code == 0 and err == ""
+        assert calls == [(entry.id, {name: [i, i + 1]
+                                     for i, name in enumerate(entry.params)})]
+
+    def test_seed_a_is_not_read_as_all(self, capsys):
+        code, doc, err = run_json(capsys, "verify", "H06", "--p=1..1", "--q=-1..-1",
+                                  "--a=0..0", "--b=1..1", "--r=1..1", "--t=0..0",
+                                  "--n=0..2")
+        assert code == 0 and err == ""
+        (rep,) = doc["reports"]
+        assert rep["pass"] == 3 and rep["verified"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "H01", "--p=1", "--q=-1", "--b=1", "--r=1", "--t=0", "--n=0..2"),
+        ("verify", "I07", "--r=1", "--n=0", "--z=1"),
+        ("div", "D01", "--r=3", "--m=3", "--z=1"),
+    ], ids=["verify-missing", "verify-unknown", "div-unknown"])
+    def test_parameter_errors_do_not_list_the_catalog(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "parameter(s)" in err
+        assert "known catalog entries:" not in err
 
 
 class TestCatalogCommand:

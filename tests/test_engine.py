@@ -826,15 +826,24 @@ class TestContextMemo:
     def test_build_runs_once_per_key(self):
         ctx, calls = Context(), []
 
-        def build(x):
-            calls.append(x)
-            return [x]
+        def build(c, x, y):
+            calls.append((c, x, y))
+            return [x, y]
 
-        assert ctx.memo(("X", 1), lambda: build(1)) == [1]
-        assert ctx.memo(("X", 2), lambda: build(2)) == [2]
-        assert ctx.memo(("X", 1), lambda: build(3)) == [1]
-        assert calls == [1, 2]
-        assert Context().memo(("X", 1), lambda: build(4)) == [4]
+        def other(c, x, y):
+            return ["other", x, y]
+
+        assert ctx.memo(build, 1, 2) == [1, 2]
+        assert ctx.memo(build, 2, 1) == [2, 1]
+        assert ctx.memo(build, 1, 2) is ctx.memo(build, 1, 2)
+        assert calls == [(ctx, 1, 2), (ctx, 2, 1)]
+        # equal arguments under another builder are another value
+        assert ctx.memo(other, 1, 2) == ["other", 1, 2]
+        assert ctx.memo(build, 1, 2) == [1, 2]
+        # the cache belongs to one Context
+        fresh = Context()
+        assert fresh.memo(build, 1, 2) == [1, 2]
+        assert calls == [(ctx, 1, 2), (ctx, 2, 1), (fresh, 1, 2)]
 
     def test_shared_context_equals_fresh_evaluation(self):
         # all the memo-using entries in one Context, as verify --all runs
