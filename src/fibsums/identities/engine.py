@@ -79,7 +79,8 @@ class RejectedInstance(Exception):
 
 
 class _Canonical:
-    """``Side.value``: kept as given in ``raw``, read back canonically."""
+    """``Side.value``: kept as given in ``raw`` by ``Side.__init__``, read
+    back canonically."""
 
     def __get__(self, side, owner=None):
         if side is None:
@@ -87,11 +88,8 @@ class _Canonical:
         value = side.raw
         return value.canonical() if type(value) is Rat else value
 
-    def __set__(self, side, value):
-        side.__dict__["raw"] = value
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Side:
     """One exactly evaluated expression. Sides sharing a group must agree.
 
@@ -101,12 +99,25 @@ class Side:
     only when ``value`` is read, so a passing point takes no gcd for it.
     variant None means the side is common to every reading of the entry;
     otherwise it belongs to the named reading only.
+
+    Equality, hashing, ``repr`` and ``dataclasses.replace`` are the
+    dataclass's. ``__init__`` is written out because every checked point
+    builds its sides: it fills the instance dict directly, where the
+    generated frozen one calls ``object.__setattr__`` once per field.
     """
 
     label: str
     value: object = _Canonical()
     group: str = "eq"
     variant: Optional[str] = None
+
+    def __init__(self, label: str, value, group: str = "eq",
+                 variant: Optional[str] = None):
+        d = self.__dict__
+        d["label"] = label
+        d["raw"] = value
+        d["group"] = group
+        d["variant"] = variant
 
 
 @dataclass(frozen=True)
@@ -324,18 +335,23 @@ def _root_pow(ctx, p, q, e):
 def _sides_agree(sides, variant: str) -> Optional[tuple]:
     """First unequal (label, label) pair for the given reading, else None.
 
+    Each side of the reading is compared with the first side of its group
+    only. Exact equality is transitive, so a group agrees exactly when every
+    member equals its first, and the pair returned is the first unequal one
+    in all-pairs order: the first group, in order of first appearance, that
+    disagrees, its first member and the earliest member unequal to it.
     Compares the stored values: ``Rat`` and ``QuadExt`` equality
     cross-multiplies, so no side is reduced to be compared.
     """
-    groups = {}
+    firsts, diffs = {}, {}
     for s in sides:
         if s.variant is None or s.variant == variant:
-            groups.setdefault(s.group, []).append(s)
-    for members in groups.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if members[i].raw != members[j].raw:
-                    return members[i].label, members[j].label
+            g = s.group
+            first = firsts.setdefault(g, s)
+            if first is not s and g not in diffs and first.raw != s.raw:
+                diffs[g] = first.label, s.label
+    if diffs:
+        return next(diffs[g] for g in firsts if g in diffs)
     return None
 
 

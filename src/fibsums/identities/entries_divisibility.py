@@ -443,9 +443,9 @@ D21 = Entry(
 )
 
 
-def _d22_x(ctx, b):
-    u, v = ctx.u(b["p"], b["q"]), ctx.v(b["p"], b["q"])
-    q, m, s, r = b["q"], b["m"], b["s"], b["r"]
+def _d22_x(ctx, p, q, m, s, r):
+    """X, shared by the guard and the witness."""
+    u, v = ctx.u(p, q), ctx.v(p, q)
     return (q ** m * u(r - s) ** 2 + q ** (2 * m - s) * u(r - m) ** 2
             + q ** m * u(r - s) * u(r - m) * v(m - s))
 
@@ -461,7 +461,7 @@ def _d22(ctx, b):
             + q ** ((m - s) * (n + 2) + s) * u(r - m) * w(s * n + t)))
     return Outcome(witnesses=[
         make_witness("X | Y (five-parameter closed-form numerator)",
-                     _d22_x(ctx, b), y)])
+                     ctx.memo(_d22_x, p, q, m, s, r), y)])
 
 
 D22 = Entry(
@@ -478,7 +478,8 @@ D22 = Entry(
             Guard("r >= m >= s >= 0", ("m", "s", "r"),
                   lambda ctx, b: b["r"] >= b["m"] >= b["s"] >= 0),
             Guard("X != 0", ("p", "q", "m", "s", "r"),
-                  lambda ctx, b: _d22_x(ctx, b) != 0),
+                  lambda ctx, b: ctx.memo(_d22_x, b["p"], b["q"], b["m"], b["s"],
+                                          b["r"]) != 0),
             GUARD_T, GUARD_N),
     evaluate=_d22,
     grid=(*PQ_AXES, joint(("a", "b"), [(0, 1), (2, 3)]),

@@ -11,20 +11,28 @@ Shared factors. The H sweeps visit each (p, q, r, n) once per seed (a, b)
 and shift t; H05 visits each (p, q, m, s, r, n) so. Whatever a point
 computes without reading a, b or t is built by the entry's ``_hNN_shared``
 function, called as ``ctx.memo(_hNN_shared, p, q, r, n)``, so it is built
-once per Context and argument list: the coefficient lists (q^(rj),
-(-1)^j q^(rj), v_r^j / 2^j, the powers of u_(r-s), u_(r-m) and q^(m-s)),
-the middle sums of H01, H06 and H07 that w_t or w_(t+1) - q w_(t-1)
-multiplies, H10's three shift-free sides, and the constant factors of the
-closed forms. H11 is H06 at w = v and t = 0, so it names H06's builder and
-reads H06's values. H05's guard and closed form read X0 through one
-builder, ``_h05_x0``. Every printed sum is still summed term by term as
-printed; only the factors no seed or shift can change are shared, and no
-sum is replaced by a shortcut derived from a recurrence.
+once per Context and argument list: the coefficients of every sum and
+closed form whose terms read the seed or the shift (q^(rj),
+(-1)^j q^(rj), v_r^j / 2^j, the powers of u_(r-s), u_(r-m) and q^(m-s),
+the closed forms' constant factors), the middle sums of H01, H06 and H07
+that w_t or w_(t+1) - q w_(t-1) multiplies (H06 and H07 add their two
+into one factor), and H10's three shift-free sides. H11 is H06 at w = v
+and t = 0, so it names H06's builder and reads H06's values. H05's guard
+and closed form read X0 through one builder, ``_h05_x0``.
+
+Integer numerators. Each coefficient list is kept as integer numerators
+over one common denominator (``int_weights``), so a point forms each side
+as one integer dot product with its table terms and one ``Rat``
+(``weighted_sum``), not as a ``Rat`` product and a ``Rat`` sum per term. A
+summand c (x + y) is kept as the two products c x and c y, in that order.
+Every printed sum is still summed term by term as printed; only the
+factors no seed or shift can change are shared, and no sum is replaced by
+a shortcut derived from a recurrence.
 """
 
 from __future__ import annotations
 
-from ..scalars import Rat, power
+from ..scalars import Rat, int_weights, power, weighted_sum
 from ..sequences import neg_one
 from .engine import Entry, Guard, Outcome, Side, axis, irange, joint
 from .entries_common import (GUARD_N, GUARD_PQ, GUARD_UR, GUARD_VR, PQ_AXES,
@@ -209,23 +217,23 @@ LEM6 = Entry(
 # ---------------------------------------------------------------------------
 
 def _h01_shared(ctx, p, q, r, n):
-    """q^(rj), the middle sum after w_t, q^(r(n+1)) and u_r Delta^2."""
+    """Weights q^(rj), the middle sum after w_t, and the closed form's
+    weights (1, -q^M, -q, q q^M) / (u_r Delta^2), M = r(n+1)."""
     u, v = ctx.u(p, q), ctx.v(p, q)
     mid = sum(Rat(1, 2 ** (j + 1)) * v(r) ** j * v(r * (n - j)) for j in range(n + 1))
-    return (tuple(power(q, r * j) for j in range(n + 1)), mid, power(q, r * (n + 1)),
-            Rat(u(r) * _disc(p, q)))
+    qM, den = power(q, r * (n + 1)), Rat(u(r) * _disc(p, q))
+    return (int_weights(power(q, r * j) for j in range(n + 1)), mid,
+            int_weights(c / den for c in (1, -qM, -q, q * qM)))
 
 
 def _h01(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w = ctx.table(a, bb, p, q)
-    qr, mid, qM, den = ctx.memo(_h01_shared, p, q, r, n)
-    s1 = sum(c * w(r * (n - 2 * j) + t) for j, c in enumerate(qr))
+    qr, mid, closed = ctx.memo(_h01_shared, p, q, r, n)
+    s1 = weighted_sum(qr, [w(r * (n - 2 * j) + t) for j in range(n + 1)])
     s2 = w(t) * mid
     M = r * (n + 1)
-    num = (w(t + 1 + M) - qM * w(t + 1 - M)
-           - q * (w(t - 1 + M) - qM * w(t - 1 - M)))
-    s3 = num / den
+    s3 = weighted_sum(closed, [w(t + 1 + M), w(t + 1 - M), w(t - 1 + M), w(t - 1 - M)])
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -282,23 +290,28 @@ H03 = Entry(
 
 
 def _h04_shared(ctx, p, q, r, n):
-    """q^(r(n-j)), v_r^j / 2^j, q^(r(n+1)) and u_r Delta^2."""
+    """Weights 2 q^(r(n-j)) of the left sum; weights v_r^j / 2^j and
+    v_r^j q^(r(n-j)) / 2^j, in turn, of the middle sum's two terms per j;
+    the closed form's weights 2 (1, -q, -q^M, q q^M) / (u_r Delta^2),
+    M = r(n+1)."""
     u, v = ctx.u(p, q), ctx.v(p, q)
-    return (tuple(power(q, r * (n - j)) for j in range(n + 1)),
-            tuple(Rat(1, 2 ** j) * v(r) ** j for j in range(n + 1)),
-            power(q, r * (n + 1)), Rat(u(r) * _disc(p, q)))
+    qr = [power(q, r * (n - j)) for j in range(n + 1)]
+    half = [Rat(1, 2 ** j) * v(r) ** j for j in range(n + 1)]
+    qM, den = power(q, r * (n + 1)), Rat(u(r) * _disc(p, q))
+    return (int_weights(2 * c for c in qr),
+            int_weights(x for h, c in zip(half, qr) for x in (h, h * c)),
+            int_weights(2 * c / den for c in (1, -q, -qM, q * qM)))
 
 
 def _h04(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w = ctx.table(a, bb, p, q)
-    qr, half, qM, den = ctx.memo(_h04_shared, p, q, r, n)
-    s1 = 2 * sum(qr[j] * w(2 * r * j + t) for j in range(n + 1))
-    s2 = sum(half[j] * (w(r * (2 * n - j) + t) + qr[j] * w(r * j + t))
-             for j in range(n + 1))
-    num = 2 * (w(r * (2 * n + 1) + t + 1) - q * w(r * (2 * n + 1) + t - 1)
-               - qM * (w(t - r + 1) - q * w(t - r - 1)))
-    s3 = num / den
+    left, mid, closed = ctx.memo(_h04_shared, p, q, r, n)
+    s1 = weighted_sum(left, [w(2 * r * j + t) for j in range(n + 1)])
+    s2 = weighted_sum(mid, [x for j in range(n + 1)
+                            for x in (w(r * (2 * n - j) + t), w(r * j + t))])
+    top = r * (2 * n + 1) + t
+    s3 = weighted_sum(closed, [w(top + 1), w(top - 1), w(t - r + 1), w(t - r - 1)])
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -328,37 +341,41 @@ def _h05_x0(ctx, p, q, m, s, r):
 def _h05_shared(ctx, p, q, m, s, r, n):
     """Every seed- and shift-free factor of the three sides.
 
-    The left sum's coefficients (-1)^j q^((m-s)j) u_(r-s)^(n-j) u_(r-m)^j;
-    the middle sum's u_(m-s)^j / 2^(j+1), u_(r-s)^(n-j) and
-    (-1)^(n-j) q^((m-s)(n-j)) u_(r-m)^(n-j); the closed form's powers,
-    X0 and q^m X0.
+    The left sum's weights (-1)^j q^((m-s)j) u_(r-s)^(n-j) u_(r-m)^j; the
+    middle sum's weights u_(m-s)^j / 2^(j+1) u_(r-s)^(n-j) and
+    u_(m-s)^j / 2^(j+1) (-1)^(n-j) q^((m-s)(n-j)) u_(r-m)^(n-j), in turn,
+    of its two terms per j; the closed form's weights u_(r-s)^(n+2) / X0,
+    u_(r-s)^(n+1) u_(r-m) / X0 and (-1)^n u_(r-m)^(n+1) times
+    q^((m-s)(n+1)+m) u_(r-s) / (q^m X0) and q^((m-s)(n+2)+s) u_(r-m) / (q^m X0).
     """
     u = ctx.u(p, q)
     x0 = ctx.memo(_h05_x0, p, q, m, s, r)
     qms = [power(q, (m - s) * j) for j in range(n + 3)]
-    us = tuple(u(r - s) ** k for k in range(n + 3))
+    us = [u(r - s) ** k for k in range(n + 3)]
     um = [u(r - m) ** k for k in range(n + 2)]
-    left = tuple(neg_one(j) * qms[j] * us[n - j] * um[j] for j in range(n + 1))
-    half = tuple(Rat(1, 2 ** (j + 1)) * u(m - s) ** j for j in range(n + 1))
-    across = tuple(neg_one(k) * qms[k] * um[k] for k in range(n + 1))
-    closed = (us[n + 2], us[n + 1] * u(r - m), neg_one(n) * um[n + 1],
-              qms[n + 1] * power(q, m) * u(r - s), qms[n + 2] * power(q, s) * u(r - m),
-              x0, power(q, m) * x0)
-    return left, half, us, across, closed
+    left = int_weights(neg_one(j) * qms[j] * us[n - j] * um[j] for j in range(n + 1))
+    half = [Rat(1, 2 ** (j + 1)) * u(m - s) ** j for j in range(n + 1)]
+    across = [neg_one(k) * qms[k] * um[k] for k in range(n + 1)]
+    mid = int_weights(x for j in range(n + 1)
+                      for x in (half[j] * us[n - j], half[j] * across[n - j]))
+    sign, qm_x0 = neg_one(n) * um[n + 1], power(q, m) * x0
+    closed = int_weights((us[n + 2] / x0, us[n + 1] * u(r - m) / x0,
+                          sign * qms[n + 1] * power(q, m) * u(r - s) / qm_x0,
+                          sign * qms[n + 2] * power(q, s) * u(r - m) / qm_x0))
+    return left, mid, closed
 
 
 def _h05(ctx, b):
     p, q, a, bb = b["p"], b["q"], b["a"], b["b"]
     m, s, r, t, n = b["m"], b["s"], b["r"], b["t"], b["n"]
     w = ctx.table(a, bb, p, q)
-    left, half, us, across, closed = ctx.memo(_h05_shared, p, q, m, s, r, n)
-    s1 = sum(c * w((s - m) * j + m * n + t) for j, c in enumerate(left))
-    s2 = sum(half[j] * (us[n - j] * w((r - m) * j + m * n + t)
-                        + across[n - j] * w(s * (n - j) + t + r * j))
-             for j in range(n + 1))
-    a1, a2, sign, c1, c2, x0, qm_x0 = closed
-    s3 = ((a1 * w(m * n + t) + a2 * w(m * n + m + t - s)) / x0
-          + sign * (c1 * w(s * n + s + t - m) + c2 * w(s * n + t)) / qm_x0)
+    left, mid, closed = ctx.memo(_h05_shared, p, q, m, s, r, n)
+    s1 = weighted_sum(left, [w((s - m) * j + m * n + t) for j in range(n + 1)])
+    s2 = weighted_sum(mid, [x for j in range(n + 1)
+                            for x in (w((r - m) * j + m * n + t),
+                                      w(s * (n - j) + t + r * j))])
+    s3 = weighted_sum(closed, [w(m * n + t), w(m * n + m + t - s),
+                               w(s * n + s + t - m), w(s * n + t)])
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -398,9 +415,9 @@ GUARD_H07 = Guard("n = 0 or (u_r != 0 and p^2 - 4q != 0)", ("p", "q", "r", "n"),
                   or (ctx.u(b["p"], b["q"])(b["r"]) != 0 and _disc(b["p"], b["q"]) != 0))
 
 
-def _signed_q_powers(q, r, count):
-    """(-1)^j q^(rj) for j < count."""
-    return tuple(neg_one(j) * power(q, r * j) for j in range(count))
+def _signed_q_weights(q, r, count):
+    """Weights (-1)^j q^(rj) for j < count."""
+    return int_weights(neg_one(j) * power(q, r * j) for j in range(count))
 
 
 def _growth_powers(ctx, p, q, r, count):
@@ -411,23 +428,26 @@ def _growth_powers(ctx, p, q, r, count):
 
 
 def _h06_shared(ctx, p, q, r, n):
-    """(-1)^j q^(rj), both middle sums and v_(r(2n+1)) / v_r."""
+    """Weights (-1)^j q^(rj), the middle side over w_t and v_(r(2n+1)) / v_r.
+
+    The middle side over w_t is half the first middle sum plus the second
+    over u_r (present for n >= 1).
+    """
     u, v = ctx.u(p, q), ctx.v(p, q)
     g = _growth_powers(ctx, p, q, r, n + 1)
-    mid_v = sum(g[j] * v(2 * r * (n - j)) for j in range(n + 1))
-    mid_u = sum(g[j] * u(r * (2 * n - 2 * j + 1)) for j in range(1, n + 1))
-    return (_signed_q_powers(q, r, 2 * n + 1), mid_v, mid_u,
+    mid = Rat(1, 2) * sum(g[j] * v(2 * r * (n - j)) for j in range(n + 1))
+    if n >= 1:
+        mid += sum(g[j] * u(r * (2 * n - 2 * j + 1)) for j in range(1, n + 1)) / u(r)
+    return (_signed_q_weights(q, r, 2 * n + 1), mid,
             v(r * (2 * n + 1)) / Rat(v(r)))
 
 
 def _h06(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w = ctx.table(a, bb, p, q)
-    sq, mid_v, mid_u, closed = ctx.memo(_h06_shared, p, q, r, n)
-    s1 = sum(c * w(2 * r * (n - j) + t) for j, c in enumerate(sq))
-    s2 = Rat(1, 2) * w(t) * mid_v
-    if n >= 1:
-        s2 += w(t) * mid_u / ctx.u(p, q)(r)
+    sq, mid, closed = ctx.memo(_h06_shared, p, q, r, n)
+    s1 = weighted_sum(sq, [w(2 * r * (n - j) + t) for j in range(2 * n + 1)])
+    s2 = w(t) * mid
     s3 = w(t) * closed
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
@@ -449,25 +469,31 @@ H06 = Entry(
 
 
 def _h07_shared(ctx, p, q, r, n):
-    """(-1)^j q^(rj), both middle sums, u_r Delta^2, q^(2rn) and v_r."""
+    """Weights (-1)^j q^(rj); weights M and -q M of w_(t+1) and w_(t-1) in
+    the middle side, M its factor after w_(t+1) - q w_(t-1); the closed
+    form's weights (1, -q^(2rn)) / v_r.
+
+    M is half the first middle sum plus the second over u_r Delta^2
+    (present for n >= 1).
+    """
     u, v = ctx.u(p, q), ctx.v(p, q)
     g = _growth_powers(ctx, p, q, r, n + 1)
-    mid_u = sum(g[j] * u(r * (2 * n - 2 * j - 1)) for j in range(n))
-    mid_v = sum(g[j] * v(r * (2 * n - 2 * j)) for j in range(1, n + 1))
-    return (_signed_q_powers(q, r, 2 * n), mid_u, mid_v, u(r) * _disc(p, q),
-            power(q, 2 * r * n), Rat(v(r)))
+    mid = Rat(1, 2) * sum(g[j] * u(r * (2 * n - 2 * j - 1)) for j in range(n))
+    if n >= 1:
+        mid += (sum(g[j] * v(r * (2 * n - 2 * j)) for j in range(1, n + 1))
+                / (u(r) * _disc(p, q)))
+    vr = Rat(v(r))
+    return (_signed_q_weights(q, r, 2 * n), int_weights((mid, -q * mid)),
+            int_weights((1 / vr, -power(q, 2 * r * n) / vr)))
 
 
 def _h07(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w = ctx.table(a, bb, p, q)
-    sq, mid_u, mid_v, den, q2rn, vr = ctx.memo(_h07_shared, p, q, r, n)
-    c = w(t + 1) - q * w(t - 1)
-    s1 = sum(k * w(r * (2 * n - 1 - 2 * j) + t) for j, k in enumerate(sq))
-    s2 = Rat(1, 2) * c * mid_u
-    if n >= 1:
-        s2 += c * mid_v / den
-    s3 = (w(t + 2 * r * n) - q2rn * w(t - 2 * r * n)) / vr
+    sq, mid, closed = ctx.memo(_h07_shared, p, q, r, n)
+    s1 = weighted_sum(sq, [w(r * (2 * n - 1 - 2 * j) + t) for j in range(2 * n)])
+    s2 = weighted_sum(mid, [w(t + 1), w(t - 1)])
+    s3 = weighted_sum(closed, [w(t + 2 * r * n), w(t - 2 * r * n)])
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])
 
@@ -523,11 +549,11 @@ H09 = Entry(
 
 
 def _h10_shared(ctx, p, q, r, n):
-    """(-1)^j q^(rj) and the three sides that do not read t."""
+    """Weights (-1)^j q^(rj) and the three sides that do not read t."""
     u, v = ctx.u(p, q), ctx.v(p, q)
-    sq = _signed_q_powers(q, r, 2 * n)
+    sq = _signed_q_weights(q, r, 2 * n)
     g = _growth_powers(ctx, p, q, r, n + 1)
-    left = sum(sq[j] * u(r * (2 * n - 1 - 2 * j)) for j in range(2 * n))
+    left = weighted_sum(sq, [u(r * (2 * n - 1 - 2 * j)) for j in range(2 * n)])
     mid = sum(g[j] * u(r * (2 * n - 2 * j - 1)) for j in range(n))
     if n >= 1:
         mid += 2 * sum(g[j] * v(r * (2 * n - 2 * j)) for j in range(1, n + 1)) \
@@ -539,7 +565,8 @@ def _h10(ctx, b):
     p, q, r, t, n = b["p"], b["q"], b["r"], b["t"], b["n"]
     u = ctx.u(p, q)
     sq, left, mid, s3 = ctx.memo(_h10_shared, p, q, r, n)
-    left_printed = sum(c * u(r * (2 * n - 1 - 2 * j) + t) for j, c in enumerate(sq))
+    left_printed = weighted_sum(sq, [u(r * (2 * n - 1 - 2 * j) + t)
+                                     for j in range(2 * n)])
     return Outcome(sides=[
         Side("left sum with displayed shift t", left_printed, variant="as-printed"),
         Side("left sum without shift", left, variant="as-proved"),
@@ -567,16 +594,13 @@ H10 = Entry(
 
 
 def _h11(ctx, b):
-    # H06 at w = v (seeds (2, p)) and t = 0: its two middle sums are H11's,
-    # so H11 names H06's builder and reads the values H06 left
+    # H06 at w = v (seeds (2, p)) and t = 0, where w_t = 2: H11's middle side
+    # is twice H06's over w_t, so H11 names H06's builder and reads its values
     p, q, r, n = b["p"], b["q"], b["r"], b["n"]
-    u, v = ctx.u(p, q), ctx.v(p, q)
-    sq, mid_v, mid_u, closed = ctx.memo(_h06_shared, p, q, r, n)
-    s1 = sum(c * v(2 * r * (n - j)) for j, c in enumerate(sq))
-    s2 = mid_v
-    if n >= 1:
-        s2 += 2 * mid_u / u(r)
-    return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
+    v = ctx.v(p, q)
+    sq, mid, closed = ctx.memo(_h06_shared, p, q, r, n)
+    s1 = weighted_sum(sq, [v(2 * r * (n - j)) for j in range(2 * n + 1)])
+    return Outcome(sides=[Side("left sum", s1), Side("middle sum", 2 * mid),
                           Side("closed form", 2 * closed)])
 
 

@@ -19,6 +19,14 @@ denominator is longer than ``_REDUCE_BITS`` bits. Denominators therefore
 stay bounded by that length plus one operation's growth, unless the
 reduced value itself needs more.
 
+Weighted sums. A sum sum_j c_j x_j whose coefficients c_j are fixed while
+its terms x_j vary is split in two. ``int_weights`` writes the c_j once as
+integer numerators N_j over one common denominator D. ``weighted_sum`` then
+forms each sum as one integer dot product of the N_j with the terms'
+numerators, each scaled to the lcm of the terms' denominators, and builds
+one ``Rat``. The Horadam sums use this instead of a ``Rat`` product and a
+``Rat`` sum per term.
+
 Canonical where read. Kernel values stay unreduced until they are read or
 rendered. A catalog ``Side`` keeps the value it was given, and the verdict
 compares those stored values: ``Rat`` and ``QuadExt`` equality
@@ -34,6 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Union
 
 RationalLike = Union[int, Fraction]
@@ -248,6 +257,48 @@ def power(base: int, e: int):
     if e >= 0:
         return _rat(base ** e, 1)
     return Rat(1, base ** -e)
+
+
+# ---------------------------------------------------------------------------
+# weighted sums over one common denominator
+# ---------------------------------------------------------------------------
+
+def int_weights(coeffs) -> tuple:
+    """``(N, D)``: integers N_j and D > 0 with N_j / D = coeffs[j].
+
+    The coefficients may be ints, Fractions or Rats. D is the lcm of their
+    denominators in lowest terms; ``weighted_sum`` reads the pair.
+    """
+    parts = []
+    for c in coeffs:
+        nd = _nd(c)
+        if nd is None:
+            raise TypeError(f"int_weights: expected int, Fraction or Rat, got {c!r}")
+        n, d = nd
+        g = _gcd(n, d)
+        parts.append((n // g, d // g))
+    den = math.lcm(*(d for _, d in parts))
+    return tuple(n * (den // d) for n, d in parts), den
+
+
+def weighted_sum(weights, terms) -> Rat:
+    """sum_j N_j * terms[j] / D as one Rat, for ``weights`` = ``(N, D)``.
+
+    The terms, a sequence as long as N, are ints or Fractions. When all
+    are ints the sum is one integer dot product over D. Otherwise each
+    term's numerator is scaled to L, the lcm of the terms' denominators,
+    and the dot product is over D * L. Either way the terms are summed in
+    order, and no Rat is built but the result.
+    """
+    nums, den = weights
+    for x in terms:
+        if type(x) is not int:
+            break
+    else:
+        return _rat(sum(map(mul, nums, terms)), den)
+    lcm = math.lcm(*[x.denominator for x in terms])
+    return _rat(sum([n * x.numerator * (lcm // x.denominator)
+                     for n, x in zip(nums, terms)]), den * lcm)
 
 
 # ---------------------------------------------------------------------------

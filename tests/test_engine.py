@@ -766,6 +766,70 @@ class TestRawVerdict:
             == engine._verdicts(VERDICT_ENTRY, Outcome(canonical))
 
 
+def all_pairs_disagreement(sides, variant):
+    """Reference verdict: every pair of every group, groups in order of
+    first appearance, pairs in (i, j) order; the first unequal pair."""
+    groups = {}
+    for s in sides:
+        if s.variant is None or s.variant == variant:
+            groups.setdefault(s.group, []).append(s)
+    for members in groups.values():
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                if members[i].raw != members[j].raw:
+                    return members[i].label, members[j].label
+    return None
+
+
+class TestFirstMemberVerdict:
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_all_pairs_reference(self, data):
+        # small values in mixed representations: sides are often equal
+        d = data.draw(st.sampled_from((2, 5, -1)))
+        sides = [Side(f"s{i}", data.draw(stored_values(d)),
+                      data.draw(st.sampled_from(("eq", "alt", "third"))),
+                      data.draw(st.sampled_from(VERDICT_ENTRY.variants
+                                                + (None, None))))
+                 for i in range(data.draw(st.integers(0, 9)))]
+        for variant in VERDICT_ENTRY.variants:
+            assert engine._sides_agree(sides, variant) \
+                == all_pairs_disagreement(sides, variant)
+
+    def test_a_later_group_is_not_reported_first(self):
+        # the second group's mismatch comes first in side order
+        sides = [Side("a0", 1), Side("b0", 2, "b"), Side("b1", 3, "b"),
+                 Side("a1", 1), Side("a2", Rat(4, 2))]
+        assert engine._sides_agree(sides, "as-stated") == ("a0", "a2")
+
+
+class TestSideContract:
+    def test_positional_and_keyword_sides_are_equal(self):
+        for args in (("left sum", Rat(6, 4)), ("t", 3, "g"),
+                     ("t", Fraction(3, 2), "g", "as-proved")):
+            pos = Side(*args)
+            kw = Side(**dict(zip(("label", "value", "group", "variant"), args)))
+            assert pos == kw and hash(pos) == hash(kw)
+        side = Side("t", 1)
+        assert (side.label, side.value, side.group, side.variant) \
+            == ("t", 1, "eq", None)
+
+    def test_fields_are_frozen(self):
+        side = Side("t", 1)
+        for name in ("label", "value", "raw", "group", "variant"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(side, name, 2)
+        assert side.raw == 1
+
+    def test_replace_stores_the_value_unreduced(self):
+        side = Side("t", 1, "g", "as-proved")
+        x = Rat(6, 4)
+        new = dataclasses.replace(side, value=x)
+        assert new.raw is x
+        assert type(new.value) is Fraction and new.value == Fraction(3, 2)
+        assert (new.label, new.group, new.variant) == ("t", "g", "as-proved")
+
+
 def half_off(entry, half):
     """``entry`` with ``half`` added to its first side at every point."""
     def evaluate(ctx, b):

@@ -1,6 +1,7 @@
 """Exact rational and quadratic-extension arithmetic."""
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibsums.scalars import (_REDUCE_BITS, CharRoots, DomainError, QuadExt,
-                             Rat, fib_roots, make_roots, power, render_scalar)
+                             Rat, fib_roots, int_weights, make_roots, power,
+                             render_scalar, weighted_sum)
 from fibsums.sequences import fib
 
 HALF = Fraction(1, 2)
@@ -354,6 +356,61 @@ class TestRatKernel:
                 x / Rat(0, 3)
         with pytest.raises(ZeroDivisionError):
             Rat(0, 7) ** -1
+
+
+def as_fraction(x) -> Fraction:
+    return x.canonical() if type(x) is Rat else Fraction(x)
+
+
+@st.composite
+def weight(draw, q):
+    """A coefficient as the Horadam builders make them: an int, a Fraction,
+    an unreduced Rat (zeros included) or a power of q, which is a Rat for
+    |q| > 1 and an int for |q| = 1."""
+    kind = draw(st.sampled_from(["int", "Fraction", "Rat", "power"]))
+    num, den = draw(st.integers(-40, 40)), draw(st.integers(1, 12))
+    if kind == "int":
+        return num
+    if kind == "Fraction":
+        return Fraction(num, den)
+    if kind == "Rat":
+        g = draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1]))
+        return Rat(num * g, den * g)
+    return power(q, draw(st.integers(-6, 6)))
+
+
+@st.composite
+def table_term(draw, q):
+    """A table term y / q^k: an int where the division is exact (always for
+    |q| = 1), else a Fraction, which may still have denominator 1."""
+    y, k = draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(0, 6))
+    if draw(st.booleans()) and y % q ** k == 0:
+        return y // q ** k
+    return Fraction(y, q ** k)
+
+
+class TestWeightedSum:
+    @given(data=st.data())
+    def test_matches_a_fraction_reference(self, data):
+        q = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 6]))
+        size = data.draw(st.integers(0, 9))
+        coeffs = [data.draw(weight(q)) for _ in range(size)]
+        nums, den = weights = int_weights(coeffs)
+        exact = [as_fraction(c) for c in coeffs]
+        assert type(den) is int and den > 0
+        assert den == math.lcm(*(c.denominator for c in exact))
+        assert [type(n) for n in nums] == [int] * size
+        assert [Fraction(n, den) for n in nums] == exact
+        for ints_only in (True, False):
+            terms = [data.draw(st.integers(-10 ** 6, 10 ** 6) if ints_only
+                               else table_term(q)) for _ in range(size)]
+            got = weighted_sum(weights, terms)
+            assert type(got) is Rat and got.d > 0
+            assert got == sum((c * x for c, x in zip(exact, terms)), Fraction(0))
+
+    def test_rejects_a_non_rational_weight(self):
+        with pytest.raises(TypeError):
+            int_weights([1, 0.5])
 
 
 def quad_ref(op, x, y, d):
