@@ -120,15 +120,34 @@ class Side:
         d["variant"] = variant
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Witness:
-    """Exact divisibility certificate: divisor * quotient == dividend."""
+    """Exact divisibility certificate: divisor * quotient == dividend.
+
+    quotient is None and residue the nonzero remainder when the division
+    fails. A witness is immutable, so a D entry may build one that reads
+    no seed or shift once per Context and return it at many points.
+
+    Equality, hashing, ``repr``, pickling and ``dataclasses.replace`` are
+    the dataclass's. ``__init__`` is written out, as ``Side``'s is, because
+    the D sweeps build a witness per point: it fills the instance dict
+    directly.
+    """
 
     label: str
     divisor: int
     dividend: int
     quotient: Optional[int]
     residue: Optional[int]
+
+    def __init__(self, label: str, divisor: int, dividend: int,
+                 quotient: Optional[int], residue: Optional[int]):
+        d = self.__dict__
+        d["label"] = label
+        d["divisor"] = divisor
+        d["dividend"] = dividend
+        d["quotient"] = quotient
+        d["residue"] = residue
 
     @property
     def ok(self) -> bool:

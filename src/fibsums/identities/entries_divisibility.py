@@ -6,10 +6,20 @@ certificates: divisor * quotient == dividend with residue 0. Where a
 dividend is the closed-form numerator of an I-catalog identity, the entry
 calls the numerator function that identity calls (from entries_common)
 instead of re-typing the expression.
+
+Shared factors and integer numerators. What a D21 or D22 point computes
+without reading the seed (a, b) or the shift t is built once per Context
+through ``ctx.memo``: D21's witnesses v_r | v_(rm) and v_r | u_(rn), which
+are immutable and so shared by every point that reads them, and D22's
+divisor X (``_d22_x``) and the four integer coefficients of Y
+(``_d22_shared``), so that Y is four products with table terms. D21 forms
+q^(rn) w_(t-rn) on the kernel ``Rat``; its dividend is reduced once, to
+the int or Fraction that ``make_witness`` takes.
 """
 
 from __future__ import annotations
 
+from ..scalars import Rat, power
 from ..sequences import neg_one
 from .engine import Entry, Guard, Outcome, Side, axis, irange, joint, make_witness
 from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
@@ -409,19 +419,30 @@ D20 = Entry(
 )
 
 
+def _d21_vm(ctx, p, q, r, m):
+    """The witness v_r | v_(rm), which reads no seed, shift or t."""
+    v = ctx.v(p, q)
+    return make_witness("v_r | v_(rm)", v(r), v(r * m))
+
+
+def _d21_un(ctx, p, q, r, n):
+    """The witness v_r | u_(rn), which reads no seed, shift or t."""
+    return make_witness("v_r | u_(rn)", ctx.v(p, q)(r), ctx.u(p, q)(r * n))
+
+
 def _d21(ctx, b):
     p, q, r = b["p"], b["q"], b["r"]
-    u, v = ctx.u(p, q), ctx.v(p, q)
     wits = []
     if "m" in b:
-        wits.append(make_witness("v_r | v_(rm)", v(r), v(r * b["m"])))
+        wits.append(ctx.memo(_d21_vm, p, q, r, b["m"]))
     if all(k in b for k in ("a", "b", "t", "n")):
         w = ctx.table(b["a"], b["b"], p, q)
         t, n = b["t"], b["n"]
-        wits.append(make_witness("v_r | w_(t+rn) - q^(rn) w_(t-rn)", v(r),
-                                 w(t + r * n) - q ** (r * n) * w(t - r * n)))
+        val = w(t + r * n) - power(q, r * n) * w(t - r * n)
+        wits.append(make_witness("v_r | w_(t+rn) - q^(rn) w_(t-rn)", ctx.v(p, q)(r),
+                                 val.canonical() if type(val) is Rat else val))
     if "n" in b:
-        wits.append(make_witness("v_r | u_(rn)", v(r), u(r * b["n"])))
+        wits.append(ctx.memo(_d21_un, p, q, r, b["n"]))
     return Outcome(witnesses=wits)
 
 
@@ -450,15 +471,26 @@ def _d22_x(ctx, p, q, m, s, r):
             + q ** m * u(r - s) * u(r - m) * v(m - s))
 
 
+def _d22_shared(ctx, p, q, m, s, r, n):
+    """Y's coefficients of w_(mn+t), w_(mn+m+t-s), w_(sn+s+t-m) and
+    w_(sn+t): q^m u_(r-s)^(n+2), q^m u_(r-s)^(n+1) u_(r-m), and
+    (-1)^n u_(r-m)^(n+1) times q^((m-s)(n+1)+m) u_(r-s) and
+    q^((m-s)(n+2)+s) u_(r-m). Integers, since r >= m >= s >= 0."""
+    u = ctx.u(p, q)
+    sign = neg_one(n) * u(r - m) ** (n + 1)
+    return (q ** m * u(r - s) ** (n + 2),
+            q ** m * u(r - s) ** (n + 1) * u(r - m),
+            sign * q ** ((m - s) * (n + 1) + m) * u(r - s),
+            sign * q ** ((m - s) * (n + 2) + s) * u(r - m))
+
+
 def _d22(ctx, b):
     p, q, a, bb = b["p"], b["q"], b["a"], b["b"]
     m, s, r, t, n = b["m"], b["s"], b["r"], b["t"], b["n"]
-    u, w = ctx.u(p, q), ctx.table(a, bb, p, q)
-    y = (q ** m * u(r - s) ** (n + 2) * w(m * n + t)
-         + q ** m * u(r - s) ** (n + 1) * u(r - m) * w(m * n + m + t - s)
-         + neg_one(n) * u(r - m) ** (n + 1)
-         * (q ** ((m - s) * (n + 1) + m) * u(r - s) * w(s * n + s + t - m)
-            + q ** ((m - s) * (n + 2) + s) * u(r - m) * w(s * n + t)))
+    w = ctx.table(a, bb, p, q)
+    c1, c2, c3, c4 = ctx.memo(_d22_shared, p, q, m, s, r, n)
+    y = (c1 * w(m * n + t) + c2 * w(m * n + m + t - s)
+         + c3 * w(s * n + s + t - m) + c4 * w(s * n + t))
     return Outcome(witnesses=[
         make_witness("X | Y (five-parameter closed-form numerator)",
                      ctx.memo(_d22_x, p, q, m, s, r), y)])

@@ -9,14 +9,28 @@ of a printed summand under the variant protocol; the corrected reading is
 the one their proofs imply, and sweeps tally both so the report pins down
 exactly one verifying form. Rational values are computed on the kernel
 ``Rat``, which a side reduces only when it is read.
+
+Shared factors and integer numerators. I16 and I17 visit each (r, n) once
+per shift t, so ``_i16_shared`` and ``_i17_shared``, called through
+``ctx.memo``, build the weights of their left and middle sums once per
+Context and argument list, as integer numerators over one denominator
+(``int_weights``); a point then forms each sum as one integer dot product
+with its table terms (``weighted_sum``), summand by summand as printed. A
+summand c (x + y) is kept as the two products c x and c y, in that order.
+I18 builds the powers of L_(2k+r+s) and L_(r-s) once per point and forms
+its middle sum over the one denominator 2^n. Each side's weights come from
+that side's own printed expression, and the closed forms are still those
+of entries_common.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import NamedTuple
 
-from ..scalars import QuadExt, Rat
+from ..scalars import QuadExt, Rat, int_weights, weighted_sum
 from ..sequences import neg_one
 from .engine import (Entry, Guard, Outcome, RejectedInstance, Side, axis,
                      irange, joint)
@@ -467,28 +481,45 @@ I15 = Entry(
 # as variants (inner-index shift, one base letter, one prefactor)
 # ---------------------------------------------------------------------------
 
+def _i16_shared(ctx, r, n):
+    """Weights L_r^j L_(r-1)^(2n-j) of the left sum; the middle sum's
+    weights 5^j/2^(2j+1) L_r^(2n-2j) and 5^j/2^(2j+1) L_(r-1)^(2n-2j), in
+    turn, per j of its first inner sum, then 5^j/2^(2j) L_r^(2n-2j+1) and
+    5^j/2^(2j) L_(r-1)^(2n-2j+1) per j of its second. Both readings differ
+    in an index only, so they share the middle weights."""
+    L = ctx.luc()
+    lr, lr1 = L(r), L(r - 1)
+    left = int_weights(lr ** j * lr1 ** (2 * n - j) for j in range(2 * n + 1))
+    first = [Rat(5 ** j, 2 ** (2 * j + 1)) for j in range(n + 1)]
+    second = [Rat(5 ** j, 2 ** (2 * j)) for j in range(1, n + 1)]
+    mid = int_weights(
+        [x for j, c in enumerate(first)
+         for x in (c * lr ** (2 * n - 2 * j), c * lr1 ** (2 * n - 2 * j))]
+        + [x for j, c in enumerate(second, 1)
+           for x in (c * lr ** (2 * n - 2 * j + 1), c * lr1 ** (2 * n - 2 * j + 1))])
+    return left, mid
+
+
 def _i16(ctx, b):
     r, t, n = b["r"], b["t"], b["n"]
     L, F = ctx.luc(), ctx.fib()
-    s1 = sum(L(r) ** j * L(r - 1) ** (2 * n - j) * L(j + t) for j in range(2 * n + 1))
-    first = sum(Rat(5 ** j, 2 ** (2 * j + 1)) *
-                (L(r) ** (2 * n - 2 * j) * L(2 * n - 2 * j + 2 * j * r + t)
-                 + L(r - 1) ** (2 * n - 2 * j) * L(2 * j * r + t))
-                for j in range(n + 1))
+    left, mid = ctx.memo(_i16_shared, r, n)
+    s1 = weighted_sum(left, [L(j + t) for j in range(2 * n + 1)])
+    first = [x for j in range(n + 1)
+             for x in (L(2 * n - 2 * j + 2 * j * r + t), L(2 * j * r + t))]
 
     def second(extra):
-        return sum(Rat(5 ** j, 2 ** (2 * j)) *
-                   (L(r) ** (2 * n - 2 * j + 1) * F(2 * n - 2 * j + extra + (2 * j - 1) * r + t)
-                    + L(r - 1) ** (2 * n - 2 * j + 1) * F((2 * j - 1) * r + t))
-                   for j in range(1, n + 1))
+        return [x for j in range(1, n + 1)
+                for x in (F(2 * n - 2 * j + extra + (2 * j - 1) * r + t),
+                          F((2 * j - 1) * r + t))]
 
     s3 = Rat(_i16_num(ctx, b), _i16_den(ctx, b))
     return Outcome(sides=[
         Side("left sum", s1),
-        Side("middle sum, inner index 2n-2j+(2j-1)r+t", first + second(0),
-             variant="as-printed"),
-        Side("middle sum, inner index 2n-2j+1+(2j-1)r+t", first + second(1),
-             variant="as-proved"),
+        Side("middle sum, inner index 2n-2j+(2j-1)r+t",
+             weighted_sum(mid, first + second(0)), variant="as-printed"),
+        Side("middle sum, inner index 2n-2j+1+(2j-1)r+t",
+             weighted_sum(mid, first + second(1)), variant="as-proved"),
         Side("closed form", s3),
     ])
 
@@ -514,30 +545,50 @@ I16 = Entry(
 )
 
 
+def _i17_shared(ctx, r, n):
+    """Weights L_r^j L_(r-1)^(2n-j) of the left sum, and the middle sum's
+    weights under each reading, as-printed then as-proved: 5^j/2^(2j+1)
+    L_r^(2n-2j) and 5^j/2^(2j+1) B_(r-1)^(2n-2j), in turn, per j of the
+    first inner sum, B = F as printed and L as proved; then
+    5^(j-e)/2^(2j) L_r^(2n-2j+1) and 5^(j-e)/2^(2j) L_(r-1)^(2n-2j+1) per j
+    of the second, e = 0 as printed and 1 as proved."""
+    L, F = ctx.luc(), ctx.fib()
+    lr, lr1 = L(r), L(r - 1)
+    left = int_weights(lr ** j * lr1 ** (2 * n - j) for j in range(2 * n + 1))
+
+    def mid(base, power_base):
+        first = [Rat(5 ** j, 2 ** (2 * j + 1)) for j in range(n + 1)]
+        second = [Rat(5 ** (j - power_base), 2 ** (2 * j)) for j in range(1, n + 1)]
+        return int_weights(
+            [x for j, c in enumerate(first)
+             for x in (c * lr ** (2 * n - 2 * j), c * base(r - 1) ** (2 * n - 2 * j))]
+            + [x for j, c in enumerate(second, 1)
+               for x in (c * lr ** (2 * n - 2 * j + 1),
+                         c * lr1 ** (2 * n - 2 * j + 1))])
+
+    return left, mid(F, 0), mid(L, 1)
+
+
 def _i17(ctx, b):
     r, t, n = b["r"], b["t"], b["n"]
     L, F = ctx.luc(), ctx.fib()
-    s1 = sum(L(r) ** j * L(r - 1) ** (2 * n - j) * F(j + t) for j in range(2 * n + 1))
+    left, printed, proved = ctx.memo(_i17_shared, r, n)
+    s1 = weighted_sum(left, [F(j + t) for j in range(2 * n + 1)])
+    first = [x for j in range(n + 1)
+             for x in (F(2 * n - 2 * j + 2 * j * r + t), F(2 * j * r + t))]
 
-    def first(base):
-        return sum(Rat(5 ** j, 2 ** (2 * j + 1)) *
-                   (L(r) ** (2 * n - 2 * j) * F(2 * n - 2 * j + 2 * j * r + t)
-                    + base(r - 1) ** (2 * n - 2 * j) * F(2 * j * r + t))
-                   for j in range(n + 1))
-
-    def second(power_base, extra):
-        return sum(Rat(5 ** (j - power_base), 2 ** (2 * j)) *
-                   (L(r) ** (2 * n - 2 * j + 1) * L(2 * n - 2 * j + extra + (2 * j - 1) * r + t)
-                    + L(r - 1) ** (2 * n - 2 * j + 1) * L((2 * j - 1) * r + t))
-                   for j in range(1, n + 1))
+    def second(extra):
+        return [x for j in range(1, n + 1)
+                for x in (L(2 * n - 2 * j + extra + (2 * j - 1) * r + t),
+                          L((2 * j - 1) * r + t))]
 
     s3 = Rat(_i17_num(ctx, b), _i16_den(ctx, b))
     return Outcome(sides=[
         Side("left sum", s1),
         Side("middle sum, F_(r-1) base, 5^j weight, printed index",
-             first(F) + second(0, 0), variant="as-printed"),
+             weighted_sum(printed, first + second(0)), variant="as-printed"),
         Side("middle sum, L_(r-1) base, 5^(j-1) weight, index +1",
-             first(L) + second(1, 1), variant="as-proved"),
+             weighted_sum(proved, first + second(1)), variant="as-proved"),
         Side("closed form", s3),
     ])
 
@@ -567,11 +618,14 @@ I17 = Entry(
 def _i18(ctx, b):
     r, k, s, n = b["r"], b["k"], b["s"], b["n"]
     L, F = ctx.luc(), ctx.fib()
-    s1 = 2 * sum(neg_one((k + s) * j) * L(r - s) ** j * L(2 * k + r + s) ** (n - j)
-                 for j in range(n + 1))
-    s2 = sum(Rat(L(k + r) * L(k + s), 2) ** j
-             * (L(2 * k + r + s) ** (n - j) + neg_one((k + s) * (n - j)) * L(r - s) ** (n - j))
-             for j in range(n + 1))
+    # A^i and B^i for i = 0..n, A = L_(2k+r+s), B = L_(r-s), built once
+    pa = list(accumulate(repeat(L(2 * k + r + s), n), mul, initial=1))
+    pb = list(accumulate(repeat(L(r - s), n), mul, initial=1))
+    s1 = 2 * sum(neg_one((k + s) * j) * pb[j] * pa[n - j] for j in range(n + 1))
+    # the middle sum over 2^n: (c/2)^j = c^j 2^(n-j) / 2^n, c = L_(k+r) L_(k+s)
+    pc = accumulate(repeat(L(k + r) * L(k + s), n), mul, initial=1)
+    s2 = Rat(sum(c * 2 ** (n - j) * (pa[n - j] + neg_one((k + s) * (n - j)) * pb[n - j])
+                 for j, c in enumerate(pc)), 2 ** n)
     s3 = Rat(2 * _i18_num(ctx, b), 5 * F(k + r) * F(k + s))
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", s3)])

@@ -4,6 +4,12 @@ Sides here are canonical polynomials, so equality is decidable without
 sampling. Two displays divide by x or by x*F_r(x); those entries verify
 the sides multiplied through by that factor, which turns each into a
 polynomial identity (recorded in the statement text).
+
+Integer numerators. The halved sums of P01, P03 and P04 weight their
+summands by (1/2)^j. Each summand is scaled by the integer 2^(n-j)
+instead, so the sum is added up with integer coefficients, and the whole
+side is scaled by 1/2^n once at the end. The coefficient tuples are the
+same as those of a sum of Fraction-weighted summands.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ def _p01(ctx, b):
     s2 = ()
     xp = _powers(POLY_X, n)
     for j in range(n + 1):
-        s2 = poly_add(s2, poly_scale(Fraction(1, 2 ** j),
-                                     poly_mul(xp[j], lucas_poly(n - j))))
+        s2 = poly_add(s2, poly_scale(2 ** (n - j), poly_mul(xp[j], lucas_poly(n - j))))
+    s2 = poly_scale(Fraction(1, 2 ** n), s2)
     s3 = poly_scale(2, fib_poly(n + 1))
     return Outcome(sides=[Side("alternating sum", s1), Side("halved sum", s2),
                           Side("closed form", s3)])
@@ -80,9 +86,9 @@ def _p03(ctx, b):
     wp = _powers(w, n)
     s2 = ()
     for j in range(n + 1):
-        s2 = poly_add(s2, poly_scale(Fraction(1, 2 ** j),
+        s2 = poly_add(s2, poly_scale(2 ** (n - j),
                                      poly_mul(wp[j], lucas_poly(2 * (n - j)))))
-    s2 = poly_mul(POLY_X, s2)
+    s2 = poly_scale(Fraction(1, 2 ** n), poly_mul(POLY_X, s2))
     s3 = poly_scale(2, fib_poly(2 * (n + 1)))
     return Outcome(sides=[Side("x * alternating-index sum", s1),
                           Side("x * halved sum", s2),
@@ -110,9 +116,9 @@ def _p04(ctx, b):
     s1 = poly_scale(2, poly_mul(poly_mul(POLY_X, fr), s1))
     s2 = ()
     for j in range(n + 1):
-        s2 = poly_add(s2, poly_scale(Fraction(1, 2 ** j),
+        s2 = poly_add(s2, poly_scale(2 ** (n - j),
                                      poly_mul(pwl[j], poly_add(pw1[n - j], pw_1[n - j]))))
-    s2 = poly_mul(poly_mul(POLY_X, fr), s2)
+    s2 = poly_scale(Fraction(1, 2 ** n), poly_mul(poly_mul(POLY_X, fr), s2))
     s3 = poly_scale(2, poly_sub(pw1[n + 1], pw_1[n + 1]))
     return Outcome(sides=[Side("2 x F_r(x) * power sum", s1),
                           Side("x F_r(x) * halved sum", s2),

@@ -4,13 +4,14 @@ import csv
 import dataclasses
 import io
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from fibsums.identities import (Context, RejectedInstance, check_divisibility,
-                                evaluate_identity, get_entry, make_witness,
-                                sweep)
+from fibsums.identities import (Context, RejectedInstance, Witness,
+                                check_divisibility, evaluate_identity,
+                                get_entry, make_witness, sweep)
 from fibsums.reports import (div_csv, document, sweep_payload, to_json,
                              witness_row)
 from fibsums.scalars import QuadExt, Rat
@@ -53,6 +54,46 @@ class TestMakeWitness:
             make_witness("x", value, 20)
         with pytest.raises(TypeError, match="int or integral Fraction"):
             make_witness("x", 4, value)
+
+
+FIELDS = ("label", "divisor", "dividend", "quotient", "residue")
+
+
+class TestWitnessContract:
+    """``Witness`` has a hand-written ``__init__``; the rest stays the
+    dataclass's."""
+
+    CASES = [("3 | 21", 3, 21, 7, None), ("3 | 10", 3, 10, None, 1),
+             ("x", -3, -21, 7, None)]
+
+    @pytest.mark.parametrize("args", CASES)
+    def test_positional_and_keyword_witnesses_are_equal(self, args):
+        pos = Witness(*args)
+        kw = Witness(**dict(zip(FIELDS, args)))
+        assert pos == kw and hash(pos) == hash(kw)
+        assert tuple(getattr(pos, f) for f in FIELDS) == args
+        assert pos.ok == (args[3] is not None)
+        assert pos == make_witness(*args[:3])
+
+    def test_fields_are_frozen(self):
+        w = Witness("3 | 21", 3, 21, 7, None)
+        for name in FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(w, name, 2)
+        assert w == Witness("3 | 21", 3, 21, 7, None)
+
+    def test_replace(self):
+        w = Witness("3 | 21", 3, 21, 7, None)
+        new = dataclasses.replace(w, dividend=22, quotient=None, residue=1)
+        assert new == Witness("3 | 21", 3, 22, None, 1) and not new.ok
+        assert w.dividend == 21
+
+    @pytest.mark.parametrize("args", CASES)
+    def test_pickle_round_trip(self, args):
+        # sharded sweeps pickle their failures, witnesses included
+        w = Witness(*args)
+        back = pickle.loads(pickle.dumps(w))
+        assert back == w and hash(back) == hash(w) and back.ok == w.ok
 
 
 class TestFrozenWitnesses:

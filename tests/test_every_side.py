@@ -1,10 +1,17 @@
-"""Every side of the weighted-sum Horadam entries is falsifiable.
+"""Every side and witness of the entries with shared factors is falsifiable.
 
 ``test_mutation.py`` bumps the first side of each reading. The verdict
 compares each side with the first side of its group only, so here every
-side of H01, H04-H07, H10 and H11 is bumped by 1 in turn, on the same
+side of H01, H04-H07, H10, H11, I16-I18, P01, P03 and P04 is bumped by 1
+in turn (a polynomial side at its constant coefficient), on the same
 sub-grid: a wrong sum in any position, first or not, must fail every point
 of each reading it belongs to.
+
+``test_mutation.py`` also bumps only the first witness whose divisor is not
+a unit, while D21 returns witnesses it built once per Context and D22 one
+built from shared coefficients. So each witness dividend of D21 and D22 is
+bumped in turn, and every point where that witness's divisor is not a unit
+must fail.
 """
 
 import dataclasses
@@ -12,9 +19,11 @@ import dataclasses
 import pytest
 from test_mutation import _bump, _sub_grid
 
-from fibsums.identities import Outcome, get_entry, sweep
+from fibsums.identities import Outcome, get_entry, make_witness, sweep
 
-WEIGHTED_IDS = ("H01", "H04", "H05", "H06", "H07", "H10", "H11")
+WEIGHTED_IDS = ("H01", "H04", "H05", "H06", "H07", "H10", "H11",
+                "I16", "I17", "I18", "P01", "P03", "P04")
+WITNESS_IDS = ("D21", "D22")
 
 
 def bumped(entry, i):
@@ -46,3 +55,32 @@ def test_every_side_is_caught(entry_id):
                 assert not rep.verified and len(rep.failures) == rep.checked
             caught += 1
     assert caught >= 3 * len(entry.variants)
+
+
+def bumped_witness(entry, i):
+    """``entry.evaluate`` with the dividend of witness ``i`` made 1 larger."""
+    def evaluate(ctx, b):
+        out = entry.evaluate(ctx, b)
+        witnesses = list(out.witnesses)
+        w = witnesses[i]
+        witnesses[i] = make_witness(w.label, w.divisor, w.dividend + 1)
+        return Outcome(out.sides, witnesses)
+    return evaluate
+
+
+@pytest.mark.parametrize("entry_id", WITNESS_IDS)
+def test_every_witness_is_caught(entry_id):
+    entry = get_entry(entry_id)
+    sub = dataclasses.replace(entry, grid=_sub_grid(entry, entry.primary_variant))
+    streamed = []
+    clean = sweep(sub, on_result=streamed.append)
+    assert clean.checked and clean.verified
+    count = len(streamed[0].witnesses)
+    for i in range(count):
+        bumped = []
+        rep = sweep(dataclasses.replace(sub, evaluate=bumped_witness(entry, i)),
+                    on_result=bumped.append)
+        assert rep.checked == clean.checked and not rep.verified
+        caught = [ev for ev in bumped if abs(ev.witnesses[i].divisor) != 1]
+        assert caught and not any(ev.ok for ev in caught), streamed[0].witnesses[i].label
+    assert count == {"D21": 3, "D22": 1}[entry_id]
