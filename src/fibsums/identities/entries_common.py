@@ -38,26 +38,25 @@ R_N_AXES = (axis("r", irange(-6, 6)), axis("n", irange(0, 10)))
 PQ_AXES = (axis("p", PQ_VALUES), axis("q", PQ_VALUES))
 
 
-# closed-form denominators of I10/I11 and I16/I17, and their guards
+# closed-form denominators of I10/I11 and I16/I17, and their guards; each is
+# a memo builder keyed by r, so the guard and the closed form share one value
 
-def _i10_den(ctx, b):
+def _i10_den(ctx, r):
     F = ctx.fib()
-    r = b["r"]
     return F(r) ** 2 + F(r) * F(r - 1) - F(r - 1) ** 2
 
 
 GUARD_I10_DEN = Guard("F_r^2 + F_r F_(r-1) - F_(r-1)^2 != 0", ("r",),
-                      lambda ctx, b: _i10_den(ctx, b) != 0)
+                      lambda ctx, b: ctx.memo(_i10_den, b["r"]) != 0)
 
 
-def _i16_den(ctx, b):
+def _i16_den(ctx, r):
     L = ctx.luc()
-    r = b["r"]
     return L(r - 2) * L(r + 1) + L(r) * L(r - 1)
 
 
 GUARD_I16_DEN = Guard("L_(r-2) L_(r+1) + L_r L_(r-1) != 0", ("r",),
-                      lambda ctx, b: _i16_den(ctx, b) != 0)
+                      lambda ctx, b: ctx.memo(_i16_den, b["r"]) != 0)
 
 
 # closed-form numerators, each named after the identity that displays it

@@ -83,7 +83,7 @@ D03 = Entry(
 def _d04(ctx, b):
     return Outcome(witnesses=[
         make_witness("denominator | Lucas-weighted numerator",
-                     _i10_den(ctx, b), _i10_num(ctx, b))])
+                     ctx.memo(_i10_den, b["r"]), _i10_num(ctx, b))])
 
 
 D04 = Entry(
@@ -99,7 +99,7 @@ D04 = Entry(
 def _d05(ctx, b):
     return Outcome(witnesses=[
         make_witness("denominator | Fibonacci-weighted numerator",
-                     _i10_den(ctx, b), _i11_num(ctx, b))])
+                     ctx.memo(_i10_den, b["r"]), _i11_num(ctx, b))])
 
 
 D05 = Entry(
@@ -257,7 +257,7 @@ D13 = Entry(
 
 def _lucas_pair(ctx, b, label, num, display, particular):
     """Witness den | num; at (r, t) = (2, 0) also match the displayed particular."""
-    out = Outcome(witnesses=[make_witness(label, _i16_den(ctx, b), num)])
+    out = Outcome(witnesses=[make_witness(label, ctx.memo(_i16_den, b["r"]), num)])
     if (b["r"], b["t"]) == (2, 0):
         part = particular(ctx.fib(), ctx.luc(), b["n"])
         out.sides.extend([

@@ -310,7 +310,7 @@ def _i10(ctx, b):
                     F(r - 1) ** (n - j) * L(r * j))
                    for j in range(n + 1))
 
-    s3 = Rat(_i10_num(ctx, b), _i10_den(ctx, b))
+    s3 = Rat(_i10_num(ctx, b), ctx.memo(_i10_den, b["r"]))
     return Outcome(sides=[
         Side("left sum", s1),
         Side("middle sum, weight 1/2^(j-1)", middle(-1), variant="as-printed"),
@@ -346,7 +346,7 @@ def _i11(ctx, b):
                     F(r - 1) ** (n - j) * F(r * j))
                    for j in range(n + 1))
 
-    s3 = Rat(_i11_num(ctx, b), _i10_den(ctx, b))
+    s3 = Rat(_i11_num(ctx, b), ctx.memo(_i10_den, b["r"]))
     return Outcome(sides=[
         Side("left sum", s1),
         Side("middle sum, weight 1/2^(j-1)", middle(-1), variant="as-printed"),
@@ -513,7 +513,7 @@ def _i16(ctx, b):
                 for x in (F(2 * n - 2 * j + extra + (2 * j - 1) * r + t),
                           F((2 * j - 1) * r + t))]
 
-    s3 = Rat(_i16_num(ctx, b), _i16_den(ctx, b))
+    s3 = Rat(_i16_num(ctx, b), ctx.memo(_i16_den, b["r"]))
     return Outcome(sides=[
         Side("left sum", s1),
         Side("middle sum, inner index 2n-2j+(2j-1)r+t",
@@ -582,7 +582,7 @@ def _i17(ctx, b):
                 for x in (L(2 * n - 2 * j + extra + (2 * j - 1) * r + t),
                           L((2 * j - 1) * r + t))]
 
-    s3 = Rat(_i17_num(ctx, b), _i16_den(ctx, b))
+    s3 = Rat(_i17_num(ctx, b), ctx.memo(_i16_den, b["r"]))
     return Outcome(sides=[
         Side("left sum", s1),
         Side("middle sum, F_(r-1) base, 5^j weight, printed index",

@@ -10,11 +10,16 @@ summands by (1/2)^j. Each summand is scaled by the integer 2^(n-j)
 instead, so the sum is added up with integer coefficients, and the whole
 side is scaled by 1/2^n once at the end. The coefficient tuples are the
 same as those of a sum of Fraction-weighted summands.
+
+Shared terms. Every entry reads its family polynomials (F_k, L_k, T_k and
+U_k) through ``ctx.memo`` with one builder, ``_term``, so each is walked
+once per Context rather than once per summand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from ..polynomials import (POLY_ONE, POLY_X, cheb_T, cheb_U, fib_poly,
                            lucas_poly, poly_add, poly_eval, poly_mul,
@@ -23,6 +28,16 @@ from ..scalars import QuadExt
 from ..sequences import neg_one
 from .engine import Entry, Outcome, Side, axis, irange
 from .entries_common import GUARD_N, GUARD_R_POSITIVE
+
+
+def _term(ctx, family, k):
+    """``family(k)``, built once per Context."""
+    return family(k)
+
+
+def _terms(ctx, family):
+    """``family`` as a function of the index, read through ``ctx.memo``."""
+    return partial(ctx.memo, _term, family)
 
 
 def _powers(base, count):
@@ -35,15 +50,16 @@ def _powers(base, count):
 
 def _p01(ctx, b):
     n = b["n"]
+    L, F = _terms(ctx, lucas_poly), _terms(ctx, fib_poly)
     s1 = ()
     for j in range(n + 1):
-        s1 = poly_add(s1, poly_scale(neg_one(j), lucas_poly(n - 2 * j)))
+        s1 = poly_add(s1, poly_scale(neg_one(j), L(n - 2 * j)))
     s2 = ()
     xp = _powers(POLY_X, n)
     for j in range(n + 1):
-        s2 = poly_add(s2, poly_scale(2 ** (n - j), poly_mul(xp[j], lucas_poly(n - j))))
+        s2 = poly_add(s2, poly_scale(2 ** (n - j), poly_mul(xp[j], L(n - j))))
     s2 = poly_scale(Fraction(1, 2 ** n), s2)
-    s3 = poly_scale(2, fib_poly(n + 1))
+    s3 = poly_scale(2, F(n + 1))
     return Outcome(sides=[Side("alternating sum", s1), Side("halved sum", s2),
                           Side("closed form", s3)])
 
@@ -78,18 +94,19 @@ P02 = Entry(
 
 def _p03(ctx, b):
     n = b["n"]
+    L, F = _terms(ctx, lucas_poly), _terms(ctx, fib_poly)
     s1 = ()
     for j in range(n + 1):
-        s1 = poly_add(s1, lucas_poly(2 * (n - 2 * j)))
+        s1 = poly_add(s1, L(2 * (n - 2 * j)))
     s1 = poly_mul(POLY_X, s1)
     w = (2, 0, 1)                                  # x^2 + 2
     wp = _powers(w, n)
     s2 = ()
     for j in range(n + 1):
         s2 = poly_add(s2, poly_scale(2 ** (n - j),
-                                     poly_mul(wp[j], lucas_poly(2 * (n - j)))))
+                                     poly_mul(wp[j], L(2 * (n - j)))))
     s2 = poly_scale(Fraction(1, 2 ** n), poly_mul(POLY_X, s2))
-    s3 = poly_scale(2, fib_poly(2 * (n + 1)))
+    s3 = poly_scale(2, F(2 * (n + 1)))
     return Outcome(sides=[Side("x * alternating-index sum", s1),
                           Side("x * halved sum", s2),
                           Side("closed form", s3)])
@@ -107,8 +124,8 @@ P03 = Entry(
 
 def _p04(ctx, b):
     r, n = b["r"], b["n"]
-    fr1, fr_1 = fib_poly(r + 1), fib_poly(r - 1)
-    lr, fr = lucas_poly(r), fib_poly(r)
+    L, F = _terms(ctx, lucas_poly), _terms(ctx, fib_poly)
+    fr1, fr_1, lr, fr = F(r + 1), F(r - 1), L(r), F(r)
     pw1, pw_1, pwl = _powers(fr1, n + 1), _powers(fr_1, n + 1), _powers(lr, n)
     s1 = ()
     for j in range(n + 1):
@@ -140,15 +157,16 @@ P04 = Entry(
 
 def _p05(ctx, b):
     n = b["n"]
+    T = _terms(ctx, cheb_T)
     s1 = ()
     for j in range(n + 1):
-        s1 = poly_add(s1, cheb_T(n - 2 * j))
+        s1 = poly_add(s1, T(n - 2 * j))
     xp = _powers(POLY_X, n)
     s2 = ()
     for j in range(n + 1):
-        s2 = poly_add(s2, poly_mul(xp[j], cheb_T(n - j)))
+        s2 = poly_add(s2, poly_mul(xp[j], T(n - j)))
     return Outcome(sides=[Side("folded sum", s1), Side("convolution sum", s2),
-                          Side("closed form", cheb_U(n))])
+                          Side("closed form", ctx.memo(_term, cheb_U, n))])
 
 
 P05 = Entry(
@@ -162,24 +180,25 @@ P05 = Entry(
 def _p06(ctx, b):
     r, n = b["r"], b["n"]
     F, L = ctx.fib(), ctx.luc()
+    ln, fn = ctx.memo(_term, lucas_poly, n), ctx.memo(_term, fib_poly, n)
     sides = []
     if r % 2:
         arg = L(r)
-        sides.append(Side("L_n evaluated at L_r", poly_eval(lucas_poly(n), arg),
+        sides.append(Side("L_n evaluated at L_r", poly_eval(ln, arg),
                           group="lucas-map"))
         sides.append(Side("L_(rn)", L(r * n), group="lucas-map"))
         sides.append(Side("F_r * F_n evaluated at L_r",
-                          F(r) * poly_eval(fib_poly(n), arg), group="fib-map"))
+                          F(r) * poly_eval(fn, arg), group="fib-map"))
         sides.append(Side("F_(rn)", F(r * n), group="fib-map"))
     else:
         # even r routes through the imaginary unit: argument i*L_r
         i = QuadExt(0, 1, -1)
         arg = i * L(r)
-        sides.append(Side("L_n evaluated at i L_r", poly_eval(lucas_poly(n), arg),
+        sides.append(Side("L_n evaluated at i L_r", poly_eval(ln, arg),
                           group="lucas-map"))
         sides.append(Side("i^n L_(rn)", i ** n * L(r * n), group="lucas-map"))
         sides.append(Side("F_r * F_n evaluated at i L_r",
-                          F(r) * poly_eval(fib_poly(n), arg), group="fib-map"))
+                          F(r) * poly_eval(fn, arg), group="fib-map"))
         sides.append(Side("i^(n-1) F_(rn)", i ** (n - 1) * F(r * n), group="fib-map"))
     return Outcome(sides=sides)
 

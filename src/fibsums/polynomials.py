@@ -5,17 +5,16 @@ zeros trimmed; the zero polynomial is the empty tuple. Coefficients are
 ints, Fractions, or QuadExt elements (the Gaussian-argument checks put
 sqrt(-1) into coefficients), all combinable through operator overloading.
 
-Signed-index conventions extend the families beyond the usual n >= 0:
-F_{-n}(x) = (-1)^(n-1) F_n(x), L_{-n}(x) = (-1)^n L_n(x), T_{-n} = T_n,
-U_{-1} = 0 and U_{-n} = -U_{n-2}. These are forced by the Binet forms and
-are exactly what the left sums with negative inner index require.
+The four families are one recurrence, w_n = p*w_(n-1) - q*w_(n-2), over
+Z[x] with q = +-1, and one walk computes them all. Below zero it uses the
+rule of the integer sequences: y_k = q^k w_(-k) obeys the same recurrence
+from the seeds (a, p*a - b), and q^k = +-1 is its own inverse. That one
+rule yields F_{-n}(x) = (-1)^(n-1) F_n(x), L_{-n}(x) = (-1)^n L_n(x),
+T_{-n} = T_n, U_{-1} = 0 and U_{-n} = -U_{n-2}, which are what the left
+sums with negative inner index require.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-from .sequences import neg_one
 
 Poly = tuple
 
@@ -85,48 +84,38 @@ def poly_eval(p: Poly, x):
 # families
 # ---------------------------------------------------------------------------
 
-def fib_poly(n: int) -> Poly:
-    """Fibonacci polynomial F_n(x): seeds 0, 1, recurrence x*prev + prev2."""
+def _walk(a: Poly, b: Poly, p: Poly, q: int, n: int) -> Poly:
+    """w_n(a, b; p, q) over Z[x] for q = +-1 and any integer n."""
+    k = abs(n)
     if n < 0:
-        return poly_scale(neg_one(-n - 1), fib_poly(-n))
-    a, b = POLY_ZERO, POLY_ONE
-    for _ in range(n):
-        a, b = b, poly_add(poly_mul(POLY_X, b), a)
-    return a
-
-
-def lucas_poly(n: int) -> Poly:
-    """Lucas polynomial L_n(x): seeds 2, x on the same recurrence."""
-    if n < 0:
-        return poly_scale(neg_one(n), lucas_poly(-n))
-    a, b = (2,), POLY_X
-    for _ in range(n):
-        a, b = b, poly_add(poly_mul(POLY_X, b), a)
-    return a
+        b = poly_sub(poly_mul(p, a), b)
+    step = poly_add if q == -1 else poly_sub
+    for _ in range(k):
+        a, b = b, step(poly_mul(p, b), a)
+    return a if n >= 0 else poly_scale(q ** k, a)
 
 
 _TWO_X: Poly = (0, 2)
 
 
+def fib_poly(n: int) -> Poly:
+    """Fibonacci polynomial F_n(x): seeds 0, 1, recurrence x*prev + prev2."""
+    return _walk(POLY_ZERO, POLY_ONE, POLY_X, -1, n)
+
+
+def lucas_poly(n: int) -> Poly:
+    """Lucas polynomial L_n(x): seeds 2, x on the same recurrence."""
+    return _walk((2,), POLY_X, POLY_X, -1, n)
+
+
 def cheb_T(n: int) -> Poly:
-    """Chebyshev T_n(x): seeds 1, x, recurrence 2x*prev - prev2; T_{-n} = T_n."""
-    n = abs(n)
-    a, b = POLY_ONE, POLY_X
-    for _ in range(n):
-        a, b = b, poly_sub(poly_mul(_TWO_X, b), a)
-    return a
+    """Chebyshev T_n(x): seeds 1, x, recurrence 2x*prev - prev2."""
+    return _walk(POLY_ONE, POLY_X, _TWO_X, 1, n)
 
 
 def cheb_U(n: int) -> Poly:
-    """Chebyshev U_n(x): seeds 1, 2x; U_{-1} = 0, U_{-n} = -U_{n-2}."""
-    if n < 0:
-        if n == -1:
-            return POLY_ZERO
-        return poly_scale(-1, cheb_U(-n - 2))
-    a, b = POLY_ONE, _TWO_X
-    for _ in range(n):
-        a, b = b, poly_sub(poly_mul(_TWO_X, b), a)
-    return a
+    """Chebyshev U_n(x): seeds 1, 2x on the same recurrence."""
+    return _walk(POLY_ONE, _TWO_X, _TWO_X, 1, n)
 
 
 # ---------------------------------------------------------------------------

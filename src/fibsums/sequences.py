@@ -5,11 +5,12 @@ integer seeds on the Fibonacci recurrence), and the general Horadam
 w_n(a, b; p, q) with w_n = p*w_{n-1} - q*w_{n-2} plus its classical
 specializations u = w(0,1), v = w(2,p).
 
-Fast paths: fast doubling for F/L, 2x2 matrix binary exponentiation for
-Horadam. Below zero the work stays in the integers: y_k = q^k * w_(-k)
-obeys the same recurrence from the seeds (a, p*a - b), so w_(-k) = y_k / q^k
-in Z[1/q]. That one division is the only rational step, and it returns an
-int when it is exact, else a reduced Fraction.
+Every single term, of every family, comes from one Lucas-sequence
+doubling, ``_u_pair``, and the linear form w_n = a*u_(n+1) + (b - a*p)*u_n
+in u_n = u_n(p, q). Below zero the work stays in the integers:
+y_k = q^k * w_(-k) obeys the same recurrence from the seeds (a, p*a - b),
+so w_(-k) = y_k / q^k in Z[1/q]. That one division is the only rational
+step, and it returns an int when it is exact, else a reduced Fraction.
 """
 
 from __future__ import annotations
@@ -35,36 +36,40 @@ def _over(y: int, d: int) -> SeqValue:
 
 
 # ---------------------------------------------------------------------------
-# Fibonacci / Lucas, fast doubling
+# one doubling for every term
 # ---------------------------------------------------------------------------
 
-def _fib_pair(n: int) -> tuple[int, int]:
-    # (F_n, F_{n+1}) for n >= 0
-    if n == 0:
-        return 0, 1
-    a, b = _fib_pair(n >> 1)
-    c = a * (2 * b - a)
-    d = a * a + b * b
-    if n & 1:
-        return d, c + d
-    return c, d
+def _u_pair(p: int, q: int, n: int) -> tuple[int, int]:
+    """(u_n, u_(n+1)) of u = w(0, 1; p, q) for n >= 0, one bit at a time.
+
+    u_2k = u_k (2 u_(k+1) - p u_k) and u_(2k+1) = u_(k+1)^2 - q u_k^2.
+    """
+    u, u1 = 0, 1
+    for i in range(n.bit_length() - 1, -1, -1):
+        u, u1 = u * (2 * u1 - p * u), u1 * u1 - q * (u * u)
+        if n >> i & 1:
+            u, u1 = u1, p * u1 - q * u
+    return u, u1
+
+
+def _w(a: int, b: int, p: int, q: int, n: int) -> SeqValue:
+    """w_n(a, b; p, q) for any integer n; below zero y_k / q^k."""
+    k = abs(n)
+    if n < 0:
+        b = p * a - b
+    u, u1 = _u_pair(p, q, k)
+    y = a * u1 + (b - a * p) * u
+    return y if n >= 0 else _over(y, q ** k)
 
 
 def fib(n: int) -> int:
     """F_n for any integer n; F_{-n} = (-1)^(n-1) F_n."""
-    if n >= 0:
-        return _fib_pair(n)[0]
-    return neg_one(-n - 1) * _fib_pair(-n)[0]
+    return _w(0, 1, 1, -1, n)
 
 
 def lucas(n: int) -> int:
     """L_n for any integer n; L_{-n} = (-1)^n L_n."""
-    m = abs(n)
-    a, b = _fib_pair(m)
-    ln = 2 * b - a
-    if n >= 0:
-        return ln
-    return neg_one(m) * ln
+    return _w(2, 1, 1, -1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -95,36 +100,9 @@ class HoradamParams:
         return make_roots(self.p, self.q)
 
 
-def _mat_mul(m, n):
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _mat_pow(m, e: int):
-    r = (1, 0, 0, 1)
-    while e:
-        if e & 1:
-            r = _mat_mul(r, m)
-        m = _mat_mul(m, m)
-        e >>= 1
-    return r
-
-
 def horadam_w(params: HoradamParams, n: int) -> SeqValue:
-    """w_n exactly; integral for n >= 0, possibly fractional below zero.
-
-    The bottom row of [[p,-q],[1,0]]^k applied to (w1, w0) gives w_k; for
-    n < 0 the same integer power applied to (p*a - b, a) gives y_(-n),
-    divided once by q^(-n).
-    """
-    p, q = params.p, params.q
-    a, b, k = params.a, params.b, n
-    if n < 0:
-        b, k = p * a - b, -n
-    m = _mat_pow((p, -q, 1, 0), k)
-    y = m[2] * b + m[3] * a
-    return y if n >= 0 else _over(y, q ** k)
+    """w_n exactly; integral for n >= 0, possibly fractional below zero."""
+    return _w(params.a, params.b, params.p, params.q, n)
 
 
 def lucas_u(p: int, q: int, n: int) -> SeqValue:
@@ -148,12 +126,8 @@ def pell_lucas(n: int) -> int:
 
 
 def gibonacci(seed: tuple[int, int], n: int) -> int:
-    """Fibonacci recurrence from arbitrary integer seeds (g0, g1).
-
-    Uses g_n = g0*F_{n-1} + g1*F_n, exact for every signed n.
-    """
-    g0, g1 = seed
-    return g0 * fib(n - 1) + g1 * fib(n)
+    """Fibonacci recurrence from arbitrary integer seeds (g0, g1), signed n."""
+    return _w(seed[0], seed[1], 1, -1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +138,8 @@ class SeqTable:
     """Bidirectional value table for one recurrence, extended on demand.
 
     Grid sweeps hit the same indices thousands of times; walking the
-    recurrence once per index range is far cheaper than per-call matrix
-    powers. Both walks are integer: downward it carries y_k, y_(k+1) and
+    recurrence once per index range is far cheaper than per-call
+    doubling. Both walks are integer: downward it carries y_k, y_(k+1) and
     q^k for k = -lo, and stores each new term w_(-k) = y_k / q^k in
     canonical form.
     """

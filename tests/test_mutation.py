@@ -29,6 +29,11 @@ PRINTED_HOLDS = {
     "H10": {"p": [1, 3], "q": [-1, 2], "r": [2], "t": [0], "n": [1, 4]},
 }
 
+# default-grid rows added to the two picks of a joint axis: D22's picks
+# (m, s, r) = (3, 1, 3) and (4, 4, 4) have r = m, where u_(r-m) = u_0 = 0
+# zeroes every term of Y but the first; at r > m > s every term counts
+EXTRA_ROWS = {("D22", ("m", "s", "r")): ((2, 1, 4),)}
+
 
 def _sub_grid(entry, variant):
     """A few default-grid points at which ``variant`` holds."""
@@ -39,7 +44,8 @@ def _sub_grid(entry, variant):
         n = len(ax.values)
         # the middle and the last value: the first values are often units
         picks = sorted({n // 2, n - 1})
-        grid.append(Axis(ax.names, tuple(ax.values[i] for i in picks)))
+        extra = EXTRA_ROWS.get((entry.id, ax.names), ())
+        grid.append(Axis(ax.names, tuple(ax.values[i] for i in picks) + extra))
     return tuple(grid)
 
 

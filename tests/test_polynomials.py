@@ -101,7 +101,7 @@ class TestFamilies:
 
     def test_recurrences(self):
         two_x = (0, 2)
-        for n in range(-10, 21):
+        for n in range(-40, 41):
             assert fib_poly(n + 1) == \
                 poly_add(poly_mul(POLY_X, fib_poly(n)), fib_poly(n - 1))
             assert lucas_poly(n + 1) == \

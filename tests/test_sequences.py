@@ -17,6 +17,8 @@ FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
 LUCAS = [2, 1, 3, 4, 7, 11, 18, 29, 47, 76, 123]
 PELL = [0, 1, 2, 5, 12, 29, 70]
 PELL_LUCAS = [2, 2, 6, 14, 34, 82]
+# indices with long binary expansions, for the doubling's bit loop
+BIG = (257, 1023, 1024, 4097)
 
 
 class TestNegOne:
@@ -51,11 +53,13 @@ class TestClassicFamilies:
         assert pell_lucas(-3) == -14
 
     def test_reflection_rules(self):
-        for n in range(61):
+        for n in (*range(61), *BIG):
             assert fib(-n) == neg_one(n - 1) * fib(n)
             assert lucas(-n) == neg_one(n) * lucas(n)
             assert pell(-n) == neg_one(n - 1) * pell(n)
             assert pell_lucas(-n) == neg_one(n) * pell_lucas(n)
+            # g_(-n) = (-1)^n (g0 F_(n+1) - g1 F_n)
+            assert gibonacci((4, -7), -n) == neg_one(n) * (4 * fib(n + 1) + 7 * fib(n))
 
     def test_recurrence_through_zero(self):
         for n in range(-30, 30):
@@ -170,7 +174,7 @@ class TestSeqTable:
                 (1, 4, 2, -1),      # q = -1
                 (-2, 0, 2, 2),      # gcd(p, q) = 2: some terms below zero integral
                 (3, -1, -2, 3)]     # negative p
-        indices = list(range(-30, 31))
+        indices = [*range(-30, 31), *BIG, *(-n for n in BIG)]
         random.Random(12).shuffle(indices)
         for row in rows:
             table, params = SeqTable(*row), HoradamParams(*row)
