@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from ..scalars import CharRoots, Rat, make_roots
+from ..scalars import CharRoots, canonical, make_roots
 from ..sequences import SeqTable
 
 # The fork gate of the one sweep driver. A grid of at least this many points
@@ -85,8 +85,7 @@ class _Canonical:
     def __get__(self, side, owner=None):
         if side is None:
             raise AttributeError("value")   # a required field, no default
-        value = side.raw
-        return value.canonical() if type(value) is Rat else value
+        return canonical(side.raw)
 
 
 @dataclass(frozen=True, init=False)

@@ -3,13 +3,14 @@
 A divisibility corollary (D entry) often divides the closed-form numerator
 of an I-catalog identity by that identity's denominator. Both entries call
 the one numerator and denominator function defined here, so a fix lands in
-both. Within one entry the sides still come from independent expressions:
-a closed form is shared between entries, never an algebraic step between
-two sides.
+both; H05 and D22 share X and Y so. Within one entry the sides still come
+from independent expressions: a closed form is shared between entries,
+never an algebraic step between two sides.
 """
 
 from __future__ import annotations
 
+from ..scalars import power
 from ..sequences import neg_one
 from .engine import Guard, axis, irange
 
@@ -114,3 +115,28 @@ def _i18_num(ctx, b):
     r, k, s, n = b["r"], b["k"], b["s"], b["n"]
     return (L(2 * k + r + s) ** (n + 1)
             - neg_one((k + s) * (n + 1)) * L(r - s) ** (n + 1))
+
+
+def _q_power(q, e):
+    """q^e, an int for e >= 0 (X and Y are integers for D22); else ``power``."""
+    return q ** e if e >= 0 else power(q, e)
+
+
+def _h05_x(ctx, p, q, m, s, r):
+    """X = q^m X0, the divisor of H05's closed form and of D22's witness."""
+    u, v = ctx.u(p, q), ctx.v(p, q)
+    x0 = (u(r - s) ** 2 + _q_power(q, m - s) * u(r - m) ** 2
+          + u(r - s) * u(r - m) * v(m - s))
+    return _q_power(q, m) * x0
+
+
+def _h05_y(ctx, p, q, m, s, r, n):
+    """Y's coefficients of w_(mn+t), w_(mn+m+t-s), w_(sn+s+t-m) and w_(sn+t):
+    q^m u_(r-s)^(n+2), q^m u_(r-s)^(n+1) u_(r-m), and (-1)^n u_(r-m)^(n+1)
+    times q^((m-s)(n+1)+m) u_(r-s) and q^((m-s)(n+2)+s) u_(r-m)."""
+    u = ctx.u(p, q)
+    us, um = u(r - s), u(r - m)
+    qm, sign = _q_power(q, m), neg_one(n) * um ** (n + 1)
+    return (qm * us ** (n + 2), qm * us ** (n + 1) * um,
+            sign * _q_power(q, (m - s) * (n + 1) + m) * us,
+            sign * _q_power(q, (m - s) * (n + 2) + s) * um)

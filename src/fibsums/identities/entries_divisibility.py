@@ -10,24 +10,25 @@ instead of re-typing the expression.
 Shared factors and integer numerators. What a D21 or D22 point computes
 without reading the seed (a, b) or the shift t is built once per Context
 through ``ctx.memo``: D21's witnesses v_r | v_(rm) and v_r | u_(rn), which
-are immutable and so shared by every point that reads them, and D22's
-divisor X (``_d22_x``) and the four integer coefficients of Y
-(``_d22_shared``), so that Y is four products with table terms. D21 forms
-q^(rn) w_(t-rn) on the kernel ``Rat``; its dividend is reduced once, to
-the int or Fraction that ``make_witness`` takes.
+are immutable and so shared by every point that reads them, and H05's X
+and Y coefficients (``_h05_x``, ``_h05_y``), integers on D22's domain, so
+Y is four products with table terms. D21 forms q^(rn) w_(t-rn) on the
+kernel ``Rat``; ``canonical`` reads its dividend once, as the int or
+Fraction that ``make_witness`` takes.
 """
 
 from __future__ import annotations
 
-from ..scalars import Rat, power
+from ..scalars import canonical, power
 from ..sequences import neg_one
 from .engine import Entry, Guard, Outcome, Side, axis, irange, joint, make_witness
 from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
                              GUARD_M_ODD_POSITIVE, GUARD_N, GUARD_PQ,
                              GUARD_R_NONZERO, GUARD_R_POSITIVE, GUARD_T,
                              GUARD_UR, GUARD_VR, PQ_AXES, R_N_AXES, SEED_PANEL,
-                             _i10_den, _i10_num, _i11_num, _i12_num, _i13_num,
-                             _i14_num, _i16_den, _i16_num, _i17_num, _i18_num)
+                             _h05_x, _h05_y, _i10_den, _i10_num, _i11_num,
+                             _i12_num, _i13_num, _i14_num, _i16_den, _i16_num,
+                             _i17_num, _i18_num)
 
 
 def _d01(ctx, b):
@@ -440,7 +441,7 @@ def _d21(ctx, b):
         t, n = b["t"], b["n"]
         val = w(t + r * n) - power(q, r * n) * w(t - r * n)
         wits.append(make_witness("v_r | w_(t+rn) - q^(rn) w_(t-rn)", ctx.v(p, q)(r),
-                                 val.canonical() if type(val) is Rat else val))
+                                 canonical(val)))
     if "n" in b:
         wits.append(ctx.memo(_d21_un, p, q, r, b["n"]))
     return Outcome(witnesses=wits)
@@ -464,36 +465,16 @@ D21 = Entry(
 )
 
 
-def _d22_x(ctx, p, q, m, s, r):
-    """X, shared by the guard and the witness."""
-    u, v = ctx.u(p, q), ctx.v(p, q)
-    return (q ** m * u(r - s) ** 2 + q ** (2 * m - s) * u(r - m) ** 2
-            + q ** m * u(r - s) * u(r - m) * v(m - s))
-
-
-def _d22_shared(ctx, p, q, m, s, r, n):
-    """Y's coefficients of w_(mn+t), w_(mn+m+t-s), w_(sn+s+t-m) and
-    w_(sn+t): q^m u_(r-s)^(n+2), q^m u_(r-s)^(n+1) u_(r-m), and
-    (-1)^n u_(r-m)^(n+1) times q^((m-s)(n+1)+m) u_(r-s) and
-    q^((m-s)(n+2)+s) u_(r-m). Integers, since r >= m >= s >= 0."""
-    u = ctx.u(p, q)
-    sign = neg_one(n) * u(r - m) ** (n + 1)
-    return (q ** m * u(r - s) ** (n + 2),
-            q ** m * u(r - s) ** (n + 1) * u(r - m),
-            sign * q ** ((m - s) * (n + 1) + m) * u(r - s),
-            sign * q ** ((m - s) * (n + 2) + s) * u(r - m))
-
-
 def _d22(ctx, b):
     p, q, a, bb = b["p"], b["q"], b["a"], b["b"]
     m, s, r, t, n = b["m"], b["s"], b["r"], b["t"], b["n"]
     w = ctx.table(a, bb, p, q)
-    c1, c2, c3, c4 = ctx.memo(_d22_shared, p, q, m, s, r, n)
+    c1, c2, c3, c4 = ctx.memo(_h05_y, p, q, m, s, r, n)
     y = (c1 * w(m * n + t) + c2 * w(m * n + m + t - s)
          + c3 * w(s * n + s + t - m) + c4 * w(s * n + t))
     return Outcome(witnesses=[
         make_witness("X | Y (five-parameter closed-form numerator)",
-                     ctx.memo(_d22_x, p, q, m, s, r), y)])
+                     ctx.memo(_h05_x, p, q, m, s, r), y)])
 
 
 D22 = Entry(
@@ -510,7 +491,7 @@ D22 = Entry(
             Guard("r >= m >= s >= 0", ("m", "s", "r"),
                   lambda ctx, b: b["r"] >= b["m"] >= b["s"] >= 0),
             Guard("X != 0", ("p", "q", "m", "s", "r"),
-                  lambda ctx, b: ctx.memo(_d22_x, b["p"], b["q"], b["m"], b["s"],
+                  lambda ctx, b: ctx.memo(_h05_x, b["p"], b["q"], b["m"], b["s"],
                                           b["r"]) != 0),
             GUARD_T, GUARD_N),
     evaluate=_d22,

@@ -30,7 +30,7 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple
 
-from ..scalars import QuadExt, Rat, int_weights, weighted_sum
+from ..scalars import QuadExt, Rat, canonical, int_weights, weighted_sum
 from ..sequences import neg_one
 from .engine import (Entry, Guard, Outcome, RejectedInstance, Side, axis,
                      irange, joint)
@@ -182,8 +182,7 @@ def sury_f(x, y, n: int) -> SuryForms:
                for j in range(n + 1))
     conv = 2 * sum(x ** j * y ** (n - j) for j in range(n + 1))
     closed = 2 * (x ** (n + 1) - y ** (n + 1)) / (x - y)
-    return SuryForms(*(f.canonical() if type(f) is Rat else f
-                       for f in (pair, half, conv, closed)))
+    return SuryForms(*map(canonical, (pair, half, conv, closed)))
 
 
 def _i06(ctx, b):

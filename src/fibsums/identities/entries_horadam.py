@@ -9,16 +9,17 @@ instead of full Cartesian ranges so the whole catalog stays desk-scale.
 
 Shared factors. The H sweeps visit each (p, q, r, n) once per seed (a, b)
 and shift t; H05 visits each (p, q, m, s, r, n) so. Whatever a point
-computes without reading a, b or t is built by the entry's ``_hNN_shared``
-function, called as ``ctx.memo(_hNN_shared, p, q, r, n)``, so it is built
-once per Context and argument list: the coefficients of every sum and
-closed form whose terms read the seed or the shift (q^(rj),
-(-1)^j q^(rj), v_r^j / 2^j, the powers of u_(r-s), u_(r-m) and q^(m-s),
-the closed forms' constant factors), the middle sums of H01, H06 and H07
-that w_t or w_(t+1) - q w_(t-1) multiplies (H06 and H07 add their two
-into one factor), and H10's three shift-free sides. H11 is H06 at w = v
-and t = 0, so it names H06's builder and reads H06's values. H05's guard
-and closed form read X0 through one builder, ``_h05_x0``.
+computes without reading a, b or t is built once per Context and argument
+list by a memo builder, ``ctx.memo(_hNN_shared, p, q, r, n)``: the
+coefficients of every sum and closed form whose terms read the seed or the
+shift, and the middle sums of H01, H06 and H07 that w_t or
+w_(t+1) - q w_(t-1) multiplies. The weights q^(rj) and (-1)^j q^(rj) have
+builders of their own, keyed by (q, r, count). A corollary is its theorem
+at t = 0 and reads its builders: the q-power sums of H02 (H01 at w = u),
+H03 (H01 at w = v, r = 1), H08 (H06 at w = u) and H09 (H07 at w = v) take
+its weights, and H10 (H07 at w = u) and H11 (H06 at w = v) read its
+``_hNN_shared`` values. H05's guard and closed form, and D22, read
+X = q^m X0 and Y's coefficients from ``_h05_x`` and ``_h05_y``.
 
 Integer numerators. Each coefficient list is kept as integer numerators
 over one common denominator (``int_weights``), so a point forms each side
@@ -36,7 +37,7 @@ from ..scalars import Rat, int_weights, power, weighted_sum
 from ..sequences import neg_one
 from .engine import Entry, Guard, Outcome, Side, axis, irange, joint
 from .entries_common import (GUARD_N, GUARD_PQ, GUARD_UR, GUARD_VR, PQ_AXES,
-                             SEED_PANEL)
+                             SEED_PANEL, _h05_x, _h05_y)
 
 def _disc(p, q):
     """Delta^2 = p^2 - 4q."""
@@ -216,13 +217,23 @@ LEM6 = Entry(
 # H01-H05: the main weighted-sum theorems
 # ---------------------------------------------------------------------------
 
+def _q_weights(ctx, q, r, count):
+    """Weights q^(rj) for j < count."""
+    return int_weights(power(q, r * j) for j in range(count))
+
+
+def _signed_q_weights(ctx, q, r, count):
+    """Weights (-1)^j q^(rj) for j < count."""
+    return int_weights(neg_one(j) * power(q, r * j) for j in range(count))
+
+
 def _h01_shared(ctx, p, q, r, n):
     """Weights q^(rj), the middle sum after w_t, and the closed form's
     weights (1, -q^M, -q, q q^M) / (u_r Delta^2), M = r(n+1)."""
     u, v = ctx.u(p, q), ctx.v(p, q)
     mid = sum(Rat(1, 2 ** (j + 1)) * v(r) ** j * v(r * (n - j)) for j in range(n + 1))
     qM, den = power(q, r * (n + 1)), Rat(u(r) * _disc(p, q))
-    return (int_weights(power(q, r * j) for j in range(n + 1)), mid,
+    return (ctx.memo(_q_weights, q, r, n + 1), mid,
             int_weights(c / den for c in (1, -qM, -q, q * qM)))
 
 
@@ -256,7 +267,8 @@ H01 = Entry(
 def _h02(ctx, b):
     p, q, r, n = b["p"], b["q"], b["r"], b["n"]
     u = ctx.u(p, q)
-    s = sum(power(q, r * j) * u(r * (n - 2 * j)) for j in range(n + 1))
+    s = weighted_sum(ctx.memo(_q_weights, q, r, n + 1),
+                     [u(r * (n - 2 * j)) for j in range(n + 1)])
     return Outcome(sides=[Side("sum", s), Side("zero", 0)])
 
 
@@ -273,7 +285,8 @@ H02 = Entry(
 def _h03(ctx, b):
     p, q, n = b["p"], b["q"], b["n"]
     u, v = ctx.u(p, q), ctx.v(p, q)
-    s1 = sum(power(q, j) * v(n - 2 * j) for j in range(n + 1))
+    s1 = weighted_sum(ctx.memo(_q_weights, q, 1, n + 1),
+                      [v(n - 2 * j) for j in range(n + 1)])
     s2 = sum(Rat(p, 2) ** j * v(n - j) for j in range(n + 1))
     return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
                           Side("closed form", 2 * u(n + 1))])
@@ -331,38 +344,26 @@ H04 = Entry(
 )
 
 
-def _h05_x0(ctx, p, q, m, s, r):
-    """X0, shared by the guard and the closed form."""
-    u, v = ctx.u(p, q), ctx.v(p, q)
-    return Rat(u(r - s) ** 2 + power(q, m - s) * u(r - m) ** 2
-               + u(r - s) * u(r - m) * v(m - s))
-
-
 def _h05_shared(ctx, p, q, m, s, r, n):
     """Every seed- and shift-free factor of the three sides.
 
     The left sum's weights (-1)^j q^((m-s)j) u_(r-s)^(n-j) u_(r-m)^j; the
     middle sum's weights u_(m-s)^j / 2^(j+1) u_(r-s)^(n-j) and
     u_(m-s)^j / 2^(j+1) (-1)^(n-j) q^((m-s)(n-j)) u_(r-m)^(n-j), in turn,
-    of its two terms per j; the closed form's weights u_(r-s)^(n+2) / X0,
-    u_(r-s)^(n+1) u_(r-m) / X0 and (-1)^n u_(r-m)^(n+1) times
-    q^((m-s)(n+1)+m) u_(r-s) / (q^m X0) and q^((m-s)(n+2)+s) u_(r-m) / (q^m X0).
+    of its two terms per j; the closed form's weights, Y's coefficients
+    (``_h05_y``) over X = q^m X0 (``_h05_x``).
     """
     u = ctx.u(p, q)
-    x0 = ctx.memo(_h05_x0, p, q, m, s, r)
-    qms = [power(q, (m - s) * j) for j in range(n + 3)]
-    us = [u(r - s) ** k for k in range(n + 3)]
-    um = [u(r - m) ** k for k in range(n + 2)]
+    qms = [power(q, (m - s) * j) for j in range(n + 1)]
+    us = [u(r - s) ** k for k in range(n + 1)]
+    um = [u(r - m) ** k for k in range(n + 1)]
     left = int_weights(neg_one(j) * qms[j] * us[n - j] * um[j] for j in range(n + 1))
     half = [Rat(1, 2 ** (j + 1)) * u(m - s) ** j for j in range(n + 1)]
     across = [neg_one(k) * qms[k] * um[k] for k in range(n + 1)]
     mid = int_weights(x for j in range(n + 1)
                       for x in (half[j] * us[n - j], half[j] * across[n - j]))
-    sign, qm_x0 = neg_one(n) * um[n + 1], power(q, m) * x0
-    closed = int_weights((us[n + 2] / x0, us[n + 1] * u(r - m) / x0,
-                          sign * qms[n + 1] * power(q, m) * u(r - s) / qm_x0,
-                          sign * qms[n + 2] * power(q, s) * u(r - m) / qm_x0))
-    return left, mid, closed
+    x, y = ctx.memo(_h05_x, p, q, m, s, r), ctx.memo(_h05_y, p, q, m, s, r, n)
+    return left, mid, int_weights(Rat(c) / x for c in y)
 
 
 def _h05(ctx, b):
@@ -391,9 +392,10 @@ H05 = Entry(
               "X0 = u_(r-s)^2 + q^(m-s) u_(r-m)^2 + u_(r-s) u_(r-m) v_(m-s)",
     params=("p", "q", "a", "b", "m", "s", "r", "t", "n"),
     domain="p, q != 0; X0 != 0; n >= 0 (repeated root included)",
+    # X = q^m X0 with q != 0, so X0 != 0 exactly when X != 0
     guards=(GUARD_N, GUARD_PQ,
             Guard("X0 != 0", ("p", "q", "m", "s", "r"),
-                  lambda ctx, b: ctx.memo(_h05_x0, b["p"], b["q"], b["m"], b["s"],
+                  lambda ctx, b: ctx.memo(_h05_x, b["p"], b["q"], b["m"], b["s"],
                                           b["r"]) != 0)),
     evaluate=_h05,
     grid=(*PQ_AXES, joint(("a", "b"), [(0, 1), (2, 3)]),
@@ -415,11 +417,6 @@ GUARD_H07 = Guard("n = 0 or (u_r != 0 and p^2 - 4q != 0)", ("p", "q", "r", "n"),
                   or (ctx.u(b["p"], b["q"])(b["r"]) != 0 and _disc(b["p"], b["q"]) != 0))
 
 
-def _signed_q_weights(q, r, count):
-    """Weights (-1)^j q^(rj) for j < count."""
-    return int_weights(neg_one(j) * power(q, r * j) for j in range(count))
-
-
 def _growth_powers(ctx, p, q, r, count):
     """g^j for j < count, g = (u_r Delta / 2)^2 the squared-root weight of
     the H06-H11 middle sums."""
@@ -438,7 +435,7 @@ def _h06_shared(ctx, p, q, r, n):
     mid = Rat(1, 2) * sum(g[j] * v(2 * r * (n - j)) for j in range(n + 1))
     if n >= 1:
         mid += sum(g[j] * u(r * (2 * n - 2 * j + 1)) for j in range(1, n + 1)) / u(r)
-    return (_signed_q_weights(q, r, 2 * n + 1), mid,
+    return (ctx.memo(_signed_q_weights, q, r, 2 * n + 1), mid,
             v(r * (2 * n + 1)) / Rat(v(r)))
 
 
@@ -469,9 +466,9 @@ H06 = Entry(
 
 
 def _h07_shared(ctx, p, q, r, n):
-    """Weights (-1)^j q^(rj); weights M and -q M of w_(t+1) and w_(t-1) in
-    the middle side, M its factor after w_(t+1) - q w_(t-1); the closed
-    form's weights (1, -q^(2rn)) / v_r.
+    """Weights (-1)^j q^(rj); the middle side's factor M after
+    w_(t+1) - q w_(t-1), and its weights M and -q M of w_(t+1) and w_(t-1);
+    the closed form's weights (1, -q^(2rn)) / v_r.
 
     M is half the first middle sum plus the second over u_r Delta^2
     (present for n >= 1).
@@ -483,14 +480,15 @@ def _h07_shared(ctx, p, q, r, n):
         mid += (sum(g[j] * v(r * (2 * n - 2 * j)) for j in range(1, n + 1))
                 / (u(r) * _disc(p, q)))
     vr = Rat(v(r))
-    return (_signed_q_weights(q, r, 2 * n), int_weights((mid, -q * mid)),
+    return (ctx.memo(_signed_q_weights, q, r, 2 * n), mid,
+            int_weights((mid, -q * mid)),
             int_weights((1 / vr, -power(q, 2 * r * n) / vr)))
 
 
 def _h07(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w = ctx.table(a, bb, p, q)
-    sq, mid, closed = ctx.memo(_h07_shared, p, q, r, n)
+    sq, _, mid, closed = ctx.memo(_h07_shared, p, q, r, n)
     s1 = weighted_sum(sq, [w(r * (2 * n - 1 - 2 * j) + t) for j in range(2 * n)])
     s2 = weighted_sum(mid, [w(t + 1), w(t - 1)])
     s3 = weighted_sum(closed, [w(t + 2 * r * n), w(t - 2 * r * n)])
@@ -517,7 +515,8 @@ H07 = Entry(
 def _h08(ctx, b):
     p, q, r, n = b["p"], b["q"], b["r"], b["n"]
     u = ctx.u(p, q)
-    s = sum(neg_one(j) * power(q, r * j) * u(2 * r * (n - j)) for j in range(2 * n + 1))
+    s = weighted_sum(ctx.memo(_signed_q_weights, q, r, 2 * n + 1),
+                     [u(2 * r * (n - j)) for j in range(2 * n + 1)])
     return Outcome(sides=[Side("sum", s), Side("zero", 0)])
 
 
@@ -534,7 +533,8 @@ H08 = Entry(
 def _h09(ctx, b):
     p, q, r, n = b["p"], b["q"], b["r"], b["n"]
     v = ctx.v(p, q)
-    s = sum(neg_one(j) * power(q, r * j) * v(r * (2 * n - 1 - 2 * j)) for j in range(2 * n))
+    s = weighted_sum(ctx.memo(_signed_q_weights, q, r, 2 * n),
+                     [v(r * (2 * n - 1 - 2 * j)) for j in range(2 * n)])
     return Outcome(sides=[Side("sum", s), Side("zero", 0)])
 
 
@@ -548,30 +548,19 @@ H09 = Entry(
 )
 
 
-def _h10_shared(ctx, p, q, r, n):
-    """Weights (-1)^j q^(rj) and the three sides that do not read t."""
-    u, v = ctx.u(p, q), ctx.v(p, q)
-    sq = _signed_q_weights(q, r, 2 * n)
-    g = _growth_powers(ctx, p, q, r, n + 1)
-    left = weighted_sum(sq, [u(r * (2 * n - 1 - 2 * j)) for j in range(2 * n)])
-    mid = sum(g[j] * u(r * (2 * n - 2 * j - 1)) for j in range(n))
-    if n >= 1:
-        mid += 2 * sum(g[j] * v(r * (2 * n - 2 * j)) for j in range(1, n + 1)) \
-            / (u(r) * _disc(p, q))
-    return sq, left, mid, 2 * u(2 * r * n) / Rat(v(r))
-
-
 def _h10(ctx, b):
+    # H07 at w = u, t = 0: w_(t+1) - q w_(t-1) = 2, so the middle side is 2 M
     p, q, r, t, n = b["p"], b["q"], b["r"], b["t"], b["n"]
-    u = ctx.u(p, q)
-    sq, left, mid, s3 = ctx.memo(_h10_shared, p, q, r, n)
+    u, v = ctx.u(p, q), ctx.v(p, q)
+    sq, mid, _, _ = ctx.memo(_h07_shared, p, q, r, n)
+    left = weighted_sum(sq, [u(r * (2 * n - 1 - 2 * j)) for j in range(2 * n)])
     left_printed = weighted_sum(sq, [u(r * (2 * n - 1 - 2 * j) + t)
                                      for j in range(2 * n)])
     return Outcome(sides=[
         Side("left sum with displayed shift t", left_printed, variant="as-printed"),
         Side("left sum without shift", left, variant="as-proved"),
-        Side("middle sum", mid),
-        Side("closed form", s3),
+        Side("middle sum", 2 * mid),
+        Side("closed form", 2 * u(2 * r * n) / Rat(v(r))),
     ])
 
 

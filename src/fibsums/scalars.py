@@ -30,10 +30,10 @@ one ``Rat``. The Horadam sums use this instead of a ``Rat`` product and a
 Canonical where read. Kernel values stay unreduced until they are read or
 rendered. A catalog ``Side`` keeps the value it was given, and the verdict
 compares those stored values: ``Rat`` and ``QuadExt`` equality
-cross-multiplies, so comparing takes no gcd. Reading ``Side.value`` turns a
-``Rat`` into its reduced ``Fraction`` (``Rat.canonical``), and that is what
-reports render. ``QuadExt.a``, ``QuadExt.b`` and ``norm()`` are reduced
-``Fraction``s. ``==`` and ``hash`` of both types, and ``repr`` and
+cross-multiplies, so comparing takes no gcd. ``Side.value``, reports and
+``QuadExt(a, b, d)`` read a ``Rat`` as its reduced ``Fraction`` through one
+function, ``canonical``. ``QuadExt.a``, ``QuadExt.b`` and ``norm()`` are
+reduced ``Fraction``s. ``==`` and ``hash`` of both types, and ``repr`` and
 ``render_scalar`` of a ``QuadExt``, depend only on the value, never on how
 far it was reduced.
 """
@@ -244,6 +244,11 @@ class Rat:
         return f"Rat({self.n}, {self.d})"
 
 
+def canonical(value):
+    """``value`` as read: a ``Rat`` as its reduced Fraction, else unchanged."""
+    return value.canonical() if type(value) is Rat else value
+
+
 def power(base: int, e: int):
     """base**e for an int base and any int e, exactly and never a float.
 
@@ -320,8 +325,7 @@ class QuadExt:
     def __init__(self, a: RationalLike, b: RationalLike, d: int):
         if d == 0 or _is_square(d):
             raise DomainError(f"QuadExt requires a non-square d, got {d}")
-        fa = a.canonical() if type(a) is Rat else Fraction(a)
-        fb = b.canonical() if type(b) is Rat else Fraction(b)
+        fa, fb = Fraction(canonical(a)), Fraction(canonical(b))
         den = math.lcm(fa.denominator, fb.denominator)
         _set_a(self, fa.numerator * (den // fa.denominator))
         _set_b(self, fb.numerator * (den // fb.denominator))
@@ -582,7 +586,7 @@ def render_scalar(value) -> str:
         sign = "+" if b > 0 else "-"
         mag = bs.lstrip("-")
         return f"{render_scalar(a)} {sign} {mag}"
-    f = value.canonical() if type(value) is Rat else Fraction(value)
+    f = Fraction(canonical(value))
     if f.denominator == 1:
         return int_text(f.numerator)
     return f"{int_text(f.numerator)}/{int_text(f.denominator)}"

@@ -957,3 +957,27 @@ class TestContextMemo:
         assert 0 < len(passing) < 18        # u_0 = 0 rejects r = 0 past n = 0
         assert rep.verified and rep.checked == len(passing) * 4 * 3
         assert sorted(built) == sorted(passing)
+
+    @pytest.mark.parametrize("theorem, corollary", [
+        ("H07", "H10"), ("H05", "D22"), ("H06", "H11"), ("H06", "H08")])
+    def test_corollary_adds_no_memo_key(self, theorem, corollary):
+        # on rows that pass every guard of the theorem, the corollary reads
+        # the values the theorem's sweep built and builds none of its own
+        rows = {("p",): [1, 3], ("q",): [-1, 2], ("a", "b"): [(0, 1), (2, 3)],
+                ("r",): [-2, 1, 3], ("t",): [0, 2], ("n",): [0, 1, 3],
+                ("m", "s", "r"): [(1, 0, 2), (2, 1, 3), (0, 0, 1)]}
+
+        def sub(entry_id):
+            entry = get_entry(entry_id)
+            return dataclasses.replace(entry, grid=tuple(
+                joint(ax.names, rows[ax.names]) if len(ax.names) > 1
+                else axis(ax.names[0], rows[ax.names]) for ax in entry.grid))
+
+        ctx = Context()
+        with shards(1):
+            first = sweep(sub(theorem), ctx=ctx)
+            keys = set(ctx._memo)
+            second = sweep(sub(corollary), ctx=ctx)
+        assert first.checked and not first.rejected and first.verified
+        assert second.checked and second.verified
+        assert set(ctx._memo) == keys
