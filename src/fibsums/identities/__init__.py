@@ -19,6 +19,7 @@ from .engine import (
     Outcome,
     RejectedInstance,
     Side,
+    Slot,
     SweepReport,
     UsageError,
     Witness,
@@ -105,7 +106,7 @@ def check_divisibility(entry_id: str, bindings: Mapping[str, object],
 
 __all__ = [
     "Axis", "Context", "Entry", "Evaluation", "Guard", "Outcome",
-    "RejectedInstance", "Side", "SuryForms", "SweepReport", "UsageError",
+    "RejectedInstance", "Side", "Slot", "SuryForms", "SweepReport", "UsageError",
     "Witness", "ENTRIES", "axis", "catalog", "check_divisibility",
     "evaluate_entry", "evaluate_identity", "get_entry", "irange", "joint",
     "make_witness", "resolve_axes", "sury_f", "sweep", "verify_grid",

@@ -1,11 +1,19 @@
 """Catalog machinery: entries, guarded exact evaluation, grid sweeps.
 
 An Entry bundles one catalog statement with its parameter names, domain
-guards, a default sweep grid, and an evaluate function returning the exact
-value of every stated side plus any divisibility witnesses. Where a printed
+guards, a default sweep grid, its sides and witnesses, declared once, and
+an evaluate function returning the exact raw value of every side and a
+(divisor, dividend) pair per witness, in declared order. Where a printed
 formula admits two readings, the entry carries both as named variants and
 the verdict is computed against the reading its proof implies; sweep
 reports tally every variant so exactly one should verify in full.
+
+The verdict reads those raw values only. The engine lays each entry's
+declaration out once per sweep (``_Plan``): per reading, each side paired
+with the first side of its group. A point compares those pairs by index and
+checks each witness by one integer remainder. Side, Witness and Evaluation
+objects, labels included, are built from the values already returned only
+for a point that fails its primary reading or that the caller streams.
 
 A sweep walks its grid one axis level at a time, binding each axis into one
 bindings dict that keeps axis order. Each guard is checked once per row of
@@ -13,9 +21,9 @@ the shallowest level at which it and every guard declared before it are
 bound, so guards still run in declaration order and each only after the
 earlier ones held; a failing guard rejects its whole subtree at once. This
 relies on a guard reading nothing but its ``needs``. A point that passes
-only bumps counters: an Evaluation is built for a primary-reading failure
-or when the caller streams results. An exception raised by an entry's
-evaluate function is recorded as a failing instance, not propagated.
+only bumps counters. An exception raised by an entry's evaluate function,
+or by reading its witnesses (a value that is not an integer, a zero
+divisor), is recorded as a failing instance, not propagated.
 
 A sweep that streams no results is sharded when the process runs one
 thread, can fork and may use more than one CPU: the parent binds whole
@@ -43,9 +51,9 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..scalars import CharRoots, canonical, make_roots
 from ..sequences import SeqTable
@@ -78,59 +86,38 @@ class RejectedInstance(Exception):
         super().__init__(f"{entry_id}: rejected ({predicate}) at {bindings}")
 
 
-class _Canonical:
-    """``Side.value``: kept as given in ``raw`` by ``Side.__init__``, read
-    back canonically."""
-
-    def __get__(self, side, owner=None):
-        if side is None:
-            raise AttributeError("value")   # a required field, no default
-        return canonical(side.raw)
-
-
-@dataclass(frozen=True, init=False)
-class Side:
-    """One exactly evaluated expression. Sides sharing a group must agree.
-
-    value reads as an int, Fraction, QuadExt or polynomial coefficient
-    tuple. A side keeps the value it was given, unreduced, in ``raw``, and
-    the verdict compares those; a kernel ``Rat`` is reduced to a Fraction
-    only when ``value`` is read, so a passing point takes no gcd for it.
-    variant None means the side is common to every reading of the entry;
-    otherwise it belongs to the named reading only.
-
-    Equality, hashing, ``repr`` and ``dataclasses.replace`` are the
-    dataclass's. ``__init__`` is written out because every checked point
-    builds its sides: it fills the instance dict directly, where the
-    generated frozen one calls ``object.__setattr__`` once per field.
-    """
+class Slot(NamedTuple):
+    """One declared side of an entry: its label, the group whose sides must
+    agree, and the reading it belongs to (None: every reading)."""
 
     label: str
-    value: object = _Canonical()
     group: str = "eq"
     variant: Optional[str] = None
 
-    def __init__(self, label: str, value, group: str = "eq",
-                 variant: Optional[str] = None):
-        d = self.__dict__
-        d["label"] = label
-        d["raw"] = value
-        d["group"] = group
-        d["variant"] = variant
+
+@dataclass(frozen=True)
+class Side:
+    """One exactly evaluated side of a reported point, built from an entry's
+    ``Slot`` and the value its evaluate function returned for it.
+
+    value is an int, Fraction, QuadExt or polynomial coefficient tuple: a
+    kernel ``Rat`` is read as its reduced Fraction when the Side is built.
+    variant None means the side is common to every reading of the entry;
+    otherwise it belongs to the named reading only.
+    """
+
+    label: str
+    value: object
+    group: str = "eq"
+    variant: Optional[str] = None
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Witness:
     """Exact divisibility certificate: divisor * quotient == dividend.
 
     quotient is None and residue the nonzero remainder when the division
-    fails. A witness is immutable, so a D entry may build one that reads
-    no seed or shift once per Context and return it at many points.
-
-    Equality, hashing, ``repr``, pickling and ``dataclasses.replace`` are
-    the dataclass's. ``__init__`` is written out, as ``Side``'s is, because
-    the D sweeps build a witness per point: it fills the instance dict
-    directly.
+    fails.
     """
 
     label: str
@@ -139,21 +126,14 @@ class Witness:
     quotient: Optional[int]
     residue: Optional[int]
 
-    def __init__(self, label: str, divisor: int, dividend: int,
-                 quotient: Optional[int], residue: Optional[int]):
-        d = self.__dict__
-        d["label"] = label
-        d["divisor"] = divisor
-        d["dividend"] = dividend
-        d["quotient"] = quotient
-        d["residue"] = residue
-
     @property
     def ok(self) -> bool:
         return self.quotient is not None
 
 
 def make_witness(label: str, divisor, dividend) -> Witness:
+    """The Witness of ``divisor | dividend``, each an int or integral
+    Fraction; a zero divisor raises ZeroDivisionError."""
     divisor = _to_int(divisor)
     dividend = _to_int(dividend)
     if divisor == 0:
@@ -174,12 +154,24 @@ def _to_int(x) -> int:
     raise TypeError(f"expected an int or integral Fraction, got {type(x).__name__}")
 
 
-@dataclass
-class Outcome:
-    """Raw product of an entry's evaluate function."""
+class Outcome(NamedTuple):
+    """What an entry's evaluate function returns for one point.
 
-    sides: list = field(default_factory=list)
-    witnesses: list = field(default_factory=list)
+    ``sides`` holds the raw value of each of the entry's declared ``sides``,
+    in that order: an int, Fraction, kernel ``Rat``, QuadExt or polynomial
+    coefficient tuple. ``witnesses`` holds a (divisor, dividend) pair per
+    declared witness label, each an int or integral Fraction. A slot that
+    is None, or past the end of its tuple, is absent at that point: it is
+    neither compared nor checked nor reported, so ``Outcome()`` is a point
+    with no side and no witness, and passes.
+
+    Any (sides, witnesses) pair is the same value; the catalog's evaluate
+    functions return plain pairs, since building the named tuple takes
+    about a tenth of a cheap point's time.
+    """
+
+    sides: tuple = ()
+    witnesses: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -213,6 +205,16 @@ def irange(lo: int, hi: int) -> list:
 
 @dataclass(frozen=True)
 class Entry:
+    """One catalog statement and how to check it at a point.
+
+    ``sides`` declares each side once, as a ``Slot`` (label, group,
+    reading), and ``witnesses`` a label per divisibility witness.
+    ``evaluate(ctx, bindings)`` returns an ``Outcome``: the raw side values
+    and (divisor, dividend) pairs in that order, None where a slot is absent
+    at the point. Labels, groups and readings never travel with the values:
+    the engine reads them from the declaration when it reports a point.
+    """
+
     id: str
     kind: str                      # "identity" | "divisibility"
     statement: str                 # ASCII rendering of what is asserted
@@ -221,6 +223,8 @@ class Entry:
     guards: tuple
     evaluate: Callable             # (Context, bindings) -> Outcome
     grid: tuple                    # default Axis tuple covering params
+    sides: tuple = ()              # a Slot per side, in Outcome order
+    witnesses: tuple = ()          # a label per witness, in Outcome order
     required: Optional[tuple] = None   # params that must be bound; None = all
     variants: tuple = ("as-stated",)
     primary: Optional[str] = None      # reading the verdict is computed against
@@ -350,47 +354,115 @@ def _root_pow(ctx, p, q, e):
 # verdicts
 # ---------------------------------------------------------------------------
 
-def _sides_agree(sides, variant: str) -> Optional[tuple]:
-    """First unequal (label, label) pair for the given reading, else None.
+class _Plan:
+    """An entry's declared sides and witnesses, laid out for the verdict.
 
-    Each side of the reading is compared with the first side of its group
-    only. Exact equality is transitive, so a group agrees exactly when every
-    member equals its first, and the pair returned is the first unequal one
-    in all-pairs order: the first group, in order of first appearance, that
+    Per reading: ``groups``, the indices of its sides by group, groups in
+    order of first appearance, and ``pairs``, each side paired with the
+    first side of its group. Exact equality is transitive, so a group
+    agrees exactly when every member equals its first, and the first
+    unequal pair is the first one in all-pairs order: the first group that
     disagrees, its first member and the earliest member unequal to it.
-    Compares the stored values: ``Rat`` and ``QuadExt`` equality
-    cross-multiplies, so no side is reduced to be compared.
     """
-    firsts, diffs = {}, {}
-    for s in sides:
-        if s.variant is None or s.variant == variant:
-            g = s.group
-            first = firsts.setdefault(g, s)
-            if first is not s and g not in diffs and first.raw != s.raw:
-                diffs[g] = first.label, s.label
-    if diffs:
-        return next(diffs[g] for g in firsts if g in diffs)
-    return None
+
+    __slots__ = ("entry", "width", "groups", "pairs", "primary", "all_held")
+
+    def __init__(self, entry: Entry):
+        self.entry = entry
+        self.width = len(entry.sides)
+        self.groups, self.pairs = [], []
+        for v in entry.variants:
+            groups = {}
+            for k, s in enumerate(entry.sides):
+                if s.variant in (None, v):
+                    groups.setdefault(s.group, []).append(k)
+            self.groups.append(list(groups.values()))
+            self.pairs.append(tuple((g[0], k) for g in groups.values() for k in g[1:]))
+        self.primary = entry.variants.index(entry.primary_variant)
+        self.all_held = tuple(range(len(entry.variants)))
 
 
-def _verdicts(entry: Entry, out: Outcome) -> tuple:
-    """(variant -> ok, first difference of the primary reading or None)."""
+def _first_diff(plan: _Plan, sides: tuple, v: int) -> Optional[tuple]:
+    """First unequal (index, index) pair of reading ``v`` among the sides
+    present at this point, in all-pairs order, else None."""
+    diffs = []
+    for group in plan.groups[v]:
+        present = [k for k in group if k < len(sides) and sides[k] is not None]
+        unequal = [k for k in present[1:] if sides[present[0]] != sides[k]]
+        if unequal:
+            diffs.append((present[0], unequal[0]))
+    return min(diffs, default=None)     # the group whose first side comes first
+
+
+def _judge(plan: _Plan, sides: tuple, witnesses: tuple,
+           built: Optional[list] = None) -> tuple:
+    """(indices of the readings that hold, the primary reading's first
+    difference or None) at one point, from its raw values.
+
+    Each present witness is read as integers and checked by one division;
+    a value that is not an integer, or a zero divisor, raises. That
+    division is a remainder alone, or, when ``built`` is a list, the one
+    ``make_witness`` takes, and the Witness is appended to ``built`` for
+    the report. Sides are compared as returned: ``Rat`` and ``QuadExt``
+    equality cross-multiplies, so no side is reduced to be compared. A
+    point with every slot present walks the precomputed pairs; an absent
+    slot takes ``_first_diff``.
+    """
     bad = None
-    for w in out.witnesses:
-        if not w.ok:
-            bad = w
-            break
-    primary = entry.primary_variant
-    variant_ok = {}
-    primary_diff = None
-    for v in entry.variants:
-        diff = _sides_agree(out.sides, v)
-        variant_ok[v] = diff is None and bad is None
-        if v == primary:
-            primary_diff = diff
-    if primary_diff is None and bad is not None:
-        primary_diff = (bad.label, "remainder != 0")
-    return variant_ok, primary_diff
+    for k, w in enumerate(witnesses):
+        if w is not None:
+            if built is not None:
+                built.append(make_witness(plan.entry.witnesses[k], *w))
+                if bad is None and not built[-1].ok:
+                    bad = k
+                continue
+            d, n = w
+            if type(d) is not int:
+                d = _to_int(d)
+            if type(n) is not int:
+                n = _to_int(n)
+            if not d:
+                raise ZeroDivisionError(
+                    f"witness {plan.entry.witnesses[k]!r} with zero divisor")
+            if bad is None and n % d:
+                bad = k
+    diffs = None
+    if len(sides) == plan.width:
+        for v, pairs in enumerate(plan.pairs):
+            for i, j in pairs:
+                if sides[i] != sides[j]:
+                    if diffs is None:
+                        diffs = [None] * len(plan.pairs)
+                    diffs[v] = ((i, j) if sides[i] is not None and sides[j] is not None
+                                else _first_diff(plan, sides, v))
+                    break
+    elif len(sides) > plan.width:
+        raise ValueError(f"{len(sides)} side values for {plan.width} declared sides")
+    elif sides:
+        diffs = [_first_diff(plan, sides, v) for v in range(len(plan.pairs))]
+    if bad is None and (diffs is None or not any(diffs)):
+        return plan.all_held, None
+    held = () if bad is not None else tuple(v for v, d in enumerate(diffs) if d is None)
+    diff = diffs[plan.primary] if diffs is not None else None
+    if diff is not None:
+        slots = plan.entry.sides
+        return held, (slots[diff[0]].label, slots[diff[1]].label)
+    if bad is not None:
+        return held, (plan.entry.witnesses[bad], "remainder != 0")
+    return held, None
+
+
+def _evaluation(plan: _Plan, bindings: dict, sides: tuple, witnesses: list,
+                held: tuple, diff: Optional[tuple]) -> Evaluation:
+    """The reported form of a judged point: a Side per present side slot,
+    in declaration order, and the Witnesses ``_judge`` built."""
+    entry = plan.entry
+    return Evaluation(
+        entry.id, dict(bindings),
+        [Side(s.label, canonical(x), s.group, s.variant)
+         for s, x in zip(entry.sides, sides) if x is not None],
+        witnesses, {v: k in held for k, v in enumerate(entry.variants)},
+        diff is None, diff)
 
 
 def _first_violated_guard(entry: Entry, ctx: Context, b: dict) -> Optional[str]:
@@ -420,10 +492,10 @@ def evaluate_entry(entry: Entry, bindings: dict, ctx: Optional[Context] = None) 
     violated = _first_violated_guard(entry, ctx, bindings)
     if violated is not None:
         raise RejectedInstance(entry.id, violated, bindings)
-    out = entry.evaluate(ctx, bindings)
-    variant_ok, diff = _verdicts(entry, out)
-    return Evaluation(entry.id, dict(bindings), out.sides, out.witnesses,
-                      variant_ok, variant_ok[entry.primary_variant], diff)
+    plan, built = _Plan(entry), []
+    sides, witnesses = entry.evaluate(ctx, bindings)
+    held, diff = _judge(plan, sides, witnesses, built)
+    return _evaluation(plan, bindings, sides, built, held, diff)
 
 
 def resolve_axes(entry: Entry, overrides: Optional[dict]) -> list:
@@ -460,13 +532,14 @@ def _guard_levels(entry: Entry, axes: list, floor: int = 0) -> list:
 class _Sweep:
     """State of one sweep, shared by every level of ``_walk``."""
 
-    __slots__ = ("entry", "primary", "ctx", "on_result", "rows", "guards",
-                 "below", "bindings", "checked", "rejected",
-                 "variant_verified", "failures")
+    __slots__ = ("entry", "plan", "evaluate", "ctx", "on_result", "rows",
+                 "guards", "below", "bindings", "checked", "rejected",
+                 "verified", "failures")
 
     def __init__(self, entry, ctx, on_result, axes):
         self.entry = entry
-        self.primary = entry.primary_variant
+        self.plan = _Plan(entry)
+        self.evaluate = entry.evaluate
         self.ctx = ctx
         self.on_result = on_result
         self.rows = [[dict(zip(ax.names, row)) for row in ax.values] for ax in axes]
@@ -475,7 +548,7 @@ class _Sweep:
         self.below = [math.prod(sizes[level:]) for level in range(len(axes) + 1)]
         self.bindings = {}
         self.checked = self.rejected = 0
-        self.variant_verified = {v: 0 for v in entry.variants}
+        self.verified = [0] * len(entry.variants)     # points each reading held at
         self.failures = []
 
 
@@ -496,24 +569,24 @@ def _walk(sw: _Sweep, level: int):
             b.update(row)
             _walk(sw, level + 1)
         return
-    entry = sw.entry
+    # a streamed point's witnesses are built by the division that checks them
+    built = None if sw.on_result is None else []
     try:
-        out = entry.evaluate(sw.ctx, b)
+        sides, witnesses = sw.evaluate(sw.ctx, b)
+        held, diff = _judge(sw.plan, sides, witnesses, built)
     except Exception as exc:  # one broken instance must not hide the rest
-        out = Outcome()
-        variant_ok = dict.fromkeys(entry.variants, False)
+        sides, held, built = (), (), []
         diff = ("error", f"{type(exc).__name__}: {exc}")
-    else:
-        variant_ok, diff = _verdicts(entry, out)
     sw.checked += 1
-    for v, ok in variant_ok.items():
-        if ok:
-            sw.variant_verified[v] += 1
-    ok = variant_ok[sw.primary]
-    if not ok or sw.on_result is not None:
-        ev = Evaluation(entry.id, dict(b), out.sides, out.witnesses,
-                        variant_ok, ok, diff)
-        if not ok:
+    verified = sw.verified
+    for v in held:
+        verified[v] += 1
+    if diff is not None or sw.on_result is not None:
+        if built is None:       # an unstreamed failure: build its witnesses
+            built = []
+            _judge(sw.plan, sides, witnesses, built)
+        ev = _evaluation(sw.plan, b, sides, built, held, diff)
+        if diff is not None:
             sw.failures.append(ev)
         if sw.on_result is not None:
             sw.on_result(ev)
@@ -563,18 +636,21 @@ def _run_share(sw: _Sweep, level: int, prefixes: list, share) -> tuple:
     that raised, which ends the share, else None.
     """
     sw.checked = sw.rejected = 0
-    sw.variant_verified = dict.fromkeys(sw.variant_verified, 0)
+    sw.verified = [0] * len(sw.verified)
     parts = []
+    error = None
     for i in share:
         sw.bindings = dict(prefixes[i])
         sw.failures = []
         try:
             _walk(sw, level)
         except Exception as exc:
-            return sw.checked, sw.rejected, sw.variant_verified, parts, (i, exc)
+            error = i, exc
+            break
         if sw.failures:
             parts.append((i, sw.failures))
-    return sw.checked, sw.rejected, sw.variant_verified, parts, None
+    verified = dict(zip(sw.entry.variants, sw.verified))
+    return sw.checked, sw.rejected, verified, parts, error
 
 
 def _child(sw: _Sweep, level: int, prefixes: list, share, r: int, w: int):
@@ -696,9 +772,11 @@ def sweep(entry: Entry, overrides: Optional[dict] = None,
     The grid is walked axis by axis in declaration order. Each guard runs
     once per row of the level where it and all earlier-declared guards are
     bound, in declaration order, and a violated guard counts its whole
-    subtree as rejected. An instance whose evaluate function raises is a
-    checked failure with first difference ``("error", "<Type>: <message>")``
-    and no sides or witnesses; guard exceptions propagate.
+    subtree as rejected. An instance whose evaluate function raises, or
+    whose witnesses cannot be read (a value that is not an integer, a zero
+    divisor), is a checked failure with first difference
+    ``("error", "<Type>: <message>")`` and no sides or witnesses; guard
+    exceptions propagate.
 
     Where the process may use several CPUs, the grid is split into binding
     prefixes of its shallow axes, dealt over those CPUs and walked in forked

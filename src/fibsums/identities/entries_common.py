@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..scalars import power
 from ..sequences import neg_one
-from .engine import Guard, axis, irange
+from .engine import Guard, Slot, axis, irange
 
 GUARD_N = Guard("n >= 0", ("n",), lambda ctx, b: b["n"] >= 0)
 GUARD_T = Guard("t >= 0", ("t",), lambda ctx, b: b["t"] >= 0)
@@ -32,6 +32,9 @@ GUARD_F_KR_KS = Guard("F_(k+r) F_(k+s) != 0", ("r", "k", "s"),
 
 PQ_VALUES = [k for k in range(-4, 5) if k != 0]
 SEED_PANEL = [(0, 1), (2, 1), (2, 3), (-1, 2)]
+
+#: The sides of most three-sided sum identities.
+SUMS = (Slot("left sum"), Slot("middle sum"), Slot("closed form"))
 
 #: r in -6..6 by n in 0..10, the default grid of most (r, n) entries.
 R_N_AXES = (axis("r", irange(-6, 6)), axis("n", irange(0, 10)))

@@ -1,27 +1,28 @@
 """Catalog entries D01-D22: divisibility corollaries with explicit witnesses.
 
-Every entry produces Witness records (divisor, dividend, quotient, residue)
-via exact integer division, so a verified report doubles as a table of
-certificates: divisor * quotient == dividend with residue 0. Where a
-dividend is the closed-form numerator of an I-catalog identity, the entry
-calls the numerator function that identity calls (from entries_common)
-instead of re-typing the expression.
+Every entry declares its witness labels and returns a (divisor, dividend)
+pair per witness; the engine checks each by exact integer division, and a
+reported point carries Witness records (divisor, dividend, quotient,
+residue), so a verified report doubles as a table of certificates:
+divisor * quotient == dividend with residue 0. Where a dividend is the
+closed-form numerator of an I-catalog identity, the entry calls the
+numerator function that identity calls (from entries_common) instead of
+re-typing the expression.
 
 Shared factors and integer numerators. What a D21 or D22 point computes
 without reading the seed (a, b) or the shift t is built once per Context
-through ``ctx.memo``: D21's witnesses v_r | v_(rm) and v_r | u_(rn), which
-are immutable and so shared by every point that reads them, and H05's X
-and Y coefficients (``_h05_x``, ``_h05_y``), integers on D22's domain, so
-Y is four products with table terms. D21 forms q^(rn) w_(t-rn) on the
-kernel ``Rat``; ``canonical`` reads its dividend once, as the int or
-Fraction that ``make_witness`` takes.
+through ``ctx.memo``: D21's witness pairs v_r | v_(rm) and v_r | u_(rn),
+and H05's X and Y coefficients (``_h05_x``, ``_h05_y``), integers on D22's
+domain, so Y is four products with table terms. D21 forms
+q^(rn) w_(t-rn) on the kernel ``Rat``; ``canonical`` reads its dividend
+once, as the int or Fraction a witness takes.
 """
 
 from __future__ import annotations
 
 from ..scalars import canonical, power
 from ..sequences import neg_one
-from .engine import Entry, Guard, Outcome, Side, axis, irange, joint, make_witness
+from .engine import Entry, Guard, Slot, axis, irange, joint
 from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
                              GUARD_M_ODD_POSITIVE, GUARD_N, GUARD_PQ,
                              GUARD_R_NONZERO, GUARD_R_POSITIVE, GUARD_T,
@@ -34,7 +35,7 @@ from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
 def _d01(ctx, b):
     F = ctx.fib()
     r, m = b["r"], b["m"]
-    return Outcome(witnesses=[make_witness("F_r | F_(mr)", F(r), F(m * r))])
+    return (), ((F(r), F(m * r)),)
 
 
 D01 = Entry(
@@ -43,13 +44,14 @@ D01 = Entry(
     params=("r", "m"), domain="r != 0; any integer m",
     guards=(GUARD_R_NONZERO,), evaluate=_d01,
     grid=(axis("r", irange(-6, 6)), axis("m", irange(-6, 6))),
+    witnesses=("F_r | F_(mr)",),
 )
 
 
 def _d02(ctx, b):
     L = ctx.luc()
     r, m = b["r"], b["m"]
-    return Outcome(witnesses=[make_witness("L_r | L_(mr)", L(r), L(m * r))])
+    return (), ((L(r), L(m * r)),)
 
 
 D02 = Entry(
@@ -59,13 +61,14 @@ D02 = Entry(
     guards=(Guard("m odd", ("m",), lambda ctx, b: b["m"] % 2 != 0),),
     evaluate=_d02,
     grid=(axis("r", irange(-6, 6)), axis("m", [-5, -3, -1, 1, 3, 5])),
+    witnesses=("L_r | L_(mr)",),
 )
 
 
 def _d03(ctx, b):
     F, L = ctx.fib(), ctx.luc()
     r, m = b["r"], b["m"]
-    return Outcome(witnesses=[make_witness("L_r | F_(mr)", L(r), F(m * r))])
+    return (), ((L(r), F(m * r)),)
 
 
 D03 = Entry(
@@ -75,6 +78,7 @@ D03 = Entry(
     guards=(Guard("m even", ("m",), lambda ctx, b: b["m"] % 2 == 0),),
     evaluate=_d03,
     grid=(axis("r", irange(-6, 6)), axis("m", [-6, -4, -2, 0, 2, 4, 6])),
+    witnesses=("L_r | F_(mr)",),
 )
 
 
@@ -82,9 +86,7 @@ D03 = Entry(
 # are divisible by their denominator F_r^2 + F_r F_(r-1) - F_(r-1)^2.
 
 def _d04(ctx, b):
-    return Outcome(witnesses=[
-        make_witness("denominator | Lucas-weighted numerator",
-                     ctx.memo(_i10_den, b["r"]), _i10_num(ctx, b))])
+    return (), ((ctx.memo(_i10_den, b["r"]), _i10_num(ctx, b)),)
 
 
 D04 = Entry(
@@ -92,15 +94,13 @@ D04 = Entry(
     statement="F_r^2 + F_r F_(r-1) - F_(r-1)^2 divides F_r^(n+2) L_n "
               "+ F_(r-1) F_r^(n+1) L_(n+1) + F_r F_(r-1)^(n+1) - 2 F_(r-1)^(n+2)",
     params=("r", "n"), domain="divisor != 0; n >= 0",
-    guards=(GUARD_N, GUARD_I10_DEN), evaluate=_d04,
-    grid=R_N_AXES,
+    guards=(GUARD_I10_DEN, GUARD_N), evaluate=_d04,
+    grid=R_N_AXES, witnesses=("denominator | Lucas-weighted numerator",),
 )
 
 
 def _d05(ctx, b):
-    return Outcome(witnesses=[
-        make_witness("denominator | Fibonacci-weighted numerator",
-                     ctx.memo(_i10_den, b["r"]), _i11_num(ctx, b))])
+    return (), ((ctx.memo(_i10_den, b["r"]), _i11_num(ctx, b)),)
 
 
 D05 = Entry(
@@ -108,16 +108,15 @@ D05 = Entry(
     statement="F_r^2 + F_r F_(r-1) - F_(r-1)^2 divides F_r^(n+2) F_n "
               "+ F_(r-1) F_r^(n+1) F_(n+1) - F_r F_(r-1)^(n+1)",
     params=("r", "n"), domain="divisor != 0; n >= 0",
-    guards=(GUARD_N, GUARD_I10_DEN), evaluate=_d05,
-    grid=R_N_AXES,
+    guards=(GUARD_I10_DEN, GUARD_N), evaluate=_d05,
+    grid=R_N_AXES, witnesses=("denominator | Fibonacci-weighted numerator",),
 )
 
 
 def _d06(ctx, b):
     L = ctx.luc()
     n = b["n"]
-    return Outcome(witnesses=[
-        make_witness("5 | 2^(n+1) L_(n+1) - 2", 5, 2 ** (n + 1) * L(n + 1) - 2)])
+    return (), ((5, 2 ** (n + 1) * L(n + 1) - 2),)
 
 
 D06 = Entry(
@@ -125,6 +124,7 @@ D06 = Entry(
     statement="5 divides 2^(n+1) L_(n+1) - 2",
     params=("n",), domain="n >= 0",
     guards=(GUARD_N,), evaluate=_d06, grid=(axis("n", irange(0, 12)),),
+    witnesses=("5 | 2^(n+1) L_(n+1) - 2",),
 )
 
 
@@ -132,8 +132,7 @@ def _d07(ctx, b):
     F, L = ctx.fib(), ctx.luc()
     n = b["n"]
     val = 3 ** (n + 1) * (F(n + 2) + L(n + 1)) - 3 * 2 ** (n + 1)
-    return Outcome(witnesses=[
-        make_witness("11 | 3^(n+1) (F_(n+2) + L_(n+1)) - 3 * 2^(n+1)", 11, val)])
+    return (), ((11, val),)
 
 
 D07 = Entry(
@@ -141,6 +140,7 @@ D07 = Entry(
     statement="11 divides 3^(n+1) (F_(n+2) + L_(n+1)) - 3 * 2^(n+1)",
     params=("n",), domain="n >= 0",
     guards=(GUARD_N,), evaluate=_d07, grid=(axis("n", irange(0, 12)),),
+    witnesses=("11 | 3^(n+1) (F_(n+2) + L_(n+1)) - 3 * 2^(n+1)",),
 )
 
 
@@ -148,8 +148,7 @@ def _d08(ctx, b):
     F, L = ctx.fib(), ctx.luc()
     n = b["n"]
     val = 3 ** (n + 1) * (L(n + 2) + 5 * F(n + 1)) - 2 ** (n + 1)
-    return Outcome(witnesses=[
-        make_witness("11 | 3^(n+1) (L_(n+2) + 5 F_(n+1)) - 2^(n+1)", 11, val)])
+    return (), ((11, val),)
 
 
 D08 = Entry(
@@ -157,29 +156,28 @@ D08 = Entry(
     statement="11 divides 3^(n+1) (L_(n+2) + 5 F_(n+1)) - 2^(n+1)",
     params=("n",), domain="n >= 0",
     guards=(GUARD_N,), evaluate=_d08, grid=(axis("n", irange(0, 12)),),
+    witnesses=("11 | 3^(n+1) (L_(n+2) + 5 F_(n+1)) - 2^(n+1)",),
 )
 
 
 def _d09(ctx, b):
     F = ctx.fib()
-    return Outcome(witnesses=[make_witness("5 F_r^2 | alternating F-combination",
-                                           5 * F(b["r"]) ** 2, _i13_num(ctx, b))])
+    return (), ((5 * F(b["r"]) ** 2, _i13_num(ctx, b)),)
 
 
 D09 = Entry(
     id="D09", kind="divisibility",
     statement="5 F_r^2 divides (-1)^(r+1) F_(2r(n+1)) + (-1)^(r(n+1)) F_(2r) + F_(2rn)",
     params=("r", "n"), domain="r != 0; n >= 0",
-    guards=(GUARD_N, GUARD_R_NONZERO), evaluate=_d09,
-    grid=R_N_AXES,
+    guards=(GUARD_R_NONZERO, GUARD_N), evaluate=_d09,
+    grid=R_N_AXES, witnesses=("5 F_r^2 | alternating F-combination",),
 )
 
 
 def _d10(ctx, b):
     L = ctx.luc()
     n = b["n"]
-    return Outcome(witnesses=[
-        make_witness("5 | L_(2n+1) + (-1)^(n+1)", 5, L(2 * n + 1) + neg_one(n + 1))])
+    return (), ((5, L(2 * n + 1) + neg_one(n + 1)),)
 
 
 D10 = Entry(
@@ -187,6 +185,7 @@ D10 = Entry(
     statement="5 divides L_(2n+1) + (-1)^(n+1)",
     params=("n",), domain="n >= 0",
     guards=(GUARD_N,), evaluate=_d10, grid=(axis("n", irange(0, 12)),),
+    witnesses=("5 | L_(2n+1) + (-1)^(n+1)",),
 )
 
 
@@ -196,13 +195,7 @@ def _d11(ctx, b):
     combo = _i12_num(ctx, b)
     decomp = (neg_one(r + 1) * 5 * F(r) * F(2 * r * n + r)
               - neg_one(r * (n + 1)) * 5 * F(r) ** 2)
-    return Outcome(
-        sides=[Side("alternating L-combination", combo, group="decomposition"),
-               Side("5 F_r (F-product form)", decomp, group="decomposition")],
-        witnesses=[make_witness("5 F_r^2 | alternating L-combination",
-                                5 * F(r) ** 2, combo),
-                   make_witness("F_r | F_(r(2n+1))", F(r), F(r * (2 * n + 1)))],
-    )
+    return (combo, decomp), ((5 * F(r) ** 2, combo), (F(r), F(r * (2 * n + 1))))
 
 
 D11 = Entry(
@@ -211,44 +204,45 @@ D11 = Entry(
               "= 5 F_r ((-1)^(r+1) F_(r(2n+1)) - (-1)^(r(n+1)) F_r), "
               "hence 5 F_r^2 divides it (using F_r | F_(r(2n+1)))",
     params=("r", "n"), domain="r != 0; n >= 0",
-    guards=(GUARD_N, GUARD_R_NONZERO), evaluate=_d11,
+    guards=(GUARD_R_NONZERO, GUARD_N), evaluate=_d11,
     grid=R_N_AXES,
+    sides=(Slot("alternating L-combination", "decomposition"),
+           Slot("5 F_r (F-product form)", "decomposition")),
+    witnesses=("5 F_r^2 | alternating L-combination", "F_r | F_(r(2n+1))"),
 )
 
 
 def _d12(ctx, b):
     F = ctx.fib()
-    return Outcome(witnesses=[
-        make_witness("5 F_r^2 | L_(2r)^(n+1) - 2^(n+1)",
-                     5 * F(b["r"]) ** 2, _i14_num(ctx, b))])
+    return (), ((5 * F(b["r"]) ** 2, _i14_num(ctx, b)),)
 
 
 D12 = Entry(
     id="D12", kind="divisibility",
     statement="for even r: 5 F_r^2 divides L_(2r)^(n+1) - 2^(n+1)",
     params=("r", "n"), domain="r even, r != 0; n >= 0",
-    guards=(GUARD_N,
-            Guard("r even and r != 0", ("r",),
-                  lambda ctx, b: b["r"] % 2 == 0 and b["r"] != 0)),
+    guards=(Guard("r even and r != 0", ("r",),
+                  lambda ctx, b: b["r"] % 2 == 0 and b["r"] != 0),
+            GUARD_N),
     evaluate=_d12,
     grid=(axis("r", [-6, -4, -2, 2, 4, 6]), axis("n", irange(0, 10))),
+    witnesses=("5 F_r^2 | L_(2r)^(n+1) - 2^(n+1)",),
 )
 
 
 def _d13(ctx, b):
     L = ctx.luc()
-    return Outcome(witnesses=[
-        make_witness("L_r^2 | L_(2r)^(n+1) - 2^(n+1)",
-                     L(b["r"]) ** 2, _i14_num(ctx, b))])
+    return (), ((L(b["r"]) ** 2, _i14_num(ctx, b)),)
 
 
 D13 = Entry(
     id="D13", kind="divisibility",
     statement="for odd r: L_r^2 divides L_(2r)^(n+1) - 2^(n+1)",
     params=("r", "n"), domain="r odd; n >= 0",
-    guards=(GUARD_N, Guard("r odd", ("r",), lambda ctx, b: b["r"] % 2 != 0)),
+    guards=(Guard("r odd", ("r",), lambda ctx, b: b["r"] % 2 != 0), GUARD_N),
     evaluate=_d13,
     grid=(axis("r", [-5, -3, -1, 1, 3, 5]), axis("n", irange(0, 10))),
+    witnesses=("L_r^2 | L_(2r)^(n+1) - 2^(n+1)",),
 )
 
 
@@ -256,23 +250,28 @@ D13 = Entry(
 # L_(r-2) L_(r+1) + L_r L_(r-1); at (r, t) = (2, 0) the divisor is 11 and
 # the dividend collapses to the displayed mod-11 particular.
 
-def _lucas_pair(ctx, b, label, num, display, particular):
-    """Witness den | num; at (r, t) = (2, 0) also match the displayed particular."""
-    out = Outcome(witnesses=[make_witness(label, ctx.memo(_i16_den, b["r"]), num)])
-    if (b["r"], b["t"]) == (2, 0):
-        part = particular(ctx.fib(), ctx.luc(), b["n"])
-        out.sides.extend([
-            Side(f"displayed particular {display}", part, group="mod-11 particular"),
-            Side("numerator at (r, t) = (2, 0)", num, group="mod-11 particular"),
-        ])
-        out.witnesses.append(make_witness(f"11 | {display}", 11, part))
-    return out
+def _lucas_pair(ctx, b, num, particular):
+    """Witness den | num; at (r, t) = (2, 0) also match the displayed
+    particular and witness 11 | particular, which are absent elsewhere."""
+    den = ctx.memo(_i16_den, b["r"])
+    if (b["r"], b["t"]) != (2, 0):
+        return (None, None), ((den, num), None)
+    part = particular(ctx.fib(), ctx.luc(), b["n"])
+    return (part, num), ((den, num), (11, part))
+
+
+def _particular_sides(display):
+    """The two sides D14 and D15 compare at (r, t) = (2, 0) only."""
+    return (Slot(f"displayed particular {display}", "mod-11 particular"),
+            Slot("numerator at (r, t) = (2, 0)", "mod-11 particular"))
+
+
+_D14_PARTICULAR = "3^(2n+1) (L_(2n) + 5 F_(2n+1)) + 1"
 
 
 def _d14(ctx, b):
     return _lucas_pair(
-        ctx, b, "denominator | Lucas-pair L-numerator", _i16_num(ctx, b),
-        "3^(2n+1) (L_(2n) + 5 F_(2n+1)) + 1",
+        ctx, b, _i16_num(ctx, b),
         lambda F, L, n: 3 ** (2 * n + 1) * (L(2 * n) + 5 * F(2 * n + 1)) + 1)
 
 
@@ -282,16 +281,20 @@ D14 = Entry(
               "+ L_(r-1) L_(2n+t+1)) - L_(r-1)^(2n+1) (L_r L_(t-1) + L_(r-1) L_t); "
               "at (r, t) = (2, 0): 11 | 3^(2n+1) (L_(2n) + 5 F_(2n+1)) + 1",
     params=("r", "t", "n"), domain="divisor != 0; n >= 0",
-    guards=(GUARD_N, GUARD_I16_DEN), evaluate=_d14,
+    guards=(GUARD_I16_DEN, GUARD_N), evaluate=_d14,
     grid=(axis("r", irange(-6, 6)), axis("t", irange(-6, 6)),
           axis("n", irange(0, 10))),
+    sides=_particular_sides(_D14_PARTICULAR),
+    witnesses=("denominator | Lucas-pair L-numerator", f"11 | {_D14_PARTICULAR}"),
 )
+
+
+_D15_PARTICULAR = "3^(2n+1) (F_(2n) + L_(2n+1)) - 3"
 
 
 def _d15(ctx, b):
     return _lucas_pair(
-        ctx, b, "denominator | Lucas-pair F-numerator", _i17_num(ctx, b),
-        "3^(2n+1) (F_(2n) + L_(2n+1)) - 3",
+        ctx, b, _i17_num(ctx, b),
         lambda F, L, n: 3 ** (2 * n + 1) * (F(2 * n) + L(2 * n + 1)) - 3)
 
 
@@ -301,18 +304,18 @@ D15 = Entry(
               "+ L_(r-1) F_(2n+t+1)) - L_(r-1)^(2n+1) (L_r F_(t-1) + L_(r-1) F_t); "
               "at (r, t) = (2, 0): 11 | 3^(2n+1) (F_(2n) + L_(2n+1)) - 3",
     params=("r", "t", "n"), domain="divisor != 0; n >= 0",
-    guards=(GUARD_N, GUARD_I16_DEN), evaluate=_d15,
+    guards=(GUARD_I16_DEN, GUARD_N), evaluate=_d15,
     grid=(axis("r", irange(-6, 6)), axis("t", irange(-6, 6)),
           axis("n", irange(0, 10))),
+    sides=_particular_sides(_D15_PARTICULAR),
+    witnesses=("denominator | Lucas-pair F-numerator", f"11 | {_D15_PARTICULAR}"),
 )
 
 
 def _d16(ctx, b):
     F = ctx.fib()
     r, k, s = b["r"], b["k"], b["s"]
-    return Outcome(witnesses=[
-        make_witness("5 F_(k+r) F_(k+s) | L-power difference",
-                     5 * F(k + r) * F(k + s), _i18_num(ctx, b))])
+    return (), ((5 * F(k + r) * F(k + s), _i18_num(ctx, b)),)
 
 
 D16 = Entry(
@@ -320,9 +323,10 @@ D16 = Entry(
     statement="5 F_(k+r) F_(k+s) divides L_(2k+r+s)^(n+1) "
               "- (-1)^((k+s)(n+1)) L_(r-s)^(n+1)",
     params=("r", "k", "s", "n"), domain="F_(k+r) F_(k+s) != 0; n >= 0",
-    guards=(GUARD_N, GUARD_F_KR_KS), evaluate=_d16,
+    guards=(GUARD_F_KR_KS, GUARD_N), evaluate=_d16,
     grid=(axis("r", irange(-6, 6)), axis("k", irange(-6, 6)),
           axis("s", irange(-6, 6)), axis("n", irange(0, 10))),
+    witnesses=("5 F_(k+r) F_(k+s) | L-power difference",),
 )
 
 
@@ -330,21 +334,20 @@ def _d17(ctx, b):
     # the D16 dividend at s = r, where L_(r-s) = L_0 = 2
     F = ctx.fib()
     r, k = b["r"], b["k"]
-    return Outcome(witnesses=[
-        make_witness("5 F_(k+r)^2 | L_(2(k+r))^(n+1) - (-1)^((k+r)(n+1)) 2^(n+1)",
-                     5 * F(k + r) ** 2, _i18_num(ctx, dict(b, s=r)))])
+    return (), ((5 * F(k + r) ** 2, _i18_num(ctx, dict(b, s=r))),)
 
 
 D17 = Entry(
     id="D17", kind="divisibility",
     statement="5 F_(k+r)^2 divides L_(2(k+r))^(n+1) - (-1)^((k+r)(n+1)) 2^(n+1)",
     params=("r", "k", "n"), domain="k + r != 0; n >= 0",
-    guards=(GUARD_N,
-            Guard("F_(k+r) != 0", ("r", "k"),
-                  lambda ctx, b: b["k"] + b["r"] != 0)),
+    guards=(Guard("F_(k+r) != 0", ("r", "k"),
+                  lambda ctx, b: b["k"] + b["r"] != 0),
+            GUARD_N),
     evaluate=_d17,
     grid=(axis("r", irange(-6, 6)), axis("k", irange(-6, 6)),
           axis("n", irange(0, 10))),
+    witnesses=("5 F_(k+r)^2 | L_(2(k+r))^(n+1) - (-1)^((k+r)(n+1)) 2^(n+1)",),
 )
 
 
@@ -353,19 +356,17 @@ def _d18(ctx, b):
     m, r, n = b["m"], b["r"], b["n"]
     div = F(m) ** n * L(m) * F(r * m)
     val = F(m * (r + 1)) ** (n + 1) - F(m * (r - 1)) ** (n + 1)
-    return Outcome(witnesses=[
-        make_witness("F_m^n L_m F_(rm) | F_(m(r+1))^(n+1) - F_(m(r-1))^(n+1)",
-                     div, val)])
+    return (), ((div, val),)
 
 
 D18 = Entry(
     id="D18", kind="divisibility",
     statement="for odd m: F_m^n L_m F_(rm) divides F_(m(r+1))^(n+1) - F_(m(r-1))^(n+1)",
     params=("m", "r", "n"), domain="m odd, m >= 1; r >= 1; n >= 0",
-    guards=(GUARD_N,
-            GUARD_M_ODD_POSITIVE, GUARD_R_POSITIVE),
+    guards=(GUARD_M_ODD_POSITIVE, GUARD_R_POSITIVE, GUARD_N),
     evaluate=_d18,
     grid=(axis("m", [1, 3, 5]), axis("r", irange(1, 6)), axis("n", irange(0, 10))),
+    witnesses=("F_m^n L_m F_(rm) | F_(m(r+1))^(n+1) - F_(m(r-1))^(n+1)",),
 )
 
 
@@ -374,9 +375,7 @@ def _d19(ctx, b):
     m, r, n = b["m"], b["r"], b["n"]
     div = F(m) ** n * L(m) * F(r * m)
     val = F(m * (r + 1)) ** (n + 1) + neg_one(n) * F(m * (r - 1)) ** (n + 1)
-    return Outcome(witnesses=[
-        make_witness("F_m^n L_m F_(rm) | F_(m(r+1))^(n+1) + (-1)^n F_(m(r-1))^(n+1)",
-                     div, val)])
+    return (), ((div, val),)
 
 
 D19 = Entry(
@@ -384,20 +383,19 @@ D19 = Entry(
     statement="for even m: F_m^n L_m F_(rm) divides F_(m(r+1))^(n+1) "
               "+ (-1)^n F_(m(r-1))^(n+1)",
     params=("m", "r", "n"), domain="m even, m >= 2; r >= 1; n >= 0",
-    guards=(GUARD_N,
-            Guard("m even and m >= 2", ("m",),
+    guards=(Guard("m even and m >= 2", ("m",),
                   lambda ctx, b: b["m"] % 2 == 0 and b["m"] >= 2),
-            GUARD_R_POSITIVE),
+            GUARD_R_POSITIVE, GUARD_N),
     evaluate=_d19,
     grid=(axis("m", [2, 4, 6]), axis("r", irange(1, 6)), axis("n", irange(0, 10))),
+    witnesses=("F_m^n L_m F_(rm) | F_(m(r+1))^(n+1) + (-1)^n F_(m(r-1))^(n+1)",),
 )
 
 
 def _d20(ctx, b):
     u = ctx.u(b["p"], b["q"])
     r, n = b["r"], b["n"]
-    return Outcome(witnesses=[
-        make_witness("u_r | u_(r(n+1))", u(r), u(r * (n + 1)))])
+    return (), ((u(r), u(r * (n + 1))),)
 
 
 def _d20_integral(ctx, b):
@@ -412,39 +410,38 @@ D20 = Entry(
     statement="u_r divides u_(r(n+1)) in the generalized sequence",
     params=("p", "q", "r", "n"),
     domain="p, q != 0; u_r != 0; both values integral; n >= 0",
-    guards=(GUARD_N, GUARD_PQ, GUARD_UR,
+    guards=(GUARD_PQ, GUARD_UR, GUARD_N,
             Guard("u_r and u_(r(n+1)) are integers", ("p", "q", "r", "n"),
                   _d20_integral)),
     evaluate=_d20,
     grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
+    witnesses=("u_r | u_(r(n+1))",),
 )
 
 
 def _d21_vm(ctx, p, q, r, m):
     """The witness v_r | v_(rm), which reads no seed, shift or t."""
     v = ctx.v(p, q)
-    return make_witness("v_r | v_(rm)", v(r), v(r * m))
+    return v(r), v(r * m)
 
 
 def _d21_un(ctx, p, q, r, n):
     """The witness v_r | u_(rn), which reads no seed, shift or t."""
-    return make_witness("v_r | u_(rn)", ctx.v(p, q)(r), ctx.u(p, q)(r * n))
+    return ctx.v(p, q)(r), ctx.u(p, q)(r * n)
 
 
 def _d21(ctx, b):
+    # a witness whose parameters are not all bound is absent
     p, q, r = b["p"], b["q"], b["r"]
-    wits = []
-    if "m" in b:
-        wits.append(ctx.memo(_d21_vm, p, q, r, b["m"]))
+    vm = ctx.memo(_d21_vm, p, q, r, b["m"]) if "m" in b else None
+    seeded = None
     if all(k in b for k in ("a", "b", "t", "n")):
         w = ctx.table(b["a"], b["b"], p, q)
         t, n = b["t"], b["n"]
         val = w(t + r * n) - power(q, r * n) * w(t - r * n)
-        wits.append(make_witness("v_r | w_(t+rn) - q^(rn) w_(t-rn)", ctx.v(p, q)(r),
-                                 canonical(val)))
-    if "n" in b:
-        wits.append(ctx.memo(_d21_un, p, q, r, b["n"]))
-    return Outcome(witnesses=wits)
+        seeded = ctx.v(p, q)(r), canonical(val)
+    un = ctx.memo(_d21_un, p, q, r, b["n"]) if "n" in b else None
+    return (), (vm, seeded, un)
 
 
 D21 = Entry(
@@ -459,6 +456,7 @@ D21 = Entry(
             Guard("n even and n >= 2", ("n",),
                   lambda ctx, b: b["n"] % 2 == 0 and b["n"] >= 2)),
     evaluate=_d21, required=("p", "q", "r"),
+    witnesses=("v_r | v_(rm)", "v_r | w_(t+rn) - q^(rn) w_(t-rn)", "v_r | u_(rn)"),
     grid=(*PQ_AXES, joint(("a", "b"), SEED_PANEL),
           axis("r", irange(0, 4)), axis("m", [1, 3]),
           axis("t", irange(0, 4)), axis("n", [2, 4, 6])),
@@ -472,9 +470,7 @@ def _d22(ctx, b):
     c1, c2, c3, c4 = ctx.memo(_h05_y, p, q, m, s, r, n)
     y = (c1 * w(m * n + t) + c2 * w(m * n + m + t - s)
          + c3 * w(s * n + s + t - m) + c4 * w(s * n + t))
-    return Outcome(witnesses=[
-        make_witness("X | Y (five-parameter closed-form numerator)",
-                     ctx.memo(_h05_x, p, q, m, s, r), y)])
+    return (), ((ctx.memo(_h05_x, p, q, m, s, r), y),)
 
 
 D22 = Entry(
@@ -500,6 +496,7 @@ D22 = Entry(
                 [(m, s, r) for r in range(5) for m in range(r + 1)
                  for s in range(m + 1)]),
           axis("t", irange(0, 4)), axis("n", irange(0, 6))),
+    witnesses=("X | Y (five-parameter closed-form numerator)",),
 )
 
 

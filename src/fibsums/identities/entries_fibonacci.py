@@ -32,10 +32,9 @@ from typing import NamedTuple
 
 from ..scalars import QuadExt, Rat, canonical, int_weights, weighted_sum
 from ..sequences import neg_one
-from .engine import (Entry, Guard, Outcome, RejectedInstance, Side, axis,
-                     irange, joint)
+from .engine import Entry, Guard, RejectedInstance, Slot, axis, irange, joint
 from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
-                             GUARD_N, GUARD_R_NONZERO, R_N_AXES, _i10_den,
+                             GUARD_N, GUARD_R_NONZERO, R_N_AXES, SUMS, _i10_den,
                              _i10_num, _i11_num, _i12_num, _i13_num, _i14_num,
                              _i16_den, _i16_num, _i17_num, _i18_num)
 
@@ -57,8 +56,7 @@ def _i01(ctx, b):
     lhs = (2 * u) ** (n + 1) - (2 * v) ** (n + 1)
     rhs = (u - v) * sum(((2 * u) ** j + (2 * v) ** j) * (u + v) ** (n - j)
                         for j in range(n + 1))
-    return Outcome(sides=[Side("difference of powers", lhs),
-                          Side("telescoping sum", rhs)])
+    return (lhs, rhs), ()
 
 
 I01 = Entry(
@@ -67,7 +65,11 @@ I01 = Entry(
     params=("u", "v", "n"), domain="rational u, v; n >= 0",
     guards=(GUARD_N,), evaluate=_i01,
     grid=(axis("u", HALVES), axis("v", HALVES), axis("n", irange(0, 10))),
+    sides=(Slot("difference of powers"), Slot("telescoping sum")),
 )
+
+
+SUM_CLOSED = (Slot("sum"), Slot("closed form"))
 
 
 # ---------------------------------------------------------------------------
@@ -77,27 +79,22 @@ I01 = Entry(
 def _i02(ctx, b):
     n = b["n"]
     L, F = ctx.luc(), ctx.fib()
-    return Outcome(sides=[
-        Side("sum", sum(2 ** j * L(j) for j in range(n + 1))),
-        Side("closed form", 2 ** (n + 1) * F(n + 1)),
-    ])
+    return (sum(2 ** j * L(j) for j in range(n + 1)), 2 ** (n + 1) * F(n + 1)), ()
 
 
 I02 = Entry(
     id="I02", kind="identity",
     statement="sum_{j=0..n} 2^j L_j = 2^(n+1) F_(n+1)",
     params=("n",), domain="n >= 0", guards=(GUARD_N,), evaluate=_i02,
-    grid=(axis("n", irange(0, 10)),),
+    grid=(axis("n", irange(0, 10)),), sides=SUM_CLOSED,
 )
 
 
 def _i03(ctx, b):
     r, n = b["r"], b["n"]
     L, F = ctx.luc(), ctx.fib()
-    return Outcome(sides=[
-        Side("sum", sum(2 ** j * L(j + r) for j in range(n + 1))),
-        Side("closed form", 2 ** (n + 1) * F(n + r + 1) - F(r)),
-    ])
+    return (sum(2 ** j * L(j + r) for j in range(n + 1)),
+            2 ** (n + 1) * F(n + r + 1) - F(r)), ()
 
 
 I03 = Entry(
@@ -105,17 +102,15 @@ I03 = Entry(
     statement="sum_{j=0..n} 2^j L_(j+r) = 2^(n+1) F_(n+r+1) - F_r",
     params=("r", "n"), domain="any integer r; n >= 0",
     guards=(GUARD_N,), evaluate=_i03,
-    grid=R_N_AXES,
+    grid=R_N_AXES, sides=SUM_CLOSED,
 )
 
 
 def _i04(ctx, b):
     r, n = b["r"], b["n"]
     L, F = ctx.luc(), ctx.fib()
-    return Outcome(sides=[
-        Side("sum", sum(2 ** j * F(j + r) for j in range(n + 1))),
-        Side("closed form", Rat(2 ** (n + 1) * L(n + r + 1) - L(r), 5)),
-    ])
+    return (sum(2 ** j * F(j + r) for j in range(n + 1)),
+            Rat(2 ** (n + 1) * L(n + r + 1) - L(r), 5)), ()
 
 
 I04 = Entry(
@@ -123,17 +118,15 @@ I04 = Entry(
     statement="sum_{j=0..n} 2^j F_(j+r) = (2^(n+1) L_(n+r+1) - L_r) / 5",
     params=("r", "n"), domain="any integer r; n >= 0",
     guards=(GUARD_N,), evaluate=_i04,
-    grid=R_N_AXES,
+    grid=R_N_AXES, sides=SUM_CLOSED,
 )
 
 
 def _i05(ctx, b):
     g0, g1, r, n = b["g0"], b["g1"], b["r"], b["n"]
     G = ctx.table(g0, g1, 1, -1)
-    return Outcome(sides=[
-        Side("sum", sum(2 ** j * (G(j + r + 1) + G(j + r - 1)) for j in range(n + 1))),
-        Side("closed form", 2 ** (n + 1) * G(n + r + 1) - G(r)),
-    ])
+    return (sum(2 ** j * (G(j + r + 1) + G(j + r - 1)) for j in range(n + 1)),
+            2 ** (n + 1) * G(n + r + 1) - G(r)), ()
 
 
 I05 = Entry(
@@ -144,6 +137,7 @@ I05 = Entry(
     guards=(GUARD_N,), evaluate=_i05,
     grid=(axis("g0", irange(-3, 3)), axis("g1", irange(-3, 3)),
           axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    sides=SUM_CLOSED,
 )
 
 
@@ -186,13 +180,7 @@ def sury_f(x, y, n: int) -> SuryForms:
 
 
 def _i06(ctx, b):
-    forms = sury_f(b["x"], b["y"], b["n"])
-    return Outcome(sides=[
-        Side("pair sum", forms.pair_sum),
-        Side("halved sum", forms.half_sum),
-        Side("doubled convolution", forms.convolution),
-        Side("closed form", forms.closed),
-    ])
+    return sury_f(b["x"], b["y"], b["n"]), ()
 
 
 _QUAD_PAIRS = [
@@ -210,14 +198,16 @@ I06 = Entry(
               "= 2 sum_{j=0..n} x^j y^(n-j) = 2 (x^(n+1) - y^(n+1)) / (x - y)",
     params=("x", "y", "n"),
     domain="x != y, both nonzero and invertible; n >= 0",
-    guards=(GUARD_N,
-            Guard("x != y", ("x", "y"), lambda ctx, b: b["x"] != b["y"]),
+    guards=(Guard("x != y", ("x", "y"), lambda ctx, b: b["x"] != b["y"]),
             Guard("x != 0 and y != 0", ("x", "y"),
-                  lambda ctx, b: b["x"] != 0 and b["y"] != 0)),
+                  lambda ctx, b: b["x"] != 0 and b["y"] != 0),
+            GUARD_N),
     evaluate=_i06,
     grid=(joint(("x", "y"),
                 [(u, v) for u in HALVES for v in HALVES] + _QUAD_PAIRS),
           axis("n", irange(0, 10))),
+    sides=(Slot("pair sum"), Slot("halved sum"), Slot("doubled convolution"),
+           Slot("closed form")),
 )
 
 
@@ -231,8 +221,7 @@ def _i07(ctx, b):
     s1 = sum(neg_one(r * j) * L(r * (n - 2 * j)) for j in range(n + 1))
     s2 = sum(Rat(L(r), 2) ** j * L(r * (n - j)) for j in range(n + 1))
     s3 = Rat(2 * F(r * (n + 1)), F(r))
-    return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 I07 = Entry(
@@ -240,8 +229,8 @@ I07 = Entry(
     statement="sum_{j=0..n} (-1)^(rj) L_(r(n-2j)) "
               "= sum_{j=0..n} (L_r/2)^j L_(r(n-j)) = 2 F_(r(n+1)) / F_r",
     params=("r", "n"), domain="r != 0; n >= 0",
-    guards=(GUARD_N, GUARD_R_NONZERO), evaluate=_i07,
-    grid=R_N_AXES,
+    guards=(GUARD_R_NONZERO, GUARD_N), evaluate=_i07,
+    grid=R_N_AXES, sides=SUMS,
 )
 
 
@@ -254,8 +243,7 @@ def _i08(ctx, b):
           + sum(Rat(F(r), 2) ** (2 * j - 1) * 5 ** j * F(r * (2 * n - 2 * j + 1))
                 for j in range(1, n + 1)))
     s3 = Rat(2 * L(r * (2 * n + 1)), L(r))
-    return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 I08 = Entry(
@@ -265,7 +253,7 @@ I08 = Entry(
               "+ sum_{j=1..n} (F_r/2)^(2j-1) 5^j F_(r(2n-2j+1)) = 2 L_(r(2n+1)) / L_r",
     params=("r", "n"), domain="any integer r; n >= 0",
     guards=(GUARD_N,), evaluate=_i08,
-    grid=R_N_AXES,
+    grid=R_N_AXES, sides=SUMS,
 )
 
 
@@ -278,8 +266,7 @@ def _i09(ctx, b):
           + sum(Rat(F(r), 2) ** (2 * j - 1) * 5 ** (j - 1) * L(r * (2 * n - 2 * j))
                 for j in range(1, n + 1)))
     s3 = Rat(2 * F(2 * r * n), L(r))
-    return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 I09 = Entry(
@@ -289,7 +276,7 @@ I09 = Entry(
               "+ sum_{j=1..n} (F_r/2)^(2j-1) 5^(j-1) L_(r(2n-2j)) = 2 F_(2rn) / L_r",
     params=("r", "n"), domain="any integer r; n >= 0",
     guards=(GUARD_N,), evaluate=_i09,
-    grid=R_N_AXES,
+    grid=R_N_AXES, sides=SUMS,
 )
 
 
@@ -310,12 +297,7 @@ def _i10(ctx, b):
                    for j in range(n + 1))
 
     s3 = Rat(_i10_num(ctx, b), ctx.memo(_i10_den, b["r"]))
-    return Outcome(sides=[
-        Side("left sum", s1),
-        Side("middle sum, weight 1/2^(j-1)", middle(-1), variant="as-printed"),
-        Side("middle sum, weight 1/2^(j+1)", middle(+1), variant="as-proved"),
-        Side("closed form", s3),
-    ])
+    return (s1, middle(-1), middle(+1), s3), ()
 
 
 I10 = Entry(
@@ -326,8 +308,12 @@ I10 = Entry(
               "- 2 F_(r-1)^(n+2)) / (F_r^2 + F_r F_(r-1) - F_(r-1)^2)",
     params=("r", "n"),
     domain="F_r^2 + F_r F_(r-1) - F_(r-1)^2 != 0; n >= 0",
-    guards=(GUARD_N, GUARD_I10_DEN), evaluate=_i10,
+    guards=(GUARD_I10_DEN, GUARD_N), evaluate=_i10,
     grid=R_N_AXES,
+    sides=(Slot("left sum"),
+           Slot("middle sum, weight 1/2^(j-1)", variant="as-printed"),
+           Slot("middle sum, weight 1/2^(j+1)", variant="as-proved"),
+           Slot("closed form")),
     variants=("as-printed", "as-proved"), primary="as-proved",
     notes=("The displayed middle-sum weight 1/2^(j-1) fails for every n >= 1; "
            "the generating lemma's weight is 1/2^(j+1), which verifies.",),
@@ -346,12 +332,7 @@ def _i11(ctx, b):
                    for j in range(n + 1))
 
     s3 = Rat(_i11_num(ctx, b), ctx.memo(_i10_den, b["r"]))
-    return Outcome(sides=[
-        Side("left sum", s1),
-        Side("middle sum, weight 1/2^(j-1)", middle(-1), variant="as-printed"),
-        Side("middle sum, weight 1/2^(j+1)", middle(+1), variant="as-proved"),
-        Side("closed form", s3),
-    ])
+    return (s1, middle(-1), middle(+1), s3), ()
 
 
 I11 = Entry(
@@ -362,8 +343,8 @@ I11 = Entry(
               "/ (F_r^2 + F_r F_(r-1) - F_(r-1)^2)",
     params=("r", "n"),
     domain="F_r^2 + F_r F_(r-1) - F_(r-1)^2 != 0; n >= 0",
-    guards=(GUARD_N, GUARD_I10_DEN), evaluate=_i11,
-    grid=R_N_AXES,
+    guards=(GUARD_I10_DEN, GUARD_N), evaluate=_i11,
+    grid=R_N_AXES, sides=I10.sides,
     variants=("as-printed", "as-proved"), primary="as-proved",
     notes=("Same weight correction as I10.",),
 )
@@ -381,8 +362,7 @@ def _i12(ctx, b):
              for j in range(n + 1))
     F = ctx.fib()
     s3 = Rat(2 * _i12_num(ctx, b), neg_one(r + 1) * 5 * F(r) ** 2)
-    return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 I12 = Entry(
@@ -392,8 +372,8 @@ I12 = Entry(
               "= 2 ((-1)^(r+1) L_(2r(n+1)) - (-1)^(r(n+1)) L_(2r) + L_(2rn) "
               "+ 2(-1)^(rn)) / ((-1)^(r+1) 5 F_r^2)",
     params=("r", "n"), domain="r != 0; n >= 0",
-    guards=(GUARD_N, GUARD_R_NONZERO), evaluate=_i12,
-    grid=R_N_AXES,
+    guards=(GUARD_R_NONZERO, GUARD_N), evaluate=_i12,
+    grid=R_N_AXES, sides=SUMS,
 )
 
 
@@ -404,8 +384,7 @@ def _i13(ctx, b):
     s2 = sum(Rat(L(r), 2) ** j * (F(r * (2 * n - j)) + neg_one(r * (n - j)) * F(r * j))
              for j in range(n + 1))
     s3 = Rat(2 * _i13_num(ctx, b), neg_one(r + 1) * 5 * F(r) ** 2)
-    return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 I13 = Entry(
@@ -415,8 +394,8 @@ I13 = Entry(
               "= 2 ((-1)^(r+1) F_(2r(n+1)) + (-1)^(r(n+1)) F_(2r) + F_(2rn)) "
               "/ ((-1)^(r+1) 5 F_r^2)",
     params=("r", "n"), domain="r != 0; n >= 0",
-    guards=(GUARD_N, GUARD_R_NONZERO), evaluate=_i13,
-    grid=R_N_AXES,
+    guards=(GUARD_R_NONZERO, GUARD_N), evaluate=_i13,
+    grid=R_N_AXES, sides=SUMS,
 )
 
 
@@ -433,8 +412,7 @@ def _i14(ctx, b):
         s2 = sum(Rat(5 * F(r) ** 2, 2) ** j * (L(2 * r) ** (n - j) + 2 ** (n - j))
                  for j in range(n + 1))
         s3 = Rat(2 * _i14_num(ctx, b), L(r) ** 2)
-    return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 I14 = Entry(
@@ -444,8 +422,8 @@ I14 = Entry(
               "= 2 (L_(2r)^(n+1) - 2^(n+1)) / (5 F_r^2)  [r even; for r odd swap "
               "L_r^2 and 5 F_r^2 between weight and denominator]",
     params=("r", "n"), domain="r != 0; n >= 0",
-    guards=(GUARD_N, GUARD_R_NONZERO), evaluate=_i14,
-    grid=R_N_AXES,
+    guards=(GUARD_R_NONZERO, GUARD_N), evaluate=_i14,
+    grid=R_N_AXES, sides=SUMS,
 )
 
 
@@ -459,8 +437,7 @@ def _i15(ctx, b):
              for j in range(n + 1))
     s3 = Rat(2 * ((5 * F(r) ** 2) ** (n + 1) - neg_one(r * (n + 1)) * 4 ** (n + 1)),
              5 * F(r) ** 2 - neg_one(r) * 4)
-    return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 I15 = Entry(
@@ -471,7 +448,7 @@ I15 = Entry(
     params=("r", "n"),
     domain="any integer r (the denominator 5 F_r^2 - (-1)^r 4 never vanishes); n >= 0",
     guards=(GUARD_N,), evaluate=_i15,
-    grid=R_N_AXES,
+    grid=R_N_AXES, sides=SUMS,
 )
 
 
@@ -513,14 +490,8 @@ def _i16(ctx, b):
                           F((2 * j - 1) * r + t))]
 
     s3 = Rat(_i16_num(ctx, b), ctx.memo(_i16_den, b["r"]))
-    return Outcome(sides=[
-        Side("left sum", s1),
-        Side("middle sum, inner index 2n-2j+(2j-1)r+t",
-             weighted_sum(mid, first + second(0)), variant="as-printed"),
-        Side("middle sum, inner index 2n-2j+1+(2j-1)r+t",
-             weighted_sum(mid, first + second(1)), variant="as-proved"),
-        Side("closed form", s3),
-    ])
+    return (s1, weighted_sum(mid, first + second(0)),
+            weighted_sum(mid, first + second(1)), s3), ()
 
 
 I16 = Entry(
@@ -535,9 +506,13 @@ I16 = Entry(
               "/ (L_(r-2) L_(r+1) + L_r L_(r-1))",
     params=("r", "t", "n"),
     domain="L_(r-2) L_(r+1) + L_r L_(r-1) != 0; n >= 0",
-    guards=(GUARD_N, GUARD_I16_DEN), evaluate=_i16,
+    guards=(GUARD_I16_DEN, GUARD_N), evaluate=_i16,
     grid=(axis("r", irange(-6, 6)), axis("t", irange(-6, 6)),
           axis("n", irange(0, 10))),
+    sides=(Slot("left sum"),
+           Slot("middle sum, inner index 2n-2j+(2j-1)r+t", variant="as-printed"),
+           Slot("middle sum, inner index 2n-2j+1+(2j-1)r+t", variant="as-proved"),
+           Slot("closed form")),
     variants=("as-printed", "as-proved"), primary="as-proved",
     notes=("The second inner sum's displayed index drops a '+1'; with it "
            "restored the identity verifies everywhere in the domain.",),
@@ -582,14 +557,8 @@ def _i17(ctx, b):
                           L((2 * j - 1) * r + t))]
 
     s3 = Rat(_i17_num(ctx, b), ctx.memo(_i16_den, b["r"]))
-    return Outcome(sides=[
-        Side("left sum", s1),
-        Side("middle sum, F_(r-1) base, 5^j weight, printed index",
-             weighted_sum(printed, first + second(0)), variant="as-printed"),
-        Side("middle sum, L_(r-1) base, 5^(j-1) weight, index +1",
-             weighted_sum(proved, first + second(1)), variant="as-proved"),
-        Side("closed form", s3),
-    ])
+    return (s1, weighted_sum(printed, first + second(0)),
+            weighted_sum(proved, first + second(1)), s3), ()
 
 
 I17 = Entry(
@@ -604,9 +573,15 @@ I17 = Entry(
               "/ (L_(r-2) L_(r+1) + L_r L_(r-1))",
     params=("r", "t", "n"),
     domain="L_(r-2) L_(r+1) + L_r L_(r-1) != 0; n >= 0",
-    guards=(GUARD_N, GUARD_I16_DEN), evaluate=_i17,
+    guards=(GUARD_I16_DEN, GUARD_N), evaluate=_i17,
     grid=(axis("r", irange(-6, 6)), axis("t", irange(-6, 6)),
           axis("n", irange(0, 10))),
+    sides=(Slot("left sum"),
+           Slot("middle sum, F_(r-1) base, 5^j weight, printed index",
+                variant="as-printed"),
+           Slot("middle sum, L_(r-1) base, 5^(j-1) weight, index +1",
+                variant="as-proved"),
+           Slot("closed form")),
     variants=("as-printed", "as-proved"), primary="as-proved",
     notes=("Three corrections against the display: the first inner sum's "
            "second base letter (L, not F), the second inner sum's prefactor "
@@ -626,8 +601,7 @@ def _i18(ctx, b):
     s2 = Rat(sum(c * 2 ** (n - j) * (pa[n - j] + neg_one((k + s) * (n - j)) * pb[n - j])
                  for j, c in enumerate(pc)), 2 ** n)
     s3 = Rat(2 * _i18_num(ctx, b), 5 * F(k + r) * F(k + s))
-    return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 I18 = Entry(
@@ -639,9 +613,10 @@ I18 = Entry(
               "/ (5 F_(k+r) F_(k+s))",
     params=("r", "k", "s", "n"),
     domain="F_(k+r) F_(k+s) != 0; n >= 0",
-    guards=(GUARD_N, GUARD_F_KR_KS), evaluate=_i18,
+    guards=(GUARD_F_KR_KS, GUARD_N), evaluate=_i18,
     grid=(axis("r", irange(-6, 6)), axis("k", irange(-6, 6)),
           axis("s", irange(-6, 6)), axis("n", irange(0, 10))),
+    sides=SUMS,
 )
 
 

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 from ..scalars import Rat, int_weights, power, weighted_sum
 from ..sequences import neg_one
-from .engine import Entry, Guard, Outcome, Side, axis, irange, joint
+from .engine import Entry, Guard, Slot, axis, irange, joint
 from .entries_common import (GUARD_N, GUARD_PQ, GUARD_UR, GUARD_VR, PQ_AXES,
-                             SEED_PANEL, _h05_x, _h05_y)
+                             SEED_PANEL, SUMS, _h05_x, _h05_y)
 
 def _disc(p, q):
     """Delta^2 = p^2 - 4q."""
@@ -59,16 +59,8 @@ def _lem2(ctx, b):
     tau_s, sig_s = ctx.root_pow(p, q, s)
     tau_2s, sig_2s = ctx.root_pow(p, q, 2 * s)
     qs = power(q, s)
-    return Outcome(sides=[
-        Side("q^s + tau^(2s)", qs + tau_2s, group="tau-plus"),
-        Side("tau^s v_s", tau_s * v(s), group="tau-plus"),
-        Side("q^s - tau^(2s)", qs - tau_2s, group="tau-minus"),
-        Side("-Delta tau^s u_s", -(delta * tau_s * u(s)), group="tau-minus"),
-        Side("q^s + sigma^(2s)", qs + sig_2s, group="sigma-plus"),
-        Side("sigma^s v_s", sig_s * v(s), group="sigma-plus"),
-        Side("q^s - sigma^(2s)", qs - sig_2s, group="sigma-minus"),
-        Side("Delta sigma^s u_s", delta * sig_s * u(s), group="sigma-minus"),
-    ])
+    return (qs + tau_2s, tau_s * v(s), qs - tau_2s, -(delta * tau_s * u(s)),
+            qs + sig_2s, sig_s * v(s), qs - sig_2s, delta * sig_s * u(s)), ()
 
 
 LEM2 = Entry(
@@ -78,6 +70,13 @@ LEM2 = Entry(
     params=("p", "q", "s"), domain="p, q != 0; p^2 - 4q != 0; any integer s",
     guards=(GUARD_PQ, GUARD_DISC), evaluate=_lem2,
     grid=(*PQ_AXES, axis("s", irange(-4, 4))),
+    sides=(Slot("q^s + tau^(2s)", "tau-plus"), Slot("tau^s v_s", "tau-plus"),
+           Slot("q^s - tau^(2s)", "tau-minus"),
+           Slot("-Delta tau^s u_s", "tau-minus"),
+           Slot("q^s + sigma^(2s)", "sigma-plus"),
+           Slot("sigma^s v_s", "sigma-plus"),
+           Slot("q^s - sigma^(2s)", "sigma-minus"),
+           Slot("Delta sigma^s u_s", "sigma-minus")),
 )
 
 
@@ -91,25 +90,14 @@ def _lem3(ctx, b):
     al_r, be_r = ctx.root_pow(1, -1, r)
     al_s, be_s = ctx.root_pow(1, -1, s)
     F, L = ctx.fib(), ctx.luc()
-    return Outcome(sides=[
-        Side("v_(r+s) - tau^r v_s", v(r + s) - tau_r * v(s), group="v-tau"),
-        Side("-Delta sigma^s u_r", -(delta * sig_s * u(r)), group="v-tau"),
-        Side("v_(r+s) - sigma^r v_s", v(r + s) - sig_r * v(s), group="v-sigma"),
-        Side("Delta tau^s u_r", delta * tau_s * u(r), group="v-sigma"),
-        Side("u_(r+s) - tau^r u_s", u(r + s) - tau_r * u(s), group="u-tau"),
-        Side("sigma^s u_r", sig_s * u(r), group="u-tau"),
-        Side("u_(r+s) - sigma^r u_s", u(r + s) - sig_r * u(s), group="u-sigma"),
-        Side("tau^s u_r", tau_s * u(r), group="u-sigma"),
-        # Fibonacci specializations of the same four shapes
-        Side("L_(r+s) - L_r alpha^s", L(r + s) - L(r) * al_s, group="L-alpha"),
-        Side("-sqrt5 beta^r F_s", -(rt5 * be_r * F(s)), group="L-alpha"),
-        Side("L_(r+s) - L_r beta^s", L(r + s) - L(r) * be_s, group="L-beta"),
-        Side("sqrt5 alpha^r F_s", rt5 * al_r * F(s), group="L-beta"),
-        Side("F_(r+s) - F_r alpha^s", F(r + s) - F(r) * al_s, group="F-alpha"),
-        Side("beta^r F_s", be_r * F(s), group="F-alpha"),
-        Side("F_(r+s) - F_r beta^s", F(r + s) - F(r) * be_s, group="F-beta"),
-        Side("alpha^r F_s", al_r * F(s), group="F-beta"),
-    ])
+    return (v(r + s) - tau_r * v(s), -(delta * sig_s * u(r)),
+            v(r + s) - sig_r * v(s), delta * tau_s * u(r),
+            u(r + s) - tau_r * u(s), sig_s * u(r),
+            u(r + s) - sig_r * u(s), tau_s * u(r),
+            L(r + s) - L(r) * al_s, -(rt5 * be_r * F(s)),
+            L(r + s) - L(r) * be_s, rt5 * al_r * F(s),
+            F(r + s) - F(r) * al_s, be_r * F(s),
+            F(r + s) - F(r) * be_s, al_r * F(s)), ()
 
 
 LEM3 = Entry(
@@ -119,6 +107,19 @@ LEM3 = Entry(
     params=("p", "q", "r", "s"), domain="p, q != 0; p^2 - 4q != 0",
     guards=(GUARD_PQ, GUARD_DISC), evaluate=_lem3,
     grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("s", irange(-4, 4))),
+    sides=(Slot("v_(r+s) - tau^r v_s", "v-tau"),
+           Slot("-Delta sigma^s u_r", "v-tau"),
+           Slot("v_(r+s) - sigma^r v_s", "v-sigma"),
+           Slot("Delta tau^s u_r", "v-sigma"),
+           Slot("u_(r+s) - tau^r u_s", "u-tau"), Slot("sigma^s u_r", "u-tau"),
+           Slot("u_(r+s) - sigma^r u_s", "u-sigma"), Slot("tau^s u_r", "u-sigma"),
+           # Fibonacci specializations of the same four shapes
+           Slot("L_(r+s) - L_r alpha^s", "L-alpha"),
+           Slot("-sqrt5 beta^r F_s", "L-alpha"),
+           Slot("L_(r+s) - L_r beta^s", "L-beta"),
+           Slot("sqrt5 alpha^r F_s", "L-beta"),
+           Slot("F_(r+s) - F_r alpha^s", "F-alpha"), Slot("beta^r F_s", "F-alpha"),
+           Slot("F_(r+s) - F_r beta^s", "F-beta"), Slot("alpha^r F_s", "F-beta")),
 )
 
 
@@ -129,13 +130,8 @@ def _lem4(ctx, b):
     tau_n, sig_n = ctx.root_pow(p, q, n)
     A = (bb - a * sig) / delta
     B = (a * tau - bb) / delta
-    return Outcome(sides=[
-        Side("A tau^n - B sigma^n", A * tau_n - B * sig_n, group="difference"),
-        Side("(w_(n+1) - q w_(n-1)) / Delta", (w(n + 1) - q * w(n - 1)) / delta,
-             group="difference"),
-        Side("A sigma^n + B tau^n", A * sig_n + B * tau_n, group="swapped"),
-        Side("q^n w_(-n)", power(q, n) * w(-n), group="swapped"),
-    ])
+    return (A * tau_n - B * sig_n, (w(n + 1) - q * w(n - 1)) / delta,
+            A * sig_n + B * tau_n, power(q, n) * w(-n)), ()
 
 
 LEM4 = Entry(
@@ -147,6 +143,9 @@ LEM4 = Entry(
     guards=(GUARD_PQ, GUARD_DISC), evaluate=_lem4,
     grid=(*PQ_AXES, axis("a", irange(-3, 3)), axis("b", irange(-3, 3)),
           axis("n", irange(0, 6))),
+    sides=(Slot("A tau^n - B sigma^n", "difference"),
+           Slot("(w_(n+1) - q w_(n-1)) / Delta", "difference"),
+           Slot("A sigma^n + B tau^n", "swapped"), Slot("q^n w_(-n)", "swapped")),
 )
 
 
@@ -158,20 +157,11 @@ def _lem5(ctx, b):
     tau_m, sig_m = ctx.root_pow(p, q, m)
     tau_s, sig_s = ctx.root_pow(p, q, s)
     qms = power(q, m - s)
-    return Outcome(sides=[
-        Side("tau^r u_(m-s)", tau_r * u(m - s), group="u-tau"),
-        Side("tau^m u_(r-s) - q^(m-s) tau^s u_(r-m)",
-             tau_m * u(r - s) - qms * tau_s * u(r - m), group="u-tau"),
-        Side("sigma^r u_(m-s)", sig_r * u(m - s), group="u-sigma"),
-        Side("sigma^m u_(r-s) - q^(m-s) sigma^s u_(r-m)",
-             sig_m * u(r - s) - qms * sig_s * u(r - m), group="u-sigma"),
-        Side("Delta tau^r u_(m-s)", tau_r * u(m - s) * delta, group="v-tau"),
-        Side("tau^m v_(r-s) - q^(m-s) tau^s v_(r-m)",
-             tau_m * v(r - s) - qms * tau_s * v(r - m), group="v-tau"),
-        Side("Delta sigma^r u_(m-s)", sig_r * u(m - s) * delta, group="v-sigma"),
-        Side("-sigma^m v_(r-s) + q^(m-s) sigma^s v_(r-m)",
-             -(sig_m * v(r - s)) + qms * sig_s * v(r - m), group="v-sigma"),
-    ])
+    return (tau_r * u(m - s), tau_m * u(r - s) - qms * tau_s * u(r - m),
+            sig_r * u(m - s), sig_m * u(r - s) - qms * sig_s * u(r - m),
+            tau_r * u(m - s) * delta, tau_m * v(r - s) - qms * tau_s * v(r - m),
+            sig_r * u(m - s) * delta,
+            -(sig_m * v(r - s)) + qms * sig_s * v(r - m)), ()
 
 
 LEM5 = Entry(
@@ -182,6 +172,14 @@ LEM5 = Entry(
     guards=(GUARD_PQ, GUARD_DISC), evaluate=_lem5,
     grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("m", irange(-4, 4)),
           axis("s", irange(-4, 4))),
+    sides=(Slot("tau^r u_(m-s)", "u-tau"),
+           Slot("tau^m u_(r-s) - q^(m-s) tau^s u_(r-m)", "u-tau"),
+           Slot("sigma^r u_(m-s)", "u-sigma"),
+           Slot("sigma^m u_(r-s) - q^(m-s) sigma^s u_(r-m)", "u-sigma"),
+           Slot("Delta tau^r u_(m-s)", "v-tau"),
+           Slot("tau^m v_(r-s) - q^(m-s) tau^s v_(r-m)", "v-tau"),
+           Slot("Delta sigma^r u_(m-s)", "v-sigma"),
+           Slot("-sigma^m v_(r-s) + q^(m-s) sigma^s v_(r-m)", "v-sigma")),
 )
 
 
@@ -190,16 +188,10 @@ def _lem6(ctx, b):
     u, v = ctx.u(p, q), ctx.v(p, q)
     qm = power(q, m)
     d = _disc(p, q)
-    return Outcome(sides=[
-        Side("u_(n+m) - q^m u_(n-m)", u(n + m) - qm * u(n - m), group="u-minus"),
-        Side("u_m v_n", u(m) * v(n), group="u-minus"),
-        Side("v_(n+m) - q^m v_(n-m)", v(n + m) - qm * v(n - m), group="v-minus"),
-        Side("Delta^2 u_m u_n", d * u(m) * u(n), group="v-minus"),
-        Side("u_(n+m) + q^m u_(n-m)", u(n + m) + qm * u(n - m), group="u-plus"),
-        Side("v_m u_n", v(m) * u(n), group="u-plus"),
-        Side("v_(n+m) + q^m v_(n-m)", v(n + m) + qm * v(n - m), group="v-plus"),
-        Side("v_m v_n", v(m) * v(n), group="v-plus"),
-    ])
+    return (u(n + m) - qm * u(n - m), u(m) * v(n),
+            v(n + m) - qm * v(n - m), d * u(m) * u(n),
+            u(n + m) + qm * u(n - m), v(m) * u(n),
+            v(n + m) + qm * v(n - m), v(m) * v(n)), ()
 
 
 LEM6 = Entry(
@@ -210,6 +202,11 @@ LEM6 = Entry(
     domain="p, q != 0 (the repeated-root case is included: no root appears)",
     guards=(GUARD_PQ,), evaluate=_lem6,
     grid=(*PQ_AXES, axis("n", irange(-4, 4)), axis("m", irange(-4, 4))),
+    sides=(Slot("u_(n+m) - q^m u_(n-m)", "u-minus"), Slot("u_m v_n", "u-minus"),
+           Slot("v_(n+m) - q^m v_(n-m)", "v-minus"),
+           Slot("Delta^2 u_m u_n", "v-minus"),
+           Slot("u_(n+m) + q^m u_(n-m)", "u-plus"), Slot("v_m u_n", "u-plus"),
+           Slot("v_(n+m) + q^m v_(n-m)", "v-plus"), Slot("v_m v_n", "v-plus")),
 )
 
 
@@ -245,8 +242,7 @@ def _h01(ctx, b):
     s2 = w(t) * mid
     M = r * (n + 1)
     s3 = weighted_sum(closed, [w(t + 1 + M), w(t + 1 - M), w(t - 1 + M), w(t - 1 - M)])
-    return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 H01 = Entry(
@@ -257,11 +253,16 @@ H01 = Entry(
               "- q (w_(t-1+r(n+1)) - q^(r(n+1)) w_(t-1-r(n+1)))) / (u_r Delta^2)",
     params=("p", "q", "a", "b", "r", "t", "n"),
     domain="p, q != 0; u_r != 0; p^2 - 4q != 0; n >= 0",
-    guards=(GUARD_N, GUARD_PQ, GUARD_UR, GUARD_DISC), evaluate=_h01,
+    guards=(GUARD_PQ, GUARD_DISC, GUARD_UR, GUARD_N), evaluate=_h01,
     grid=(*PQ_AXES, joint(("a", "b"), SEED_PANEL),
           axis("r", irange(-4, 4)), axis("t", irange(-4, 4)),
           axis("n", irange(0, 6))),
+    sides=SUMS,
 )
+
+
+#: The sides of the sums that vanish: H02, H08 and H09.
+SUM_ZERO = (Slot("sum"), Slot("zero"))
 
 
 def _h02(ctx, b):
@@ -269,7 +270,7 @@ def _h02(ctx, b):
     u = ctx.u(p, q)
     s = weighted_sum(ctx.memo(_q_weights, q, r, n + 1),
                      [u(r * (n - 2 * j)) for j in range(n + 1)])
-    return Outcome(sides=[Side("sum", s), Side("zero", 0)])
+    return (s, 0), ()
 
 
 H02 = Entry(
@@ -277,8 +278,9 @@ H02 = Entry(
     statement="sum_{j=0..n} q^(rj) u_(r(n-2j)) = 0",
     params=("p", "q", "r", "n"),
     domain="p, q != 0; n >= 0 (repeated root included)",
-    guards=(GUARD_N, GUARD_PQ), evaluate=_h02,
+    guards=(GUARD_PQ, GUARD_N), evaluate=_h02,
     grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
+    sides=SUM_ZERO,
 )
 
 
@@ -288,8 +290,7 @@ def _h03(ctx, b):
     s1 = weighted_sum(ctx.memo(_q_weights, q, 1, n + 1),
                       [v(n - 2 * j) for j in range(n + 1)])
     s2 = sum(Rat(p, 2) ** j * v(n - j) for j in range(n + 1))
-    return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
-                          Side("closed form", 2 * u(n + 1))])
+    return (s1, s2, 2 * u(n + 1)), ()
 
 
 H03 = Entry(
@@ -297,8 +298,8 @@ H03 = Entry(
     statement="sum_{j=0..n} q^j v_(n-2j) = sum_{j=0..n} (p/2)^j v_(n-j) = 2 u_(n+1)",
     params=("p", "q", "n"),
     domain="p, q != 0; n >= 0 (repeated root included)",
-    guards=(GUARD_N, GUARD_PQ), evaluate=_h03,
-    grid=(*PQ_AXES, axis("n", irange(0, 6))),
+    guards=(GUARD_PQ, GUARD_N), evaluate=_h03,
+    grid=(*PQ_AXES, axis("n", irange(0, 6))), sides=SUMS,
 )
 
 
@@ -325,8 +326,7 @@ def _h04(ctx, b):
                             for x in (w(r * (2 * n - j) + t), w(r * j + t))])
     top = r * (2 * n + 1) + t
     s3 = weighted_sum(closed, [w(top + 1), w(top - 1), w(t - r + 1), w(t - r - 1)])
-    return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 H04 = Entry(
@@ -337,10 +337,11 @@ H04 = Entry(
               "- q^(r(n+1)) (w_(t-r+1) - q w_(t-r-1))) / (u_r Delta^2)",
     params=("p", "q", "a", "b", "r", "t", "n"),
     domain="p, q != 0; u_r != 0; p^2 - 4q != 0; n >= 0",
-    guards=(GUARD_N, GUARD_PQ, GUARD_UR, GUARD_DISC), evaluate=_h04,
+    guards=(GUARD_PQ, GUARD_DISC, GUARD_UR, GUARD_N), evaluate=_h04,
     grid=(*PQ_AXES, joint(("a", "b"), SEED_PANEL),
           axis("r", irange(-4, 4)), axis("t", irange(-4, 4)),
           axis("n", irange(0, 6))),
+    sides=SUMS,
 )
 
 
@@ -377,8 +378,7 @@ def _h05(ctx, b):
                                       w(s * (n - j) + t + r * j))])
     s3 = weighted_sum(closed, [w(m * n + t), w(m * n + m + t - s),
                                w(s * n + s + t - m), w(s * n + t)])
-    return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 H05 = Entry(
@@ -392,17 +392,20 @@ H05 = Entry(
               "X0 = u_(r-s)^2 + q^(m-s) u_(r-m)^2 + u_(r-s) u_(r-m) v_(m-s)",
     params=("p", "q", "a", "b", "m", "s", "r", "t", "n"),
     domain="p, q != 0; X0 != 0; n >= 0 (repeated root included)",
-    # X = q^m X0 with q != 0, so X0 != 0 exactly when X != 0
-    guards=(GUARD_N, GUARD_PQ,
+    # X = q^m X0 with q != 0, so X0 != 0 exactly when X != 0; X divides by
+    # q for m < 0, so its guard follows GUARD_PQ
+    guards=(GUARD_PQ,
             Guard("X0 != 0", ("p", "q", "m", "s", "r"),
                   lambda ctx, b: ctx.memo(_h05_x, b["p"], b["q"], b["m"], b["s"],
-                                          b["r"]) != 0)),
+                                          b["r"]) != 0),
+            GUARD_N),
     evaluate=_h05,
     grid=(*PQ_AXES, joint(("a", "b"), [(0, 1), (2, 3)]),
           joint(("m", "s", "r"),
                 [(1, 0, 2), (2, 1, 3), (0, 0, 1), (2, -1, -2), (-1, -2, 0),
                  (3, 1, 1), (4, 2, -3), (-2, -4, 3), (2, 2, 2), (1, -3, -1)]),
           axis("t", irange(-2, 2)), axis("n", irange(0, 6))),
+    sides=SUMS,
 )
 
 
@@ -446,8 +449,7 @@ def _h06(ctx, b):
     s1 = weighted_sum(sq, [w(2 * r * (n - j) + t) for j in range(2 * n + 1)])
     s2 = w(t) * mid
     s3 = w(t) * closed
-    return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 H06 = Entry(
@@ -458,10 +460,11 @@ H06 = Entry(
               "= w_t v_(r(2n+1)) / v_r",
     params=("p", "q", "a", "b", "r", "t", "n"),
     domain="p, q != 0; v_r != 0; u_r != 0 unless n = 0; n >= 0",
-    guards=(GUARD_N, GUARD_PQ, GUARD_VR, GUARD_H06), evaluate=_h06,
+    guards=(GUARD_PQ, GUARD_VR, GUARD_N, GUARD_H06), evaluate=_h06,
     grid=(*PQ_AXES, joint(("a", "b"), SEED_PANEL),
           axis("r", irange(-4, 4)), axis("t", irange(-4, 4)),
           axis("n", irange(0, 6))),
+    sides=SUMS,
 )
 
 
@@ -492,8 +495,7 @@ def _h07(ctx, b):
     s1 = weighted_sum(sq, [w(r * (2 * n - 1 - 2 * j) + t) for j in range(2 * n)])
     s2 = weighted_sum(mid, [w(t + 1), w(t - 1)])
     s3 = weighted_sum(closed, [w(t + 2 * r * n), w(t - 2 * r * n)])
-    return Outcome(sides=[Side("left sum", s1), Side("middle sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 H07 = Entry(
@@ -505,10 +507,11 @@ H07 = Entry(
               "= (w_(t+2rn) - q^(2rn) w_(t-2rn)) / v_r",
     params=("p", "q", "a", "b", "r", "t", "n"),
     domain="p, q != 0; v_r != 0; u_r != 0 and p^2 - 4q != 0 unless n = 0; n >= 0",
-    guards=(GUARD_N, GUARD_PQ, GUARD_VR, GUARD_H07), evaluate=_h07,
+    guards=(GUARD_PQ, GUARD_VR, GUARD_N, GUARD_H07), evaluate=_h07,
     grid=(*PQ_AXES, joint(("a", "b"), SEED_PANEL),
           axis("r", irange(-4, 4)), axis("t", irange(-4, 4)),
           axis("n", irange(0, 6))),
+    sides=SUMS,
 )
 
 
@@ -517,7 +520,7 @@ def _h08(ctx, b):
     u = ctx.u(p, q)
     s = weighted_sum(ctx.memo(_signed_q_weights, q, r, 2 * n + 1),
                      [u(2 * r * (n - j)) for j in range(2 * n + 1)])
-    return Outcome(sides=[Side("sum", s), Side("zero", 0)])
+    return (s, 0), ()
 
 
 H08 = Entry(
@@ -525,8 +528,9 @@ H08 = Entry(
     statement="sum_{j=0..2n} (-1)^j q^(rj) u_(2r(n-j)) = 0",
     params=("p", "q", "r", "n"),
     domain="p, q != 0; n >= 0 (no other constraint: the sum telescopes to zero)",
-    guards=(GUARD_N, GUARD_PQ), evaluate=_h08,
+    guards=(GUARD_PQ, GUARD_N), evaluate=_h08,
     grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
+    sides=SUM_ZERO,
 )
 
 
@@ -535,7 +539,7 @@ def _h09(ctx, b):
     v = ctx.v(p, q)
     s = weighted_sum(ctx.memo(_signed_q_weights, q, r, 2 * n),
                      [v(r * (2 * n - 1 - 2 * j)) for j in range(2 * n)])
-    return Outcome(sides=[Side("sum", s), Side("zero", 0)])
+    return (s, 0), ()
 
 
 H09 = Entry(
@@ -543,8 +547,9 @@ H09 = Entry(
     statement="sum_{j=0..2n-1} (-1)^j q^(rj) v_(r(2n-1-2j)) = 0",
     params=("p", "q", "r", "n"),
     domain="p, q != 0; n >= 0",
-    guards=(GUARD_N, GUARD_PQ), evaluate=_h09,
+    guards=(GUARD_PQ, GUARD_N), evaluate=_h09,
     grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
+    sides=SUM_ZERO,
 )
 
 
@@ -556,12 +561,7 @@ def _h10(ctx, b):
     left = weighted_sum(sq, [u(r * (2 * n - 1 - 2 * j)) for j in range(2 * n)])
     left_printed = weighted_sum(sq, [u(r * (2 * n - 1 - 2 * j) + t)
                                      for j in range(2 * n)])
-    return Outcome(sides=[
-        Side("left sum with displayed shift t", left_printed, variant="as-printed"),
-        Side("left sum without shift", left, variant="as-proved"),
-        Side("middle sum", 2 * mid),
-        Side("closed form", 2 * u(2 * r * n) / Rat(v(r))),
-    ])
+    return (left_printed, left, 2 * mid, 2 * u(2 * r * n) / Rat(v(r))), ()
 
 
 H10 = Entry(
@@ -572,9 +572,12 @@ H10 = Entry(
               "= 2 u_(2rn) / v_r",
     params=("p", "q", "r", "t", "n"),
     domain="p, q != 0; v_r != 0; u_r != 0 and p^2 - 4q != 0 unless n = 0; n >= 0",
-    guards=(GUARD_N, GUARD_PQ, GUARD_VR, GUARD_H07), evaluate=_h10,
+    guards=(GUARD_PQ, GUARD_VR, GUARD_N, GUARD_H07), evaluate=_h10,
     grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("t", irange(-2, 2)),
           axis("n", irange(0, 6))),
+    sides=(Slot("left sum with displayed shift t", variant="as-printed"),
+           Slot("left sum without shift", variant="as-proved"),
+           Slot("middle sum"), Slot("closed form")),
     variants=("as-printed", "as-proved"), primary="as-proved",
     notes=("The display carries a '+t' inside the left sum that the t-free "
            "middle and closed sides contradict for t != 0; the parent theorem "
@@ -589,8 +592,7 @@ def _h11(ctx, b):
     v = ctx.v(p, q)
     sq, mid, closed = ctx.memo(_h06_shared, p, q, r, n)
     s1 = weighted_sum(sq, [v(2 * r * (n - j)) for j in range(2 * n + 1)])
-    return Outcome(sides=[Side("left sum", s1), Side("middle sum", 2 * mid),
-                          Side("closed form", 2 * closed)])
+    return (s1, 2 * mid, 2 * closed), ()
 
 
 H11 = Entry(
@@ -601,8 +603,9 @@ H11 = Entry(
               "= 2 v_(r(2n+1)) / v_r",
     params=("p", "q", "r", "n"),
     domain="p, q != 0; v_r != 0; u_r != 0 unless n = 0; n >= 0",
-    guards=(GUARD_N, GUARD_PQ, GUARD_VR, GUARD_H06), evaluate=_h11,
+    guards=(GUARD_PQ, GUARD_VR, GUARD_N, GUARD_H06), evaluate=_h11,
     grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
+    sides=SUMS,
 )
 
 

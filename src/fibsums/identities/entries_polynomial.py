@@ -26,7 +26,7 @@ from ..polynomials import (POLY_ONE, POLY_X, cheb_T, cheb_U, fib_poly,
                            poly_scale, poly_sub)
 from ..scalars import QuadExt
 from ..sequences import neg_one
-from .engine import Entry, Outcome, Side, axis, irange
+from .engine import Entry, Slot, axis, irange
 from .entries_common import GUARD_N, GUARD_R_POSITIVE
 
 
@@ -60,8 +60,7 @@ def _p01(ctx, b):
         s2 = poly_add(s2, poly_scale(2 ** (n - j), poly_mul(xp[j], L(n - j))))
     s2 = poly_scale(Fraction(1, 2 ** n), s2)
     s3 = poly_scale(2, F(n + 1))
-    return Outcome(sides=[Side("alternating sum", s1), Side("halved sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 P01 = Entry(
@@ -70,6 +69,7 @@ P01 = Entry(
               "= sum_{j=0..n} (x/2)^j L_(n-j)(x) = 2 F_(n+1)(x)",
     params=("n",), domain="n >= 0", guards=(GUARD_N,), evaluate=_p01,
     grid=(axis("n", irange(0, 15)),),
+    sides=(Slot("alternating sum"), Slot("halved sum"), Slot("closed form")),
 )
 
 
@@ -79,8 +79,7 @@ def _p02(ctx, b):
     s1 = sum(neg_one(j) * Q(n - 2 * j) for j in range(n + 1))
     s2 = sum(Q(n - j) for j in range(n + 1))      # (x/2)^j = 1 at x = 2
     s3 = 2 * P(n + 1)
-    return Outcome(sides=[Side("alternating sum", s1), Side("unit-weight sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 P02 = Entry(
@@ -89,6 +88,7 @@ P02 = Entry(
               "(Pell specialization of P01 at x = 2)",
     params=("n",), domain="n >= 0", guards=(GUARD_N,), evaluate=_p02,
     grid=(axis("n", irange(0, 15)),),
+    sides=(Slot("alternating sum"), Slot("unit-weight sum"), Slot("closed form")),
 )
 
 
@@ -107,9 +107,7 @@ def _p03(ctx, b):
                                      poly_mul(wp[j], L(2 * (n - j)))))
     s2 = poly_scale(Fraction(1, 2 ** n), poly_mul(POLY_X, s2))
     s3 = poly_scale(2, F(2 * (n + 1)))
-    return Outcome(sides=[Side("x * alternating-index sum", s1),
-                          Side("x * halved sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 P03 = Entry(
@@ -119,6 +117,8 @@ P03 = Entry(
               "(both sums multiplied by x; the display divides the closed form by x)",
     params=("n",), domain="n >= 0", guards=(GUARD_N,), evaluate=_p03,
     grid=(axis("n", irange(0, 15)),),
+    sides=(Slot("x * alternating-index sum"), Slot("x * halved sum"),
+           Slot("closed form")),
 )
 
 
@@ -137,9 +137,7 @@ def _p04(ctx, b):
                                      poly_mul(pwl[j], poly_add(pw1[n - j], pw_1[n - j]))))
     s2 = poly_scale(Fraction(1, 2 ** n), poly_mul(poly_mul(POLY_X, fr), s2))
     s3 = poly_scale(2, poly_sub(pw1[n + 1], pw_1[n + 1]))
-    return Outcome(sides=[Side("2 x F_r(x) * power sum", s1),
-                          Side("x F_r(x) * halved sum", s2),
-                          Side("closed form", s3)])
+    return (s1, s2, s3), ()
 
 
 P04 = Entry(
@@ -149,9 +147,11 @@ P04 = Entry(
               "= 2 (F_(r+1)(x)^(n+1) - F_(r-1)(x)^(n+1)) "
               "(both sums multiplied by x F_r(x), which the display divides by)",
     params=("r", "n"), domain="r >= 1; n >= 0",
-    guards=(GUARD_N, GUARD_R_POSITIVE),
+    guards=(GUARD_R_POSITIVE, GUARD_N),
     evaluate=_p04,
     grid=(axis("r", irange(1, 6)), axis("n", irange(0, 15))),
+    sides=(Slot("2 x F_r(x) * power sum"), Slot("x F_r(x) * halved sum"),
+           Slot("closed form")),
 )
 
 
@@ -165,8 +165,7 @@ def _p05(ctx, b):
     s2 = ()
     for j in range(n + 1):
         s2 = poly_add(s2, poly_mul(xp[j], T(n - j)))
-    return Outcome(sides=[Side("folded sum", s1), Side("convolution sum", s2),
-                          Side("closed form", ctx.memo(_term, cheb_U, n))])
+    return (s1, s2, ctx.memo(_term, cheb_U, n)), ()
 
 
 P05 = Entry(
@@ -174,33 +173,27 @@ P05 = Entry(
     statement="sum_{j=0..n} T_(n-2j)(x) = sum_{j=0..n} x^j T_(n-j)(x) = U_n(x)",
     params=("n",), domain="n >= 0", guards=(GUARD_N,), evaluate=_p05,
     grid=(axis("n", irange(0, 20)),),
+    sides=(Slot("folded sum"), Slot("convolution sum"), Slot("closed form")),
 )
+
+
+# P06's four sides of the other parity of r, absent at a point
+_ABSENT = (None,) * 4
 
 
 def _p06(ctx, b):
     r, n = b["r"], b["n"]
     F, L = ctx.fib(), ctx.luc()
     ln, fn = ctx.memo(_term, lucas_poly, n), ctx.memo(_term, fib_poly, n)
-    sides = []
     if r % 2:
         arg = L(r)
-        sides.append(Side("L_n evaluated at L_r", poly_eval(ln, arg),
-                          group="lucas-map"))
-        sides.append(Side("L_(rn)", L(r * n), group="lucas-map"))
-        sides.append(Side("F_r * F_n evaluated at L_r",
-                          F(r) * poly_eval(fn, arg), group="fib-map"))
-        sides.append(Side("F_(rn)", F(r * n), group="fib-map"))
-    else:
-        # even r routes through the imaginary unit: argument i*L_r
-        i = QuadExt(0, 1, -1)
-        arg = i * L(r)
-        sides.append(Side("L_n evaluated at i L_r", poly_eval(ln, arg),
-                          group="lucas-map"))
-        sides.append(Side("i^n L_(rn)", i ** n * L(r * n), group="lucas-map"))
-        sides.append(Side("F_r * F_n evaluated at i L_r",
-                          F(r) * poly_eval(fn, arg), group="fib-map"))
-        sides.append(Side("i^(n-1) F_(rn)", i ** (n - 1) * F(r * n), group="fib-map"))
-    return Outcome(sides=sides)
+        return (poly_eval(ln, arg), L(r * n), F(r) * poly_eval(fn, arg),
+                F(r * n)) + _ABSENT, ()
+    # even r routes through the imaginary unit: argument i*L_r
+    i = QuadExt(0, 1, -1)
+    arg = i * L(r)
+    return _ABSENT + (poly_eval(ln, arg), i ** n * L(r * n),
+                      F(r) * poly_eval(fn, arg), i ** (n - 1) * F(r * n)), ()
 
 
 P06 = Entry(
@@ -209,9 +202,18 @@ P06 = Entry(
               "even r: L_n(i L_r) = i^n L_(rn) and F_r F_n(i L_r) = i^(n-1) F_(rn) "
               "with i^2 = -1",
     params=("r", "n"), domain="r >= 1; n >= 0",
-    guards=(GUARD_N, GUARD_R_POSITIVE),
+    guards=(GUARD_R_POSITIVE, GUARD_N),
     evaluate=_p06,
     grid=(axis("r", irange(1, 6)), axis("n", irange(0, 15))),
+    # the odd-r sides, then the even-r sides; a point has one set present
+    sides=(Slot("L_n evaluated at L_r", "lucas-map"),
+           Slot("L_(rn)", "lucas-map"),
+           Slot("F_r * F_n evaluated at L_r", "fib-map"),
+           Slot("F_(rn)", "fib-map"),
+           Slot("L_n evaluated at i L_r", "lucas-map"),
+           Slot("i^n L_(rn)", "lucas-map"),
+           Slot("F_r * F_n evaluated at i L_r", "fib-map"),
+           Slot("i^(n-1) F_(rn)", "fib-map")),
 )
 
 

@@ -28,11 +28,10 @@ one ``Rat``. The Horadam sums use this instead of a ``Rat`` product and a
 ``Rat`` sum per term.
 
 Canonical where read. Kernel values stay unreduced until they are read or
-rendered. A catalog ``Side`` keeps the value it was given, and the verdict
-compares those stored values: ``Rat`` and ``QuadExt`` equality
-cross-multiplies, so comparing takes no gcd. ``Side.value``, reports and
-``QuadExt(a, b, d)`` read a ``Rat`` as its reduced ``Fraction`` through one
-function, ``canonical``. ``QuadExt.a``, ``QuadExt.b`` and ``norm()`` are
+rendered. The verdict compares the side values an entry returns as they
+are: ``Rat`` and ``QuadExt`` equality cross-multiplies, so comparing takes
+no gcd. A reported ``Side``, reports and ``QuadExt(a, b, d)`` read a
+``Rat`` as its reduced ``Fraction`` through one function, ``canonical``. ``QuadExt.a``, ``QuadExt.b`` and ``norm()`` are
 reduced ``Fraction``s. ``==`` and ``hash`` of both types, and ``repr`` and
 ``render_scalar`` of a ``QuadExt``, depend only on the value, never on how
 far it was reduced.
@@ -272,8 +271,15 @@ def int_weights(coeffs) -> tuple:
     """``(N, D)``: integers N_j and D > 0 with N_j / D = coeffs[j].
 
     The coefficients may be ints, Fractions or Rats. D is the lcm of their
-    denominators in lowest terms; ``weighted_sum`` reads the pair.
+    denominators in lowest terms, 1 when all are ints; ``weighted_sum``
+    reads the pair.
     """
+    coeffs = tuple(coeffs)
+    for c in coeffs:
+        if type(c) is not int:
+            break
+    else:
+        return coeffs, 1
     parts = []
     for c in coeffs:
         nd = _nd(c)
@@ -289,13 +295,16 @@ def int_weights(coeffs) -> tuple:
 def weighted_sum(weights, terms) -> Rat:
     """sum_j N_j * terms[j] / D as one Rat, for ``weights`` = ``(N, D)``.
 
-    The terms, a sequence as long as N, are ints or Fractions. When all
-    are ints the sum is one integer dot product over D. Otherwise each
-    term's numerator is scaled to L, the lcm of the terms' denominators,
-    and the dot product is over D * L. Either way the terms are summed in
-    order, and no Rat is built but the result.
+    The terms, a sequence as long as N, are ints or Fractions; a length
+    that differs from N's is a ValueError. When all are ints the sum is
+    one integer dot product over D. Otherwise each term's numerator is
+    scaled to L, the lcm of the terms' denominators, and the dot product
+    is over D * L. Either way the terms are summed in order, and no Rat is
+    built but the result.
     """
     nums, den = weights
+    if len(nums) != len(terms):
+        raise ValueError(f"weighted_sum: {len(nums)} weights for {len(terms)} terms")
     for x in terms:
         if type(x) is not int:
             break

@@ -256,14 +256,13 @@ class TestVerify:
 
     def test_failing_entry_exits_1(self, capsys, monkeypatch):
         from fibsums import identities
-        from fibsums.identities import Entry, Outcome, Side, axis
+        from fibsums.identities import Entry, Outcome, Slot, axis
 
         bad = Entry(
             id="XBAD", kind="identity", statement="zero equals one",
             params=("n",), domain="n >= 0", guards=(),
-            evaluate=lambda ctx, b: Outcome(
-                sides=[Side("left", 0), Side("right", 1)]),
-            grid=(axis("n", [0, 1]),))
+            evaluate=lambda ctx, b: Outcome((0, 1)),
+            grid=(axis("n", [0, 1]),), sides=(Slot("left"), Slot("right")))
         monkeypatch.setitem(identities._BY_ID, "XBAD", bad)
 
         code, doc, _ = run_json(capsys, "verify", "XBAD")
@@ -279,17 +278,17 @@ class TestVerify:
     def test_instance_error_is_a_failure_not_a_traceback(self, capsys,
                                                           monkeypatch):
         from fibsums import identities
-        from fibsums.identities import Entry, Outcome, Side, axis
+        from fibsums.identities import Entry, Outcome, Slot, axis
 
         def evaluate(ctx, b):
             if b["n"] == 1:
                 raise ZeroDivisionError("division by zero")
-            return Outcome(sides=[Side("left", 1), Side("right", 1)])
+            return Outcome((1, 1))
 
         broken = Entry(
             id="XERR", kind="identity", statement="one equals one",
             params=("n",), domain="any n", guards=(), evaluate=evaluate,
-            grid=(axis("n", [0, 1, 2]),))
+            grid=(axis("n", [0, 1, 2]),), sides=(Slot("left"), Slot("right")))
         monkeypatch.setitem(identities._BY_ID, "XERR", broken)
 
         code, doc, err = run_json(capsys, "verify", "XERR")
@@ -345,14 +344,13 @@ class TestDiv:
 
     def test_failing_witness_exits_1(self, capsys, monkeypatch):
         from fibsums import identities
-        from fibsums.identities import Entry, Outcome, axis, make_witness
+        from fibsums.identities import Entry, Outcome, axis
 
         bad = Entry(
             id="XDIV", kind="divisibility", statement="three divides ten",
             params=("n",), domain="n >= 0", guards=(),
-            evaluate=lambda ctx, b: Outcome(
-                witnesses=[make_witness("3 | 10", 3, 10)]),
-            grid=(axis("n", [0]),))
+            evaluate=lambda ctx, b: Outcome(witnesses=((3, 10),)),
+            grid=(axis("n", [0]),), witnesses=("3 | 10",))
         monkeypatch.setitem(identities._BY_ID, "XDIV", bad)
 
         code, doc, _ = run_json(capsys, "div", "XDIV")

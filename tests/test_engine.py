@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibsums.identities import (ENTRIES, Axis, Context, Entry, Evaluation,
-                                Guard, Outcome, RejectedInstance, Side, axis,
-                                evaluate_entry, get_entry, joint, make_witness,
-                                sweep)
+                                Guard, Outcome, RejectedInstance, Side, Slot,
+                                axis, evaluate_entry, get_entry, joint, sweep)
 from fibsums.identities import engine
 from fibsums.reports import document, sweep_payload, to_json
 from fibsums.scalars import QuadExt, Rat
@@ -97,6 +96,10 @@ def assert_same_sweep(got, want):
             == [list(ev.bindings.items()) for ev in want[3]]
 
 
+#: The two sides of the synthetic entries that return (x, y).
+XY = (Slot("x"), Slot("y"))
+
+
 def grid_size(grid):
     return math.prod(len(ax.values) for ax in grid)
 
@@ -123,12 +126,9 @@ def _synthetic_evaluate(ctx, b):
     if a * d == 2:
         raise Boom(f"a * d = {a * d}")
     return Outcome(
-        sides=[Side("lhs", Fraction(a + c, 2)),
-               Side("printed", Fraction(a + c + (a == bb), 2),
-                    variant="as-printed"),
-               Side("proved", Fraction(a + c + (d == 3), 2),
-                    variant="as-proved")],
-        witnesses=[make_witness("2 | 2a + c d", 2, 2 * a + c * d)])
+        (Fraction(a + c, 2), Fraction(a + c + (a == bb), 2),
+         Fraction(a + c + (d == 3), 2)),
+        ((2, 2 * a + c * d),))
 
 
 def synthetic_entry(a, bc, d, guards):
@@ -137,6 +137,9 @@ def synthetic_entry(a, bc, d, guards):
         params=("a", "b", "c", "d", "e"), domain="see guards",
         guards=tuple(guards), evaluate=_synthetic_evaluate,
         grid=(axis("a", a), joint(("b", "c"), bc), axis("d", d)),
+        sides=(Slot("lhs"), Slot("printed", variant="as-printed"),
+               Slot("proved", variant="as-proved")),
+        witnesses=("2 | 2a + c d",),
         required=("a", "b", "c", "d"),
         variants=("as-printed", "as-proved"), primary="as-proved")
 
@@ -225,7 +228,7 @@ class TestPerLevelGuards:
             guards=(counted("a", lambda b: b["a"] != 0),
                     counted("c", lambda b: True),
                     counted("b", lambda b: b["b"] != 1)),
-            evaluate=lambda ctx, b: Outcome(sides=[Side("x", 1), Side("y", 1)]),
+            evaluate=lambda ctx, b: Outcome((1, 1)), sides=XY,
             grid=(axis("a", [0, 1, 2]), axis("b", [0, 1, 2, 3]),
                   axis("c", [0, 1, 2, 3, 4])))
         with shards(1):     # the calls are counted in this process
@@ -255,12 +258,12 @@ class TestInstanceErrors:
         def evaluate(ctx, b):
             if b["n"] % 2:
                 raise KeyError("m")
-            return Outcome(sides=[Side("x", b["n"]), Side("y", b["n"])])
+            return Outcome((b["n"], b["n"]))
 
         return Entry(
             id="XERR", kind="identity", statement="n = n", params=("n",),
             domain="any n", guards=guards, evaluate=evaluate,
-            grid=(axis("n", range(5)),))
+            grid=(axis("n", range(5)),), sides=XY)
 
     def test_evaluate_errors_become_failing_instances(self):
         seen = []
@@ -325,9 +328,8 @@ def n_entry(guards=(), evaluate=None):
     return Entry(
         id="XSHD", kind="identity", statement="n = n", params=("n",),
         domain="any n", guards=guards,
-        evaluate=evaluate or (lambda ctx, b: Outcome(
-            sides=[Side("x", b["n"]), Side("y", b["n"])])),
-        grid=(axis("n", range(10)),))
+        evaluate=evaluate or (lambda ctx, b: Outcome((b["n"], b["n"]))),
+        grid=(axis("n", range(10)),), sides=XY)
 
 
 def raising_guard(name, bad):
@@ -403,7 +405,7 @@ class TestShardedSweep:
         def evaluate(ctx, b):
             if b["n"] % 2:
                 raise KeyError("m")
-            return Outcome(sides=[Side("x", b["n"]), Side("y", b["n"])])
+            return Outcome((b["n"], b["n"]))
 
         entry = n_entry(evaluate=evaluate)
         with shards(workers) as forked:
@@ -422,8 +424,7 @@ class TestShardedSweep:
             n = b["n"]
             x = QuadExt(n, 1, 5)
             unreduced = x * Rat(7, 11) * Fraction(11, 7)
-            return Outcome(sides=[Side("x", x),
-                                  Side("y", unreduced + (n % 3 == 1))])
+            return Outcome((x, unreduced + (n % 3 == 1)))
 
         entry = n_entry(evaluate=evaluate)
         want = sweep(entry)
@@ -475,8 +476,8 @@ class TestShardedSweep:
 
         entry = Entry(
             id="XPRE", kind="identity", statement="a = a",
-            params=("a", "n"), domain="any", evaluate=lambda ctx, b: Outcome(
-                sides=[Side("x", b["a"]), Side("y", b["a"])]),
+            params=("a", "n"), domain="any",
+            evaluate=lambda ctx, b: Outcome((b["a"], b["a"])), sides=XY,
             guards=(raising_guard("a", (2,)), Guard("n ok", ("n",), n_holds)),
             grid=(axis("a", range(4)), axis("n", range(3))))
         with pytest.raises(ValueError) as serial:
@@ -636,7 +637,7 @@ class TestTimeGatedSweep:
             guards=(counted("a", lambda b: b["a"] != 0),
                     counted("c", lambda b: True),
                     counted("b", lambda b: b["b"] != 1)),
-            evaluate=lambda ctx, b: Outcome(sides=[Side("x", 1), Side("y", 1)]),
+            evaluate=lambda ctx, b: Outcome((1, 1)), sides=XY,
             grid=(axis("a", [0, 1, 2]), axis("b", [0, 1, 2, 3]),
                   axis("c", [0, 1, 2, 3, 4])))
         prefixes = prefix_count(entry, 2)     # 12: the grid splits after b
@@ -711,14 +712,70 @@ class TestGuardContract:
                     break
 
 
+class TestDeclaredSlots:
+    @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.id)
+    def test_evaluate_returns_the_declared_widths(self, entry):
+        # absent slots are None, never a shorter tuple, and every point has
+        # something to check
+        rng = random.Random(entry.id)
+        names = [n for ax in entry.grid for n in ax.names]
+        ctx, checked = Context(), 0
+        for _ in range(GUARD_SAMPLE_POINTS):
+            rows = [rng.choice(ax.values) for ax in entry.grid]
+            b = dict(zip(names, (x for row in rows for x in row)))
+            if not all(g.holds(ctx, b) for g in entry.guards):
+                continue
+            sides, witnesses = entry.evaluate(ctx, b)
+            assert (len(sides), len(witnesses)) \
+                == (len(entry.sides), len(entry.witnesses))
+            assert any(x is not None for x in sides + witnesses)
+            assert all(len(w) == 2 for w in witnesses if w is not None)
+            checked += 1
+        assert checked
+        assert len({s.label for s in entry.sides}) == len(entry.sides)
+        assert {s.variant for s in entry.sides} <= {None, *entry.variants}
+
+    def test_more_values_than_sides_is_an_instance_error(self):
+        entry = n_entry(evaluate=lambda ctx, b: Outcome((1, 1, 1)))
+        rep = sweep(entry)
+        assert rep.checked == 10 and len(rep.failures) == 10
+        assert rep.failures[0].first_diff \
+            == ("error", "ValueError: 3 side values for 2 declared sides")
+
+
+class TestGuardOrder:
+    @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.id)
+    def test_each_guard_runs_at_its_own_deepest_need(self, entry):
+        # a guard runs no deeper than its declared predecessors force it, so
+        # declaring a deep guard (such as n >= 0) before shallow ones would
+        # check the shallow ones once per point; no entry is exempt
+        depth = {name: i + 1 for i, ax in enumerate(entry.grid) for name in ax.names}
+        levels = engine._guard_levels(entry, list(entry.grid))
+        assert sum(map(len, levels)) == len(entry.guards)
+        for level, guards in enumerate(levels):
+            for g in guards:
+                assert level == max((depth[n] for n in g.needs), default=0), g.text
+
+
 # ---------------------------------------------------------------------------
 # raw verdicts: sides are compared as stored, unreduced kernel values too
 # ---------------------------------------------------------------------------
 
-VERDICT_ENTRY = Entry(
-    id="XRAW", kind="identity", statement="raw sides", params=(),
-    domain="none", guards=(), evaluate=None, grid=(),
-    variants=("as-printed", "as-proved"), primary="as-proved")
+READINGS = ("as-printed", "as-proved")
+
+
+def verdict_plan(slots, primary="as-proved"):
+    """The verdict layout of an entry declaring ``slots`` and two readings."""
+    return engine._Plan(Entry(
+        id="XRAW", kind="identity", statement="raw sides", params=(),
+        domain="none", guards=(), evaluate=None, grid=(), sides=tuple(slots),
+        variants=READINGS, primary=primary))
+
+
+@st.composite
+def drawn_slots(draw, count, groups, variants):
+    return [Slot(f"s{i}", draw(st.sampled_from(groups)),
+                 draw(st.sampled_from(variants))) for i in range(count)]
 
 
 @st.composite
@@ -754,30 +811,32 @@ class TestRawVerdict:
     @given(data=st.data())
     def test_stored_values_get_the_verdict_of_their_canonical_forms(self, data):
         d = data.draw(st.sampled_from((2, 5, -1)))
-        sides = [Side(f"s{i}", data.draw(stored_values(d)),
-                      data.draw(st.sampled_from(("eq", "alt"))),
-                      data.draw(st.sampled_from(VERDICT_ENTRY.variants
-                                                + (None,))))
-                 for i in range(data.draw(st.integers(1, 5)))]
-        canonical = [dataclasses.replace(s, value=canonical_form(s.raw))
-                     for s in sides]
-        assert [s.value for s in sides] == [s.raw for s in canonical]
-        assert engine._verdicts(VERDICT_ENTRY, Outcome(sides)) \
-            == engine._verdicts(VERDICT_ENTRY, Outcome(canonical))
+        slots = data.draw(drawn_slots(data.draw(st.integers(1, 5)), ("eq", "alt"),
+                                      READINGS + (None,)))
+        values = tuple(data.draw(stored_values(d)) for _ in slots)
+        canonical = tuple(canonical_form(x) for x in values)
+        plan = verdict_plan(slots)
+        verdict = engine._judge(plan, values, ())
+        assert verdict == engine._judge(plan, canonical, ())
+        # a reported side reads its value reduced
+        ev = engine._evaluation(plan, {}, values, (), *verdict)
+        assert [s.value for s in ev.sides] == list(canonical)
+        assert [type(s.value) for s in ev.sides] == [type(x) for x in canonical]
 
 
-def all_pairs_disagreement(sides, variant):
-    """Reference verdict: every pair of every group, groups in order of
-    first appearance, pairs in (i, j) order; the first unequal pair."""
+def all_pairs_disagreement(slots, values, variant):
+    """Reference verdict over the present sides: every pair of every group,
+    groups in order of first appearance, pairs in (i, j) order; the first
+    unequal pair."""
     groups = {}
-    for s in sides:
-        if s.variant is None or s.variant == variant:
-            groups.setdefault(s.group, []).append(s)
+    for s, x in zip(slots, values):
+        if x is not None and s.variant in (None, variant):
+            groups.setdefault(s.group, []).append((s.label, x))
     for members in groups.values():
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                if members[i].raw != members[j].raw:
-                    return members[i].label, members[j].label
+                if members[i][1] != members[j][1]:
+                    return members[i][0], members[j][0]
     return None
 
 
@@ -785,27 +844,33 @@ class TestFirstMemberVerdict:
     @settings(max_examples=500, deadline=None)
     @given(data=st.data())
     def test_matches_the_all_pairs_reference(self, data):
-        # small values in mixed representations: sides are often equal
+        # small values in mixed representations: sides are often equal;
+        # a side may be absent (None), and the values may stop short
         d = data.draw(st.sampled_from((2, 5, -1)))
-        sides = [Side(f"s{i}", data.draw(stored_values(d)),
-                      data.draw(st.sampled_from(("eq", "alt", "third"))),
-                      data.draw(st.sampled_from(VERDICT_ENTRY.variants
-                                                + (None, None))))
-                 for i in range(data.draw(st.integers(0, 9)))]
-        for variant in VERDICT_ENTRY.variants:
-            assert engine._sides_agree(sides, variant) \
-                == all_pairs_disagreement(sides, variant)
+        slots = data.draw(drawn_slots(data.draw(st.integers(0, 9)),
+                                      ("eq", "alt", "third"),
+                                      READINGS + (None, None)))
+        values = tuple(data.draw(st.one_of(stored_values(d), st.none()))
+                       for _ in slots)
+        values = values[:data.draw(st.integers(0, len(values)))]
+        for primary in READINGS:
+            held, diff = engine._judge(verdict_plan(slots, primary), values, ())
+            assert diff == all_pairs_disagreement(slots, values, primary)
+            assert held == tuple(
+                k for k, v in enumerate(READINGS)
+                if all_pairs_disagreement(slots, values, v) is None)
 
     def test_a_later_group_is_not_reported_first(self):
         # the second group's mismatch comes first in side order
-        sides = [Side("a0", 1), Side("b0", 2, "b"), Side("b1", 3, "b"),
-                 Side("a1", 1), Side("a2", Rat(4, 2))]
-        assert engine._sides_agree(sides, "as-stated") == ("a0", "a2")
+        slots = [Slot("a0"), Slot("b0", "b"), Slot("b1", "b"), Slot("a1"),
+                 Slot("a2")]
+        plan = verdict_plan(slots)
+        assert engine._judge(plan, (1, 2, 3, 1, Rat(4, 2)), ()) == ((), ("a0", "a2"))
 
 
 class TestSideContract:
     def test_positional_and_keyword_sides_are_equal(self):
-        for args in (("left sum", Rat(6, 4)), ("t", 3, "g"),
+        for args in (("left sum", Fraction(6, 4)), ("t", 3, "g"),
                      ("t", Fraction(3, 2), "g", "as-proved")):
             pos = Side(*args)
             kw = Side(**dict(zip(("label", "value", "group", "variant"), args)))
@@ -816,27 +881,30 @@ class TestSideContract:
 
     def test_fields_are_frozen(self):
         side = Side("t", 1)
-        for name in ("label", "value", "raw", "group", "variant"):
+        for name in ("label", "value", "group", "variant"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(side, name, 2)
-        assert side.raw == 1
+        assert side.value == 1
 
-    def test_replace_stores_the_value_unreduced(self):
-        side = Side("t", 1, "g", "as-proved")
-        x = Rat(6, 4)
-        new = dataclasses.replace(side, value=x)
-        assert new.raw is x
-        assert type(new.value) is Fraction and new.value == Fraction(3, 2)
-        assert (new.label, new.group, new.variant) == ("t", "g", "as-proved")
+    def test_reported_sides_hold_reduced_values(self):
+        entry = Entry(
+            id="XSID", kind="identity", statement="3/2 = 3/2", params=(),
+            domain="none", guards=(), grid=(),
+            evaluate=lambda ctx, b: Outcome((Rat(6, 4), None, Fraction(3, 2))),
+            sides=(Slot("t", "g", "as-proved"), Slot("absent", "g"), Slot("u", "g")),
+            variants=READINGS, primary="as-proved")
+        ev = evaluate_entry(entry, {})
+        assert ev.ok and ev.variant_ok == {"as-printed": True, "as-proved": True}
+        assert ev.sides == [Side("t", Fraction(3, 2), "g", "as-proved"),
+                            Side("u", Fraction(3, 2), "g")]
+        assert type(ev.sides[0].value) is Fraction
 
 
 def half_off(entry, half):
     """``entry`` with ``half`` added to its first side at every point."""
     def evaluate(ctx, b):
-        out = entry.evaluate(ctx, b)
-        first = out.sides[0]
-        return Outcome([dataclasses.replace(first, value=first.raw + half),
-                        *out.sides[1:]], out.witnesses)
+        (first, *rest), witnesses = entry.evaluate(ctx, b)
+        return Outcome((first + half, *rest), witnesses)
     return dataclasses.replace(entry, evaluate=evaluate)
 
 
@@ -852,10 +920,10 @@ class TestUnreducedFailures:
             assert len(forked) == workers - 1
             assert (rep.checked, len(rep.failures)) == (12, 12)
             reports[type(half)] = rep
-        # every failure, also those the child walked, kept its Rat unreduced
-        raws = [f.sides[0].raw for f in reports[Rat].failures]
-        assert {type(x) for x in raws} == {Rat}
-        assert all(math.gcd(x.n, x.d) > 1 for x in raws)
+        # every failure, also those the child walked, reads its Rat reduced
+        values = [f.sides[0].value for f in reports[Rat].failures]
+        assert {type(x) for x in values} == {Fraction}
+        assert all(x.denominator == 2 for x in values)
         rat, frac = (to_json(document("verify", [sweep_payload(reports[t])]))
                      for t in (Rat, Fraction))
         assert rat == frac

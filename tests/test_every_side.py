@@ -8,8 +8,8 @@ sub-grid: a wrong sum in any position, first or not, must fail every point
 of each reading it belongs to.
 
 ``test_mutation.py`` also bumps only the first witness whose divisor is not
-a unit, while D21 returns witnesses it built once per Context and D22 one
-built from shared coefficients. So each witness dividend of D21 and D22 is
+a unit, while D21 returns witness pairs it built once per Context and D22
+one built from shared coefficients. So each witness dividend of D21 and D22 is
 bumped in turn, and every point where that witness's divisor is not a unit
 must fail.
 """
@@ -19,7 +19,7 @@ import dataclasses
 import pytest
 from test_mutation import _bump, _sub_grid
 
-from fibsums.identities import Outcome, get_entry, make_witness, sweep
+from fibsums.identities import Outcome, get_entry, sweep
 
 WEIGHTED_IDS = ("H01", "H03", "H04", "H05", "H06", "H07", "H10", "H11",
                 "I16", "I17", "I18", "P01", "P03", "P04")
@@ -29,10 +29,10 @@ WITNESS_IDS = ("D21", "D22")
 def bumped(entry, i):
     """``entry.evaluate`` with side ``i`` made 1 larger."""
     def evaluate(ctx, b):
-        out = entry.evaluate(ctx, b)
-        sides = list(out.sides)
-        sides[i] = dataclasses.replace(sides[i], value=_bump(sides[i].raw))
-        return Outcome(sides, out.witnesses)
+        sides, witnesses = entry.evaluate(ctx, b)
+        sides = list(sides)
+        sides[i] = _bump(sides[i])
+        return Outcome(tuple(sides), witnesses)
     return evaluate
 
 
@@ -45,7 +45,8 @@ def test_every_side_is_caught(entry_id):
         streamed = []
         clean = sweep(sub, on_result=streamed.append)
         assert clean.checked and clean.variant_verified[variant] == clean.checked
-        for i, side in enumerate(streamed[0].sides):
+        assert len(streamed[0].sides) == len(entry.sides)
+        for i, side in enumerate(entry.sides):
             if side.variant not in (None, variant):
                 continue
             rep = sweep(dataclasses.replace(sub, evaluate=bumped(entry, i)))
@@ -60,11 +61,11 @@ def test_every_side_is_caught(entry_id):
 def bumped_witness(entry, i):
     """``entry.evaluate`` with the dividend of witness ``i`` made 1 larger."""
     def evaluate(ctx, b):
-        out = entry.evaluate(ctx, b)
-        witnesses = list(out.witnesses)
-        w = witnesses[i]
-        witnesses[i] = make_witness(w.label, w.divisor, w.dividend + 1)
-        return Outcome(out.sides, witnesses)
+        sides, witnesses = entry.evaluate(ctx, b)
+        witnesses = list(witnesses)
+        divisor, dividend = witnesses[i]
+        witnesses[i] = divisor, dividend + 1
+        return Outcome(sides, tuple(witnesses))
     return evaluate
 
 

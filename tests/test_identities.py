@@ -10,7 +10,7 @@ from fibsums.identities import (ENTRIES, Axis, Context, RejectedInstance,
                                 evaluate_identity, get_entry, sury_f, sweep,
                                 verify_grid)
 from fibsums.polynomials import poly_eval
-from fibsums.scalars import QuadExt, Rat, fib_roots
+from fibsums.scalars import QuadExt, fib_roots
 
 EXPECTED_IDS = ([f"I{k:02d}" for k in range(1, 19)]
                 + [f"P{k:02d}" for k in range(1, 7)]
@@ -247,6 +247,3 @@ class TestIEntrySideValues:
                     on_result=lambda ev: sides.extend(ev.sides))
         assert rep.checked and not rep.failures
         assert {type(s.value) for s in sides} <= {int, Fraction, QuadExt}
-        for s in sides:
-            if type(s.raw) is Rat:      # stored unreduced, read reduced
-                assert s.value == s.raw

@@ -14,8 +14,7 @@ import dataclasses
 
 import pytest
 
-from fibsums.identities import (ENTRIES, Axis, Outcome, axis, make_witness,
-                                sweep)
+from fibsums.identities import ENTRIES, Axis, Outcome, axis, sweep
 from fibsums.polynomials import POLY_ONE, poly_add
 
 CASES = [(e, v) for e in ENTRIES for v in e.variants]
@@ -58,19 +57,21 @@ def _bump(value):
 def _off_by_one(outcome, entry, variant):
     """``outcome`` with the first side of ``variant`` (or a witness) bumped.
 
-    A divisibility entry bumps the dividend of its first witness whose
-    divisor is not a unit: past a unit divisor every dividend divides.
+    A divisibility entry bumps the dividend of its first present witness
+    whose divisor is not a unit: past a unit divisor every dividend divides.
     """
-    sides, witnesses = list(outcome.sides), list(outcome.witnesses)
+    sides, witnesses = map(list, outcome)
     if entry.kind == "divisibility":
-        i = next((i for i, w in enumerate(witnesses) if abs(w.divisor) != 1), 0)
-        w = witnesses[i]
-        witnesses[i] = make_witness(w.label, w.divisor, w.dividend + 1)
+        present = [i for i, w in enumerate(witnesses) if w is not None]
+        i = next((i for i in present if abs(witnesses[i][0]) != 1), present[0])
+        divisor, dividend = witnesses[i]
+        witnesses[i] = divisor, dividend + 1
     else:
         owner = variant if entry.flagged else None
-        i = next(i for i, s in enumerate(sides) if s.variant == owner)
-        sides[i] = dataclasses.replace(sides[i], value=_bump(sides[i].value))
-    return Outcome(sides, witnesses)
+        i = next(i for i, (slot, x) in enumerate(zip(entry.sides, sides))
+                 if slot.variant == owner and x is not None)
+        sides[i] = _bump(sides[i])
+    return Outcome(tuple(sides), tuple(witnesses))
 
 
 @pytest.mark.parametrize("entry,variant", CASES,

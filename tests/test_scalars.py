@@ -412,6 +412,19 @@ class TestWeightedSum:
         with pytest.raises(TypeError):
             int_weights([1, 0.5])
 
+    def test_int_weights_are_kept_over_one(self):
+        assert int_weights([6, -4, 0]) == ((6, -4, 0), 1)
+        assert int_weights(k * k for k in range(3)) == ((0, 1, 4), 1)
+        assert int_weights([]) == ((), 1)
+        assert int_weights([6, Fraction(4, 2)]) == ((6, 2), 1)
+
+    def test_rejects_terms_of_another_length(self):
+        weights = int_weights([1, 2, 3])
+        for terms in ([5, 6], [5, 6, 7, 8], [5, Fraction(1, 2)]):
+            with pytest.raises(ValueError):
+                weighted_sum(weights, terms)
+        assert weighted_sum(weights, [5, 6, 7]) == 38
+
 
 def quad_ref(op, x, y, d):
     """Componentwise-Fraction reference for x op y over Q(sqrt d)."""
