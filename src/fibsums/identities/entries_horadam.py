@@ -22,13 +22,16 @@ its weights, and H10 (H07 at w = u) and H11 (H06 at w = v) read its
 X = q^m X0 and Y's coefficients from ``_h05_x`` and ``_h05_y``.
 
 Integer numerators. Each coefficient list is kept as integer numerators
-over one common denominator (``int_weights``), so a point forms each side
-as one integer dot product with its table terms and one ``Rat``
-(``weighted_sum``), not as a ``Rat`` product and a ``Rat`` sum per term. A
-summand c (x + y) is kept as the two products c x and c y, in that order.
-Every printed sum is still summed term by term as printed; only the
-factors no seed or shift can change are shared, and no sum is replaced by
-a shortcut derived from a recurrence.
+over one common denominator (``int_weights``). A point reads the terms of
+each side from its table as integers over one power of q: a progression
+k_0 + t, k_0 + d + t, ... as one read (``SeqTable.read``), a closed form's
+few terms, and the w_t that a middle sum multiplies, as one listed read
+(``SeqTable.at``). It then forms the side as one integer dot product and
+one ``Rat`` (``weighted_sum``), not as a ``Rat`` product and a ``Rat`` sum
+per term. A summand c (x + y) is kept as the two products c x and c y, in
+that order (``_paired``). Every printed sum is still summed term by term
+as printed; only the factors no seed or shift can change are shared, and
+no sum is replaced by a shortcut derived from a recurrence.
 """
 
 from __future__ import annotations
@@ -225,12 +228,13 @@ def _signed_q_weights(ctx, q, r, count):
 
 
 def _h01_shared(ctx, p, q, r, n):
-    """Weights q^(rj), the middle sum after w_t, and the closed form's
-    weights (1, -q^M, -q, q q^M) / (u_r Delta^2), M = r(n+1)."""
+    """Weights q^(rj), the middle sum after w_t as the weight of w_t, and
+    the closed form's weights (1, -q^M, -q, q q^M) / (u_r Delta^2),
+    M = r(n+1)."""
     u, v = ctx.u(p, q), ctx.v(p, q)
     mid = sum(Rat(1, 2 ** (j + 1)) * v(r) ** j * v(r * (n - j)) for j in range(n + 1))
     qM, den = power(q, r * (n + 1)), Rat(u(r) * _disc(p, q))
-    return (ctx.memo(_q_weights, q, r, n + 1), mid,
+    return (ctx.memo(_q_weights, q, r, n + 1), int_weights((mid,)),
             int_weights(c / den for c in (1, -qM, -q, q * qM)))
 
 
@@ -238,10 +242,10 @@ def _h01(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w = ctx.table(a, bb, p, q)
     qr, mid, closed = ctx.memo(_h01_shared, p, q, r, n)
-    s1 = weighted_sum(qr, [w(r * (n - 2 * j) + t) for j in range(n + 1)])
-    s2 = w(t) * mid
     M = r * (n + 1)
-    s3 = weighted_sum(closed, [w(t + 1 + M), w(t + 1 - M), w(t - 1 + M), w(t - 1 - M)])
+    s1 = weighted_sum(qr, *w.read(r * n + t, -2 * r, n + 1))
+    s2 = weighted_sum(mid, *w.at(t))
+    s3 = weighted_sum(closed, *w.at(t + 1 + M, t + 1 - M, t - 1 + M, t - 1 - M))
     return (s1, s2, s3), ()
 
 
@@ -267,9 +271,8 @@ SUM_ZERO = (Slot("sum"), Slot("zero"))
 
 def _h02(ctx, b):
     p, q, r, n = b["p"], b["q"], b["r"], b["n"]
-    u = ctx.u(p, q)
     s = weighted_sum(ctx.memo(_q_weights, q, r, n + 1),
-                     [u(r * (n - 2 * j)) for j in range(n + 1)])
+                     *ctx.u(p, q).read(r * n, -2 * r, n + 1))
     return (s, 0), ()
 
 
@@ -287,8 +290,7 @@ H02 = Entry(
 def _h03(ctx, b):
     p, q, n = b["p"], b["q"], b["n"]
     u, v = ctx.u(p, q), ctx.v(p, q)
-    s1 = weighted_sum(ctx.memo(_q_weights, q, 1, n + 1),
-                      [v(n - 2 * j) for j in range(n + 1)])
+    s1 = weighted_sum(ctx.memo(_q_weights, q, 1, n + 1), *v.read(n, -2, n + 1))
     s2 = sum(Rat(p, 2) ** j * v(n - j) for j in range(n + 1))
     return (s1, s2, 2 * u(n + 1)), ()
 
@@ -317,15 +319,32 @@ def _h04_shared(ctx, p, q, r, n):
             int_weights(2 * c / den for c in (1, -q, -qM, q * qM)))
 
 
+def _paired(xs, ys):
+    """x_0, y_0, x_1, y_1, ...: the two terms of each summand of a middle
+    sum in turn, over one power of q, from two ``SeqTable.read`` results."""
+    (x, sx), (y, sy) = xs, ys
+    if sx != sy:
+        # both are powers of q; the shallower read takes the deeper's scale
+        if abs(sx) < abs(sy):
+            x, sx = [v * (sy // sx) for v in x], sy
+        else:
+            y = [v * (sx // sy) for v in y]
+    pairs = x + y
+    pairs[::2], pairs[1::2] = x, y
+    return pairs, sx
+
+
 def _h04(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w = ctx.table(a, bb, p, q)
     left, mid, closed = ctx.memo(_h04_shared, p, q, r, n)
-    s1 = weighted_sum(left, [w(2 * r * j + t) for j in range(n + 1)])
-    s2 = weighted_sum(mid, [x for j in range(n + 1)
-                            for x in (w(r * (2 * n - j) + t), w(r * j + t))])
+    s1 = weighted_sum(left, *w.read(t, 2 * r, n + 1))
+    # z_j = q^K w_(rj+t), j = 0..2n, holds both terms of every summand of the
+    # middle sum: w_(r(2n-j)+t) is z_(2n-j)
+    z, scale = w.read(t, r, 2 * n + 1)
+    s2 = weighted_sum(mid, *_paired((z[n:][::-1], scale), (z[:n + 1], scale)))
     top = r * (2 * n + 1) + t
-    s3 = weighted_sum(closed, [w(top + 1), w(top - 1), w(t - r + 1), w(t - r - 1)])
+    s3 = weighted_sum(closed, *w.at(top + 1, top - 1, t - r + 1, t - r - 1))
     return (s1, s2, s3), ()
 
 
@@ -372,12 +391,12 @@ def _h05(ctx, b):
     m, s, r, t, n = b["m"], b["s"], b["r"], b["t"], b["n"]
     w = ctx.table(a, bb, p, q)
     left, mid, closed = ctx.memo(_h05_shared, p, q, m, s, r, n)
-    s1 = weighted_sum(left, [w((s - m) * j + m * n + t) for j in range(n + 1)])
-    s2 = weighted_sum(mid, [x for j in range(n + 1)
-                            for x in (w((r - m) * j + m * n + t),
-                                      w(s * (n - j) + t + r * j))])
-    s3 = weighted_sum(closed, [w(m * n + t), w(m * n + m + t - s),
-                               w(s * n + s + t - m), w(s * n + t)])
+    s1 = weighted_sum(left, *w.read(m * n + t, s - m, n + 1))
+    # s (n - j) + t + r j = s n + t + (r - s) j
+    s2 = weighted_sum(mid, *_paired(w.read(m * n + t, r - m, n + 1),
+                                    w.read(s * n + t, r - s, n + 1)))
+    s3 = weighted_sum(closed, *w.at(m * n + t, m * n + m + t - s,
+                                    s * n + s + t - m, s * n + t))
     return (s1, s2, s3), ()
 
 
@@ -428,7 +447,8 @@ def _growth_powers(ctx, p, q, r, count):
 
 
 def _h06_shared(ctx, p, q, r, n):
-    """Weights (-1)^j q^(rj), the middle side over w_t and v_(r(2n+1)) / v_r.
+    """Weights (-1)^j q^(rj); the middle side over w_t and v_(r(2n+1)) / v_r,
+    each as the weight of w_t.
 
     The middle side over w_t is half the first middle sum plus the second
     over u_r (present for n >= 1).
@@ -438,18 +458,17 @@ def _h06_shared(ctx, p, q, r, n):
     mid = Rat(1, 2) * sum(g[j] * v(2 * r * (n - j)) for j in range(n + 1))
     if n >= 1:
         mid += sum(g[j] * u(r * (2 * n - 2 * j + 1)) for j in range(1, n + 1)) / u(r)
-    return (ctx.memo(_signed_q_weights, q, r, 2 * n + 1), mid,
-            v(r * (2 * n + 1)) / Rat(v(r)))
+    return (ctx.memo(_signed_q_weights, q, r, 2 * n + 1), int_weights((mid,)),
+            int_weights((v(r * (2 * n + 1)) / Rat(v(r)),)))
 
 
 def _h06(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w = ctx.table(a, bb, p, q)
     sq, mid, closed = ctx.memo(_h06_shared, p, q, r, n)
-    s1 = weighted_sum(sq, [w(2 * r * (n - j) + t) for j in range(2 * n + 1)])
-    s2 = w(t) * mid
-    s3 = w(t) * closed
-    return (s1, s2, s3), ()
+    s1 = weighted_sum(sq, *w.read(2 * r * n + t, -2 * r, 2 * n + 1))
+    wt = w.at(t)
+    return (s1, weighted_sum(mid, *wt), weighted_sum(closed, *wt)), ()
 
 
 H06 = Entry(
@@ -492,9 +511,9 @@ def _h07(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w = ctx.table(a, bb, p, q)
     sq, _, mid, closed = ctx.memo(_h07_shared, p, q, r, n)
-    s1 = weighted_sum(sq, [w(r * (2 * n - 1 - 2 * j) + t) for j in range(2 * n)])
-    s2 = weighted_sum(mid, [w(t + 1), w(t - 1)])
-    s3 = weighted_sum(closed, [w(t + 2 * r * n), w(t - 2 * r * n)])
+    s1 = weighted_sum(sq, *w.read(r * (2 * n - 1) + t, -2 * r, 2 * n))
+    s2 = weighted_sum(mid, *w.at(t + 1, t - 1))
+    s3 = weighted_sum(closed, *w.at(t + 2 * r * n, t - 2 * r * n))
     return (s1, s2, s3), ()
 
 
@@ -517,9 +536,8 @@ H07 = Entry(
 
 def _h08(ctx, b):
     p, q, r, n = b["p"], b["q"], b["r"], b["n"]
-    u = ctx.u(p, q)
     s = weighted_sum(ctx.memo(_signed_q_weights, q, r, 2 * n + 1),
-                     [u(2 * r * (n - j)) for j in range(2 * n + 1)])
+                     *ctx.u(p, q).read(2 * r * n, -2 * r, 2 * n + 1))
     return (s, 0), ()
 
 
@@ -536,9 +554,8 @@ H08 = Entry(
 
 def _h09(ctx, b):
     p, q, r, n = b["p"], b["q"], b["r"], b["n"]
-    v = ctx.v(p, q)
     s = weighted_sum(ctx.memo(_signed_q_weights, q, r, 2 * n),
-                     [v(r * (2 * n - 1 - 2 * j)) for j in range(2 * n)])
+                     *ctx.v(p, q).read(r * (2 * n - 1), -2 * r, 2 * n))
     return (s, 0), ()
 
 
@@ -558,9 +575,9 @@ def _h10(ctx, b):
     p, q, r, t, n = b["p"], b["q"], b["r"], b["t"], b["n"]
     u, v = ctx.u(p, q), ctx.v(p, q)
     sq, mid, _, _ = ctx.memo(_h07_shared, p, q, r, n)
-    left = weighted_sum(sq, [u(r * (2 * n - 1 - 2 * j)) for j in range(2 * n)])
-    left_printed = weighted_sum(sq, [u(r * (2 * n - 1 - 2 * j) + t)
-                                     for j in range(2 * n)])
+    top = r * (2 * n - 1)
+    left = weighted_sum(sq, *u.read(top, -2 * r, 2 * n))
+    left_printed = weighted_sum(sq, *u.read(top + t, -2 * r, 2 * n))
     return (left_printed, left, 2 * mid, 2 * u(2 * r * n) / Rat(v(r))), ()
 
 
@@ -589,10 +606,9 @@ def _h11(ctx, b):
     # H06 at w = v (seeds (2, p)) and t = 0, where w_t = 2: H11's middle side
     # is twice H06's over w_t, so H11 names H06's builder and reads its values
     p, q, r, n = b["p"], b["q"], b["r"], b["n"]
-    v = ctx.v(p, q)
     sq, mid, closed = ctx.memo(_h06_shared, p, q, r, n)
-    s1 = weighted_sum(sq, [v(2 * r * (n - j)) for j in range(2 * n + 1)])
-    return (s1, 2 * mid, 2 * closed), ()
+    s1 = weighted_sum(sq, *ctx.v(p, q).read(2 * r * n, -2 * r, 2 * n + 1))
+    return (s1, weighted_sum(mid, [2]), weighted_sum(closed, [2])), ()
 
 
 H11 = Entry(

@@ -21,11 +21,12 @@ reduced value itself needs more.
 
 Weighted sums. A sum sum_j c_j x_j whose coefficients c_j are fixed while
 its terms x_j vary is split in two. ``int_weights`` writes the c_j once as
-integer numerators N_j over one common denominator D. ``weighted_sum`` then
-forms each sum as one integer dot product of the N_j with the terms'
-numerators, each scaled to the lcm of the terms' denominators, and builds
-one ``Rat``. The Horadam sums use this instead of a ``Rat`` product and a
-``Rat`` sum per term.
+integer numerators N_j over one common denominator D. The terms come as
+integers Z_j over one scale S, x_j = Z_j / S: a sequence table reads them
+so, with S = q^K (``SeqTable.read``). ``weighted_sum`` then forms each sum
+as one integer dot product of the N_j with the Z_j over D * |S|, and
+builds one ``Rat``. The Horadam sums use this instead of a ``Rat`` product
+and a ``Rat`` sum per term.
 
 Canonical where read. Kernel values stay unreduced until they are read or
 rendered. The verdict compares the side values an entry returns as they
@@ -292,27 +293,26 @@ def int_weights(coeffs) -> tuple:
     return tuple(n * (den // d) for n, d in parts), den
 
 
-def weighted_sum(weights, terms) -> Rat:
-    """sum_j N_j * terms[j] / D as one Rat, for ``weights`` = ``(N, D)``.
+def weighted_sum(weights, terms, scale: int = 1) -> Rat:
+    """sum_j N_j * terms[j] / (D * scale) as one Rat, for ``weights`` = ``(N, D)``.
 
-    The terms, a sequence as long as N, are ints or Fractions; a length
-    that differs from N's is a ValueError. When all are ints the sum is
-    one integer dot product over D. Otherwise each term's numerator is
-    scaled to L, the lcm of the terms' denominators, and the dot product
-    is over D * L. Either way the terms are summed in order, and no Rat is
-    built but the result.
+    The terms, a sequence as long as N, are ints; a length that differs
+    from N's is a ValueError, and a term that is not an int a TypeError.
+    ``scale`` is a nonzero int, such as the power q^K over which
+    ``SeqTable.read`` returns its terms. The sum is one integer dot product,
+    summed in order, over D * |scale|, its sign folded into the numerator.
     """
     nums, den = weights
     if len(nums) != len(terms):
         raise ValueError(f"weighted_sum: {len(nums)} weights for {len(terms)} terms")
-    for x in terms:
-        if type(x) is not int:
-            break
-    else:
-        return _rat(sum(map(mul, nums, terms)), den)
-    lcm = math.lcm(*[x.denominator for x in terms])
-    return _rat(sum([n * x.numerator * (lcm // x.denominator)
-                     for n, x in zip(nums, terms)]), den * lcm)
+    s = sum(map(mul, nums, terms))
+    if type(s) is not int:
+        raise TypeError(f"weighted_sum: terms must be ints, not {type(s).__name__}")
+    if scale <= 0:
+        if scale == 0:
+            raise ZeroDivisionError("weighted_sum: zero scale")
+        s, scale = -s, -scale
+    return _rat(s, den * scale)
 
 
 # ---------------------------------------------------------------------------

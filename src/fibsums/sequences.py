@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Union
 
 from .scalars import CharRoots, DomainError, make_roots
@@ -135,39 +136,127 @@ def gibonacci(seed: tuple[int, int], n: int) -> int:
 # ---------------------------------------------------------------------------
 
 class SeqTable:
-    """Bidirectional value table for one recurrence, extended on demand.
+    """Bidirectional table of one recurrence, extended on demand.
 
     Grid sweeps hit the same indices thousands of times; walking the
-    recurrence once per index range is far cheaper than per-call
-    doubling. Both walks are integer: downward it carries y_k, y_(k+1) and
-    q^k for k = -lo, and stores each new term w_(-k) = y_k / q^k in
-    canonical form.
+    recurrence once per index range is far cheaper than per-call doubling.
+    The table's store is integers only: the terms w_0, w_1, ... upward, and
+    below zero y_k = q^k w_(-k) beside q^k for k = 0, 1, ..., both walked
+    from the seeds as in ``_w``. Each list grows exactly as far as a read
+    needs.
+
+    ``table.read(start, step, count)`` reads the progression w_(start),
+    w_(start+step), ... and ``table.at(*indices)`` a few listed terms, as
+    integers Z_j = q^K w_(i_j) over one power q^K, where K = max(0, -min i_j)
+    is the read's own depth: each Z_j is a stored integer times a power of
+    q, and no term is divided. ``table(n)`` is the single term w_n in
+    canonical form, y_k / q^k for n = -k; below zero that value is kept once
+    asked, for the callers that read single terms again and again (guards,
+    root-level lemmas), which would otherwise build a Fraction per call.
     """
 
-    __slots__ = ("p", "q", "_vals", "_lo", "_hi", "_down")
+    __slots__ = ("p", "q", "_w", "_y", "_qk", "_below")
 
     def __init__(self, a: int, b: int, p: int, q: int):
         self.p = p
         self.q = q
-        self._vals = {0: a, 1: b}
-        self._lo = 0
-        self._hi = 1
-        self._down = (a, p * a - b, 1)
+        self._w = [a, b]
+        self._y = [a, p * a - b]
+        self._qk = [1, q]
+        self._below = {}
+
+    def _up(self, n: int) -> None:
+        """Extend the terms w_n upward through index n."""
+        w, p, q = self._w, self.p, self.q
+        x0, x1 = w[-2], w[-1]
+        for _ in range(n + 1 - len(w)):
+            x0, x1 = x1, p * x1 - q * x0
+            w.append(x1)
+
+    def _down(self, k: int) -> None:
+        """Extend y_k = q^k w_(-k) and q^k through depth k."""
+        y, qk, p, q = self._y, self._qk, self.p, self.q
+        y0, y1, qj = y[-2], y[-1], qk[-1]
+        for _ in range(k + 1 - len(y)):
+            y0, y1 = y1, p * y1 - q * y0
+            qj *= q
+            y.append(y1)
+            qk.append(qj)
 
     def __call__(self, n: int) -> SeqValue:
-        vals = self._vals
-        if n > self._hi:
-            p, q = self.p, self.q
-            for k in range(self._hi + 1, n + 1):
-                vals[k] = p * vals[k - 1] - q * vals[k - 2]
-            self._hi = n
-        elif n < self._lo:
-            p, q = self.p, self.q
-            y0, y1, qk = self._down
-            for k in range(self._lo - 1, n - 1, -1):
-                qk *= q
-                vals[k] = _over(y1, qk)
-                y0, y1 = y1, p * y1 - q * y0
-            self._down = (y0, y1, qk)
-            self._lo = n
-        return vals[n]
+        if n >= 0:
+            if n >= len(self._w):
+                self._up(n)
+            return self._w[n]
+        value = self._below.get(n)
+        if value is None:
+            if -n >= len(self._y):
+                self._down(-n)
+            value = self._below[n] = _over(self._y[-n], self._qk[-n])
+        return value
+
+    def read(self, start: int, step: int, count: int) -> tuple:
+        """``(Z, q^K)``: Z_j = q^K w_(start + j*step) for j < count, and
+        K = max(0, -min index), so sum(N_j Z_j) / (D q^K) is the weighted
+        sum of those terms (``scalars.weighted_sum``).
+        """
+        if count <= 1 or step == 0:
+            if count <= 0:
+                return [], 1
+            z, scale = self.at(start)
+            return z * count, scale
+        last = start + (count - 1) * step
+        lo, hi = (start, last) if step > 0 else (last, start)
+        w = self._w
+        if hi >= len(w):
+            self._up(hi)
+        if lo >= 0:
+            # a stop of -1 would read as the end of the list
+            return w[start:last + 1 if step > 0 else last - 1 if last else None:step], 1
+        depth = -lo
+        if depth >= len(self._y):
+            self._down(depth)
+        y, qk = self._y, self._qk
+        scale = qk[depth]
+        # an index i = -k below zero reads y_k q^(K - k), one at or above
+        # zero w_i q^K: one product of the terms' and the factors' slices,
+        # both in the progression's order
+        if step > 0:
+            neg = min(count, (depth + step - 1) // step)
+            first = start + neg * step
+            terms = y[depth:-first if first <= 0 else None:-step]
+            factors = qk[:neg * step:step]
+            if first <= last:
+                terms += w[first:last + 1:step]
+                factors += [scale] * (count - neg)
+        else:
+            up = start // -step + 1 if start >= 0 else 0
+            k = up * -step - start
+            terms = w[start::step] if up else []
+            terms += y[k:depth + 1:-step]
+            factors = [scale] * up + qk[depth - k::step]
+        return list(map(mul, terms, factors)), scale
+
+    def at(self, *indices: int) -> tuple:
+        """``(Z, q^K)`` as ``read`` gives, for the terms at ``indices``."""
+        w = self._w
+        if len(indices) == 1:
+            n = indices[0]
+            if n >= 0:
+                if n >= len(w):
+                    self._up(n)
+                return [w[n]], 1
+            if -n >= len(self._y):
+                self._down(-n)
+            return [self._y[-n]], self._qk[-n]
+        lo, hi = min(indices), max(indices)
+        if hi >= len(w):
+            self._up(hi)
+        if lo >= 0:
+            return [w[i] for i in indices], 1
+        depth = -lo
+        if depth >= len(self._y):
+            self._down(depth)
+        y, qk = self._y, self._qk
+        scale = qk[depth]
+        return [w[i] * scale if i >= 0 else y[-i] * qk[depth + i] for i in indices], scale

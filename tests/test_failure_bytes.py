@@ -10,7 +10,9 @@ pinned. The cases cover a plain identity (H01), two flagged entries under
 each reading (I16, H10), sides beside witnesses (D11, D14 at
 (r, t) = (2, 0)), a witness built from shared factors (D22), sides whose
 labels change with the parity of r (P06), a D entry with some optional
-parameters left unbound (D21), and the error instances.
+parameters left unbound (D21), the error instances, and the Horadam
+theorems H04-H07 at q < 0 with |q| > 1, where their sums read terms below
+index 0 that are not integers.
 """
 
 import dataclasses
@@ -68,6 +70,15 @@ CASES = {
     "D21-partial": ("D21", _axes(p=[1, 2], q=[-2, 2], r=[1, 2, 3], m=[1, 3],
                                  n=[2, 4]), "as-stated"),
     "D06-errors": ("D06", _axes(n=[0, 1, 2, 3, 4, 5]), "errors"),
+    # the Horadam theorems with q < 0, |q| > 1 and terms below index 0
+    "H04": ("H04", _axes(p=[-2, 3], q=[-3, -2], a=[2], b=[3], r=[-2, 3],
+                         t=[-3, 2], n=[0, 2, 3]), "as-stated"),
+    "H05": ("H05", _axes(p=[-2, 3], q=[-3, -2], a=[2], b=[-1], m=[-2, 1],
+                         s=[-1, 2], r=[-2, 2], t=[-1, 1], n=[0, 2]), "as-stated"),
+    "H06": ("H06", _axes(p=[-3, 2], q=[-4, -2], a=[3], b=[-2], r=[-3, 2],
+                         t=[-4, 3], n=[0, 1, 3]), "as-stated"),
+    "H07": ("H07", _axes(p=[-3, 4], q=[-4, -3], a=[3], b=[-2], r=[-2, 3],
+                         t=[-4, 3], n=[0, 1, 3]), "as-stated"),
 }
 
 DIGESTS = {
@@ -93,6 +104,14 @@ DIGESTS = {
                     "3a9f4ca2d08a3d18cc54b2736936d2464565324a6780b8747c81f6ebbb8a6f62"),
     "D06-errors": ("9a51e4abba85f965326a46e9d4240b68e8c4337ae82adc2358d30104103c7c4e",
                    "b71076404f5b3f2c8cd8a34261868d58d64848beb63854fde2c79d2d9fc00f69"),
+    "H04": ("d7ce47c8e8a1fe867c590bdcc7231c5cf1d19a20c660d9e3d1b6c96b8fdf7edc",
+            "0fcba2291abfd7987c043a51f700a7c0b76a24ed85b7960c0d81b6b7feaf1b17"),
+    "H05": ("ad361caf69d06fcf4d81fb9df5ce8cb7d133ea256ce593cdcf81324d794c232a",
+            "c4c0040bd9a0b68587ef8b2745134e158b3442968f43d43e5069ef88523b23ab"),
+    "H06": ("a57c80d4b41fc9f4000d843df5c3120b02568d4a59c2b5b7ecc77c1bae868cab",
+            "254a0ed2385b5d55a31d8f442a8c3d25a7a105b86f2e6a7f2b4db67af3ece213"),
+    "H07": ("d6ba8dc39a57e88554347e3555a8dc72c1f4073ec6b1f209051562fce958172e",
+            "b006b179e7406797209ddc1b88c5719810bda2f5beecfb7b9b6bacb8a6b2eda8"),
 }
 
 

@@ -379,19 +379,11 @@ def weight(draw, q):
     return power(q, draw(st.integers(-6, 6)))
 
 
-@st.composite
-def table_term(draw, q):
-    """A table term y / q^k: an int where the division is exact (always for
-    |q| = 1), else a Fraction, which may still have denominator 1."""
-    y, k = draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(0, 6))
-    if draw(st.booleans()) and y % q ** k == 0:
-        return y // q ** k
-    return Fraction(y, q ** k)
-
-
 class TestWeightedSum:
     @given(data=st.data())
     def test_matches_a_fraction_reference(self, data):
+        # terms as a table read gives them: ints Z_j = q^K x_j over the
+        # scale q^K, which is negative for q < 0 and odd K
         q = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 6]))
         size = data.draw(st.integers(0, 9))
         coeffs = [data.draw(weight(q)) for _ in range(size)]
@@ -401,12 +393,27 @@ class TestWeightedSum:
         assert den == math.lcm(*(c.denominator for c in exact))
         assert [type(n) for n in nums] == [int] * size
         assert [Fraction(n, den) for n in nums] == exact
-        for ints_only in (True, False):
-            terms = [data.draw(st.integers(-10 ** 6, 10 ** 6) if ints_only
-                               else table_term(q)) for _ in range(size)]
-            got = weighted_sum(weights, terms)
+        terms = [data.draw(st.integers(-10 ** 6, 10 ** 6)) for _ in range(size)]
+        for scale in (1, q ** data.draw(st.integers(0, 7))):
+            got = weighted_sum(weights, terms, scale)
             assert type(got) is Rat and got.d > 0
-            assert got == sum((c * x for c, x in zip(exact, terms)), Fraction(0))
+            assert got == sum((c * Fraction(x, scale) for c, x in zip(exact, terms)),
+                              Fraction(0))
+
+    def test_a_negative_scale_folds_into_the_numerator(self):
+        weights = int_weights([Fraction(1, 2), 3, Rat(-5, 4)])
+        terms, scale = [7, -2, 9], (-3) ** 5
+        got = weighted_sum(weights, terms, scale)
+        assert got.d > 0 and got.d == 4 * 3 ** 5
+        assert got.canonical() == (Fraction(7, 2) - 6 - Fraction(45, 4)) / scale
+
+    def test_rejects_terms_that_are_not_ints(self):
+        weights = int_weights([1, 2, 3])
+        for terms in ([5, Fraction(1, 2), 7], [5, 6, Rat(7, 2)], [5, 6.0, 7]):
+            with pytest.raises(TypeError):
+                weighted_sum(weights, terms)
+        with pytest.raises(ZeroDivisionError):
+            weighted_sum(weights, [5, 6, 7], 0)
 
     def test_rejects_a_non_rational_weight(self):
         with pytest.raises(TypeError):

@@ -187,3 +187,65 @@ class TestSeqTable:
     def test_values_are_cached(self):
         table = SeqTable(0, 1, 1, -1)
         assert table(30) is table(30)
+        assert table(-9) is table(-9)
+
+
+#: Seeds and p for each q in +-1..+-4: every sum of H01-H11 reads such rows.
+READ_ROWS = [(a, b, p, q) for q in (-4, -3, -2, -1, 1, 2, 3, 4)
+             for a, b, p in ((2, 3, 3), (3, -2, -2))]
+
+# (start, step, count) runs: across index 0, wholly above or below it, steps
+# of both signs and 0 (H02, H06, H08, H09 and H11 at r = 0), counts 0 (H07,
+# H09 and H10 at n = 0) and 1; depths K odd and even
+READ_RUNS = [(start, step, count) for start in (-9, -4, -1, 0, 3, 8)
+             for step in (-5, -2, -1, 0, 1, 3) for count in (0, 1, 2, 5)]
+# descending runs that end at index 0 or just past it: a slice stop of -1
+# would read as the end of the list
+READ_RUNS += [(4, -2, 3), (6, -3, 3), (2, -1, 3), (1, -1, 2), (0, -1, 1),
+              (4, -2, 4), (-1, -1, 3), (7, -7, 2), (3, -2, 2)]
+
+
+class TestRead:
+    """``read`` and ``at`` give Z_j = q^K w_(i_j) over q^K, K = max(0, -min i)."""
+
+    @staticmethod
+    def check(row, indices, got, reference):
+        z, scale = got
+        assert scale == row[3] ** max([0] + [-i for i in indices])
+        assert all(type(x) is int for x in z)
+        assert [Fraction(x, scale) for x in z] == [reference[i] for i in indices], \
+            (row, indices)
+
+    @pytest.mark.parametrize("row", READ_ROWS)
+    def test_runs_match_the_naive_loop(self, naive_horadam, row):
+        reference = {i: naive_horadam(*row, i) for i in range(-45, 46)}
+        grown_down, grown_up = SeqTable(*row), SeqTable(*row)
+        grown_down(-40)
+        grown_up(40)
+        # a fresh table grows with each read, at either end; the others
+        # were grown before, beyond every read, at one end
+        for table in (SeqTable(*row), grown_down, grown_up):
+            for start, step, count in READ_RUNS:
+                indices = [start + j * step for j in range(count)]
+                self.check(row, indices, table.read(start, step, count), reference)
+            for n in range(-45, 46):
+                assert table(n) == reference[n]
+
+    @pytest.mark.parametrize("row", READ_ROWS)
+    def test_listed_terms_match_the_naive_loop(self, naive_horadam, row):
+        reference = {i: naive_horadam(*row, i) for i in range(-30, 31)}
+        table = SeqTable(*row)
+        rng = random.Random(row[3])
+        for size in (1, 2, 4) * 20:
+            indices = [rng.randint(-30, 30) for _ in range(size)]
+            self.check(row, indices, table.at(*indices), reference)
+
+    def test_reads_agree_with_single_terms_after_growth(self):
+        # w_n = 2^n + 1: every term below zero is a Fraction
+        table = SeqTable(2, 3, 3, 2)
+        z, scale = table.read(-5, 3, 6)
+        assert scale == 2 ** 5 and table(-5) == Fraction(33, 32)
+        table(-60)
+        assert table.read(-5, 3, 6) == (z, scale)
+        assert table.read(-60, 0, 3) == ([2 ** 60 + 1] * 3, 2 ** 60)
+        assert table.read(10, -5, 0) == ([], 1)
