@@ -1,12 +1,13 @@
 """Catalog machinery: entries, guarded exact evaluation, grid sweeps.
 
-An Entry bundles one catalog statement with its parameter names, domain
-guards, a default sweep grid, its sides and witnesses, declared once, and
-an evaluate function returning the exact raw value of every side and a
-(divisor, dividend) pair per witness, in declared order. Where a printed
-formula admits two readings, the entry carries both as named variants and
-the verdict is computed against the reading its proof implies; sweep
-reports tally every variant so exactly one should verify in full.
+An Entry bundles one catalog statement with its domain guards, a default
+sweep grid that names its parameters, its sides and witnesses, declared
+once, and an evaluate function returning the exact raw value of every side
+and a (divisor, dividend) pair per witness, in declared order. Where a
+printed formula admits two readings, the entry carries both as named
+variants and the verdict is computed against the reading its proof
+implies; sweep reports tally every variant so exactly one should verify in
+full.
 
 The verdict reads those raw values only. The engine lays each entry's
 declaration out once per sweep (``_Plan``): per reading, each side paired
@@ -213,22 +214,31 @@ class Entry:
     and (divisor, dividend) pairs in that order, None where a slot is absent
     at the point. Labels, groups and readings never travel with the values:
     the engine reads them from the declaration when it reports a point.
+    The default grid binds every parameter, so ``params`` is read from it,
+    and ``kind`` from whether the entry declares witnesses.
     """
 
     id: str
-    kind: str                      # "identity" | "divisibility"
     statement: str                 # ASCII rendering of what is asserted
-    params: tuple
     domain: str
     guards: tuple
     evaluate: Callable             # (Context, bindings) -> Outcome
-    grid: tuple                    # default Axis tuple covering params
+    grid: tuple                    # default Axis tuple, binding every parameter
     sides: tuple = ()              # a Slot per side, in Outcome order
     witnesses: tuple = ()          # a label per witness, in Outcome order
     required: Optional[tuple] = None   # params that must be bound; None = all
     variants: tuple = ("as-stated",)
     primary: Optional[str] = None      # reading the verdict is computed against
     notes: tuple = ()
+
+    @property
+    def params(self) -> tuple:
+        """The default grid's axis names, in order."""
+        return tuple(name for ax in self.grid for name in ax.names)
+
+    @property
+    def kind(self) -> str:
+        return "divisibility" if self.witnesses else "identity"
 
     @property
     def flagged(self) -> bool:

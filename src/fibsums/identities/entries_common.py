@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..scalars import power
 from ..sequences import neg_one
-from .engine import Guard, Slot, axis, irange
+from .engine import Guard, Slot, axis, irange, joint
 
 GUARD_N = Guard("n >= 0", ("n",), lambda ctx, b: b["n"] >= 0)
 GUARD_T = Guard("t >= 0", ("t",), lambda ctx, b: b["t"] >= 0)
@@ -38,8 +38,27 @@ SUMS = (Slot("left sum"), Slot("middle sum"), Slot("closed form"))
 
 #: r in -6..6 by n in 0..10, the default grid of most (r, n) entries.
 R_N_AXES = (axis("r", irange(-6, 6)), axis("n", irange(0, 10)))
+#: (r, t, n) in -6..6, -6..6 and 0..10: I16, I17, D14 and D15.
+R_T_N_AXES = (axis("r", irange(-6, 6)), axis("t", irange(-6, 6)),
+              axis("n", irange(0, 10)))
+#: (r, k, s, n) in -6..6, -6..6, -6..6 and 0..10: I18 and D16.
+R_K_S_N_AXES = (axis("r", irange(-6, 6)), axis("k", irange(-6, 6)),
+                axis("s", irange(-6, 6)), axis("n", irange(0, 10)))
+#: n in 0..15: P01-P03.
+N15_AXES = (axis("n", irange(0, 15)),)
+#: r in 1..6 by n in 0..15: P04 and P06.
+R6_N15_AXES = (axis("r", irange(1, 6)), axis("n", irange(0, 15)))
+#: n in 0..12: D06, D07, D08 and D10.
+N12_AXES = (axis("n", irange(0, 12)),)
 #: The nonzero (p, q) rows every general-sequence entry sweeps first.
 PQ_AXES = (axis("p", PQ_VALUES), axis("q", PQ_VALUES))
+#: (p, q) rows by r in -4..4 and n in 0..6: H02, H08, H09, H11 and D20.
+PQ_R_N_AXES = (*PQ_AXES, axis("r", irange(-4, 4)), axis("n", irange(0, 6)))
+#: (p, q) rows by the seed panel, r and t in -4..4 and n in 0..6: the
+#: theorems H01, H04, H06 and H07.
+PQ_SEED_R_T_N_AXES = (*PQ_AXES, joint(("a", "b"), SEED_PANEL),
+                      axis("r", irange(-4, 4)), axis("t", irange(-4, 4)),
+                      axis("n", irange(0, 6)))
 
 
 # closed-form denominators of I10/I11 and I16/I17, and their guards; each is
@@ -121,7 +140,8 @@ def _i18_num(ctx, b):
 
 
 def _q_power(q, e):
-    """q^e, an int for e >= 0 (X and Y are integers for D22); else ``power``."""
+    """q^e: an int for e >= 0, so weights built from it take ``int_weights``'
+    plain-int path and X and Y are integers for D22; else ``power``'s Rat."""
     return q ** e if e >= 0 else power(q, e)
 
 

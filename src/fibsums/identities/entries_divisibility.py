@@ -26,7 +26,8 @@ from .engine import Entry, Guard, Slot, axis, irange, joint
 from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
                              GUARD_M_ODD_POSITIVE, GUARD_N, GUARD_PQ,
                              GUARD_R_NONZERO, GUARD_R_POSITIVE, GUARD_T,
-                             GUARD_UR, GUARD_VR, PQ_AXES, R_N_AXES, SEED_PANEL,
+                             GUARD_UR, GUARD_VR, N12_AXES, PQ_AXES, PQ_R_N_AXES,
+                             R_K_S_N_AXES, R_N_AXES, R_T_N_AXES, SEED_PANEL,
                              _h05_x, _h05_y, _i10_den, _i10_num, _i11_num,
                              _i12_num, _i13_num, _i14_num, _i16_den, _i16_num,
                              _i17_num, _i18_num)
@@ -39,9 +40,9 @@ def _d01(ctx, b):
 
 
 D01 = Entry(
-    id="D01", kind="divisibility",
+    id="D01",
     statement="F_r divides F_(mr)",
-    params=("r", "m"), domain="r != 0; any integer m",
+    domain="r != 0; any integer m",
     guards=(GUARD_R_NONZERO,), evaluate=_d01,
     grid=(axis("r", irange(-6, 6)), axis("m", irange(-6, 6))),
     witnesses=("F_r | F_(mr)",),
@@ -55,9 +56,9 @@ def _d02(ctx, b):
 
 
 D02 = Entry(
-    id="D02", kind="divisibility",
+    id="D02",
     statement="L_r divides L_(mr) for odd m",
-    params=("r", "m"), domain="any integer r; odd m",
+    domain="any integer r; odd m",
     guards=(Guard("m odd", ("m",), lambda ctx, b: b["m"] % 2 != 0),),
     evaluate=_d02,
     grid=(axis("r", irange(-6, 6)), axis("m", [-5, -3, -1, 1, 3, 5])),
@@ -72,9 +73,9 @@ def _d03(ctx, b):
 
 
 D03 = Entry(
-    id="D03", kind="divisibility",
+    id="D03",
     statement="L_r divides F_(mr) for even m",
-    params=("r", "m"), domain="any integer r; even m",
+    domain="any integer r; even m",
     guards=(Guard("m even", ("m",), lambda ctx, b: b["m"] % 2 == 0),),
     evaluate=_d03,
     grid=(axis("r", irange(-6, 6)), axis("m", [-6, -4, -2, 0, 2, 4, 6])),
@@ -90,10 +91,10 @@ def _d04(ctx, b):
 
 
 D04 = Entry(
-    id="D04", kind="divisibility",
+    id="D04",
     statement="F_r^2 + F_r F_(r-1) - F_(r-1)^2 divides F_r^(n+2) L_n "
               "+ F_(r-1) F_r^(n+1) L_(n+1) + F_r F_(r-1)^(n+1) - 2 F_(r-1)^(n+2)",
-    params=("r", "n"), domain="divisor != 0; n >= 0",
+    domain="divisor != 0; n >= 0",
     guards=(GUARD_I10_DEN, GUARD_N), evaluate=_d04,
     grid=R_N_AXES, witnesses=("denominator | Lucas-weighted numerator",),
 )
@@ -104,10 +105,10 @@ def _d05(ctx, b):
 
 
 D05 = Entry(
-    id="D05", kind="divisibility",
+    id="D05",
     statement="F_r^2 + F_r F_(r-1) - F_(r-1)^2 divides F_r^(n+2) F_n "
               "+ F_(r-1) F_r^(n+1) F_(n+1) - F_r F_(r-1)^(n+1)",
-    params=("r", "n"), domain="divisor != 0; n >= 0",
+    domain="divisor != 0; n >= 0",
     guards=(GUARD_I10_DEN, GUARD_N), evaluate=_d05,
     grid=R_N_AXES, witnesses=("denominator | Fibonacci-weighted numerator",),
 )
@@ -120,10 +121,10 @@ def _d06(ctx, b):
 
 
 D06 = Entry(
-    id="D06", kind="divisibility",
+    id="D06",
     statement="5 divides 2^(n+1) L_(n+1) - 2",
-    params=("n",), domain="n >= 0",
-    guards=(GUARD_N,), evaluate=_d06, grid=(axis("n", irange(0, 12)),),
+    domain="n >= 0",
+    guards=(GUARD_N,), evaluate=_d06, grid=N12_AXES,
     witnesses=("5 | 2^(n+1) L_(n+1) - 2",),
 )
 
@@ -136,10 +137,10 @@ def _d07(ctx, b):
 
 
 D07 = Entry(
-    id="D07", kind="divisibility",
+    id="D07",
     statement="11 divides 3^(n+1) (F_(n+2) + L_(n+1)) - 3 * 2^(n+1)",
-    params=("n",), domain="n >= 0",
-    guards=(GUARD_N,), evaluate=_d07, grid=(axis("n", irange(0, 12)),),
+    domain="n >= 0",
+    guards=(GUARD_N,), evaluate=_d07, grid=N12_AXES,
     witnesses=("11 | 3^(n+1) (F_(n+2) + L_(n+1)) - 3 * 2^(n+1)",),
 )
 
@@ -152,10 +153,10 @@ def _d08(ctx, b):
 
 
 D08 = Entry(
-    id="D08", kind="divisibility",
+    id="D08",
     statement="11 divides 3^(n+1) (L_(n+2) + 5 F_(n+1)) - 2^(n+1)",
-    params=("n",), domain="n >= 0",
-    guards=(GUARD_N,), evaluate=_d08, grid=(axis("n", irange(0, 12)),),
+    domain="n >= 0",
+    guards=(GUARD_N,), evaluate=_d08, grid=N12_AXES,
     witnesses=("11 | 3^(n+1) (L_(n+2) + 5 F_(n+1)) - 2^(n+1)",),
 )
 
@@ -166,9 +167,9 @@ def _d09(ctx, b):
 
 
 D09 = Entry(
-    id="D09", kind="divisibility",
+    id="D09",
     statement="5 F_r^2 divides (-1)^(r+1) F_(2r(n+1)) + (-1)^(r(n+1)) F_(2r) + F_(2rn)",
-    params=("r", "n"), domain="r != 0; n >= 0",
+    domain="r != 0; n >= 0",
     guards=(GUARD_R_NONZERO, GUARD_N), evaluate=_d09,
     grid=R_N_AXES, witnesses=("5 F_r^2 | alternating F-combination",),
 )
@@ -181,10 +182,10 @@ def _d10(ctx, b):
 
 
 D10 = Entry(
-    id="D10", kind="divisibility",
+    id="D10",
     statement="5 divides L_(2n+1) + (-1)^(n+1)",
-    params=("n",), domain="n >= 0",
-    guards=(GUARD_N,), evaluate=_d10, grid=(axis("n", irange(0, 12)),),
+    domain="n >= 0",
+    guards=(GUARD_N,), evaluate=_d10, grid=N12_AXES,
     witnesses=("5 | L_(2n+1) + (-1)^(n+1)",),
 )
 
@@ -199,11 +200,11 @@ def _d11(ctx, b):
 
 
 D11 = Entry(
-    id="D11", kind="divisibility",
+    id="D11",
     statement="(-1)^(r+1) L_(2r(n+1)) - (-1)^(r(n+1)) L_(2r) + L_(2rn) + 2 (-1)^(rn) "
               "= 5 F_r ((-1)^(r+1) F_(r(2n+1)) - (-1)^(r(n+1)) F_r), "
               "hence 5 F_r^2 divides it (using F_r | F_(r(2n+1)))",
-    params=("r", "n"), domain="r != 0; n >= 0",
+    domain="r != 0; n >= 0",
     guards=(GUARD_R_NONZERO, GUARD_N), evaluate=_d11,
     grid=R_N_AXES,
     sides=(Slot("alternating L-combination", "decomposition"),
@@ -218,9 +219,9 @@ def _d12(ctx, b):
 
 
 D12 = Entry(
-    id="D12", kind="divisibility",
+    id="D12",
     statement="for even r: 5 F_r^2 divides L_(2r)^(n+1) - 2^(n+1)",
-    params=("r", "n"), domain="r even, r != 0; n >= 0",
+    domain="r even, r != 0; n >= 0",
     guards=(Guard("r even and r != 0", ("r",),
                   lambda ctx, b: b["r"] % 2 == 0 and b["r"] != 0),
             GUARD_N),
@@ -236,9 +237,9 @@ def _d13(ctx, b):
 
 
 D13 = Entry(
-    id="D13", kind="divisibility",
+    id="D13",
     statement="for odd r: L_r^2 divides L_(2r)^(n+1) - 2^(n+1)",
-    params=("r", "n"), domain="r odd; n >= 0",
+    domain="r odd; n >= 0",
     guards=(Guard("r odd", ("r",), lambda ctx, b: b["r"] % 2 != 0), GUARD_N),
     evaluate=_d13,
     grid=(axis("r", [-5, -3, -1, 1, 3, 5]), axis("n", irange(0, 10))),
@@ -276,14 +277,13 @@ def _d14(ctx, b):
 
 
 D14 = Entry(
-    id="D14", kind="divisibility",
+    id="D14",
     statement="L_(r-2) L_(r+1) + L_r L_(r-1) divides L_r^(2n+1) (L_r L_(2n+t) "
               "+ L_(r-1) L_(2n+t+1)) - L_(r-1)^(2n+1) (L_r L_(t-1) + L_(r-1) L_t); "
               "at (r, t) = (2, 0): 11 | 3^(2n+1) (L_(2n) + 5 F_(2n+1)) + 1",
-    params=("r", "t", "n"), domain="divisor != 0; n >= 0",
+    domain="divisor != 0; n >= 0",
     guards=(GUARD_I16_DEN, GUARD_N), evaluate=_d14,
-    grid=(axis("r", irange(-6, 6)), axis("t", irange(-6, 6)),
-          axis("n", irange(0, 10))),
+    grid=R_T_N_AXES,
     sides=_particular_sides(_D14_PARTICULAR),
     witnesses=("denominator | Lucas-pair L-numerator", f"11 | {_D14_PARTICULAR}"),
 )
@@ -299,14 +299,13 @@ def _d15(ctx, b):
 
 
 D15 = Entry(
-    id="D15", kind="divisibility",
+    id="D15",
     statement="L_(r-2) L_(r+1) + L_r L_(r-1) divides L_r^(2n+1) (L_r F_(2n+t) "
               "+ L_(r-1) F_(2n+t+1)) - L_(r-1)^(2n+1) (L_r F_(t-1) + L_(r-1) F_t); "
               "at (r, t) = (2, 0): 11 | 3^(2n+1) (F_(2n) + L_(2n+1)) - 3",
-    params=("r", "t", "n"), domain="divisor != 0; n >= 0",
+    domain="divisor != 0; n >= 0",
     guards=(GUARD_I16_DEN, GUARD_N), evaluate=_d15,
-    grid=(axis("r", irange(-6, 6)), axis("t", irange(-6, 6)),
-          axis("n", irange(0, 10))),
+    grid=R_T_N_AXES,
     sides=_particular_sides(_D15_PARTICULAR),
     witnesses=("denominator | Lucas-pair F-numerator", f"11 | {_D15_PARTICULAR}"),
 )
@@ -319,13 +318,12 @@ def _d16(ctx, b):
 
 
 D16 = Entry(
-    id="D16", kind="divisibility",
+    id="D16",
     statement="5 F_(k+r) F_(k+s) divides L_(2k+r+s)^(n+1) "
               "- (-1)^((k+s)(n+1)) L_(r-s)^(n+1)",
-    params=("r", "k", "s", "n"), domain="F_(k+r) F_(k+s) != 0; n >= 0",
+    domain="F_(k+r) F_(k+s) != 0; n >= 0",
     guards=(GUARD_F_KR_KS, GUARD_N), evaluate=_d16,
-    grid=(axis("r", irange(-6, 6)), axis("k", irange(-6, 6)),
-          axis("s", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_K_S_N_AXES,
     witnesses=("5 F_(k+r) F_(k+s) | L-power difference",),
 )
 
@@ -338,9 +336,9 @@ def _d17(ctx, b):
 
 
 D17 = Entry(
-    id="D17", kind="divisibility",
+    id="D17",
     statement="5 F_(k+r)^2 divides L_(2(k+r))^(n+1) - (-1)^((k+r)(n+1)) 2^(n+1)",
-    params=("r", "k", "n"), domain="k + r != 0; n >= 0",
+    domain="k + r != 0; n >= 0",
     guards=(Guard("F_(k+r) != 0", ("r", "k"),
                   lambda ctx, b: b["k"] + b["r"] != 0),
             GUARD_N),
@@ -360,9 +358,9 @@ def _d18(ctx, b):
 
 
 D18 = Entry(
-    id="D18", kind="divisibility",
+    id="D18",
     statement="for odd m: F_m^n L_m F_(rm) divides F_(m(r+1))^(n+1) - F_(m(r-1))^(n+1)",
-    params=("m", "r", "n"), domain="m odd, m >= 1; r >= 1; n >= 0",
+    domain="m odd, m >= 1; r >= 1; n >= 0",
     guards=(GUARD_M_ODD_POSITIVE, GUARD_R_POSITIVE, GUARD_N),
     evaluate=_d18,
     grid=(axis("m", [1, 3, 5]), axis("r", irange(1, 6)), axis("n", irange(0, 10))),
@@ -379,10 +377,10 @@ def _d19(ctx, b):
 
 
 D19 = Entry(
-    id="D19", kind="divisibility",
+    id="D19",
     statement="for even m: F_m^n L_m F_(rm) divides F_(m(r+1))^(n+1) "
               "+ (-1)^n F_(m(r-1))^(n+1)",
-    params=("m", "r", "n"), domain="m even, m >= 2; r >= 1; n >= 0",
+    domain="m even, m >= 2; r >= 1; n >= 0",
     guards=(Guard("m even and m >= 2", ("m",),
                   lambda ctx, b: b["m"] % 2 == 0 and b["m"] >= 2),
             GUARD_R_POSITIVE, GUARD_N),
@@ -406,15 +404,14 @@ def _d20_integral(ctx, b):
 
 
 D20 = Entry(
-    id="D20", kind="divisibility",
+    id="D20",
     statement="u_r divides u_(r(n+1)) in the generalized sequence",
-    params=("p", "q", "r", "n"),
     domain="p, q != 0; u_r != 0; both values integral; n >= 0",
     guards=(GUARD_PQ, GUARD_UR, GUARD_N,
             Guard("u_r and u_(r(n+1)) are integers", ("p", "q", "r", "n"),
                   _d20_integral)),
     evaluate=_d20,
-    grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
+    grid=PQ_R_N_AXES,
     witnesses=("u_r | u_(r(n+1))",),
 )
 
@@ -445,10 +442,9 @@ def _d21(ctx, b):
 
 
 D21 = Entry(
-    id="D21", kind="divisibility",
+    id="D21",
     statement="v_r divides v_(rm) for odd m; v_r divides w_(t+rn) - q^(rn) w_(t-rn) "
               "and in particular u_(rn) for even n",
-    params=("p", "q", "a", "b", "r", "m", "t", "n"),
     domain="p, q != 0; v_r != 0; r >= 0; m odd >= 1; t >= 0; n even >= 2",
     guards=(GUARD_PQ, GUARD_VR,
             Guard("r >= 0", ("r",), lambda ctx, b: b["r"] >= 0),
@@ -474,13 +470,12 @@ def _d22(ctx, b):
 
 
 D22 = Entry(
-    id="D22", kind="divisibility",
+    id="D22",
     statement="X = q^m u_(r-s)^2 + q^(2m-s) u_(r-m)^2 + q^m u_(r-s) u_(r-m) v_(m-s) "
               "divides Y = q^m u_(r-s)^(n+2) w_(mn+t) "
               "+ q^m u_(r-s)^(n+1) u_(r-m) w_(mn+m+t-s) "
               "+ (-1)^n u_(r-m)^(n+1) (q^((m-s)(n+1)+m) u_(r-s) w_(sn+s+t-m) "
               "+ q^((m-s)(n+2)+s) u_(r-m) w_(sn+t))",
-    params=("p", "q", "a", "b", "m", "s", "r", "t", "n"),
     domain="p, q != 0; r >= m >= s >= 0; t >= 0; X != 0; n >= 0",
     # X != 0 before t and n, so it runs once per (p, q, a, b, m, s, r) row
     guards=(GUARD_PQ,

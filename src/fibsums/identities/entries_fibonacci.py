@@ -11,12 +11,15 @@ exactly one verifying form. Rational values are computed on the kernel
 ``Rat``, which a side reduces only when it is read.
 
 Shared factors and integer numerators. I16 and I17 visit each (r, n) once
-per shift t, so ``_i16_shared`` and ``_i17_shared``, called through
-``ctx.memo``, build the weights of their left and middle sums once per
-Context and argument list, as integer numerators over one denominator
-(``int_weights``); a point then forms each sum as one integer dot product
-with its table terms (``weighted_sum``), summand by summand as printed. A
-summand c (x + y) is kept as the two products c x and c y, in that order.
+per shift t, so two builders called through ``ctx.memo`` build the weights
+of their left and middle sums once per Context and argument list, as
+integer numerators over one denominator (``int_weights``): ``_i16_left``,
+which both read, and ``_i16_middle``, keyed by the base letter of the first
+inner sum and the offset of the second's power of 5, which I16 reads at
+(L, 0) and I17 at (F, 0) as printed and (L, 1) as proved. A point then
+forms each sum as one integer dot product with its table terms
+(``weighted_sum``), summand by summand as printed. A summand c (x + y) is
+kept as the two products c x and c y, in that order.
 I18 builds the powers of L_(2k+r+s) and L_(r-s) once per point and forms
 its middle sum over the one denominator 2^n. Each side's weights come from
 that side's own printed expression, and the closed forms are still those
@@ -34,9 +37,10 @@ from ..scalars import QuadExt, Rat, canonical, int_weights, weighted_sum
 from ..sequences import neg_one
 from .engine import Entry, Guard, RejectedInstance, Slot, axis, irange, joint
 from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
-                             GUARD_N, GUARD_R_NONZERO, R_N_AXES, SUMS, _i10_den,
-                             _i10_num, _i11_num, _i12_num, _i13_num, _i14_num,
-                             _i16_den, _i16_num, _i17_num, _i18_num)
+                             GUARD_N, GUARD_R_NONZERO, R_K_S_N_AXES, R_N_AXES,
+                             R_T_N_AXES, SUMS, _i10_den, _i10_num, _i11_num,
+                             _i12_num, _i13_num, _i14_num, _i16_den, _i16_num,
+                             _i17_num, _i18_num)
 
 HALVES = [Fraction(k, 2) for k in range(-6, 7)]
 
@@ -60,9 +64,9 @@ def _i01(ctx, b):
 
 
 I01 = Entry(
-    id="I01", kind="identity",
+    id="I01",
     statement="(2u)^(n+1) - (2v)^(n+1) = (u-v) sum_{j=0..n} ((2u)^j + (2v)^j)(u+v)^(n-j)",
-    params=("u", "v", "n"), domain="rational u, v; n >= 0",
+    domain="rational u, v; n >= 0",
     guards=(GUARD_N,), evaluate=_i01,
     grid=(axis("u", HALVES), axis("v", HALVES), axis("n", irange(0, 10))),
     sides=(Slot("difference of powers"), Slot("telescoping sum")),
@@ -83,9 +87,9 @@ def _i02(ctx, b):
 
 
 I02 = Entry(
-    id="I02", kind="identity",
+    id="I02",
     statement="sum_{j=0..n} 2^j L_j = 2^(n+1) F_(n+1)",
-    params=("n",), domain="n >= 0", guards=(GUARD_N,), evaluate=_i02,
+    domain="n >= 0", guards=(GUARD_N,), evaluate=_i02,
     grid=(axis("n", irange(0, 10)),), sides=SUM_CLOSED,
 )
 
@@ -98,9 +102,9 @@ def _i03(ctx, b):
 
 
 I03 = Entry(
-    id="I03", kind="identity",
+    id="I03",
     statement="sum_{j=0..n} 2^j L_(j+r) = 2^(n+1) F_(n+r+1) - F_r",
-    params=("r", "n"), domain="any integer r; n >= 0",
+    domain="any integer r; n >= 0",
     guards=(GUARD_N,), evaluate=_i03,
     grid=R_N_AXES, sides=SUM_CLOSED,
 )
@@ -114,9 +118,9 @@ def _i04(ctx, b):
 
 
 I04 = Entry(
-    id="I04", kind="identity",
+    id="I04",
     statement="sum_{j=0..n} 2^j F_(j+r) = (2^(n+1) L_(n+r+1) - L_r) / 5",
-    params=("r", "n"), domain="any integer r; n >= 0",
+    domain="any integer r; n >= 0",
     guards=(GUARD_N,), evaluate=_i04,
     grid=R_N_AXES, sides=SUM_CLOSED,
 )
@@ -130,13 +134,12 @@ def _i05(ctx, b):
 
 
 I05 = Entry(
-    id="I05", kind="identity",
+    id="I05",
     statement="sum_{j=0..n} 2^j (G_(j+r+1) + G_(j+r-1)) = 2^(n+1) G_(n+r+1) - G_r "
               "for the recurrence G_k = G_(k-1) + G_(k-2) with seeds (g0, g1)",
-    params=("g0", "g1", "r", "n"), domain="integer seeds; any r; n >= 0",
+    domain="integer seeds; any r; n >= 0",
     guards=(GUARD_N,), evaluate=_i05,
-    grid=(axis("g0", irange(-3, 3)), axis("g1", irange(-3, 3)),
-          axis("r", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=(axis("g0", irange(-3, 3)), axis("g1", irange(-3, 3)), *R_N_AXES),
     sides=SUM_CLOSED,
 )
 
@@ -192,11 +195,10 @@ _QUAD_PAIRS = [
 ]
 
 I06 = Entry(
-    id="I06", kind="identity",
+    id="I06",
     statement="sum_{j=0..n} (xy)^j (x^(n-2j) + y^(n-2j)) "
               "= sum_{j=0..n} ((x+y)/2)^j (x^(n-j) + y^(n-j)) "
               "= 2 sum_{j=0..n} x^j y^(n-j) = 2 (x^(n+1) - y^(n+1)) / (x - y)",
-    params=("x", "y", "n"),
     domain="x != y, both nonzero and invertible; n >= 0",
     guards=(Guard("x != y", ("x", "y"), lambda ctx, b: b["x"] != b["y"]),
             Guard("x != 0 and y != 0", ("x", "y"),
@@ -225,10 +227,10 @@ def _i07(ctx, b):
 
 
 I07 = Entry(
-    id="I07", kind="identity",
+    id="I07",
     statement="sum_{j=0..n} (-1)^(rj) L_(r(n-2j)) "
               "= sum_{j=0..n} (L_r/2)^j L_(r(n-j)) = 2 F_(r(n+1)) / F_r",
-    params=("r", "n"), domain="r != 0; n >= 0",
+    domain="r != 0; n >= 0",
     guards=(GUARD_R_NONZERO, GUARD_N), evaluate=_i07,
     grid=R_N_AXES, sides=SUMS,
 )
@@ -247,11 +249,11 @@ def _i08(ctx, b):
 
 
 I08 = Entry(
-    id="I08", kind="identity",
+    id="I08",
     statement="sum_{j=0..2n} (-1)^(j(r+1)) L_(2r(n-j)) "
               "= sum_{j=0..n} (F_r/2)^(2j) 5^j L_(2r(n-j)) "
               "+ sum_{j=1..n} (F_r/2)^(2j-1) 5^j F_(r(2n-2j+1)) = 2 L_(r(2n+1)) / L_r",
-    params=("r", "n"), domain="any integer r; n >= 0",
+    domain="any integer r; n >= 0",
     guards=(GUARD_N,), evaluate=_i08,
     grid=R_N_AXES, sides=SUMS,
 )
@@ -270,11 +272,11 @@ def _i09(ctx, b):
 
 
 I09 = Entry(
-    id="I09", kind="identity",
+    id="I09",
     statement="sum_{j=0..2n-1} (-1)^(j(r+1)) F_(r(2n-2j-1)) "
               "= sum_{j=0..n-1} (F_r/2)^(2j) 5^j F_(r(2n-2j-1)) "
               "+ sum_{j=1..n} (F_r/2)^(2j-1) 5^(j-1) L_(r(2n-2j)) = 2 F_(2rn) / L_r",
-    params=("r", "n"), domain="any integer r; n >= 0",
+    domain="any integer r; n >= 0",
     guards=(GUARD_N,), evaluate=_i09,
     grid=R_N_AXES, sides=SUMS,
 )
@@ -301,12 +303,11 @@ def _i10(ctx, b):
 
 
 I10 = Entry(
-    id="I10", kind="identity",
+    id="I10",
     statement="sum_{j=0..n} F_r^j F_(r-1)^(n-j) L_j "
               "= sum_{j=0..n} 2^-(j+1) (F_r^(n-j) L_(n+j(r-1)) + F_(r-1)^(n-j) L_(rj)) "
               "= (F_r^(n+2) L_n + F_(r-1) F_r^(n+1) L_(n+1) + F_r F_(r-1)^(n+1) "
               "- 2 F_(r-1)^(n+2)) / (F_r^2 + F_r F_(r-1) - F_(r-1)^2)",
-    params=("r", "n"),
     domain="F_r^2 + F_r F_(r-1) - F_(r-1)^2 != 0; n >= 0",
     guards=(GUARD_I10_DEN, GUARD_N), evaluate=_i10,
     grid=R_N_AXES,
@@ -336,12 +337,11 @@ def _i11(ctx, b):
 
 
 I11 = Entry(
-    id="I11", kind="identity",
+    id="I11",
     statement="sum_{j=0..n} F_r^j F_(r-1)^(n-j) F_j "
               "= sum_{j=0..n} 2^-(j+1) (F_r^(n-j) F_(n+j(r-1)) + F_(r-1)^(n-j) F_(rj)) "
               "= (F_r^(n+2) F_n + F_(r-1) F_r^(n+1) F_(n+1) - F_r F_(r-1)^(n+1)) "
               "/ (F_r^2 + F_r F_(r-1) - F_(r-1)^2)",
-    params=("r", "n"),
     domain="F_r^2 + F_r F_(r-1) - F_(r-1)^2 != 0; n >= 0",
     guards=(GUARD_I10_DEN, GUARD_N), evaluate=_i11,
     grid=R_N_AXES, sides=I10.sides,
@@ -366,12 +366,12 @@ def _i12(ctx, b):
 
 
 I12 = Entry(
-    id="I12", kind="identity",
+    id="I12",
     statement="2 sum_{j=0..n} (-1)^(r(n-j)) L_(2rj) "
               "= sum_{j=0..n} (L_r/2)^j (L_(r(2n-j)) + (-1)^(r(n-j)) L_(rj)) "
               "= 2 ((-1)^(r+1) L_(2r(n+1)) - (-1)^(r(n+1)) L_(2r) + L_(2rn) "
               "+ 2(-1)^(rn)) / ((-1)^(r+1) 5 F_r^2)",
-    params=("r", "n"), domain="r != 0; n >= 0",
+    domain="r != 0; n >= 0",
     guards=(GUARD_R_NONZERO, GUARD_N), evaluate=_i12,
     grid=R_N_AXES, sides=SUMS,
 )
@@ -388,12 +388,12 @@ def _i13(ctx, b):
 
 
 I13 = Entry(
-    id="I13", kind="identity",
+    id="I13",
     statement="2 sum_{j=0..n} (-1)^(r(n-j)) F_(2rj) "
               "= sum_{j=0..n} (L_r/2)^j (F_(r(2n-j)) + (-1)^(r(n-j)) F_(rj)) "
               "= 2 ((-1)^(r+1) F_(2r(n+1)) + (-1)^(r(n+1)) F_(2r) + F_(2rn)) "
               "/ ((-1)^(r+1) 5 F_r^2)",
-    params=("r", "n"), domain="r != 0; n >= 0",
+    domain="r != 0; n >= 0",
     guards=(GUARD_R_NONZERO, GUARD_N), evaluate=_i13,
     grid=R_N_AXES, sides=SUMS,
 )
@@ -416,12 +416,12 @@ def _i14(ctx, b):
 
 
 I14 = Entry(
-    id="I14", kind="identity",
+    id="I14",
     statement="sum_{j=0..n} L_(2r)^j 2^(n-j+1) "
               "= sum_{j=0..n} (L_r^2/2)^j (L_(2r)^(n-j) + 2^(n-j)) "
               "= 2 (L_(2r)^(n+1) - 2^(n+1)) / (5 F_r^2)  [r even; for r odd swap "
               "L_r^2 and 5 F_r^2 between weight and denominator]",
-    params=("r", "n"), domain="r != 0; n >= 0",
+    domain="r != 0; n >= 0",
     guards=(GUARD_R_NONZERO, GUARD_N), evaluate=_i14,
     grid=R_N_AXES, sides=SUMS,
 )
@@ -441,11 +441,10 @@ def _i15(ctx, b):
 
 
 I15 = Entry(
-    id="I15", kind="identity",
+    id="I15",
     statement="2 sum_{j=0..n} (-1)^(rj) 4^j F_r^(2n-2j) 5^(n-j) "
               "= sum_{j=0..n} (L_r^2/2)^j (5^(n-j) F_r^(2(n-j)) + (-1)^(r(n-j)) 4^(n-j)) "
               "= 2 ((5 F_r^2)^(n+1) - (-1)^(r(n+1)) 4^(n+1)) / (5 F_r^2 - (-1)^r 4)",
-    params=("r", "n"),
     domain="any integer r (the denominator 5 F_r^2 - (-1)^r 4 never vanishes); n >= 0",
     guards=(GUARD_N,), evaluate=_i15,
     grid=R_N_AXES, sides=SUMS,
@@ -457,29 +456,35 @@ I15 = Entry(
 # as variants (inner-index shift, one base letter, one prefactor)
 # ---------------------------------------------------------------------------
 
-def _i16_shared(ctx, r, n):
-    """Weights L_r^j L_(r-1)^(2n-j) of the left sum; the middle sum's
-    weights 5^j/2^(2j+1) L_r^(2n-2j) and 5^j/2^(2j+1) L_(r-1)^(2n-2j), in
-    turn, per j of its first inner sum, then 5^j/2^(2j) L_r^(2n-2j+1) and
-    5^j/2^(2j) L_(r-1)^(2n-2j+1) per j of its second. Both readings differ
-    in an index only, so they share the middle weights."""
+def _i16_left(ctx, r, n):
+    """Weights L_r^j L_(r-1)^(2n-j) of the I16 and I17 left sums."""
     L = ctx.luc()
     lr, lr1 = L(r), L(r - 1)
-    left = int_weights(lr ** j * lr1 ** (2 * n - j) for j in range(2 * n + 1))
+    return int_weights(lr ** j * lr1 ** (2 * n - j) for j in range(2 * n + 1))
+
+
+def _i16_middle(ctx, base, e, r, n):
+    """Middle-sum weights of I16 and I17: 5^j/2^(2j+1) L_r^(2n-2j) and
+    5^j/2^(2j+1) B_(r-1)^(2n-2j), in turn, per j of the first inner sum,
+    B = F for base "F" and L for "L"; then 5^(j-e)/2^(2j) L_r^(2n-2j+1) and
+    5^(j-e)/2^(2j) L_(r-1)^(2n-2j+1) per j of the second."""
+    L = ctx.luc()
+    lr, lr1 = L(r), L(r - 1)
+    br1 = (ctx.fib() if base == "F" else L)(r - 1)
     first = [Rat(5 ** j, 2 ** (2 * j + 1)) for j in range(n + 1)]
-    second = [Rat(5 ** j, 2 ** (2 * j)) for j in range(1, n + 1)]
-    mid = int_weights(
+    second = [Rat(5 ** (j - e), 2 ** (2 * j)) for j in range(1, n + 1)]
+    return int_weights(
         [x for j, c in enumerate(first)
-         for x in (c * lr ** (2 * n - 2 * j), c * lr1 ** (2 * n - 2 * j))]
+         for x in (c * lr ** (2 * n - 2 * j), c * br1 ** (2 * n - 2 * j))]
         + [x for j, c in enumerate(second, 1)
            for x in (c * lr ** (2 * n - 2 * j + 1), c * lr1 ** (2 * n - 2 * j + 1))])
-    return left, mid
 
 
 def _i16(ctx, b):
     r, t, n = b["r"], b["t"], b["n"]
     L, F = ctx.luc(), ctx.fib()
-    left, mid = ctx.memo(_i16_shared, r, n)
+    # both readings differ in an index only, so they share the middle weights
+    left, mid = ctx.memo(_i16_left, r, n), ctx.memo(_i16_middle, "L", 0, r, n)
     s1 = weighted_sum(left, [L(j + t) for j in range(2 * n + 1)])
     first = [x for j in range(n + 1)
              for x in (L(2 * n - 2 * j + 2 * j * r + t), L(2 * j * r + t))]
@@ -495,7 +500,7 @@ def _i16(ctx, b):
 
 
 I16 = Entry(
-    id="I16", kind="identity",
+    id="I16",
     statement="sum_{j=0..2n} L_r^j L_(r-1)^(2n-j) L_(j+t) "
               "= sum_{j=0..n} 5^j/2^(2j+1) (L_r^(2n-2j) L_(2n-2j+2jr+t) "
               "+ L_(r-1)^(2n-2j) L_(2jr+t)) "
@@ -504,11 +509,9 @@ I16 = Entry(
               "= (L_r^(2n+1) (L_r L_(2n+t) + L_(r-1) L_(2n+t+1)) "
               "- L_(r-1)^(2n+1) (L_r L_(t-1) + L_(r-1) L_t)) "
               "/ (L_(r-2) L_(r+1) + L_r L_(r-1))",
-    params=("r", "t", "n"),
     domain="L_(r-2) L_(r+1) + L_r L_(r-1) != 0; n >= 0",
     guards=(GUARD_I16_DEN, GUARD_N), evaluate=_i16,
-    grid=(axis("r", irange(-6, 6)), axis("t", irange(-6, 6)),
-          axis("n", irange(0, 10))),
+    grid=R_T_N_AXES,
     sides=(Slot("left sum"),
            Slot("middle sum, inner index 2n-2j+(2j-1)r+t", variant="as-printed"),
            Slot("middle sum, inner index 2n-2j+1+(2j-1)r+t", variant="as-proved"),
@@ -519,34 +522,13 @@ I16 = Entry(
 )
 
 
-def _i17_shared(ctx, r, n):
-    """Weights L_r^j L_(r-1)^(2n-j) of the left sum, and the middle sum's
-    weights under each reading, as-printed then as-proved: 5^j/2^(2j+1)
-    L_r^(2n-2j) and 5^j/2^(2j+1) B_(r-1)^(2n-2j), in turn, per j of the
-    first inner sum, B = F as printed and L as proved; then
-    5^(j-e)/2^(2j) L_r^(2n-2j+1) and 5^(j-e)/2^(2j) L_(r-1)^(2n-2j+1) per j
-    of the second, e = 0 as printed and 1 as proved."""
-    L, F = ctx.luc(), ctx.fib()
-    lr, lr1 = L(r), L(r - 1)
-    left = int_weights(lr ** j * lr1 ** (2 * n - j) for j in range(2 * n + 1))
-
-    def mid(base, power_base):
-        first = [Rat(5 ** j, 2 ** (2 * j + 1)) for j in range(n + 1)]
-        second = [Rat(5 ** (j - power_base), 2 ** (2 * j)) for j in range(1, n + 1)]
-        return int_weights(
-            [x for j, c in enumerate(first)
-             for x in (c * lr ** (2 * n - 2 * j), c * base(r - 1) ** (2 * n - 2 * j))]
-            + [x for j, c in enumerate(second, 1)
-               for x in (c * lr ** (2 * n - 2 * j + 1),
-                         c * lr1 ** (2 * n - 2 * j + 1))])
-
-    return left, mid(F, 0), mid(L, 1)
-
-
 def _i17(ctx, b):
     r, t, n = b["r"], b["t"], b["n"]
     L, F = ctx.luc(), ctx.fib()
-    left, printed, proved = ctx.memo(_i17_shared, r, n)
+    left = ctx.memo(_i16_left, r, n)
+    # as printed: B = F and 5^j in the second inner sum; as proved: L, 5^(j-1)
+    printed = ctx.memo(_i16_middle, "F", 0, r, n)
+    proved = ctx.memo(_i16_middle, "L", 1, r, n)
     s1 = weighted_sum(left, [F(j + t) for j in range(2 * n + 1)])
     first = [x for j in range(n + 1)
              for x in (F(2 * n - 2 * j + 2 * j * r + t), F(2 * j * r + t))]
@@ -562,7 +544,7 @@ def _i17(ctx, b):
 
 
 I17 = Entry(
-    id="I17", kind="identity",
+    id="I17",
     statement="sum_{j=0..2n} L_r^j L_(r-1)^(2n-j) F_(j+t) "
               "= sum_{j=0..n} 5^j/2^(2j+1) (L_r^(2n-2j) F_(2n-2j+2jr+t) "
               "+ L_(r-1)^(2n-2j) F_(2jr+t)) "
@@ -571,11 +553,9 @@ I17 = Entry(
               "= (L_r^(2n+1) (L_r F_(2n+t) + L_(r-1) F_(2n+t+1)) "
               "- L_(r-1)^(2n+1) (L_r F_(t-1) + L_(r-1) F_t)) "
               "/ (L_(r-2) L_(r+1) + L_r L_(r-1))",
-    params=("r", "t", "n"),
     domain="L_(r-2) L_(r+1) + L_r L_(r-1) != 0; n >= 0",
     guards=(GUARD_I16_DEN, GUARD_N), evaluate=_i17,
-    grid=(axis("r", irange(-6, 6)), axis("t", irange(-6, 6)),
-          axis("n", irange(0, 10))),
+    grid=R_T_N_AXES,
     sides=(Slot("left sum"),
            Slot("middle sum, F_(r-1) base, 5^j weight, printed index",
                 variant="as-printed"),
@@ -605,17 +585,15 @@ def _i18(ctx, b):
 
 
 I18 = Entry(
-    id="I18", kind="identity",
+    id="I18",
     statement="2 sum_{j=0..n} (-1)^((k+s)j) L_(r-s)^j L_(2k+r+s)^(n-j) "
               "= sum_{j=0..n} (L_(k+r) L_(k+s)/2)^j (L_(2k+r+s)^(n-j) "
               "+ (-1)^((k+s)(n-j)) L_(r-s)^(n-j)) "
               "= 2 (L_(2k+r+s)^(n+1) - (-1)^((k+s)(n+1)) L_(r-s)^(n+1)) "
               "/ (5 F_(k+r) F_(k+s))",
-    params=("r", "k", "s", "n"),
     domain="F_(k+r) F_(k+s) != 0; n >= 0",
     guards=(GUARD_F_KR_KS, GUARD_N), evaluate=_i18,
-    grid=(axis("r", irange(-6, 6)), axis("k", irange(-6, 6)),
-          axis("s", irange(-6, 6)), axis("n", irange(0, 10))),
+    grid=R_K_S_N_AXES,
     sides=SUMS,
 )
 

@@ -29,9 +29,11 @@ few terms, and the w_t that a middle sum multiplies, as one listed read
 (``SeqTable.at``). It then forms the side as one integer dot product and
 one ``Rat`` (``weighted_sum``), not as a ``Rat`` product and a ``Rat`` sum
 per term. A summand c (x + y) is kept as the two products c x and c y, in
-that order (``_paired``). Every printed sum is still summed term by term
-as printed; only the factors no seed or shift can change are shared, and
-no sum is replaced by a shortcut derived from a recurrence.
+that order: H04 reads both terms of every summand of its middle sum from
+one progression, and H05 its middle sum's terms as one listed read over
+the index offsets its builder keeps. Every printed sum is still summed
+term by term as printed; only the factors no seed or shift can change are
+shared, and no sum is replaced by a shortcut derived from a recurrence.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from ..scalars import Rat, int_weights, power, weighted_sum
 from ..sequences import neg_one
 from .engine import Entry, Guard, Slot, axis, irange, joint
 from .entries_common import (GUARD_N, GUARD_PQ, GUARD_UR, GUARD_VR, PQ_AXES,
-                             SEED_PANEL, SUMS, _h05_x, _h05_y)
+                             PQ_R_N_AXES, PQ_SEED_R_T_N_AXES, SUMS, _h05_x,
+                             _h05_y, _q_power)
 
 def _disc(p, q):
     """Delta^2 = p^2 - 4q."""
@@ -67,10 +70,10 @@ def _lem2(ctx, b):
 
 
 LEM2 = Entry(
-    id="LEM2", kind="identity",
+    id="LEM2",
     statement="q^s +- tau^(2s) = tau^s (v_s or -Delta u_s), "
               "q^s +- sigma^(2s) = sigma^s (v_s or Delta u_s)",
-    params=("p", "q", "s"), domain="p, q != 0; p^2 - 4q != 0; any integer s",
+    domain="p, q != 0; p^2 - 4q != 0; any integer s",
     guards=(GUARD_PQ, GUARD_DISC), evaluate=_lem2,
     grid=(*PQ_AXES, axis("s", irange(-4, 4))),
     sides=(Slot("q^s + tau^(2s)", "tau-plus"), Slot("tau^s v_s", "tau-plus"),
@@ -104,10 +107,10 @@ def _lem3(ctx, b):
 
 
 LEM3 = Entry(
-    id="LEM3", kind="identity",
+    id="LEM3",
     statement="v_(r+s) - tau^r v_s = -Delta sigma^s u_r (and the sigma, u, and "
               "Fibonacci/Lucas alpha-beta counterparts)",
-    params=("p", "q", "r", "s"), domain="p, q != 0; p^2 - 4q != 0",
+    domain="p, q != 0; p^2 - 4q != 0",
     guards=(GUARD_PQ, GUARD_DISC), evaluate=_lem3,
     grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("s", irange(-4, 4))),
     sides=(Slot("v_(r+s) - tau^r v_s", "v-tau"),
@@ -138,11 +141,11 @@ def _lem4(ctx, b):
 
 
 LEM4 = Entry(
-    id="LEM4", kind="identity",
+    id="LEM4",
     statement="with A = (b - a sigma)/Delta, B = (a tau - b)/Delta: "
               "A tau^n - B sigma^n = (w_(n+1) - q w_(n-1))/Delta and "
               "A sigma^n + B tau^n = q^n w_(-n)",
-    params=("p", "q", "a", "b", "n"), domain="p, q != 0; p^2 - 4q != 0",
+    domain="p, q != 0; p^2 - 4q != 0",
     guards=(GUARD_PQ, GUARD_DISC), evaluate=_lem4,
     grid=(*PQ_AXES, axis("a", irange(-3, 3)), axis("b", irange(-3, 3)),
           axis("n", irange(0, 6))),
@@ -168,10 +171,10 @@ def _lem5(ctx, b):
 
 
 LEM5 = Entry(
-    id="LEM5", kind="identity",
+    id="LEM5",
     statement="tau^r u_(m-s) = tau^m u_(r-s) - q^(m-s) tau^s u_(r-m) "
               "(and the sigma and v-weighted counterparts)",
-    params=("p", "q", "r", "m", "s"), domain="p, q != 0; p^2 - 4q != 0",
+    domain="p, q != 0; p^2 - 4q != 0",
     guards=(GUARD_PQ, GUARD_DISC), evaluate=_lem5,
     grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("m", irange(-4, 4)),
           axis("s", irange(-4, 4))),
@@ -198,10 +201,9 @@ def _lem6(ctx, b):
 
 
 LEM6 = Entry(
-    id="LEM6", kind="identity",
+    id="LEM6",
     statement="u_(n+m) -+ q^m u_(n-m) = u_m v_n or v_m u_n; "
               "v_(n+m) -+ q^m v_(n-m) = Delta^2 u_m u_n or v_m v_n",
-    params=("p", "q", "n", "m"),
     domain="p, q != 0 (the repeated-root case is included: no root appears)",
     guards=(GUARD_PQ,), evaluate=_lem6,
     grid=(*PQ_AXES, axis("n", irange(-4, 4)), axis("m", irange(-4, 4))),
@@ -219,12 +221,12 @@ LEM6 = Entry(
 
 def _q_weights(ctx, q, r, count):
     """Weights q^(rj) for j < count."""
-    return int_weights(power(q, r * j) for j in range(count))
+    return int_weights(_q_power(q, r * j) for j in range(count))
 
 
 def _signed_q_weights(ctx, q, r, count):
     """Weights (-1)^j q^(rj) for j < count."""
-    return int_weights(neg_one(j) * power(q, r * j) for j in range(count))
+    return int_weights(neg_one(j) * _q_power(q, r * j) for j in range(count))
 
 
 def _h01_shared(ctx, p, q, r, n):
@@ -233,7 +235,7 @@ def _h01_shared(ctx, p, q, r, n):
     M = r(n+1)."""
     u, v = ctx.u(p, q), ctx.v(p, q)
     mid = sum(Rat(1, 2 ** (j + 1)) * v(r) ** j * v(r * (n - j)) for j in range(n + 1))
-    qM, den = power(q, r * (n + 1)), Rat(u(r) * _disc(p, q))
+    qM, den = _q_power(q, r * (n + 1)), Rat(u(r) * _disc(p, q))
     return (ctx.memo(_q_weights, q, r, n + 1), int_weights((mid,)),
             int_weights(c / den for c in (1, -qM, -q, q * qM)))
 
@@ -250,17 +252,14 @@ def _h01(ctx, b):
 
 
 H01 = Entry(
-    id="H01", kind="identity",
+    id="H01",
     statement="sum_{j=0..n} q^(rj) w_(r(n-2j)+t) "
               "= w_t sum_{j=0..n} v_r^j v_(r(n-j)) / 2^(j+1) "
               "= (w_(t+1+r(n+1)) - q^(r(n+1)) w_(t+1-r(n+1)) "
               "- q (w_(t-1+r(n+1)) - q^(r(n+1)) w_(t-1-r(n+1)))) / (u_r Delta^2)",
-    params=("p", "q", "a", "b", "r", "t", "n"),
     domain="p, q != 0; u_r != 0; p^2 - 4q != 0; n >= 0",
     guards=(GUARD_PQ, GUARD_DISC, GUARD_UR, GUARD_N), evaluate=_h01,
-    grid=(*PQ_AXES, joint(("a", "b"), SEED_PANEL),
-          axis("r", irange(-4, 4)), axis("t", irange(-4, 4)),
-          axis("n", irange(0, 6))),
+    grid=PQ_SEED_R_T_N_AXES,
     sides=SUMS,
 )
 
@@ -277,12 +276,11 @@ def _h02(ctx, b):
 
 
 H02 = Entry(
-    id="H02", kind="identity",
+    id="H02",
     statement="sum_{j=0..n} q^(rj) u_(r(n-2j)) = 0",
-    params=("p", "q", "r", "n"),
     domain="p, q != 0; n >= 0 (repeated root included)",
     guards=(GUARD_PQ, GUARD_N), evaluate=_h02,
-    grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
+    grid=PQ_R_N_AXES,
     sides=SUM_ZERO,
 )
 
@@ -296,9 +294,8 @@ def _h03(ctx, b):
 
 
 H03 = Entry(
-    id="H03", kind="identity",
+    id="H03",
     statement="sum_{j=0..n} q^j v_(n-2j) = sum_{j=0..n} (p/2)^j v_(n-j) = 2 u_(n+1)",
-    params=("p", "q", "n"),
     domain="p, q != 0; n >= 0 (repeated root included)",
     guards=(GUARD_PQ, GUARD_N), evaluate=_h03,
     grid=(*PQ_AXES, axis("n", irange(0, 6))), sides=SUMS,
@@ -311,27 +308,12 @@ def _h04_shared(ctx, p, q, r, n):
     the closed form's weights 2 (1, -q, -q^M, q q^M) / (u_r Delta^2),
     M = r(n+1)."""
     u, v = ctx.u(p, q), ctx.v(p, q)
-    qr = [power(q, r * (n - j)) for j in range(n + 1)]
+    qr = [_q_power(q, r * (n - j)) for j in range(n + 1)]
     half = [Rat(1, 2 ** j) * v(r) ** j for j in range(n + 1)]
-    qM, den = power(q, r * (n + 1)), Rat(u(r) * _disc(p, q))
+    qM, den = _q_power(q, r * (n + 1)), Rat(u(r) * _disc(p, q))
     return (int_weights(2 * c for c in qr),
             int_weights(x for h, c in zip(half, qr) for x in (h, h * c)),
             int_weights(2 * c / den for c in (1, -q, -qM, q * qM)))
-
-
-def _paired(xs, ys):
-    """x_0, y_0, x_1, y_1, ...: the two terms of each summand of a middle
-    sum in turn, over one power of q, from two ``SeqTable.read`` results."""
-    (x, sx), (y, sy) = xs, ys
-    if sx != sy:
-        # both are powers of q; the shallower read takes the deeper's scale
-        if abs(sx) < abs(sy):
-            x, sx = [v * (sy // sx) for v in x], sy
-        else:
-            y = [v * (sx // sy) for v in y]
-    pairs = x + y
-    pairs[::2], pairs[1::2] = x, y
-    return pairs, sx
 
 
 def _h04(ctx, b):
@@ -340,26 +322,26 @@ def _h04(ctx, b):
     left, mid, closed = ctx.memo(_h04_shared, p, q, r, n)
     s1 = weighted_sum(left, *w.read(t, 2 * r, n + 1))
     # z_j = q^K w_(rj+t), j = 0..2n, holds both terms of every summand of the
-    # middle sum: w_(r(2n-j)+t) is z_(2n-j)
+    # middle sum, over one scale: w_(r(2n-j)+t) is z_(2n-j)
     z, scale = w.read(t, r, 2 * n + 1)
-    s2 = weighted_sum(mid, *_paired((z[n:][::-1], scale), (z[:n + 1], scale)))
+    x, y = z[n:][::-1], z[:n + 1]
+    pairs = x + y
+    pairs[::2], pairs[1::2] = x, y
+    s2 = weighted_sum(mid, pairs, scale)
     top = r * (2 * n + 1) + t
     s3 = weighted_sum(closed, *w.at(top + 1, top - 1, t - r + 1, t - r - 1))
     return (s1, s2, s3), ()
 
 
 H04 = Entry(
-    id="H04", kind="identity",
+    id="H04",
     statement="2 sum_{j=0..n} q^(r(n-j)) w_(2rj+t) "
               "= sum_{j=0..n} (v_r/2)^j (w_(r(2n-j)+t) + q^(r(n-j)) w_(rj+t)) "
               "= 2 (w_(r(2n+1)+t+1) - q w_(r(2n+1)+t-1) "
               "- q^(r(n+1)) (w_(t-r+1) - q w_(t-r-1))) / (u_r Delta^2)",
-    params=("p", "q", "a", "b", "r", "t", "n"),
     domain="p, q != 0; u_r != 0; p^2 - 4q != 0; n >= 0",
     guards=(GUARD_PQ, GUARD_DISC, GUARD_UR, GUARD_N), evaluate=_h04,
-    grid=(*PQ_AXES, joint(("a", "b"), SEED_PANEL),
-          axis("r", irange(-4, 4)), axis("t", irange(-4, 4)),
-          axis("n", irange(0, 6))),
+    grid=PQ_SEED_R_T_N_AXES,
     sides=SUMS,
 )
 
@@ -370,11 +352,12 @@ def _h05_shared(ctx, p, q, m, s, r, n):
     The left sum's weights (-1)^j q^((m-s)j) u_(r-s)^(n-j) u_(r-m)^j; the
     middle sum's weights u_(m-s)^j / 2^(j+1) u_(r-s)^(n-j) and
     u_(m-s)^j / 2^(j+1) (-1)^(n-j) q^((m-s)(n-j)) u_(r-m)^(n-j), in turn,
-    of its two terms per j; the closed form's weights, Y's coefficients
-    (``_h05_y``) over X = q^m X0 (``_h05_x``).
+    of its two terms per j, and the index offsets from t of those terms,
+    mn + (r-m)j and sn + (r-s)j, in the same order; the closed form's
+    weights, Y's coefficients (``_h05_y``) over X = q^m X0 (``_h05_x``).
     """
     u = ctx.u(p, q)
-    qms = [power(q, (m - s) * j) for j in range(n + 1)]
+    qms = [_q_power(q, (m - s) * j) for j in range(n + 1)]
     us = [u(r - s) ** k for k in range(n + 1)]
     um = [u(r - m) ** k for k in range(n + 1)]
     left = int_weights(neg_one(j) * qms[j] * us[n - j] * um[j] for j in range(n + 1))
@@ -382,26 +365,27 @@ def _h05_shared(ctx, p, q, m, s, r, n):
     across = [neg_one(k) * qms[k] * um[k] for k in range(n + 1)]
     mid = int_weights(x for j in range(n + 1)
                       for x in (half[j] * us[n - j], half[j] * across[n - j]))
+    # s (n - j) + t + r j = s n + t + (r - s) j
+    offsets = [k for j in range(n + 1)
+               for k in (m * n + (r - m) * j, s * n + (r - s) * j)]
     x, y = ctx.memo(_h05_x, p, q, m, s, r), ctx.memo(_h05_y, p, q, m, s, r, n)
-    return left, mid, int_weights(Rat(c) / x for c in y)
+    return left, mid, offsets, int_weights(Rat(c) / x for c in y)
 
 
 def _h05(ctx, b):
     p, q, a, bb = b["p"], b["q"], b["a"], b["b"]
     m, s, r, t, n = b["m"], b["s"], b["r"], b["t"], b["n"]
     w = ctx.table(a, bb, p, q)
-    left, mid, closed = ctx.memo(_h05_shared, p, q, m, s, r, n)
+    left, mid, offsets, closed = ctx.memo(_h05_shared, p, q, m, s, r, n)
     s1 = weighted_sum(left, *w.read(m * n + t, s - m, n + 1))
-    # s (n - j) + t + r j = s n + t + (r - s) j
-    s2 = weighted_sum(mid, *_paired(w.read(m * n + t, r - m, n + 1),
-                                    w.read(s * n + t, r - s, n + 1)))
+    s2 = weighted_sum(mid, *w.at(*[t + k for k in offsets]))
     s3 = weighted_sum(closed, *w.at(m * n + t, m * n + m + t - s,
                                     s * n + s + t - m, s * n + t))
     return (s1, s2, s3), ()
 
 
 H05 = Entry(
-    id="H05", kind="identity",
+    id="H05",
     statement="sum_{j=0..n} (-1)^j q^((m-s)j) u_(r-s)^(n-j) u_(r-m)^j w_((s-m)j+mn+t) "
               "= sum_{j=0..n} u_(m-s)^j / 2^(j+1) (u_(r-s)^(n-j) w_((r-m)j+mn+t) "
               "+ (-1)^(n-j) q^((m-s)(n-j)) u_(r-m)^(n-j) w_(s(n-j)+t+rj)) "
@@ -409,7 +393,6 @@ H05 = Entry(
               "+ (-1)^n u_(r-m)^(n+1) (q^((m-s)(n+1)+m) u_(r-s) w_(sn+s+t-m) "
               "+ q^((m-s)(n+2)+s) u_(r-m) w_(sn+t)) / (q^m X0), "
               "X0 = u_(r-s)^2 + q^(m-s) u_(r-m)^2 + u_(r-s) u_(r-m) v_(m-s)",
-    params=("p", "q", "a", "b", "m", "s", "r", "t", "n"),
     domain="p, q != 0; X0 != 0; n >= 0 (repeated root included)",
     # X = q^m X0 with q != 0, so X0 != 0 exactly when X != 0; X divides by
     # q for m < 0, so its guard follows GUARD_PQ
@@ -472,17 +455,14 @@ def _h06(ctx, b):
 
 
 H06 = Entry(
-    id="H06", kind="identity",
+    id="H06",
     statement="sum_{j=0..2n} (-1)^j q^(rj) w_(2r(n-j)+t) "
               "= w_t/2 sum_{j=0..n} (u_r^2 Delta^2/4)^j v_(2r(n-j)) "
               "+ w_t/u_r sum_{j=1..n} (u_r^2 Delta^2/4)^j u_(r(2n-2j+1)) "
               "= w_t v_(r(2n+1)) / v_r",
-    params=("p", "q", "a", "b", "r", "t", "n"),
     domain="p, q != 0; v_r != 0; u_r != 0 unless n = 0; n >= 0",
     guards=(GUARD_PQ, GUARD_VR, GUARD_N, GUARD_H06), evaluate=_h06,
-    grid=(*PQ_AXES, joint(("a", "b"), SEED_PANEL),
-          axis("r", irange(-4, 4)), axis("t", irange(-4, 4)),
-          axis("n", irange(0, 6))),
+    grid=PQ_SEED_R_T_N_AXES,
     sides=SUMS,
 )
 
@@ -504,7 +484,7 @@ def _h07_shared(ctx, p, q, r, n):
     vr = Rat(v(r))
     return (ctx.memo(_signed_q_weights, q, r, 2 * n), mid,
             int_weights((mid, -q * mid)),
-            int_weights((1 / vr, -power(q, 2 * r * n) / vr)))
+            int_weights((1 / vr, -_q_power(q, 2 * r * n) / vr)))
 
 
 def _h07(ctx, b):
@@ -518,18 +498,15 @@ def _h07(ctx, b):
 
 
 H07 = Entry(
-    id="H07", kind="identity",
+    id="H07",
     statement="sum_{j=0..2n-1} (-1)^j q^(rj) w_(r(2n-1-2j)+t) "
               "= (w_(t+1) - q w_(t-1))/2 sum_{j=0..n-1} (u_r^2 Delta^2/4)^j u_(r(2n-2j-1)) "
               "+ (w_(t+1) - q w_(t-1))/(u_r Delta^2) "
               "sum_{j=1..n} (u_r^2 Delta^2/4)^j v_(r(2n-2j)) "
               "= (w_(t+2rn) - q^(2rn) w_(t-2rn)) / v_r",
-    params=("p", "q", "a", "b", "r", "t", "n"),
     domain="p, q != 0; v_r != 0; u_r != 0 and p^2 - 4q != 0 unless n = 0; n >= 0",
     guards=(GUARD_PQ, GUARD_VR, GUARD_N, GUARD_H07), evaluate=_h07,
-    grid=(*PQ_AXES, joint(("a", "b"), SEED_PANEL),
-          axis("r", irange(-4, 4)), axis("t", irange(-4, 4)),
-          axis("n", irange(0, 6))),
+    grid=PQ_SEED_R_T_N_AXES,
     sides=SUMS,
 )
 
@@ -542,12 +519,11 @@ def _h08(ctx, b):
 
 
 H08 = Entry(
-    id="H08", kind="identity",
+    id="H08",
     statement="sum_{j=0..2n} (-1)^j q^(rj) u_(2r(n-j)) = 0",
-    params=("p", "q", "r", "n"),
     domain="p, q != 0; n >= 0 (no other constraint: the sum telescopes to zero)",
     guards=(GUARD_PQ, GUARD_N), evaluate=_h08,
-    grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
+    grid=PQ_R_N_AXES,
     sides=SUM_ZERO,
 )
 
@@ -560,12 +536,11 @@ def _h09(ctx, b):
 
 
 H09 = Entry(
-    id="H09", kind="identity",
+    id="H09",
     statement="sum_{j=0..2n-1} (-1)^j q^(rj) v_(r(2n-1-2j)) = 0",
-    params=("p", "q", "r", "n"),
     domain="p, q != 0; n >= 0",
     guards=(GUARD_PQ, GUARD_N), evaluate=_h09,
-    grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
+    grid=PQ_R_N_AXES,
     sides=SUM_ZERO,
 )
 
@@ -582,12 +557,11 @@ def _h10(ctx, b):
 
 
 H10 = Entry(
-    id="H10", kind="identity",
+    id="H10",
     statement="sum_{j=0..2n-1} (-1)^j q^(rj) u_(r(2n-1-2j)) "
               "= sum_{j=0..n-1} (u_r^2 Delta^2/4)^j u_(r(2n-2j-1)) "
               "+ 2/(u_r Delta^2) sum_{j=1..n} (u_r^2 Delta^2/4)^j v_(r(2n-2j)) "
               "= 2 u_(2rn) / v_r",
-    params=("p", "q", "r", "t", "n"),
     domain="p, q != 0; v_r != 0; u_r != 0 and p^2 - 4q != 0 unless n = 0; n >= 0",
     guards=(GUARD_PQ, GUARD_VR, GUARD_N, GUARD_H07), evaluate=_h10,
     grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("t", irange(-2, 2)),
@@ -612,15 +586,14 @@ def _h11(ctx, b):
 
 
 H11 = Entry(
-    id="H11", kind="identity",
+    id="H11",
     statement="sum_{j=0..2n} (-1)^j q^(rj) v_(2r(n-j)) "
               "= sum_{j=0..n} (u_r^2 Delta^2/4)^j v_(2r(n-j)) "
               "+ 2/u_r sum_{j=1..n} (u_r^2 Delta^2/4)^j u_(r(2n-2j+1)) "
               "= 2 v_(r(2n+1)) / v_r",
-    params=("p", "q", "r", "n"),
     domain="p, q != 0; v_r != 0; u_r != 0 unless n = 0; n >= 0",
     guards=(GUARD_PQ, GUARD_VR, GUARD_N, GUARD_H06), evaluate=_h11,
-    grid=(*PQ_AXES, axis("r", irange(-4, 4)), axis("n", irange(0, 6))),
+    grid=PQ_R_N_AXES,
     sides=SUMS,
 )
 

@@ -27,7 +27,7 @@ from ..polynomials import (POLY_ONE, POLY_X, cheb_T, cheb_U, fib_poly,
 from ..scalars import QuadExt
 from ..sequences import neg_one
 from .engine import Entry, Slot, axis, irange
-from .entries_common import GUARD_N, GUARD_R_POSITIVE
+from .entries_common import GUARD_N, GUARD_R_POSITIVE, N15_AXES, R6_N15_AXES
 
 
 def _term(ctx, family, k):
@@ -64,11 +64,11 @@ def _p01(ctx, b):
 
 
 P01 = Entry(
-    id="P01", kind="identity",
+    id="P01",
     statement="sum_{j=0..n} (-1)^j L_(n-2j)(x) "
               "= sum_{j=0..n} (x/2)^j L_(n-j)(x) = 2 F_(n+1)(x)",
-    params=("n",), domain="n >= 0", guards=(GUARD_N,), evaluate=_p01,
-    grid=(axis("n", irange(0, 15)),),
+    domain="n >= 0", guards=(GUARD_N,), evaluate=_p01,
+    grid=N15_AXES,
     sides=(Slot("alternating sum"), Slot("halved sum"), Slot("closed form")),
 )
 
@@ -83,11 +83,11 @@ def _p02(ctx, b):
 
 
 P02 = Entry(
-    id="P02", kind="identity",
+    id="P02",
     statement="sum_{j=0..n} (-1)^j Q_(n-2j) = sum_{j=0..n} Q_(n-j) = 2 P_(n+1) "
               "(Pell specialization of P01 at x = 2)",
-    params=("n",), domain="n >= 0", guards=(GUARD_N,), evaluate=_p02,
-    grid=(axis("n", irange(0, 15)),),
+    domain="n >= 0", guards=(GUARD_N,), evaluate=_p02,
+    grid=N15_AXES,
     sides=(Slot("alternating sum"), Slot("unit-weight sum"), Slot("closed form")),
 )
 
@@ -111,12 +111,12 @@ def _p03(ctx, b):
 
 
 P03 = Entry(
-    id="P03", kind="identity",
+    id="P03",
     statement="x sum_{j=0..n} L_(2(n-2j))(x) "
               "= x sum_{j=0..n} ((x^2+2)/2)^j L_(2(n-j))(x) = 2 F_(2(n+1))(x) "
               "(both sums multiplied by x; the display divides the closed form by x)",
-    params=("n",), domain="n >= 0", guards=(GUARD_N,), evaluate=_p03,
-    grid=(axis("n", irange(0, 15)),),
+    domain="n >= 0", guards=(GUARD_N,), evaluate=_p03,
+    grid=N15_AXES,
     sides=(Slot("x * alternating-index sum"), Slot("x * halved sum"),
            Slot("closed form")),
 )
@@ -141,15 +141,15 @@ def _p04(ctx, b):
 
 
 P04 = Entry(
-    id="P04", kind="identity",
+    id="P04",
     statement="2 x F_r(x) sum_{j=0..n} F_(r-1)(x)^j F_(r+1)(x)^(n-j) "
               "= x F_r(x) sum_{j=0..n} (L_r(x)/2)^j (F_(r+1)(x)^(n-j) + F_(r-1)(x)^(n-j)) "
               "= 2 (F_(r+1)(x)^(n+1) - F_(r-1)(x)^(n+1)) "
               "(both sums multiplied by x F_r(x), which the display divides by)",
-    params=("r", "n"), domain="r >= 1; n >= 0",
+    domain="r >= 1; n >= 0",
     guards=(GUARD_R_POSITIVE, GUARD_N),
     evaluate=_p04,
-    grid=(axis("r", irange(1, 6)), axis("n", irange(0, 15))),
+    grid=R6_N15_AXES,
     sides=(Slot("2 x F_r(x) * power sum"), Slot("x F_r(x) * halved sum"),
            Slot("closed form")),
 )
@@ -169,9 +169,9 @@ def _p05(ctx, b):
 
 
 P05 = Entry(
-    id="P05", kind="identity",
+    id="P05",
     statement="sum_{j=0..n} T_(n-2j)(x) = sum_{j=0..n} x^j T_(n-j)(x) = U_n(x)",
-    params=("n",), domain="n >= 0", guards=(GUARD_N,), evaluate=_p05,
+    domain="n >= 0", guards=(GUARD_N,), evaluate=_p05,
     grid=(axis("n", irange(0, 20)),),
     sides=(Slot("folded sum"), Slot("convolution sum"), Slot("closed form")),
 )
@@ -197,14 +197,14 @@ def _p06(ctx, b):
 
 
 P06 = Entry(
-    id="P06", kind="identity",
+    id="P06",
     statement="odd r: L_n(L_r) = L_(rn) and F_r F_n(L_r) = F_(rn); "
               "even r: L_n(i L_r) = i^n L_(rn) and F_r F_n(i L_r) = i^(n-1) F_(rn) "
               "with i^2 = -1",
-    params=("r", "n"), domain="r >= 1; n >= 0",
+    domain="r >= 1; n >= 0",
     guards=(GUARD_R_POSITIVE, GUARD_N),
     evaluate=_p06,
-    grid=(axis("r", irange(1, 6)), axis("n", irange(0, 15))),
+    grid=R6_N15_AXES,
     # the odd-r sides, then the even-r sides; a point has one set present
     sides=(Slot("L_n evaluated at L_r", "lucas-map"),
            Slot("L_(rn)", "lucas-map"),

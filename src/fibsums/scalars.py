@@ -253,9 +253,11 @@ def power(base: int, e: int):
     """base**e for an int base and any int e, exactly and never a float.
 
     An int when |base| = 1, where Horadam terms are integers too. A Rat
-    otherwise, also for e >= 0: the terms it multiplies may be Fractions,
-    and ``int * Fraction`` takes Fraction's reducing path where
-    ``Rat * Fraction`` does not.
+    otherwise, also for e >= 0: the root-level lemmas LEM2, LEM4, LEM5 and
+    LEM6 and the divisibility entry D21 multiply it into Fraction table
+    terms per point, and ``int * Fraction`` takes Fraction's reducing path
+    where ``Rat * Fraction`` does not. Weight builders, which want ints for
+    e >= 0, read ``entries_common._q_power`` instead.
     """
     if base == 1 or base == -1:
         return base if e & 1 else 1

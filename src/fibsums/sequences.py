@@ -249,6 +249,8 @@ class SeqTable:
             if -n >= len(self._y):
                 self._down(-n)
             return [self._y[-n]], self._qk[-n]
+        if not indices:
+            return [], 1
         lo, hi = min(indices), max(indices)
         if hi >= len(w):
             self._up(hi)

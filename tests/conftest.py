@@ -1,9 +1,28 @@
-"""Shared fixtures: independent naive oracles used across test modules."""
+"""Shared fixtures: independent naive oracles used across test modules, and
+the one ``verify --all`` run that several modules read."""
 
+import contextlib
+import io
 import sys
 from fractions import Fraction
 
 import pytest
+
+from fibsums.cli import main
+
+
+def run_main(argv):
+    """``fibsums.cli.main(argv)`` in process: (exit code, stdout)."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+@pytest.fixture(scope="session")
+def verify_all():
+    """(exit code, stdout) of ``fibsums verify --all``, swept once per session."""
+    return run_main(["verify", "--all"])
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,6 @@ with ``pytest -s``) and then asserts it, so a FAIL also fails the run. The
 full-catalog sweep (criterion 1) dominates the suite's runtime.
 """
 
-import contextlib
-import io
 import itertools
 import json
 import random
@@ -15,8 +13,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from conftest import run_main
 
-from fibsums.cli import main
 from fibsums.identities import (ENTRIES, Context, check_divisibility,
                                 evaluate_identity, get_entry, sweep)
 from fibsums.polynomials import cheb_T, cheb_U, poly_add, poly_eval, poly_mul
@@ -33,16 +31,9 @@ def _criterion(num: int, description: str, ok: bool):
     assert ok, f"criterion {num} failed: {description}"
 
 
-def _run_cli_json(argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(argv)
-    return code, buf.getvalue()
-
-
 @pytest.fixture(scope="module")
-def full_sweep():
-    code, out = _run_cli_json(["verify", "--all"])
+def full_sweep(verify_all):
+    code, out = verify_all
     return code, json.loads(out)
 
 
@@ -250,8 +241,8 @@ def test_criterion_7():
                 and outs[0].stdout)
 
     def run_twice_inprocess(argv):
-        first = _run_cli_json(argv)
-        second = _run_cli_json(argv)
+        first = run_main(argv)
+        second = run_main(argv)
         return first == second and first[0] == 0
 
     ok = (bool(run_twice_subprocess(["verify", "I08"]))

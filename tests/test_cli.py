@@ -259,8 +259,8 @@ class TestVerify:
         from fibsums.identities import Entry, Outcome, Slot, axis
 
         bad = Entry(
-            id="XBAD", kind="identity", statement="zero equals one",
-            params=("n",), domain="n >= 0", guards=(),
+            id="XBAD", statement="zero equals one",
+            domain="n >= 0", guards=(),
             evaluate=lambda ctx, b: Outcome((0, 1)),
             grid=(axis("n", [0, 1]),), sides=(Slot("left"), Slot("right")))
         monkeypatch.setitem(identities._BY_ID, "XBAD", bad)
@@ -286,8 +286,8 @@ class TestVerify:
             return Outcome((1, 1))
 
         broken = Entry(
-            id="XERR", kind="identity", statement="one equals one",
-            params=("n",), domain="any n", guards=(), evaluate=evaluate,
+            id="XERR", statement="one equals one",
+            domain="any n", guards=(), evaluate=evaluate,
             grid=(axis("n", [0, 1, 2]),), sides=(Slot("left"), Slot("right")))
         monkeypatch.setitem(identities._BY_ID, "XERR", broken)
 
@@ -347,8 +347,8 @@ class TestDiv:
         from fibsums.identities import Entry, Outcome, axis
 
         bad = Entry(
-            id="XDIV", kind="divisibility", statement="three divides ten",
-            params=("n",), domain="n >= 0", guards=(),
+            id="XDIV", statement="three divides ten",
+            domain="n >= 0", guards=(),
             evaluate=lambda ctx, b: Outcome(witnesses=((3, 10),)),
             grid=(axis("n", [0]),), witnesses=("3 | 10",))
         monkeypatch.setitem(identities._BY_ID, "XDIV", bad)

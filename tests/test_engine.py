@@ -115,8 +115,6 @@ GUARD_POOL = (
     Guard("c % 3 != 2", ("c",), lambda ctx, b: b["c"] % 3 != 2),
     # raises ZeroDivisionError at d = 0 unless "d != 0" was declared first
     Guard("12 % d != 5", ("d",), lambda ctx, b: 12 % b["d"] != 5),
-    # e is never bound by the grid, so this guard must never run
-    Guard("e >= 0", ("e",), lambda ctx, b: b["e"] >= 0),
     Guard("no parameters", (), lambda ctx, b: True),
 )
 
@@ -133,14 +131,12 @@ def _synthetic_evaluate(ctx, b):
 
 def synthetic_entry(a, bc, d, guards):
     return Entry(
-        id="XSYN", kind="identity", statement="synthetic",
-        params=("a", "b", "c", "d", "e"), domain="see guards",
+        id="XSYN", statement="synthetic", domain="see guards",
         guards=tuple(guards), evaluate=_synthetic_evaluate,
         grid=(axis("a", a), joint(("b", "c"), bc), axis("d", d)),
         sides=(Slot("lhs"), Slot("printed", variant="as-printed"),
                Slot("proved", variant="as-proved")),
         witnesses=("2 | 2a + c d",),
-        required=("a", "b", "c", "d"),
         variants=("as-printed", "as-proved"), primary="as-proved")
 
 
@@ -222,8 +218,8 @@ class TestPerLevelGuards:
             return Guard(f"{name} guard", (name,), check)
 
         entry = Entry(
-            id="XLVL", kind="identity", statement="x = x",
-            params=("a", "b", "c"), domain="a != 0; b, c any",
+            id="XLVL", statement="x = x",
+            domain="a != 0; b, c any",
             # the b guard is declared after the c guard, so it waits for c
             guards=(counted("a", lambda b: b["a"] != 0),
                     counted("c", lambda b: True),
@@ -235,6 +231,24 @@ class TestPerLevelGuards:
             rep = sweep(entry)
         assert calls == {"a": 3, "c": 40, "b": 40}
         assert (rep.checked, rep.rejected) == (30, 30)
+
+    def test_a_guard_on_an_unbound_parameter_never_runs(self):
+        # overrides that bind a subset of the parameters, as div D21 takes,
+        # leave the guards on the others unchecked, in a sweep and at a point
+        def holds(ctx, b):
+            raise AssertionError("a guard on an unbound parameter ran")
+
+        entry = Entry(
+            id="XOPT", statement="a = a", domain="e >= 0",
+            guards=(Guard("e >= 0", ("e",), holds),),
+            evaluate=lambda ctx, b: Outcome((b["a"], b["a"])), sides=XY,
+            grid=(axis("a", [0, 1, 2]), axis("e", [0, 1])), required=("a",))
+        rep = sweep(entry, {"a": [0, 1, 2]})
+        assert [ax.names for ax in rep.axes] == [("a",)]
+        assert (rep.checked, rep.rejected) == (3, 0) and rep.verified
+        assert evaluate_entry(entry, {"a": 1}).ok
+        with pytest.raises(AssertionError, match="unbound parameter ran"):
+            sweep(entry)
 
     def test_sweep_leaves_no_reference_cycles(self):
         entry = get_entry("D22")
@@ -261,7 +275,7 @@ class TestInstanceErrors:
             return Outcome((b["n"], b["n"]))
 
         return Entry(
-            id="XERR", kind="identity", statement="n = n", params=("n",),
+            id="XERR", statement="n = n",
             domain="any n", guards=guards, evaluate=evaluate,
             grid=(axis("n", range(5)),), sides=XY)
 
@@ -326,7 +340,7 @@ def d22_sub_grid():
 def n_entry(guards=(), evaluate=None):
     """One axis n = 0..9: with 2 or 3 shares each point is its own prefix."""
     return Entry(
-        id="XSHD", kind="identity", statement="n = n", params=("n",),
+        id="XSHD", statement="n = n",
         domain="any n", guards=guards,
         evaluate=evaluate or (lambda ctx, b: Outcome((b["n"], b["n"]))),
         grid=(axis("n", range(10)),), sides=XY)
@@ -475,8 +489,8 @@ class TestShardedSweep:
             return True
 
         entry = Entry(
-            id="XPRE", kind="identity", statement="a = a",
-            params=("a", "n"), domain="any",
+            id="XPRE", statement="a = a",
+            domain="any",
             evaluate=lambda ctx, b: Outcome((b["a"], b["a"])), sides=XY,
             guards=(raising_guard("a", (2,)), Guard("n ok", ("n",), n_holds)),
             grid=(axis("a", range(4)), axis("n", range(3))))
@@ -632,8 +646,8 @@ class TestTimeGatedSweep:
             return Guard(f"{name} guard", (name,), check)
 
         entry = Entry(
-            id="XPFX", kind="identity", statement="x = x",
-            params=("a", "b", "c"), domain="a != 0; b, c any",
+            id="XPFX", statement="x = x",
+            domain="a != 0; b, c any",
             guards=(counted("a", lambda b: b["a"] != 0),
                     counted("c", lambda b: True),
                     counted("b", lambda b: b["b"] != 1)),
@@ -767,7 +781,7 @@ READINGS = ("as-printed", "as-proved")
 def verdict_plan(slots, primary="as-proved"):
     """The verdict layout of an entry declaring ``slots`` and two readings."""
     return engine._Plan(Entry(
-        id="XRAW", kind="identity", statement="raw sides", params=(),
+        id="XRAW", statement="raw sides",
         domain="none", guards=(), evaluate=None, grid=(), sides=tuple(slots),
         variants=READINGS, primary=primary))
 
@@ -888,7 +902,7 @@ class TestSideContract:
 
     def test_reported_sides_hold_reduced_values(self):
         entry = Entry(
-            id="XSID", kind="identity", statement="3/2 = 3/2", params=(),
+            id="XSID", statement="3/2 = 3/2",
             domain="none", guards=(), grid=(),
             evaluate=lambda ctx, b: Outcome((Rat(6, 4), None, Fraction(3, 2))),
             sides=(Slot("t", "g", "as-proved"), Slot("absent", "g"), Slot("u", "g")),

@@ -22,13 +22,9 @@ from fractions import Fraction
 import pytest
 from test_mutation import PRINTED_HOLDS, _off_by_one, _sub_grid
 
-from fibsums.identities import Outcome, axis, get_entry, sweep
+from fibsums.identities import Outcome, get_entry, sweep
 from fibsums.reports import (document, evaluation_payload, sweep_payload,
                              to_json, verify_csv)
-
-
-def _axes(**values):
-    return tuple(axis(name, v) for name, v in values.items())
 
 
 def _errors(entry):
@@ -55,30 +51,31 @@ def _bumped(entry, variant):
     return evaluate
 
 
-# name -> (entry id, grid or None for the sub-grid of test_mutation, reading
-# to bump, or "errors" for the error instances)
+# name -> (entry id, the values of each swept parameter, or None for the
+# sub-grid of test_mutation, and the reading to bump, or "errors" for the
+# error instances); D21-partial sweeps only some parameters, as ``div`` may
 CASES = {
     "H01": ("H01", None, "as-stated"),
     "I16-as-proved": ("I16", None, "as-proved"),
-    "I16-as-printed": ("I16", _axes(**PRINTED_HOLDS["I16"]), "as-printed"),
+    "I16-as-printed": ("I16", PRINTED_HOLDS["I16"], "as-printed"),
     "H10-as-proved": ("H10", None, "as-proved"),
-    "H10-as-printed": ("H10", _axes(**PRINTED_HOLDS["H10"]), "as-printed"),
+    "H10-as-printed": ("H10", PRINTED_HOLDS["H10"], "as-printed"),
     "D22": ("D22", None, "as-stated"),
-    "D11": ("D11", _axes(r=[-3, 2, 5], n=[0, 1, 4]), "as-stated"),
-    "P06": ("P06", _axes(r=[3, 4], n=[0, 1, 2, 5]), "as-stated"),
-    "D14": ("D14", _axes(r=[2, 3], t=[0, 1], n=[0, 1, 2]), "as-stated"),
-    "D21-partial": ("D21", _axes(p=[1, 2], q=[-2, 2], r=[1, 2, 3], m=[1, 3],
-                                 n=[2, 4]), "as-stated"),
-    "D06-errors": ("D06", _axes(n=[0, 1, 2, 3, 4, 5]), "errors"),
+    "D11": ("D11", dict(r=[-3, 2, 5], n=[0, 1, 4]), "as-stated"),
+    "P06": ("P06", dict(r=[3, 4], n=[0, 1, 2, 5]), "as-stated"),
+    "D14": ("D14", dict(r=[2, 3], t=[0, 1], n=[0, 1, 2]), "as-stated"),
+    "D21-partial": ("D21", dict(p=[1, 2], q=[-2, 2], r=[1, 2, 3], m=[1, 3],
+                                n=[2, 4]), "as-stated"),
+    "D06-errors": ("D06", dict(n=[0, 1, 2, 3, 4, 5]), "errors"),
     # the Horadam theorems with q < 0, |q| > 1 and terms below index 0
-    "H04": ("H04", _axes(p=[-2, 3], q=[-3, -2], a=[2], b=[3], r=[-2, 3],
-                         t=[-3, 2], n=[0, 2, 3]), "as-stated"),
-    "H05": ("H05", _axes(p=[-2, 3], q=[-3, -2], a=[2], b=[-1], m=[-2, 1],
-                         s=[-1, 2], r=[-2, 2], t=[-1, 1], n=[0, 2]), "as-stated"),
-    "H06": ("H06", _axes(p=[-3, 2], q=[-4, -2], a=[3], b=[-2], r=[-3, 2],
-                         t=[-4, 3], n=[0, 1, 3]), "as-stated"),
-    "H07": ("H07", _axes(p=[-3, 4], q=[-4, -3], a=[3], b=[-2], r=[-2, 3],
-                         t=[-4, 3], n=[0, 1, 3]), "as-stated"),
+    "H04": ("H04", dict(p=[-2, 3], q=[-3, -2], a=[2], b=[3], r=[-2, 3],
+                        t=[-3, 2], n=[0, 2, 3]), "as-stated"),
+    "H05": ("H05", dict(p=[-2, 3], q=[-3, -2], a=[2], b=[-1], m=[-2, 1],
+                        s=[-1, 2], r=[-2, 2], t=[-1, 1], n=[0, 2]), "as-stated"),
+    "H06": ("H06", dict(p=[-3, 2], q=[-4, -2], a=[3], b=[-2], r=[-3, 2],
+                        t=[-4, 3], n=[0, 1, 3]), "as-stated"),
+    "H07": ("H07", dict(p=[-3, 4], q=[-4, -3], a=[3], b=[-2], r=[-2, 3],
+                        t=[-4, 3], n=[0, 1, 3]), "as-stated"),
 }
 
 DIGESTS = {
@@ -116,12 +113,13 @@ DIGESTS = {
 
 
 def render(name):
-    entry_id, grid, variant = CASES[name]
+    entry_id, ranges, variant = CASES[name]
     entry = get_entry(entry_id)
-    sub = dataclasses.replace(entry, grid=grid or _sub_grid(entry, variant))
+    sub = entry if ranges else dataclasses.replace(
+        entry, grid=_sub_grid(entry, variant))
     wrap = _errors if variant == "errors" else lambda e: _bumped(e, variant)
     streamed = []
-    rep = sweep(dataclasses.replace(sub, evaluate=wrap(entry)),
+    rep = sweep(dataclasses.replace(sub, evaluate=wrap(entry)), ranges,
                 on_result=streamed.append)
     rows = [evaluation_payload(ev) for ev in streamed]
     doc = document("verify", [sweep_payload(rep, rows)])

@@ -236,7 +236,7 @@ class TestRead:
         reference = {i: naive_horadam(*row, i) for i in range(-30, 31)}
         table = SeqTable(*row)
         rng = random.Random(row[3])
-        for size in (1, 2, 4) * 20:
+        for size in (0, 1, 2, 4) * 20:
             indices = [rng.randint(-30, 30) for _ in range(size)]
             self.check(row, indices, table.at(*indices), reference)
 
@@ -249,3 +249,4 @@ class TestRead:
         assert table.read(-5, 3, 6) == (z, scale)
         assert table.read(-60, 0, 3) == ([2 ** 60 + 1] * 3, 2 ** 60)
         assert table.read(10, -5, 0) == ([], 1)
+        assert table.at() == ([], 1)
