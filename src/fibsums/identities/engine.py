@@ -53,10 +53,9 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from ..scalars import CharRoots, canonical, make_roots
+from ..scalars import CharRoots, _nd, canonical, make_roots
 from ..sequences import SeqTable
 
 # The fork gate of the one sweep driver. A grid of at least this many points
@@ -133,8 +132,9 @@ class Witness:
 
 
 def make_witness(label: str, divisor, dividend) -> Witness:
-    """The Witness of ``divisor | dividend``, each an int or integral
-    Fraction; a zero divisor raises ZeroDivisionError."""
+    """The Witness of ``divisor | dividend``, each an integral int, Fraction
+    or ``Rat``. A value that is not integral is a ValueError, one of any
+    other type a TypeError, and a zero divisor a ZeroDivisionError."""
     divisor = _to_int(divisor)
     dividend = _to_int(dividend)
     if divisor == 0:
@@ -146,13 +146,13 @@ def make_witness(label: str, divisor, dividend) -> Witness:
 
 
 def _to_int(x) -> int:
-    if type(x) is int:
-        return x
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            raise ValueError(f"expected an integer value, got {x}")
-        return x.numerator
-    raise TypeError(f"expected an int or integral Fraction, got {type(x).__name__}")
+    nd = _nd(x)
+    if nd is None:
+        raise TypeError(f"expected an int, Fraction or Rat, got {type(x).__name__}")
+    q, r = divmod(*nd)
+    if r:
+        raise ValueError(f"expected an integer value, got {canonical(x)}")
+    return q
 
 
 class Outcome(NamedTuple):
@@ -161,10 +161,10 @@ class Outcome(NamedTuple):
     ``sides`` holds the raw value of each of the entry's declared ``sides``,
     in that order: an int, Fraction, kernel ``Rat``, QuadExt or polynomial
     coefficient tuple. ``witnesses`` holds a (divisor, dividend) pair per
-    declared witness label, each an int or integral Fraction. A slot that
-    is None, or past the end of its tuple, is absent at that point: it is
-    neither compared nor checked nor reported, so ``Outcome()`` is a point
-    with no side and no witness, and passes.
+    declared witness label, each an integral int, Fraction or ``Rat``. A
+    slot that is None, or past the end of its tuple, is absent at that
+    point: it is neither compared nor checked nor reported, so ``Outcome()``
+    is a point with no side and no witness, and passes.
 
     Any (sides, witnesses) pair is the same value; the catalog's evaluate
     functions return plain pairs, since building the named tuple takes
@@ -215,7 +215,9 @@ class Entry:
     at the point. Labels, groups and readings never travel with the values:
     the engine reads them from the declaration when it reports a point.
     The default grid binds every parameter, so ``params`` is read from it,
-    and ``kind`` from whether the entry declares witnesses.
+    and ``kind`` from whether the entry declares witnesses. A grid swapped
+    in with ``dataclasses.replace`` redefines the parameters, and one that
+    leaves a name out drops it: sweep a subset through overrides instead.
     """
 
     id: str

@@ -139,18 +139,12 @@ def _i18_num(ctx, b):
             - neg_one((k + s) * (n + 1)) * L(r - s) ** (n + 1))
 
 
-def _q_power(q, e):
-    """q^e: an int for e >= 0, so weights built from it take ``int_weights``'
-    plain-int path and X and Y are integers for D22; else ``power``'s Rat."""
-    return q ** e if e >= 0 else power(q, e)
-
-
 def _h05_x(ctx, p, q, m, s, r):
     """X = q^m X0, the divisor of H05's closed form and of D22's witness."""
     u, v = ctx.u(p, q), ctx.v(p, q)
-    x0 = (u(r - s) ** 2 + _q_power(q, m - s) * u(r - m) ** 2
+    x0 = (u(r - s) ** 2 + power(q, m - s) * u(r - m) ** 2
           + u(r - s) * u(r - m) * v(m - s))
-    return _q_power(q, m) * x0
+    return power(q, m) * x0
 
 
 def _h05_y(ctx, p, q, m, s, r, n):
@@ -159,7 +153,7 @@ def _h05_y(ctx, p, q, m, s, r, n):
     times q^((m-s)(n+1)+m) u_(r-s) and q^((m-s)(n+2)+s) u_(r-m)."""
     u = ctx.u(p, q)
     us, um = u(r - s), u(r - m)
-    qm, sign = _q_power(q, m), neg_one(n) * um ** (n + 1)
+    qm, sign = power(q, m), neg_one(n) * um ** (n + 1)
     return (qm * us ** (n + 2), qm * us ** (n + 1) * um,
-            sign * _q_power(q, (m - s) * (n + 1) + m) * us,
-            sign * _q_power(q, (m - s) * (n + 2) + s) * um)
+            sign * power(q, (m - s) * (n + 1) + m) * us,
+            sign * power(q, (m - s) * (n + 2) + s) * um)

@@ -13,14 +13,14 @@ Shared factors and integer numerators. What a D21 or D22 point computes
 without reading the seed (a, b) or the shift t is built once per Context
 through ``ctx.memo``: D21's witness pairs v_r | v_(rm) and v_r | u_(rn),
 and H05's X and Y coefficients (``_h05_x``, ``_h05_y``), integers on D22's
-domain, so Y is four products with table terms. D21 forms
-q^(rn) w_(t-rn) on the kernel ``Rat``; ``canonical`` reads its dividend
-once, as the int or Fraction a witness takes.
+domain, so Y is four products with table terms. A witness value may be an
+int or a kernel ``Rat`` that lands on an integer, such as D21's
+w_(t+rn) - q^(rn) w_(t-rn); the engine reads either as an int.
 """
 
 from __future__ import annotations
 
-from ..scalars import canonical, power
+from ..scalars import power
 from ..sequences import neg_one
 from .engine import Entry, Guard, Slot, axis, irange, joint
 from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
@@ -435,8 +435,7 @@ def _d21(ctx, b):
     if all(k in b for k in ("a", "b", "t", "n")):
         w = ctx.table(b["a"], b["b"], p, q)
         t, n = b["t"], b["n"]
-        val = w(t + r * n) - power(q, r * n) * w(t - r * n)
-        seeded = ctx.v(p, q)(r), canonical(val)
+        seeded = ctx.v(p, q)(r), w(t + r * n) - power(q, r * n) * w(t - r * n)
     un = ctx.memo(_d21_un, p, q, r, b["n"]) if "n" in b else None
     return (), (vm, seeded, un)
 

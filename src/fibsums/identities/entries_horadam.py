@@ -43,7 +43,7 @@ from ..sequences import neg_one
 from .engine import Entry, Guard, Slot, axis, irange, joint
 from .entries_common import (GUARD_N, GUARD_PQ, GUARD_UR, GUARD_VR, PQ_AXES,
                              PQ_R_N_AXES, PQ_SEED_R_T_N_AXES, SUMS, _h05_x,
-                             _h05_y, _q_power)
+                             _h05_y)
 
 def _disc(p, q):
     """Delta^2 = p^2 - 4q."""
@@ -221,12 +221,12 @@ LEM6 = Entry(
 
 def _q_weights(ctx, q, r, count):
     """Weights q^(rj) for j < count."""
-    return int_weights(_q_power(q, r * j) for j in range(count))
+    return int_weights(power(q, r * j) for j in range(count))
 
 
 def _signed_q_weights(ctx, q, r, count):
     """Weights (-1)^j q^(rj) for j < count."""
-    return int_weights(neg_one(j) * _q_power(q, r * j) for j in range(count))
+    return int_weights(neg_one(j) * power(q, r * j) for j in range(count))
 
 
 def _h01_shared(ctx, p, q, r, n):
@@ -235,7 +235,7 @@ def _h01_shared(ctx, p, q, r, n):
     M = r(n+1)."""
     u, v = ctx.u(p, q), ctx.v(p, q)
     mid = sum(Rat(1, 2 ** (j + 1)) * v(r) ** j * v(r * (n - j)) for j in range(n + 1))
-    qM, den = _q_power(q, r * (n + 1)), Rat(u(r) * _disc(p, q))
+    qM, den = power(q, r * (n + 1)), Rat(u(r) * _disc(p, q))
     return (ctx.memo(_q_weights, q, r, n + 1), int_weights((mid,)),
             int_weights(c / den for c in (1, -qM, -q, q * qM)))
 
@@ -308,9 +308,9 @@ def _h04_shared(ctx, p, q, r, n):
     the closed form's weights 2 (1, -q, -q^M, q q^M) / (u_r Delta^2),
     M = r(n+1)."""
     u, v = ctx.u(p, q), ctx.v(p, q)
-    qr = [_q_power(q, r * (n - j)) for j in range(n + 1)]
+    qr = [power(q, r * (n - j)) for j in range(n + 1)]
     half = [Rat(1, 2 ** j) * v(r) ** j for j in range(n + 1)]
-    qM, den = _q_power(q, r * (n + 1)), Rat(u(r) * _disc(p, q))
+    qM, den = power(q, r * (n + 1)), Rat(u(r) * _disc(p, q))
     return (int_weights(2 * c for c in qr),
             int_weights(x for h, c in zip(half, qr) for x in (h, h * c)),
             int_weights(2 * c / den for c in (1, -q, -qM, q * qM)))
@@ -357,7 +357,7 @@ def _h05_shared(ctx, p, q, m, s, r, n):
     weights, Y's coefficients (``_h05_y``) over X = q^m X0 (``_h05_x``).
     """
     u = ctx.u(p, q)
-    qms = [_q_power(q, (m - s) * j) for j in range(n + 1)]
+    qms = [power(q, (m - s) * j) for j in range(n + 1)]
     us = [u(r - s) ** k for k in range(n + 1)]
     um = [u(r - m) ** k for k in range(n + 1)]
     left = int_weights(neg_one(j) * qms[j] * us[n - j] * um[j] for j in range(n + 1))
@@ -484,7 +484,7 @@ def _h07_shared(ctx, p, q, r, n):
     vr = Rat(v(r))
     return (ctx.memo(_signed_q_weights, q, r, 2 * n), mid,
             int_weights((mid, -q * mid)),
-            int_weights((1 / vr, -_q_power(q, 2 * r * n) / vr)))
+            int_weights((1 / vr, -power(q, 2 * r * n) / vr)))
 
 
 def _h07(ctx, b):

@@ -252,18 +252,14 @@ def canonical(value):
 def power(base: int, e: int):
     """base**e for an int base and any int e, exactly and never a float.
 
-    An int when |base| = 1, where Horadam terms are integers too. A Rat
-    otherwise, also for e >= 0: the root-level lemmas LEM2, LEM4, LEM5 and
-    LEM6 and the divisibility entry D21 multiply it into Fraction table
-    terms per point, and ``int * Fraction`` takes Fraction's reducing path
-    where ``Rat * Fraction`` does not. Weight builders, which want ints for
-    e >= 0, read ``entries_common._q_power`` instead.
+    An int for e >= 0 and for |base| = 1, a Rat otherwise, so a weight
+    built from q-powers is plain ints on rows with r >= 0 and a product
+    with a table term is an int or a Rat.
     """
-    if base == 1 or base == -1:
-        return base if e & 1 else 1
     if e >= 0:
-        return _rat(base ** e, 1)
-    return Rat(1, base ** -e)
+        return base ** e
+    d = base ** -e
+    return d if d == 1 or d == -1 else Rat(1, d)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ doubling, ``_u_pair``, and the linear form w_n = a*u_(n+1) + (b - a*p)*u_n
 in u_n = u_n(p, q). Below zero the work stays in the integers:
 y_k = q^k * w_(-k) obeys the same recurrence from the seeds (a, p*a - b),
 so w_(-k) = y_k / q^k in Z[1/q]. That one division is the only rational
-step, and it returns an int when it is exact, else a reduced Fraction.
+step, and it returns an int when it is exact, else a reduced Fraction from
+the single-term functions and a kernel ``Rat``, which defers the gcd, from
+a ``SeqTable``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from fractions import Fraction
 from operator import mul
 from typing import Union
 
-from .scalars import CharRoots, DomainError, make_roots
+from .scalars import CharRoots, DomainError, Rat, _rat, make_roots
 
+#: A single term: an int exactly when it is integral, else a reduced Fraction.
 SeqValue = Union[int, Fraction]
 
 
@@ -149,13 +152,13 @@ class SeqTable:
     w_(start+step), ... and ``table.at(*indices)`` a few listed terms, as
     integers Z_j = q^K w_(i_j) over one power q^K, where K = max(0, -min i_j)
     is the read's own depth: each Z_j is a stored integer times a power of
-    q, and no term is divided. ``table(n)`` is the single term w_n in
-    canonical form, y_k / q^k for n = -k; below zero that value is kept once
-    asked, for the callers that read single terms again and again (guards,
-    root-level lemmas), which would otherwise build a Fraction per call.
+    q, and no term is divided. ``table(n)`` is the single term w_n, an int
+    exactly when it is integral: below zero, for n = -k, the int y_k / q^k
+    when q^k divides y_k, else the kernel ``Rat`` y_k / q^k, built through
+    ``scalars``' trusted constructor, which defers the gcd.
     """
 
-    __slots__ = ("p", "q", "_w", "_y", "_qk", "_below")
+    __slots__ = ("p", "q", "_w", "_y", "_qk")
 
     def __init__(self, a: int, b: int, p: int, q: int):
         self.p = p
@@ -163,7 +166,6 @@ class SeqTable:
         self._w = [a, b]
         self._y = [a, p * a - b]
         self._qk = [1, q]
-        self._below = {}
 
     def _up(self, n: int) -> None:
         """Extend the terms w_n upward through index n."""
@@ -183,17 +185,18 @@ class SeqTable:
             y.append(y1)
             qk.append(qj)
 
-    def __call__(self, n: int) -> SeqValue:
+    def __call__(self, n: int) -> Union[int, Rat]:
         if n >= 0:
             if n >= len(self._w):
                 self._up(n)
             return self._w[n]
-        value = self._below.get(n)
-        if value is None:
-            if -n >= len(self._y):
-                self._down(-n)
-            value = self._below[n] = _over(self._y[-n], self._qk[-n])
-        return value
+        if -n >= len(self._y):
+            self._down(-n)
+        y, d = self._y[-n], self._qk[-n]
+        v, r = divmod(y, d)
+        if not r:
+            return v
+        return _rat(y, d) if d > 0 else _rat(-y, -d)
 
     def read(self, start: int, step: int, count: int) -> tuple:
         """``(Z, q^K)``: Z_j = q^K w_(start + j*step) for j < count, and

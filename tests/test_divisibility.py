@@ -45,14 +45,25 @@ class TestMakeWitness:
             make_witness("x", 0, 5)
         with pytest.raises(ValueError):
             make_witness("x", Fraction(1, 2), 1)
+        for value in (Rat(1, 2), Rat(9, 6)):
+            with pytest.raises(ValueError, match="3/2|1/2"):
+                make_witness("x", value, 1)
+            with pytest.raises(ValueError):
+                make_witness("x", 1, value)
+
+    @pytest.mark.parametrize("value", [Rat(4), Rat(8, 2)],
+                             ids=["Rat", "unreduced Rat"])
+    def test_integral_rats_read_as_ints(self, value):
+        w = make_witness("x", value, value * 5)
+        assert (w.divisor, w.dividend, w.quotient) == (4, 20, 5)
+        assert type(w.divisor) is int and type(w.dividend) is int
 
     @pytest.mark.parametrize("value", [
-        4.0, Rat(4), Rat(8, 2), QuadExt(Fraction(4), Fraction(0), 5)],
-        ids=["float", "Rat", "unreduced Rat", "QuadExt"])
+        4.0, QuadExt(Fraction(4), Fraction(0), 5)], ids=["float", "QuadExt"])
     def test_values_other_than_int_or_fraction_are_type_errors(self, value):
-        with pytest.raises(TypeError, match="int or integral Fraction"):
+        with pytest.raises(TypeError, match="int, Fraction or Rat"):
             make_witness("x", value, 20)
-        with pytest.raises(TypeError, match="int or integral Fraction"):
+        with pytest.raises(TypeError, match="int, Fraction or Rat"):
             make_witness("x", 4, value)
 
 

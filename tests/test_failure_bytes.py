@@ -99,7 +99,7 @@ DIGESTS = {
             "025c3917a67aad5040ee642c3c42e608dc8905333cae7187bd01a2cd1f95ba73"),
     "D21-partial": ("7747677ff336f6d3e8cc5ca9fb525ceeefb9b82e16141ad02a6617e16b7f6281",
                     "3a9f4ca2d08a3d18cc54b2736936d2464565324a6780b8747c81f6ebbb8a6f62"),
-    "D06-errors": ("9a51e4abba85f965326a46e9d4240b68e8c4337ae82adc2358d30104103c7c4e",
+    "D06-errors": ("6192bd648974eb0ecd42618be3a624aacfefabc10bb23243c9810ef89a8bc211",
                    "b71076404f5b3f2c8cd8a34261868d58d64848beb63854fde2c79d2d9fc00f69"),
     "H04": ("d7ce47c8e8a1fe867c590bdcc7231c5cf1d19a20c660d9e3d1b6c96b8fdf7edc",
             "0fcba2291abfd7987c043a51f700a7c0b76a24ed85b7960c0d81b6b7feaf1b17"),

@@ -2,9 +2,11 @@
 
 Byte-identical output is the product's contract. Each digest below is the
 SHA-256 of one command's stdout, run in process through
-``fibsums.cli.main``: ``catalog`` in text, CSV and JSON, and the
+``fibsums.cli.main``: ``catalog`` in text, CSV and JSON, the
 ``verify --all`` JSON of acceptance criterion 1, read from the same
-session-wide run rather than swept again. JSON documents drop their
+session-wide run rather than swept again, and the gate commands that sweep
+the root-level lemmas LEM2-LEM6 and D20 past their default grids, into
+rows with |q| > 1 and indices below 0. JSON documents drop their
 ``generator`` field, the package version a release changes ("fibsums
 unknown" when the package is not installed), before they are hashed, as
 ``test_failure_bytes.py`` does. An intended byte change shows as an edited
@@ -38,6 +40,25 @@ CATALOG = {
 
 VERIFY_ALL = "eac44d4f7ecb8ce953d53a4427def28260c18ff067875346c2c6d46875b780b5"
 
+#: Each JSON; the CI gate "Outputs equal the base commit's" runs them too.
+GATE = {
+    "LEM2-wide": (("verify", "LEM2", "--p=-6..6", "--q=-6..6", "--s=-8..8"),
+                  "d7f1dac7e468bb5951cbed9d7bf34af0fcffe499a4f8ed896315cc3173d56277"),
+    "LEM3-wide": (("verify", "LEM3", "--p=-3..3", "--q=2..5", "--r=-7..7", "--s=-7..7"),
+                  "05b8bfd5a8704b9bc890f7cc5c5fcde3627c7c14497aefcae61ee6dcc661a253"),
+    "LEM4-wide": (("verify", "LEM4", "--p=-3..3", "--q=-6..6", "--a=-2..2",
+                   "--b=-2..2", "--n=0..10"),
+                  "0b69a698f4fe9a31c9ed800620b58022df53a04888ca98870b47b0e0a3a3f5d6"),
+    "LEM5-wide": (("verify", "LEM5", "--p=1..3", "--q=2..5", "--r=-6..6",
+                   "--m=-6..6", "--s=-6..6"),
+                  "155d02caaa956ac8ce76ff6bfd1d0041a6bae606b03a1f6245ee7550ded42cee"),
+    "LEM6-wide": (("verify", "LEM6", "--p=-4..4", "--q=-6..6", "--n=-8..8", "--m=-8..8"),
+                  "df1a50579182150e3e4ba3cc17f118e43d14cf8afd798cfc6d73b1f4e6f8a5b6"),
+    "D20-neg": (("div", "D20", "--p=-4..4", "--q=-4..4", "--r=-5..-1", "--n=0..4",
+                 "--format", "json"),
+                "bb733be068cba294acb384ac1e159aba1929fe18155531c6356ad7c89eedfeb7"),
+}
+
 
 @pytest.mark.parametrize("fmt", CATALOG)
 def test_catalog_bytes_are_pinned(fmt):
@@ -51,3 +72,11 @@ def test_verify_all_bytes_are_pinned(verify_all):
     code, out = verify_all
     assert code == 0
     assert digest(out, True) == VERIFY_ALL
+
+
+@pytest.mark.parametrize("name", GATE)
+def test_gate_command_bytes_are_pinned(name):
+    argv, want = GATE[name]
+    code, out = run_main(list(argv))
+    assert code == 0
+    assert digest(out, True) == want

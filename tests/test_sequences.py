@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibsums.scalars import DomainError, make_roots
+from fibsums import sequences
+from fibsums.identities import Context, get_entry, sweep
+from fibsums.scalars import DomainError, Rat, make_roots
 from fibsums.sequences import (HoradamParams, SeqTable, fib, gibonacci,
                                horadam_w, lucas, lucas_u, lucas_v, neg_one,
                                pell, pell_lucas)
@@ -179,15 +181,16 @@ class TestSeqTable:
         for row in rows:
             table, params = SeqTable(*row), HoradamParams(*row)
             for n in indices:
-                value = table(n)
-                assert value == horadam_w(params, n), (row, n)
-                integral = Fraction(value).denominator == 1
-                assert (type(value) is int) == integral, (row, n, value)
+                value, want = table(n), horadam_w(params, n)
+                if type(want) is int:
+                    assert type(value) is int and value == want, (row, n)
+                else:
+                    assert type(value) is Rat, (row, n, value)
+                    assert value.canonical() == want, (row, n)
 
     def test_values_are_cached(self):
         table = SeqTable(0, 1, 1, -1)
         assert table(30) is table(30)
-        assert table(-9) is table(-9)
 
 
 #: Seeds and p for each q in +-1..+-4: every sum of H01-H11 reads such rows.
@@ -241,7 +244,7 @@ class TestRead:
             self.check(row, indices, table.at(*indices), reference)
 
     def test_reads_agree_with_single_terms_after_growth(self):
-        # w_n = 2^n + 1: every term below zero is a Fraction
+        # w_n = 2^n + 1: no term below zero is an integer
         table = SeqTable(2, 3, 3, 2)
         z, scale = table.read(-5, 3, 6)
         assert scale == 2 ** 5 and table(-5) == Fraction(33, 32)
@@ -250,3 +253,45 @@ class TestRead:
         assert table.read(-60, 0, 3) == ([2 ** 60 + 1] * 3, 2 ** 60)
         assert table.read(10, -5, 0) == ([], 1)
         assert table.at() == ([], 1)
+
+
+#: Sub-grids whose (p, q) rows have |q| > 1, so their terms below index 0
+#: are not all integers; each is swept through overrides.
+PQ_ROWS = {"p": [1, 3], "q": [2, -3]}
+SWEEPS = {
+    "LEM2": {"s": range(-3, 4)},
+    "LEM3": {"r": range(-2, 3), "s": range(-2, 3)},
+    "LEM4": {"a": [1, 2], "b": [-1, 3], "n": range(0, 5)},
+    "LEM5": {"r": range(-2, 3), "m": range(-2, 3), "s": range(-2, 3)},
+    "LEM6": {"n": range(-3, 4), "m": range(-3, 4)},
+    "D20": {"r": range(-3, 4), "n": range(0, 4)},
+    "D21": {"r": range(0, 3), "m": [1, 3], "t": range(0, 3), "n": [2, 4]},
+}
+
+
+class TestSweepsBuildNoFraction:
+    """A table term below index 0 is an int or a kernel ``Rat``: with
+    ``Fraction`` unusable in ``sequences``, table reads and the sweeps that
+    read such terms still work."""
+
+    @pytest.fixture(autouse=True)
+    def no_fraction(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"Fraction{args} built in a table read")
+        monkeypatch.setattr(sequences, "Fraction", refuse)
+
+    def test_table_reads_below_zero(self):
+        table = SeqTable(2, 3, 3, 2)            # w_n = 2^n + 1
+        assert [table(n) for n in (-1, -3)] == [Rat(3, 2), Rat(9, 8)]
+        assert type(table(-3)) is Rat and table(-3).d == 8
+        assert table(-40) == Rat(2 ** 40 + 1, 2 ** 40)
+        assert table(0) == 2 and type(SeqTable(-2, 0, 2, 2)(-2)) is int
+        with pytest.raises(AssertionError):
+            horadam_w(HoradamParams(2, 3, 3, 2), -1)
+
+    @pytest.mark.parametrize("entry_id", SWEEPS)
+    def test_sweeps_verify(self, entry_id):
+        ctx = Context()
+        rep = sweep(get_entry(entry_id), {**PQ_ROWS, **SWEEPS[entry_id]}, ctx)
+        assert rep.checked and not rep.failures and rep.verified
+        assert type(ctx.u(1, 2)(-1)) is Rat
