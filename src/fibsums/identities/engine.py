@@ -4,17 +4,18 @@ An Entry bundles one catalog statement with its domain guards, a default
 sweep grid that names its parameters, its sides and witnesses, declared
 once, and an evaluate function returning the exact raw value of every side
 and a (divisor, dividend) pair per witness, in declared order. Where a
-printed formula admits two readings, the entry carries both as named
-variants and the verdict is computed against the reading its proof
-implies; sweep reports tally every variant so exactly one should verify in
-full.
+printed formula admits two readings, the slots that differ name theirs
+(``READINGS``), the verdict is computed against the reading its proof
+implies, and sweep reports tally every reading so exactly one should
+verify in full.
 
-The verdict reads those raw values only. The engine lays each entry's
-declaration out once per sweep (``_Plan``): per reading, each side paired
-with the first side of its group. A point compares those pairs by index and
-checks each witness by one integer remainder. Side, Witness and Evaluation
-objects, labels included, are built from the values already returned only
-for a point that fails its primary reading or that the caller streams.
+The verdict reads those raw values only, laid out by the slots alone: once
+per sweep (``_Plan``), per reading, each side is paired with the first side
+of its group, and a group is present or absent as a whole. A point compares
+those pairs by index and checks each witness by one integer remainder.
+Side, Witness and Evaluation objects, labels included, are built from the
+values already returned only for a point that fails its primary reading or
+that the caller streams.
 
 A sweep walks its grid one axis level at a time, binding each axis into one
 bindings dict that keeps axis order. Each guard is checked once per row of
@@ -55,7 +56,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from ..scalars import CharRoots, _nd, canonical, make_roots
+from ..scalars import CharRoots, Rat, _nd, canonical, make_roots
 from ..sequences import SeqTable
 
 # The fork gate of the one sweep driver. A grid of at least this many points
@@ -84,6 +85,10 @@ class RejectedInstance(Exception):
         self.predicate = predicate
         self.bindings = dict(bindings)
         super().__init__(f"{entry_id}: rejected ({predicate}) at {bindings}")
+
+
+#: The readings of an entry whose slots name one; the verdict follows the last.
+READINGS = ("as-printed", "as-proved")
 
 
 class Slot(NamedTuple):
@@ -158,13 +163,15 @@ def _to_int(x) -> int:
 class Outcome(NamedTuple):
     """What an entry's evaluate function returns for one point.
 
-    ``sides`` holds the raw value of each of the entry's declared ``sides``,
-    in that order: an int, Fraction, kernel ``Rat``, QuadExt or polynomial
-    coefficient tuple. ``witnesses`` holds a (divisor, dividend) pair per
-    declared witness label, each an integral int, Fraction or ``Rat``. A
-    slot that is None, or past the end of its tuple, is absent at that
-    point: it is neither compared nor checked nor reported, so ``Outcome()``
-    is a point with no side and no witness, and passes.
+    ``sides`` is ``()`` or one raw value per declared side, in order: an
+    int, Fraction, kernel ``Rat``, QuadExt or polynomial coefficient tuple,
+    or None where the side is absent. A group is absent as a whole, else it
+    fails, naming its absent side; another non-empty width is an error
+    instance. ``witnesses`` holds a (divisor, dividend) pair per declared
+    witness label, each an integral int, Fraction or ``Rat``, absent where
+    None or past the tuple's end. Nothing absent is compared, checked or
+    reported, so ``Outcome()`` is a point with no side and no witness, and
+    passes.
 
     Any (sides, witnesses) pair is the same value; the catalog's evaluate
     functions return plain pairs, since building the named tuple takes
@@ -215,7 +222,8 @@ class Entry:
     at the point. Labels, groups and readings never travel with the values:
     the engine reads them from the declaration when it reports a point.
     The default grid binds every parameter, so ``params`` is read from it,
-    and ``kind`` from whether the entry declares witnesses. A grid swapped
+    ``kind`` from whether it declares witnesses, and ``variants`` from the
+    readings its slots name. A grid swapped
     in with ``dataclasses.replace`` redefines the parameters, and one that
     leaves a name out drops it: sweep a subset through overrides instead.
     """
@@ -229,8 +237,6 @@ class Entry:
     sides: tuple = ()              # a Slot per side, in Outcome order
     witnesses: tuple = ()          # a label per witness, in Outcome order
     required: Optional[tuple] = None   # params that must be bound; None = all
-    variants: tuple = ("as-stated",)
-    primary: Optional[str] = None      # reading the verdict is computed against
     notes: tuple = ()
 
     @property
@@ -243,12 +249,18 @@ class Entry:
         return "divisibility" if self.witnesses else "identity"
 
     @property
+    def variants(self) -> tuple:
+        """The readings the slots name, else the one reading ``as-stated``."""
+        return READINGS if any(s.variant for s in self.sides) else ("as-stated",)
+
+    @property
     def flagged(self) -> bool:
         return len(self.variants) > 1
 
     @property
     def primary_variant(self) -> str:
-        return self.primary if self.primary is not None else self.variants[0]
+        """The reading the verdict is computed against: the last."""
+        return self.variants[-1]
 
     @property
     def required_params(self) -> tuple:
@@ -303,9 +315,10 @@ class Context:
     ``v``) keeps one sequence table per (a, b, p, q); sweeps iterate (p, q)
     on the outermost axes, so every inner binding reuses the same few
     tables. ``roots`` and ``root_pow`` keep the characteristic roots of each
-    (p, q) and (tau^e, sigma^e) per (p, q, e). Entries pass their own
-    builders for any other value built from a few integer parameters and
-    read at many points, such as a sub-sum that no seed or shift changes.
+    (p, q), rational ones as ``Rat``, and (tau^e, sigma^e) per (p, q, e).
+    Entries pass their own builders for any other value built from a few
+    integer parameters and read at many points, such as a sub-sum that no
+    seed or shift changes.
 
     The cache grows with the distinct keys the sweeps touch and dies with
     the Context. A forked shard inherits what the parent filled before the
@@ -354,7 +367,9 @@ def _table(ctx, a, b, p, q) -> SeqTable:
 
 
 def _roots(ctx, p, q) -> CharRoots:
-    return make_roots(p, q)
+    # rational roots as Rats: their per-point arithmetic takes no gcd
+    roots = make_roots(p, q)
+    return CharRoots(*map(Rat, roots)) if roots.is_rational else roots
 
 
 def _root_pow(ctx, p, q, e):
@@ -369,41 +384,29 @@ def _root_pow(ctx, p, q, e):
 class _Plan:
     """An entry's declared sides and witnesses, laid out for the verdict.
 
-    Per reading: ``groups``, the indices of its sides by group, groups in
-    order of first appearance, and ``pairs``, each side paired with the
-    first side of its group. Exact equality is transitive, so a group
-    agrees exactly when every member equals its first, and the first
-    unequal pair is the first one in all-pairs order: the first group that
-    disagrees, its first member and the earliest member unequal to it.
+    Per reading, ``pairs`` pairs each of its sides with the first side of
+    its group, groups in order of first appearance. Exact equality is
+    transitive, so a group agrees exactly when every member equals its
+    first, and the first unequal pair is the first one in all-pairs order:
+    the first group that disagrees, its first member and the earliest
+    member unequal to it. An absent side is None, equal to None alone, so
+    a group absent as a whole agrees and one absent in part does not.
     """
 
-    __slots__ = ("entry", "width", "groups", "pairs", "primary", "all_held")
+    __slots__ = ("entry", "width", "variants", "pairs", "all_held")
 
     def __init__(self, entry: Entry):
         self.entry = entry
         self.width = len(entry.sides)
-        self.groups, self.pairs = [], []
-        for v in entry.variants:
+        self.variants = entry.variants
+        self.pairs = []
+        for v in self.variants:
             groups = {}
             for k, s in enumerate(entry.sides):
                 if s.variant in (None, v):
                     groups.setdefault(s.group, []).append(k)
-            self.groups.append(list(groups.values()))
             self.pairs.append(tuple((g[0], k) for g in groups.values() for k in g[1:]))
-        self.primary = entry.variants.index(entry.primary_variant)
-        self.all_held = tuple(range(len(entry.variants)))
-
-
-def _first_diff(plan: _Plan, sides: tuple, v: int) -> Optional[tuple]:
-    """First unequal (index, index) pair of reading ``v`` among the sides
-    present at this point, in all-pairs order, else None."""
-    diffs = []
-    for group in plan.groups[v]:
-        present = [k for k in group if k < len(sides) and sides[k] is not None]
-        unequal = [k for k in present[1:] if sides[present[0]] != sides[k]]
-        if unequal:
-            diffs.append((present[0], unequal[0]))
-    return min(diffs, default=None)     # the group whose first side comes first
+        self.all_held = tuple(range(len(self.variants)))
 
 
 def _judge(plan: _Plan, sides: tuple, witnesses: tuple,
@@ -416,9 +419,9 @@ def _judge(plan: _Plan, sides: tuple, witnesses: tuple,
     division is a remainder alone, or, when ``built`` is a list, the one
     ``make_witness`` takes, and the Witness is appended to ``built`` for
     the report. Sides are compared as returned: ``Rat`` and ``QuadExt``
-    equality cross-multiplies, so no side is reduced to be compared. A
-    point with every slot present walks the precomputed pairs; an absent
-    slot takes ``_first_diff``.
+    equality cross-multiplies, so no side is reduced to be compared. Every
+    point walks the precomputed pairs; a non-empty ``sides`` of another
+    width than the declaration raises. The primary reading is the last.
     """
     bad = None
     for k, w in enumerate(witnesses):
@@ -445,17 +448,14 @@ def _judge(plan: _Plan, sides: tuple, witnesses: tuple,
                 if sides[i] != sides[j]:
                     if diffs is None:
                         diffs = [None] * len(plan.pairs)
-                    diffs[v] = ((i, j) if sides[i] is not None and sides[j] is not None
-                                else _first_diff(plan, sides, v))
+                    diffs[v] = i, j
                     break
-    elif len(sides) > plan.width:
-        raise ValueError(f"{len(sides)} side values for {plan.width} declared sides")
     elif sides:
-        diffs = [_first_diff(plan, sides, v) for v in range(len(plan.pairs))]
-    if bad is None and (diffs is None or not any(diffs)):
+        raise ValueError(f"{len(sides)} side values for {plan.width} declared sides")
+    if bad is None and diffs is None:
         return plan.all_held, None
     held = () if bad is not None else tuple(v for v, d in enumerate(diffs) if d is None)
-    diff = diffs[plan.primary] if diffs is not None else None
+    diff = diffs[-1] if diffs is not None else None
     if diff is not None:
         slots = plan.entry.sides
         return held, (slots[diff[0]].label, slots[diff[1]].label)
@@ -473,7 +473,7 @@ def _evaluation(plan: _Plan, bindings: dict, sides: tuple, witnesses: list,
         entry.id, dict(bindings),
         [Side(s.label, canonical(x), s.group, s.variant)
          for s, x in zip(entry.sides, sides) if x is not None],
-        witnesses, {v: k in held for k, v in enumerate(entry.variants)},
+        witnesses, {v: k in held for k, v in enumerate(plan.variants)},
         diff is None, diff)
 
 
@@ -560,7 +560,7 @@ class _Sweep:
         self.below = [math.prod(sizes[level:]) for level in range(len(axes) + 1)]
         self.bindings = {}
         self.checked = self.rejected = 0
-        self.verified = [0] * len(entry.variants)     # points each reading held at
+        self.verified = [0] * len(self.plan.variants)     # points each reading held at
         self.failures = []
 
 
@@ -661,7 +661,7 @@ def _run_share(sw: _Sweep, level: int, prefixes: list, share) -> tuple:
             break
         if sw.failures:
             parts.append((i, sw.failures))
-    verified = dict(zip(sw.entry.variants, sw.verified))
+    verified = dict(zip(sw.plan.variants, sw.verified))
     return sw.checked, sw.rejected, verified, parts, error
 
 

@@ -315,7 +315,6 @@ I10 = Entry(
            Slot("middle sum, weight 1/2^(j-1)", variant="as-printed"),
            Slot("middle sum, weight 1/2^(j+1)", variant="as-proved"),
            Slot("closed form")),
-    variants=("as-printed", "as-proved"), primary="as-proved",
     notes=("The displayed middle-sum weight 1/2^(j-1) fails for every n >= 1; "
            "the generating lemma's weight is 1/2^(j+1), which verifies.",),
 )
@@ -345,7 +344,6 @@ I11 = Entry(
     domain="F_r^2 + F_r F_(r-1) - F_(r-1)^2 != 0; n >= 0",
     guards=(GUARD_I10_DEN, GUARD_N), evaluate=_i11,
     grid=R_N_AXES, sides=I10.sides,
-    variants=("as-printed", "as-proved"), primary="as-proved",
     notes=("Same weight correction as I10.",),
 )
 
@@ -516,7 +514,6 @@ I16 = Entry(
            Slot("middle sum, inner index 2n-2j+(2j-1)r+t", variant="as-printed"),
            Slot("middle sum, inner index 2n-2j+1+(2j-1)r+t", variant="as-proved"),
            Slot("closed form")),
-    variants=("as-printed", "as-proved"), primary="as-proved",
     notes=("The second inner sum's displayed index drops a '+1'; with it "
            "restored the identity verifies everywhere in the domain.",),
 )
@@ -562,7 +559,6 @@ I17 = Entry(
            Slot("middle sum, L_(r-1) base, 5^(j-1) weight, index +1",
                 variant="as-proved"),
            Slot("closed form")),
-    variants=("as-printed", "as-proved"), primary="as-proved",
     notes=("Three corrections against the display: the first inner sum's "
            "second base letter (L, not F), the second inner sum's prefactor "
            "(5^(j-1), not 5^j), and the same '+1' index restoration as I16.",),

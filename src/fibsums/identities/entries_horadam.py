@@ -569,7 +569,6 @@ H10 = Entry(
     sides=(Slot("left sum with displayed shift t", variant="as-printed"),
            Slot("left sum without shift", variant="as-proved"),
            Slot("middle sum"), Slot("closed form")),
-    variants=("as-printed", "as-proved"), primary="as-proved",
     notes=("The display carries a '+t' inside the left sum that the t-free "
            "middle and closed sides contradict for t != 0; the parent theorem "
            "specializes to t = 0 here, so the shift-free left sum verifies.",),

@@ -177,7 +177,7 @@ P05 = Entry(
 )
 
 
-# P06's four sides of the other parity of r, absent at a point
+# P06's four sides of the other parity of r, two whole groups absent at a point
 _ABSENT = (None,) * 4
 
 
@@ -205,15 +205,16 @@ P06 = Entry(
     guards=(GUARD_R_POSITIVE, GUARD_N),
     evaluate=_p06,
     grid=R6_N15_AXES,
-    # the odd-r sides, then the even-r sides; a point has one set present
+    # the odd-r sides, then the even-r sides, each parity in groups of its
+    # own: a point has one parity's groups present, the other's absent whole
     sides=(Slot("L_n evaluated at L_r", "lucas-map"),
            Slot("L_(rn)", "lucas-map"),
            Slot("F_r * F_n evaluated at L_r", "fib-map"),
            Slot("F_(rn)", "fib-map"),
-           Slot("L_n evaluated at i L_r", "lucas-map"),
-           Slot("i^n L_(rn)", "lucas-map"),
-           Slot("F_r * F_n evaluated at i L_r", "fib-map"),
-           Slot("i^(n-1) F_(rn)", "fib-map")),
+           Slot("L_n evaluated at i L_r", "lucas-map at i L_r"),
+           Slot("i^n L_(rn)", "lucas-map at i L_r"),
+           Slot("F_r * F_n evaluated at i L_r", "fib-map at i L_r"),
+           Slot("i^(n-1) F_(rn)", "fib-map at i L_r")),
 )
 
 

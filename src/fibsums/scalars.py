@@ -532,17 +532,17 @@ class CharRoots(NamedTuple):
     """Roots tau, sigma and their difference delta = tau - sigma.
 
     All three are QuadExt over d = p^2 - 4q when that is not a perfect
-    square, and plain Fractions when it is (sound componentwise equality
-    would fail for a square d, so the rational representation is used).
+    square, and Fractions (Rats in a sweep's Context) when it is: sound
+    componentwise equality would fail for a square d.
     """
 
-    tau: Union[QuadExt, Fraction]
-    sigma: Union[QuadExt, Fraction]
-    delta: Union[QuadExt, Fraction]
+    tau: Union[QuadExt, Fraction, Rat]
+    sigma: Union[QuadExt, Fraction, Rat]
+    delta: Union[QuadExt, Fraction, Rat]
 
     @property
     def is_rational(self) -> bool:
-        return isinstance(self.tau, Fraction)
+        return type(self.tau) is not QuadExt
 
 
 def make_roots(p: int, q: int) -> CharRoots:

@@ -136,8 +136,7 @@ def synthetic_entry(a, bc, d, guards):
         grid=(axis("a", a), joint(("b", "c"), bc), axis("d", d)),
         sides=(Slot("lhs"), Slot("printed", variant="as-printed"),
                Slot("proved", variant="as-proved")),
-        witnesses=("2 | 2a + c d",),
-        variants=("as-printed", "as-proved"), primary="as-proved")
+        witnesses=("2 | 2a + c d",))
 
 
 small = st.integers(-3, 3)
@@ -744,17 +743,25 @@ class TestDeclaredSlots:
                 == (len(entry.sides), len(entry.witnesses))
             assert any(x is not None for x in sides + witnesses)
             assert all(len(w) == 2 for w in witnesses if w is not None)
+            # a group is present or absent as a whole
+            absent = {}
+            for slot, x in zip(entry.sides, sides):
+                absent.setdefault(slot.group, set()).add(x is None)
+            assert all(len(kinds) == 1 for kinds in absent.values()), b
             checked += 1
         assert checked
         assert len({s.label for s in entry.sides}) == len(entry.sides)
-        assert {s.variant for s in entry.sides} <= {None, *entry.variants}
+        assert {s.variant for s in entry.sides} <= {None, "as-printed", "as-proved"}
 
     def test_more_values_than_sides_is_an_instance_error(self):
-        entry = n_entry(evaluate=lambda ctx, b: Outcome((1, 1, 1)))
-        rep = sweep(entry)
-        assert rep.checked == 10 and len(rep.failures) == 10
-        assert rep.failures[0].first_diff \
-            == ("error", "ValueError: 3 side values for 2 declared sides")
+        # so is a shorter tuple that is not empty: sides are () or full width
+        for values in ((1, 1, 1), (1,)):
+            entry = n_entry(evaluate=lambda ctx, b: Outcome(values))
+            rep = sweep(entry)
+            assert rep.checked == 10 and len(rep.failures) == 10
+            assert rep.failures[0].first_diff == (
+                "error", f"ValueError: {len(values)} side values for 2 declared sides")
+            assert rep.failures[0].sides == []
 
 
 class TestGuardOrder:
@@ -778,12 +785,12 @@ class TestGuardOrder:
 READINGS = ("as-printed", "as-proved")
 
 
-def verdict_plan(slots, primary="as-proved"):
-    """The verdict layout of an entry declaring ``slots`` and two readings."""
+def verdict_plan(slots):
+    """The verdict layout of an entry declaring ``slots``: two readings when
+    a slot names one, else the one reading "as-stated"."""
     return engine._Plan(Entry(
         id="XRAW", statement="raw sides",
-        domain="none", guards=(), evaluate=None, grid=(), sides=tuple(slots),
-        variants=READINGS, primary=primary))
+        domain="none", guards=(), evaluate=None, grid=(), sides=tuple(slots)))
 
 
 @st.composite
@@ -839,12 +846,12 @@ class TestRawVerdict:
 
 
 def all_pairs_disagreement(slots, values, variant):
-    """Reference verdict over the present sides: every pair of every group,
-    groups in order of first appearance, pairs in (i, j) order; the first
-    unequal pair."""
+    """Reference verdict over whole groups: every pair of every group of
+    ``variant``, an absent (None) side included, groups in order of first
+    appearance, pairs in (i, j) order; the first unequal pair."""
     groups = {}
     for s, x in zip(slots, values):
-        if x is not None and s.variant in (None, variant):
+        if s.variant in (None, variant):
             groups.setdefault(s.group, []).append((s.label, x))
     for members in groups.values():
         for i in range(len(members)):
@@ -859,20 +866,22 @@ class TestFirstMemberVerdict:
     @given(data=st.data())
     def test_matches_the_all_pairs_reference(self, data):
         # small values in mixed representations: sides are often equal;
-        # a side may be absent (None), and the values may stop short
+        # a side may be absent (None), whole groups or parts of them, and
+        # the values are empty or one per slot
         d = data.draw(st.sampled_from((2, 5, -1)))
         slots = data.draw(drawn_slots(data.draw(st.integers(0, 9)),
                                       ("eq", "alt", "third"),
                                       READINGS + (None, None)))
         values = tuple(data.draw(st.one_of(stored_values(d), st.none()))
                        for _ in slots)
-        values = values[:data.draw(st.integers(0, len(values)))]
-        for primary in READINGS:
-            held, diff = engine._judge(verdict_plan(slots, primary), values, ())
-            assert diff == all_pairs_disagreement(slots, values, primary)
-            assert held == tuple(
-                k for k, v in enumerate(READINGS)
-                if all_pairs_disagreement(slots, values, v) is None)
+        if data.draw(st.booleans()):
+            values = ()
+        plan = verdict_plan(slots)
+        held, diff = engine._judge(plan, values, ())
+        assert diff == all_pairs_disagreement(slots, values, plan.variants[-1])
+        assert held == tuple(
+            k for k, v in enumerate(plan.variants)
+            if all_pairs_disagreement(slots, values, v) is None)
 
     def test_a_later_group_is_not_reported_first(self):
         # the second group's mismatch comes first in side order
@@ -880,6 +889,25 @@ class TestFirstMemberVerdict:
                  Slot("a2")]
         plan = verdict_plan(slots)
         assert engine._judge(plan, (1, 2, 3, 1, Rat(4, 2)), ()) == ((), ("a0", "a2"))
+
+    def test_a_group_absent_in_part_fails_naming_its_absent_side(self):
+        def entry(values):
+            return Entry(
+                id="XABS", statement="x = y and z = w", domain="none",
+                guards=(), grid=(), evaluate=lambda ctx, b: Outcome(values),
+                sides=(Slot("x"), Slot("y"), Slot("z", "h"), Slot("w", "h")))
+
+        whole = evaluate_entry(entry((None, None, 2, Rat(4, 2))), {})
+        assert whole.ok and whole.sides == [Side("z", 2, "h"), Side("w", 2, "h")]
+        for values, diff in (((1, None, 2, 2), ("x", "y")),
+                             ((None, 1, 2, 2), ("x", "y")),
+                             ((1, 1, 2, None), ("z", "w"))):
+            ev = evaluate_entry(entry(values), {})
+            assert not ev.ok and ev.first_diff == diff
+            assert ev.variant_ok == {"as-stated": False}
+            assert [s.label for s in ev.sides] \
+                == [s.label for s, x in zip(entry(values).sides, values)
+                    if x is not None]
 
 
 class TestSideContract:
@@ -905,8 +933,7 @@ class TestSideContract:
             id="XSID", statement="3/2 = 3/2",
             domain="none", guards=(), grid=(),
             evaluate=lambda ctx, b: Outcome((Rat(6, 4), None, Fraction(3, 2))),
-            sides=(Slot("t", "g", "as-proved"), Slot("absent", "g"), Slot("u", "g")),
-            variants=READINGS, primary="as-proved")
+            sides=(Slot("t", "g", "as-proved"), Slot("absent", "h"), Slot("u", "g")))
         ev = evaluate_entry(entry, {})
         assert ev.ok and ev.variant_ok == {"as-printed": True, "as-proved": True}
         assert ev.sides == [Side("t", Fraction(3, 2), "g", "as-proved"),

@@ -9,7 +9,7 @@ first difference), and as ``verify_csv``; the SHA-256 digests of both are
 pinned. The cases cover a plain identity (H01), two flagged entries under
 each reading (I16, H10), sides beside witnesses (D11, D14 at
 (r, t) = (2, 0)), a witness built from shared factors (D22), sides whose
-labels change with the parity of r (P06), a D entry with some optional
+labels and groups change with the parity of r (P06), a D entry with some optional
 parameters left unbound (D21), the error instances, and the Horadam
 theorems H04-H07 at q < 0 with |q| > 1, where their sums read terms below
 index 0 that are not integers.
@@ -93,7 +93,7 @@ DIGESTS = {
             "eedc93f6dbaebf86f449bdc9db02ce159dd9d713e1fbbd2898dc9960e1ebd61e"),
     "D11": ("f2da916b3bfe78de72db4a34051e3c2d253960bd131886557ee98942aa732d29",
             "2b37c938c766d075662db46fd76052cbfca6fade3401e5a2328d95da54a59291"),
-    "P06": ("5299105354671c0aab45b38ed9daa43e2f45876fd8b2407e5c236579464709c7",
+    "P06": ("b839b378dfca9f99add97700f7f398fec6587679f0aa76a671c9f23234f598e8",
             "65cce4d0e75c7bdde4c54ccb12ac737f3cd998b9c62657a3184e9cdb8fcc285d"),
     "D14": ("c365f9fa3d0b9f716c65492367ab79c9aab9a2cfd2baaf2fecd9a1963a9c1197",
             "025c3917a67aad5040ee642c3c42e608dc8905333cae7187bd01a2cd1f95ba73"),

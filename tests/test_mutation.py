@@ -14,7 +14,7 @@ import dataclasses
 
 import pytest
 
-from fibsums.identities import ENTRIES, Axis, Outcome, axis, sweep
+from fibsums.identities import ENTRIES, Axis, Outcome, axis, get_entry, sweep
 from fibsums.polynomials import POLY_ONE, poly_add
 
 CASES = [(e, v) for e in ENTRIES for v in e.variants]
@@ -91,3 +91,19 @@ def test_an_off_by_one_side_is_caught(entry, variant):
     if entry.kind == "identity":
         # every point is caught, not just one
         assert rep.variant_verified[variant] == 0
+
+
+def test_sub_grids_bind_exactly_the_entry_parameters():
+    # a grid swapped in with dataclasses.replace redefines the parameters,
+    # so a sub-grid leaving a name out would sweep fewer checks; this covers
+    # every sub-grid swept here, in test_every_side and in test_failure_bytes
+    from test_every_side import WEIGHTED_IDS, WITNESS_IDS
+    from test_failure_bytes import CASES as BYTE_CASES
+    cases = {(e.id, v) for e, v in CASES}
+    cases |= {(i, v) for i in WEIGHTED_IDS for v in get_entry(i).variants}
+    cases |= {(i, get_entry(i).primary_variant) for i in WITNESS_IDS}
+    cases |= {(i, v) for i, ranges, v in BYTE_CASES.values() if ranges is None}
+    for entry_id, variant in sorted(cases):
+        entry = get_entry(entry_id)
+        names = tuple(n for ax in _sub_grid(entry, variant) for n in ax.names)
+        assert names == entry.params, (entry_id, variant)

@@ -6,7 +6,9 @@ SHA-256 of one command's stdout, run in process through
 ``verify --all`` JSON of acceptance criterion 1, read from the same
 session-wide run rather than swept again, and the gate commands that sweep
 the root-level lemmas LEM2-LEM6 and D20 past their default grids, into
-rows with |q| > 1 and indices below 0. JSON documents drop their
+rows with |q| > 1 and indices below 0, and those that exercise the two
+readings of a flagged entry (I16, I17, H10) and sides absent at a point
+(P06, D14, D15). JSON documents drop their
 ``generator`` field, the package version a release changes ("fibsums
 unknown" when the package is not installed), before they are hashed, as
 ``test_failure_bytes.py`` does. An intended byte change shows as an edited
@@ -40,7 +42,8 @@ CATALOG = {
 
 VERIFY_ALL = "eac44d4f7ecb8ce953d53a4427def28260c18ff067875346c2c6d46875b780b5"
 
-#: Each JSON; the CI gate "Outputs equal the base commit's" runs them too.
+#: JSON unless the command asks for CSV; the CI gate "Outputs equal the
+#: base commit's" runs them too.
 GATE = {
     "LEM2-wide": (("verify", "LEM2", "--p=-6..6", "--q=-6..6", "--s=-8..8"),
                   "d7f1dac7e468bb5951cbed9d7bf34af0fcffe499a4f8ed896315cc3173d56277"),
@@ -57,6 +60,21 @@ GATE = {
     "D20-neg": (("div", "D20", "--p=-4..4", "--q=-4..4", "--r=-5..-1", "--n=0..4",
                  "--format", "json"),
                 "bb733be068cba294acb384ac1e159aba1929fe18155531c6356ad7c89eedfeb7"),
+    # the readings of the flagged entries, and sides absent at a point
+    "P06-wide": (("verify", "P06", "--r=1..8", "--n=0..30"),
+                 "04ef34d6fb3c3479b9ead3d194caf4fe7100fcd4751346c68f8b363d6b421b5c"),
+    "D14": (("div", "D14", "--format", "csv"),
+            "71982e0228202e77c986a3eaf28bb341c8228f932c89258dc76603a6c0889c17"),
+    "D15": (("div", "D15", "--format", "csv"),
+            "b2963daa76ca19be533f27c97b0c78195c851f8e2602981e5b6c3fe73ed2551e"),
+    "I16-wide": (("verify", "I16", "--r=-8..8", "--t=-9..9", "--n=11..13"),
+                 "7c2be896b28268bff10bd02b4e25ff4c9e2e6dccffff4e29621884a4b0a1e5c8"),
+    "I17-wide": (("verify", "I17", "--r=-8..8", "--t=-9..9", "--n=11..13",
+                  "--format", "csv"),
+                 "1fc177b1eb34584ac4e9d01cb0f8236c96d17e57e7491ac6d317d30c64f4b040"),
+    "H10-wide": (("verify", "H10", "--p=-2..3", "--q=-3..2", "--r=-6..6", "--t=-2..2",
+                  "--n=7..9"),
+                 "c1810b751dc9e5143f3c4f07fdf6d9f7a97a74f60c6aaf87ca079ed498bc51e9"),
 }
 
 
@@ -79,4 +97,4 @@ def test_gate_command_bytes_are_pinned(name):
     argv, want = GATE[name]
     code, out = run_main(list(argv))
     assert code == 0
-    assert digest(out, True) == want
+    assert digest(out, "csv" not in argv) == want

@@ -1,5 +1,6 @@
 """Sequence families: frozen values, signed indices, oracle equivalence."""
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibsums import sequences
-from fibsums.identities import Context, get_entry, sweep
+from fibsums.identities import Context, engine, get_entry, sweep
 from fibsums.scalars import DomainError, Rat, make_roots
 from fibsums.sequences import (HoradamParams, SeqTable, fib, gibonacci,
                                horadam_w, lucas, lucas_u, lucas_v, neg_one,
@@ -295,3 +296,43 @@ class TestSweepsBuildNoFraction:
         rep = sweep(get_entry(entry_id), {**PQ_ROWS, **SWEEPS[entry_id]}, ctx)
         assert rep.checked and not rep.failures and rep.verified
         assert type(ctx.u(1, 2)(-1)) is Rat
+
+
+#: (p, q) rows whose discriminant p^2 - 4q is a nonzero square (1 or 25), so
+#: their roots (2 and 1, or 4 and -1, up to sign) are rational.
+SQUARE_ROWS = {"p": [3, -3], "q": [2, -4]}
+
+
+@contextlib.contextmanager
+def counted_fractions():
+    """Yields a list that gets the arguments of every Fraction built."""
+    built, new = [], Fraction.__dict__["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        yield built
+    finally:
+        Fraction.__new__ = new
+
+
+class TestRationalRootsBuildNoFraction:
+    """A Context keeps rational roots as kernel ``Rat``s: once it is warm,
+    a sweep of the root-level lemmas on square-discriminant rows builds no
+    Fraction (``make_roots`` itself still returns Fractions)."""
+
+    @pytest.mark.parametrize("entry_id", ["LEM2", "LEM3", "LEM4", "LEM5"])
+    def test_sweeps_verify(self, entry_id, monkeypatch):
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 1)    # no fork
+        entry, ranges = get_entry(entry_id), {**SQUARE_ROWS, **SWEEPS[entry_id]}
+        ctx = Context()
+        sweep(entry, ranges, ctx)
+        assert type(ctx.roots(3, -4).tau) is Rat
+        assert type(make_roots(3, -4).tau) is Fraction
+        with counted_fractions() as built:
+            rep = sweep(entry, ranges, ctx)
+        assert rep.checked and not rep.failures and rep.verified
+        assert built == []
