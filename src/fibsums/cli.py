@@ -3,8 +3,9 @@
 Subcommands: ``seq`` (exact sequence terms), ``verify`` (grid sweeps of
 catalog identities), ``div`` (divisibility witness tables), ``catalog``
 (the entry listing). Exit codes: 0 success, 1 a sweep found a failing
-instance, 2 usage error. Output is deterministic: identical invocations
-produce byte-identical bytes on stdout.
+instance, 2 usage error, or a sweep that exhausted memory or recursion
+depth (narrower ranges may fit). Output is deterministic: identical
+invocations produce byte-identical bytes on stdout.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import re
 import sys
 
 from .identities import Context, UsageError, catalog, get_entry, irange, sweep
-from .reports import (div_csv, document, sweep_payload, to_json, verify_csv,
-                      witness_row)
+from .reports import (catalog_csv, catalog_payload, catalog_text, div_csv,
+                      document, sweep_payload, to_json, verify_csv, witness_row)
 from .scalars import DomainError, render_scalar
 from .sequences import (HoradamParams, fib, horadam_w, lucas, lucas_u,
                         lucas_v, pell, pell_lucas)
@@ -68,31 +69,21 @@ def _parse_ranges(extras: list[str]) -> dict[str, list[int]]:
     return {name: irange(lo, hi) for name, (lo, hi) in bounds.items()}
 
 
-def _catalog_text() -> str:
-    lines = []
-    for e in catalog():
-        flag = "  [two displayed readings]" if e.flagged else ""
-        lines.append(f"{e.id:<5} {e.kind:<13} ({', '.join(e.params)})  "
-                     f"{e.domain}{flag}")
-    return "\n".join(lines) + "\n"
-
-
-def _catalog_payload() -> list[dict]:
-    return [{"identity": e.id, "kind": e.kind, "params": list(e.params),
-             "domain": e.domain, "statement": e.statement,
-             "variants": list(e.variants), "primary_variant": e.primary_variant,
-             "notes": list(e.notes)} for e in catalog()]
-
-
 def _fail_usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
 
 
+def _fail_exhausted(entry, exc: Exception) -> int:
+    limit = "memory" if isinstance(exc, MemoryError) else "recursion depth"
+    return _fail_usage(f"{entry.id}: the sweep ran out of {limit}; "
+                       "try narrower parameter ranges")
+
+
 def _fail_unknown_id(message: str) -> int:
     code = _fail_usage(message)
     print("known catalog entries:", file=sys.stderr)
-    sys.stderr.write(_catalog_text())
+    sys.stderr.write(catalog_text(catalog()))
     return code
 
 
@@ -149,10 +140,14 @@ def _cmd_verify(args, ranges) -> int:
     except UsageError as exc:
         return _fail_unknown_id(str(exc))
     ctx = Context()
+    reports = []
     try:
-        reports = [sweep(e, ranges or None, ctx) for e in entries]
+        for entry in entries:
+            reports.append(sweep(entry, ranges or None, ctx))
     except UsageError as exc:
         return _fail_usage(str(exc))
+    except (MemoryError, RecursionError) as exc:
+        return _fail_exhausted(entry, exc)
 
     if args.format == "csv":
         sys.stdout.write(verify_csv(reports))
@@ -176,6 +171,8 @@ def _cmd_div(args, ranges) -> int:
                     on_result=lambda ev: rows.append(witness_row(ev)))
     except UsageError as exc:
         return _fail_usage(str(exc))
+    except (MemoryError, RecursionError) as exc:
+        return _fail_exhausted(entry, exc)
 
     if args.format == "csv":
         sys.stdout.write(div_csv(entry.params, rows))
@@ -187,19 +184,11 @@ def _cmd_div(args, ranges) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.format == "csv":
-        import csv as _csv
-        import io
-        buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(["identity", "kind", "params", "domain", "statement"])
-        for e in catalog():
-            writer.writerow([e.id, e.kind, " ".join(e.params), e.domain,
-                             e.statement])
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(catalog_csv(catalog()))
     elif args.format == "json":
-        sys.stdout.write(to_json(document("catalog", _catalog_payload())))
+        sys.stdout.write(to_json(document("catalog", catalog_payload(catalog()))))
     else:
-        sys.stdout.write(_catalog_text())
+        sys.stdout.write(catalog_text(catalog()))
     return 0
 
 

@@ -25,7 +25,9 @@ earlier ones held; a failing guard rejects its whole subtree at once. This
 relies on a guard reading nothing but its ``needs``. A point that passes
 only bumps counters. An exception raised by an entry's evaluate function,
 or by reading its witnesses (a value that is not an integer, a zero
-divisor), is recorded as a failing instance, not propagated.
+divisor), is recorded as a failing instance, not propagated. MemoryError
+and RecursionError are resource limits, not findings: they propagate, as
+guard exceptions do.
 
 A sweep that streams no results is sharded when the process runs one
 thread, can fork and may use more than one CPU: the parent binds whole
@@ -586,6 +588,8 @@ def _walk(sw: _Sweep, level: int):
     try:
         sides, witnesses = sw.evaluate(sw.ctx, b)
         held, diff = _judge(sw.plan, sides, witnesses, built)
+    except (MemoryError, RecursionError):   # a resource limit, not a finding
+        raise
     except Exception as exc:  # one broken instance must not hide the rest
         sides, held, built = (), (), []
         diff = ("error", f"{type(exc).__name__}: {exc}")
@@ -645,7 +649,8 @@ def _run_share(sw: _Sweep, level: int, prefixes: list, share) -> tuple:
     Returns ``(checked, rejected, variant_verified, parts, error)`` for these
     prefixes alone, where ``parts`` pairs each prefix index with the failures
     found below it and ``error`` is ``(prefix index, exception)`` for a guard
-    that raised, which ends the share, else None.
+    that raised or a resource limit reached, which ends the share, else
+    None.
     """
     sw.checked = sw.rejected = 0
     sw.verified = [0] * len(sw.verified)
@@ -788,7 +793,8 @@ def sweep(entry: Entry, overrides: Optional[dict] = None,
     whose witnesses cannot be read (a value that is not an integer, a zero
     divisor), is a checked failure with first difference
     ``("error", "<Type>: <message>")`` and no sides or witnesses; guard
-    exceptions propagate.
+    exceptions propagate, and so do MemoryError and RecursionError, which
+    are resource limits and not findings.
 
     Where the process may use several CPUs, the grid is split into binding
     prefixes of its shallow axes, dealt over those CPUs and walked in forked
@@ -798,7 +804,7 @@ def sweep(entry: Entry, overrides: Optional[dict] = None,
     per prefix, as its walk starts. The merge restores grid order, so the
     report equals the one-process walk, which is the one-share case (the
     single prefix ``{}``). Of several guard exceptions the first in grid
-    order is raised.
+    order is raised, a resource limit reached in a share counting as one.
 
     ``on_result`` (if given) receives every checked Evaluation in grid order,
     letting callers stream per-instance rows (witness tables) without the

@@ -101,18 +101,23 @@ def to_json(doc: dict) -> str:
 # CSV flattening
 # ---------------------------------------------------------------------------
 
-def verify_csv(reports: list[SweepReport]) -> str:
-    """One summary row per identity (failures are JSON-only detail)."""
+def _csv_text(header: list, rows) -> str:
+    """A header line and one line per row, each ending in ``\\n``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["identity", "kind", "pass", "rejected", "failures",
-                     "verified", "primary_variant"])
-    for rep in reports:
-        writer.writerow([rep.entry.id, rep.entry.kind,
-                         rep.checked - len(rep.failures), rep.rejected,
-                         len(rep.failures), rep.verified,
-                         rep.entry.primary_variant])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def verify_csv(reports: list[SweepReport]) -> str:
+    """One summary row per identity (failures are JSON-only detail)."""
+    return _csv_text(
+        ["identity", "kind", "pass", "rejected", "failures", "verified",
+         "primary_variant"],
+        ([rep.entry.id, rep.entry.kind, rep.checked - len(rep.failures),
+          rep.rejected, len(rep.failures), rep.verified,
+          rep.entry.primary_variant] for rep in reports))
 
 
 def witness_row(ev: Evaluation) -> dict:
@@ -123,13 +128,38 @@ def witness_row(ev: Evaluation) -> dict:
 
 def div_csv(entry_params: tuple, rows: list[dict]) -> str:
     """Witness rows (from witness_row) with bindings flattened into columns."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([*entry_params, "label", "divisor", "dividend",
-                     "quotient", "residue"])
-    for row in rows:
-        head = [row["bindings"].get(p, "") for p in entry_params]
-        for w in row["witnesses"]:
-            writer.writerow([*head, w["label"], w["divisor"], w["dividend"],
-                             w["quotient"] or "", w["residue"] or ""])
-    return buf.getvalue()
+    return _csv_text(
+        [*entry_params, "label", "divisor", "dividend", "quotient", "residue"],
+        ([*head, w["label"], w["divisor"], w["dividend"], w["quotient"] or "",
+          w["residue"] or ""]
+         for row in rows
+         for head in ([row["bindings"].get(p, "") for p in entry_params],)
+         for w in row["witnesses"]))
+
+
+# ---------------------------------------------------------------------------
+# the catalog listing
+# ---------------------------------------------------------------------------
+
+def catalog_text(entries) -> str:
+    """One line per entry: id, kind, parameters, domain and a flag for an
+    entry with two displayed readings."""
+    lines = []
+    for e in entries:
+        flag = "  [two displayed readings]" if e.flagged else ""
+        lines.append(f"{e.id:<5} {e.kind:<13} ({', '.join(e.params)})  "
+                     f"{e.domain}{flag}")
+    return "\n".join(lines) + "\n"
+
+
+def catalog_payload(entries) -> list[dict]:
+    return [{"identity": e.id, "kind": e.kind, "params": list(e.params),
+             "domain": e.domain, "statement": e.statement,
+             "variants": list(e.variants), "primary_variant": e.primary_variant,
+             "notes": list(e.notes)} for e in entries]
+
+
+def catalog_csv(entries) -> str:
+    return _csv_text(["identity", "kind", "params", "domain", "statement"],
+                     ([e.id, e.kind, " ".join(e.params), e.domain, e.statement]
+                      for e in entries))

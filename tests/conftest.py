@@ -1,5 +1,5 @@
 """Shared fixtures: independent naive oracles used across test modules, and
-the one ``verify --all`` run that several modules read."""
+the one set of ``verify --all`` sweeps that several modules read."""
 
 import contextlib
 import io
@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from fibsums import cli
 from fibsums.cli import main
+from fibsums.identities import sweep
 
 
 def run_main(argv):
@@ -20,9 +22,30 @@ def run_main(argv):
 
 
 @pytest.fixture(scope="session")
-def verify_all():
+def run_pinned():
+    """``run_main``, except that ``verify --all``, in any format, renders
+    one set of sweeps, taken once per session through ``cli.main``."""
+    reports = {}
+
+    def swept_once(entry, overrides, ctx):
+        if entry.id not in reports:
+            reports[entry.id] = sweep(entry, overrides, ctx)
+        return reports[entry.id]
+
+    def run(argv):
+        if argv[:2] != ["verify", "--all"]:
+            return run_main(argv)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "sweep", swept_once)
+            return run_main(argv)
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def verify_all(run_pinned):
     """(exit code, stdout) of ``fibsums verify --all``, swept once per session."""
-    return run_main(["verify", "--all"])
+    return run_pinned(["verify", "--all"])
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import subprocess
 import sys
 
 import jsonschema
@@ -302,6 +303,22 @@ class TestVerify:
             "error", "ZeroDivisionError: division by zero"]
         assert failure["sides"] == [] and failure["witnesses"] == []
         assert failure["variant_equal"] == {"as-stated": False}
+
+    def test_exhausted_memory_is_a_usage_error_not_a_counterexample(self):
+        # I07 at r = n = 1500 reads F_(r(n+1)), index 2,251,500: its table
+        # does not fit in 400 MB of address space
+        resource = pytest.importorskip("resource")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibsums.cli", "verify", "I07",
+             "--r=1500..1500", "--n=1500..1500"],
+            capture_output=True, text=True, preexec_fn=limit, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: I07: the sweep ran out of memory; "
+                               "try narrower parameter ranges\n")
 
 
 class TestDiv:

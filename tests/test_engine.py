@@ -431,6 +431,21 @@ class TestShardedSweep:
         assert {f.first_diff for f in rep.failures} \
             == {("error", "KeyError: 'm'")}
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("limit", [MemoryError, RecursionError])
+    def test_a_resource_limit_ends_the_sweep(self, workers, limit):
+        # a resource limit is not a failing instance; with 2 shares n = 7
+        # is walked in the child
+        def evaluate(ctx, b):
+            if b["n"] == 7:
+                raise limit(f"at n = {b['n']}")
+            return Outcome((b["n"], b["n"]))
+
+        with shards(workers) as forked:
+            with pytest.raises(limit, match="^at n = 7$"):
+                sweep(n_entry(evaluate=evaluate))
+        assert len(forked) == workers - 1
+
     @pytest.mark.parametrize("workers", [2, 3])
     def test_failing_quadext_sides_cross_the_pipe(self, workers):
         def evaluate(ctx, b):
