@@ -153,6 +153,8 @@ def make_witness(label: str, divisor, dividend) -> Witness:
 
 
 def _to_int(x) -> int:
+    if type(x) is int:
+        return x
     nd = _nd(x)
     if nd is None:
         raise TypeError(f"expected an int, Fraction or Rat, got {type(x).__name__}")

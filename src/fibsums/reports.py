@@ -12,6 +12,7 @@ import csv
 import io
 import json
 from importlib import metadata
+from types import SimpleNamespace
 
 from .identities import Evaluation, SweepReport, Witness
 from .polynomials import render_poly
@@ -127,14 +128,25 @@ def witness_row(ev: Evaluation) -> dict:
 
 
 def div_csv(entry_params: tuple, rows: list[dict]) -> str:
-    """Witness rows (from witness_row) with bindings flattened into columns."""
-    return _csv_text(
-        [*entry_params, "label", "divisor", "dividend", "quotient", "residue"],
-        ([*head, w["label"], w["divisor"], w["dividend"], w["quotient"] or "",
-          w["residue"] or ""]
-         for row in rows
-         for head in ([row["bindings"].get(p, "") for p in entry_params],)
-         for w in row["witnesses"]))
+    """Witness rows (from witness_row) with bindings flattened into columns.
+
+    Only a row's head, its bindings and label, goes through the csv module,
+    whose writer returns the line here instead of writing it. The number
+    columns, ``int_text`` output or "", never need quoting and are written
+    as they are: scanning thousands of digits cost more than rendering them.
+    """
+    head_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    buf = io.StringIO()
+    write = buf.write
+    write(head_line([*entry_params, "label", "divisor", "dividend", "quotient",
+                     "residue"]))
+    for row in rows:
+        bindings = [row["bindings"].get(p, "") for p in entry_params]
+        for w in row["witnesses"]:
+            write(head_line([*bindings, w["label"]])[:-1])
+            write(f",{w['divisor']},{w['dividend']},{w['quotient'] or ''},"
+                  f"{w['residue'] or ''}\n")
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -77,19 +77,22 @@ def default_int_str_limit():
     """Run a test under CPython's default 4,300-digit int->str limit.
 
     Yields ``exact_str(n)``: ``str(n)`` taken with the limit lifted for that
-    one call. The limit the process had before is restored afterwards.
-    Interpreters without the limit run the test unchanged.
+    one call, after which the limit in force before the call holds again,
+    so a test may lower it. The limit the process had before the test is
+    restored afterwards. Interpreters without the limit run the test
+    unchanged.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield str
         return
 
     def exact_str(n):
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
             return str(n)
         finally:
-            sys.set_int_max_str_digits(4300)
+            sys.set_int_max_str_digits(limit)
 
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)

@@ -268,3 +268,50 @@ class TestDigitLimit:
             assert [got["divisor"], got["dividend"], got["quotient"]] == expected
             assert line[2:5] == expected and line[5] == ""
             assert len(expected[1]) > 10000
+
+
+def csv_module_div_csv(entry_params, rows):
+    """div_csv as it was before its number columns bypassed the csv module:
+    every field of every row through one csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        [*entry_params, "label", "divisor", "dividend", "quotient", "residue"])
+    writer.writerows(
+        [*head, w["label"], w["divisor"], w["dividend"], w["quotient"] or "",
+         w["residue"] or ""]
+        for row in rows
+        for head in ([row["bindings"].get(p, "") for p in entry_params],)
+        for w in row["witnesses"])
+    return buf.getvalue()
+
+
+class TestDivCsvQuoting:
+    PARAMS = ("p", "r", "n")
+    ROWS = [
+        {"bindings": {"p": "1/2", "n": "3"},                # r is missing
+         "witnesses": [
+             {"label": "a, b", "divisor": "2", "dividend": "8",
+              "quotient": "4", "residue": None},
+             {"label": 'the "odd" one', "divisor": "3", "dividend": "-8",
+              "quotient": None, "residue": "1"}]},
+        {"bindings": {"p": "-1/2", "r": "", "n": "1 + sqrt(5)"},
+         "witnesses": [
+             {"label": "two\nlines", "divisor": "-7", "dividend": "0",
+              "quotient": "0", "residue": None},
+             {"label": 'all, "three"\nat once', "divisor": "1" + "0" * 700,
+              "dividend": "9" * 1500, "quotient": None, "residue": "9" * 700}]},
+    ]
+
+    def test_equals_the_csv_module_rendering(self):
+        assert div_csv(self.PARAMS, self.ROWS) == csv_module_div_csv(
+            self.PARAMS, self.ROWS)
+
+    def test_reads_back_to_the_same_fields(self):
+        table = list(csv.reader(io.StringIO(div_csv(self.PARAMS, self.ROWS))))
+        assert table[0] == [*self.PARAMS, "label", "divisor", "dividend",
+                            "quotient", "residue"]
+        assert table[1:] == [
+            [*(row["bindings"].get(p, "") for p in self.PARAMS), w["label"],
+             w["divisor"], w["dividend"], w["quotient"] or "", w["residue"] or ""]
+            for row in self.ROWS for w in row["witnesses"]]

@@ -3,15 +3,17 @@
 import copy
 import math
 import pickle
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibsums.scalars import (_REDUCE_BITS, CharRoots, DomainError, QuadExt,
-                             Rat, fib_roots, int_weights, make_roots, power,
-                             render_scalar, weighted_sum)
+from fibsums.scalars import (_REDUCE_BITS, _STR_DIGITS, CharRoots, DomainError,
+                             QuadExt, Rat, fib_roots, int_text, int_weights,
+                             make_roots, power, render_scalar, weighted_sum)
 from fibsums.sequences import fib
 
 HALF = Fraction(1, 2)
@@ -217,6 +219,35 @@ class TestRendering:
             assert render_scalar(-n) == "-" + text
             assert render_scalar(Fraction(1, n)) == "1/" + text
             assert render_scalar(QuadExt(n, 1, 5)) == text + " + sqrt(5)"
+
+
+class TestIntText:
+    """int_text against exact str(), across every split of its ladder."""
+
+    LADDER = [_STR_DIGITS << j for j in range(7)]       # 300 ... 19,200 digits
+
+    @staticmethod
+    def cases():
+        values = [0, 1]
+        for split in TestIntText.LADDER:
+            for k in (split - 1, split, split + 1):
+                values += [10 ** k - 1, 10 ** k, 10 ** k + 1]
+        rng = random.Random(22)
+        for _ in range(60):
+            digits = round(30000 ** rng.random())       # 1 to 30,000, log-uniform
+            values.append(rng.randrange(10 ** (digits - 1), 10 ** digits))
+        return values + [-v for v in values]
+
+    @pytest.mark.parametrize("limit", [4300, 640])
+    def test_equals_str(self, default_int_str_limit, limit):
+        # 640 is the lowest limit CPython accepts, so no piece that int_text
+        # hands str() may come near it
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(limit)
+        elif limit != 4300:
+            pytest.skip("this interpreter has no int->str digit limit")
+        for n in self.cases():
+            assert int_text(n) == default_int_str_limit(n)
 
 
 # ---------------------------------------------------------------------------
