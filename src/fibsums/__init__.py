@@ -7,7 +7,9 @@ catalog of weighted summation identities and divisibility corollaries over
 swept parameter grids, emitting deterministic machine-readable reports.
 """
 
-from importlib import metadata
+#: The package version, declared only here: pyproject.toml reads it, and
+#: every JSON report names it, so no import reads installed metadata.
+__version__ = "0.1.0"
 
 from .identities import (
     ENTRIES,
@@ -61,11 +63,6 @@ from .sequences import (
     pell,
     pell_lucas,
 )
-
-try:
-    __version__ = metadata.version("fibsums")
-except metadata.PackageNotFoundError:  # running from a source tree
-    __version__ = "0+unknown"
 
 __all__ = [
     "CharRoots", "Context", "DomainError", "ENTRIES", "Entry", "Evaluation",

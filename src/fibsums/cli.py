@@ -35,6 +35,11 @@ MAX_RANGE_POINTS = 10 ** 6
 #: bound is 6,861.
 MAX_RANGE_BOUND = 10 ** 4
 
+#: Largest |n| that ``seq`` computes. A term's length grows linearly in n:
+#: ``seq fib -n 1000000`` takes about 0.6 s and a Horadam term below zero
+#: about 2 s, while ``-n 100000000`` would not finish.
+MAX_SEQ_INDEX = 10 ** 6
+
 
 def _parse_ranges(extras: list[str]) -> dict[str, list[int]]:
     """Turn ``--r=-6..6 --n=0`` style flags into value lists."""
@@ -114,6 +119,9 @@ def _cmd_seq(args) -> int:
         return _fail_usage(f"seq {args.family} requires -{' -'.join(missing)}")
     if extra:
         return _fail_usage(f"seq {args.family} does not take -{' -'.join(extra)}")
+    if abs(args.n) > MAX_SEQ_INDEX:
+        return _fail_usage(f"seq index {args.n} is over the limit of "
+                           f"{MAX_SEQ_INDEX} in magnitude")
     try:
         value = term(*(given[k] for k in needs), args.n)
     except DomainError as exc:

@@ -11,22 +11,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from importlib import metadata
 from types import SimpleNamespace
 
+from . import __version__
 from .identities import Evaluation, SweepReport, Witness
 from .polynomials import render_poly
 from .scalars import int_text, render_scalar
 
 #: Bumped when the report document layout changes.
 REPORT_FORMAT = 1
-
-
-def _version() -> str:
-    try:
-        return metadata.version("fibsums")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def render_value(value) -> str:
@@ -88,7 +81,7 @@ def document(command: str, reports: list[dict]) -> dict:
     """The top-level report envelope shared by every JSON-emitting command."""
     return {
         "format": REPORT_FORMAT,
-        "generator": f"fibsums {_version()}",
+        "generator": f"fibsums {__version__}",
         "command": command,
         "reports": reports,
     }

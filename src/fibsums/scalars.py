@@ -417,6 +417,8 @@ class QuadExt:
         return _quad(a * den - self._a * e, b * den - self._b * e, den * e, self.d)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return _quad(self._a * other, self._b * other, self._den, self.d)
         o = self._lift(other)
         if o is None:
             return NotImplemented

@@ -4,15 +4,18 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
+import fibsums
 from fibsums import cli
 from fibsums.cli import main
 from fibsums.identities import SweepReport, catalog, resolve_axes
+from fibsums.reports import document
 
 DOCUMENT_SCHEMA = {
     "type": "object",
@@ -119,6 +122,27 @@ class TestSeq:
                 sys.set_int_max_str_digits(previous)
         assert code == 0 and err == ""
         assert len(out) == 4389 + 1 and out.strip().isdigit()
+
+    @pytest.mark.parametrize("n", [cli.MAX_SEQ_INDEX + 1, -cli.MAX_SEQ_INDEX - 1])
+    @pytest.mark.parametrize("argv", [("fib",), ("horadam", "-a", "2", "-b", "3",
+                                                 "-p", "3", "-q", "2")])
+    def test_index_past_the_limit_is_refused_before_computing(
+            self, capsys, monkeypatch, argv, n):
+        def never(*args):
+            raise AssertionError("the term was computed")
+
+        for family, (needs, _) in list(cli._SEQ_FAMILIES.items()):
+            monkeypatch.setitem(cli._SEQ_FAMILIES, family, (needs, never))
+        code, out, err = run_cli(capsys, "seq", *argv, "-n", str(n))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(cli.MAX_SEQ_INDEX) in err
+
+    def test_index_at_the_limit_is_computed(self, capsys):
+        # F_1000000 has 208,988 digits
+        code, out, err = run_cli(capsys, "seq", "fib", "-n", str(cli.MAX_SEQ_INDEX))
+        assert code == 0 and err == ""
+        assert len(out) == 208988 + 1 and out.startswith("19532821287077577316")
 
     def test_argparse_level_errors_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -452,6 +476,38 @@ class TestCatalogCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) == 63
         assert rows[0] == ["identity", "kind", "params", "domain", "statement"]
+
+
+class TestStartup:
+    """A fresh interpreter runs ``catalog`` without reading installed metadata."""
+
+    CHILD = (
+        "import contextlib, io, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import fibsums.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = fibsums.cli.main(['catalog'])\n"
+        "print(rc, fibsums.cli.__file__, *sys.modules)\n")
+
+    @staticmethod
+    def modules(code, *args):
+        out = subprocess.run([sys.executable, "-I", "-c", code, *args],
+                             capture_output=True, text=True, check=True).stdout
+        return out.split()
+
+    def test_catalog_loads_no_metadata_reader(self):
+        src = os.path.dirname(os.path.dirname(fibsums.__file__))
+        rc, path, *loaded = self.modules(self.CHILD, src)
+        assert rc == "0" and path == cli.__file__
+        bare = self.modules("import sys; print(*sys.modules)")
+        heavy = ("importlib.metadata", "email")
+        extra = {m for m in set(loaded) - set(bare)
+                 if m in heavy or m.startswith(tuple(h + "." for h in heavy))}
+        assert extra == set()
+
+    def test_generator_names_the_declared_version(self):
+        doc = document("catalog", [])
+        assert doc["generator"] == f"fibsums {fibsums.__version__}"
 
 
 class TestDeterminism:

@@ -4,12 +4,12 @@ Byte-identical output is the product's contract. Each line of ``gate.txt``
 is the SHA-256 of one command's stdout, then the command's arguments; each
 runs here in process through ``fibsums.cli.main`` and must exit 0. The CI
 gate "Outputs equal the base commit's" runs the same lines at a PR's base
-and head. A JSON document drops its ``generator`` field, the package
-version a release changes ("fibsums unknown" when the package is not
-installed), before it is hashed, as ``test_failure_bytes.py`` does. The
-``verify --all`` lines render the session's one set of sweeps, which
-acceptance criterion 1 reads too. An intended byte change shows as an
-edited digest line.
+and head. A JSON document drops its ``generator`` field, which names the
+package version a release changes ("fibsums 0.1.0", from
+``fibsums.__version__``), before it is hashed, as ``test_failure_bytes.py``
+does. The ``verify --all`` lines render the session's one set of sweeps,
+which acceptance criterion 1 reads too. An intended byte change shows as
+an edited digest line.
 """
 
 import hashlib

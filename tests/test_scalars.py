@@ -62,6 +62,18 @@ class TestQuadExtArithmetic:
         assert ALPHA / HALF == QuadExt(1, 1, 5)
         assert 2 / ALPHA == QuadExt(-1, 1, 5)
 
+    @pytest.mark.parametrize("k", [0, 1, -1, 7, -7, 2 ** 600])
+    def test_int_factor_builds_the_general_triple(self, k):
+        # an int factor skips the lift to (k, 0, 1); the parts, and the
+        # reduction past _REDUCE_BITS, must equal the Fraction path's
+        wide = QuadExt(Fraction(1, 3 ** 400), Fraction(2, 5 ** 300), 7)
+        for x in (ALPHA, wide):
+            general = x * Fraction(k)
+            for product in (x * k, k * x):
+                assert type(product) is QuadExt
+                assert ((product._a, product._b, product._den)
+                        == (general._a, general._b, general._den))
+
     def test_division(self):
         assert ALPHA / ALPHA == 1
         assert (1 / ALPHA) * ALPHA == 1
