@@ -58,7 +58,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from ..scalars import CharRoots, Rat, _nd, canonical, make_roots
+from ..scalars import CharRoots, QuadExt, Rat, _exact, _nd, canonical, make_roots
 from ..sequences import SeqTable
 
 # The fork gate of the one sweep driver. A grid of at least this many points
@@ -108,7 +108,8 @@ class Side:
     ``Slot`` and the value its evaluate function returned for it.
 
     value is an int, Fraction, QuadExt or polynomial coefficient tuple: a
-    kernel ``Rat`` is read as its reduced Fraction when the Side is built.
+    kernel ``Rat``, alone or as a coefficient, is read as its reduced
+    Fraction when the Side is built.
     variant None means the side is common to every reading of the entry;
     otherwise it belongs to the named reading only.
     """
@@ -155,10 +156,7 @@ def make_witness(label: str, divisor, dividend) -> Witness:
 def _to_int(x) -> int:
     if type(x) is int:
         return x
-    nd = _nd(x)
-    if nd is None:
-        raise TypeError(f"expected an int, Fraction or Rat, got {type(x).__name__}")
-    q, r = divmod(*nd)
+    q, r = divmod(*_exact(x))
     if r:
         raise ValueError(f"expected an integer value, got {canonical(x)}")
     return q
@@ -501,10 +499,20 @@ def _check_bindings(entry: Entry, bindings: dict):
         raise UsageError(f"{entry.id}: missing parameter(s) {', '.join(missing)}")
 
 
+def _check_exact(entry: Entry, bindings):
+    """Refuse a (name, value) binding whose value is not an int, Fraction,
+    Rat or QuadExt: a float would run the entry in floats."""
+    for name, x in bindings:
+        if type(x) is not QuadExt and _nd(x) is None:
+            raise UsageError(f"{entry.id}: parameter {name} takes exact values "
+                             f"(int, Fraction, Rat or QuadExt), not {x!r}")
+
+
 def evaluate_entry(entry: Entry, bindings: dict, ctx: Optional[Context] = None) -> Evaluation:
     """Evaluate one instance; domain violations raise RejectedInstance."""
     ctx = ctx if ctx is not None else Context()
     _check_bindings(entry, bindings)
+    _check_exact(entry, bindings.items())
     violated = _first_violated_guard(entry, ctx, bindings)
     if violated is not None:
         raise RejectedInstance(entry.id, violated, bindings)
@@ -519,12 +527,17 @@ def resolve_axes(entry: Entry, overrides: Optional[dict]) -> list:
 
     Explicit mode binds only the parameters the caller named (entries that
     declare optional parameters may then run a subset of their checks); the
-    entry's required parameters must all be covered.
+    entry's required parameters must all be covered. A value that is not
+    exact is a UsageError naming its parameter.
     """
     if not overrides:
-        return list(entry.grid)
-    _check_bindings(entry, overrides)
-    return [axis(p, overrides[p]) for p in entry.params if p in overrides]
+        axes = list(entry.grid)
+    else:
+        _check_bindings(entry, overrides)
+        axes = [axis(p, overrides[p]) for p in entry.params if p in overrides]
+    _check_exact(entry, (pair for ax in axes for row in ax.values
+                         for pair in zip(ax.names, row)))
+    return axes
 
 
 def _guard_levels(entry: Entry, axes: list, floor: int = 0) -> list:
@@ -548,12 +561,11 @@ def _guard_levels(entry: Entry, axes: list, floor: int = 0) -> list:
 class _Sweep:
     """State of one sweep, shared by every level of ``_walk``."""
 
-    __slots__ = ("entry", "plan", "evaluate", "ctx", "on_result", "rows",
-                 "guards", "below", "bindings", "checked", "rejected",
-                 "verified", "failures")
+    __slots__ = ("plan", "evaluate", "ctx", "on_result", "rows", "guards",
+                 "below", "bindings", "checked", "rejected", "verified",
+                 "failures")
 
     def __init__(self, entry, ctx, on_result, axes):
-        self.entry = entry
         self.plan = _Plan(entry)
         self.evaluate = entry.evaluate
         self.ctx = ctx

@@ -7,8 +7,9 @@ that a divisibility corollary reuses are called from entries_common, where
 each is written once. Four entries (I10, I11, I16, I17) carry two readings
 of a printed summand under the variant protocol; the corrected reading is
 the one their proofs imply, and sweeps tally both so the report pins down
-exactly one verifying form. Rational values are computed on the kernel
-``Rat``, which a side reduces only when it is read.
+exactly one verifying form. Rational values, I01's and I06's bindings
+included, are computed on the kernel ``Rat``, which a side reduces only
+when it is read; only ``sury_f`` returns Fractions.
 
 Shared factors and integer numerators. I16 and I17 visit each (r, n) once
 per shift t, so two builders called through ``ctx.memo`` build the weights
@@ -28,7 +29,6 @@ of entries_common.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple
@@ -42,13 +42,13 @@ from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
                              _i12_num, _i13_num, _i14_num, _i16_den, _i16_num,
                              _i17_num, _i18_num)
 
-HALVES = [Fraction(k, 2) for k in range(-6, 7)]
+HALVES = [Rat(k, 2) for k in range(-6, 7)]
 
 
-def _rat(x):
-    # int and Fraction bindings compute on the kernel rational, which keeps
-    # negative powers exact and skips Fraction's gcd per step; QuadExt stays
-    return Rat(x) if isinstance(x, (int, Fraction)) else x
+def _kernel(x):
+    # a rational binding as a Rat, which keeps negative powers exact and
+    # takes no gcd per step; a QuadExt stays, and a float is a TypeError
+    return x if type(x) is Rat or type(x) is QuadExt else Rat(x)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ def _rat(x):
 # ---------------------------------------------------------------------------
 
 def _i01(ctx, b):
-    u, v, n = _rat(b["u"]), _rat(b["v"]), b["n"]
+    u, v, n = _kernel(b["u"]), _kernel(b["v"]), b["n"]
     lhs = (2 * u) ** (n + 1) - (2 * v) ** (n + 1)
     rhs = (u - v) * sum(((2 * u) ** j + (2 * v) ** j) * (u + v) ** (n - j)
                         for j in range(n + 1))
@@ -160,35 +160,39 @@ class SuryForms(NamedTuple):
 def sury_f(x, y, n: int) -> SuryForms:
     """All four forms at (x, y, n); x, y rational or quadratic-extension.
 
-    Rational arguments are computed on the kernel ``Rat``, and the forms
-    come back reduced: an int or Fraction argument gives Fractions.
-    Raises RejectedInstance when x = y (closed form divides by x - y) or
-    when either variable is 0 (the pair sum takes negative powers).
+    Rational arguments (int, Fraction or Rat; any other type but QuadExt
+    is a TypeError) are computed on the kernel ``Rat``, and the forms come
+    back reduced, as Fractions. Raises RejectedInstance when x = y (closed
+    form divides by x - y) or when either variable is 0 (the pair sum
+    takes negative powers).
     """
-    if n < 0:
-        raise RejectedInstance("sury_f", "n >= 0", {"x": x, "y": y, "n": n})
-    if x == y:
-        raise RejectedInstance("sury_f", "x != y", {"x": x, "y": y, "n": n})
-    if x == 0 or y == 0:
-        raise RejectedInstance("sury_f", "x != 0 and y != 0",
-                               {"x": x, "y": y, "n": n})
-    x, y = _rat(x), _rat(y)
+    bindings = {"x": x, "y": y, "n": n}
+    x, y = _kernel(x), _kernel(y)
+    for holds, predicate in ((n >= 0, "n >= 0"), (x != y, "x != y"),
+                             (x != 0 and y != 0, "x != 0 and y != 0")):
+        if not holds:
+            raise RejectedInstance("sury_f", predicate, bindings)
+    return SuryForms(*map(canonical, _sury(x, y, n)))
+
+
+def _sury(x, y, n: int) -> tuple:
+    """The four forms at kernel values x, y, unreduced."""
     pair = sum((x * y) ** j * (x ** (n - 2 * j) + y ** (n - 2 * j))
                for j in range(n + 1))
     half = sum(((x + y) / 2) ** j * (x ** (n - j) + y ** (n - j))
                for j in range(n + 1))
     conv = 2 * sum(x ** j * y ** (n - j) for j in range(n + 1))
     closed = 2 * (x ** (n + 1) - y ** (n + 1)) / (x - y)
-    return SuryForms(*map(canonical, (pair, half, conv, closed)))
+    return pair, half, conv, closed
 
 
 def _i06(ctx, b):
-    return sury_f(b["x"], b["y"], b["n"]), ()
+    return _sury(_kernel(b["x"]), _kernel(b["y"]), b["n"]), ()
 
 
 _QUAD_PAIRS = [
-    (QuadExt(Fraction(1, 2), Fraction(1, 2), 5),
-     QuadExt(Fraction(1, 2), Fraction(-1, 2), 5)),     # golden pair
+    (QuadExt(Rat(1, 2), Rat(1, 2), 5),
+     QuadExt(Rat(1, 2), Rat(-1, 2), 5)),               # golden pair
     (QuadExt(1, 1, 2), QuadExt(1, -1, 2)),
     (QuadExt(0, 1, -1), QuadExt(0, -1, -1)),           # imaginary unit pair
     (QuadExt(2, 1, -1), QuadExt(2, -1, -1)),

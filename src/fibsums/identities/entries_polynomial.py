@@ -8,8 +8,8 @@ polynomial identity (recorded in the statement text).
 Integer numerators. The halved sums of P01, P03 and P04 weight their
 summands by (1/2)^j. Each summand is scaled by the integer 2^(n-j)
 instead, so the sum is added up with integer coefficients, and the whole
-side is scaled by 1/2^n once at the end. The coefficient tuples are the
-same as those of a sum of Fraction-weighted summands.
+side is scaled by the kernel ``Rat`` 1/2^n once at the end. Its
+coefficients equal those of a sum of Fraction-weighted summands.
 
 Shared terms. Every entry reads its family polynomials (F_k, L_k, T_k and
 U_k) through ``ctx.memo`` with one builder, ``_term``, so each is walked
@@ -18,13 +18,12 @@ once per Context rather than once per summand.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 
 from ..polynomials import (POLY_ONE, POLY_X, cheb_T, cheb_U, fib_poly,
                            lucas_poly, poly_add, poly_eval, poly_mul,
                            poly_scale, poly_sub)
-from ..scalars import QuadExt
+from ..scalars import QuadExt, Rat
 from ..sequences import neg_one
 from .engine import Entry, Slot, axis, irange
 from .entries_common import GUARD_N, GUARD_R_POSITIVE, N15_AXES, R6_N15_AXES
@@ -58,7 +57,7 @@ def _p01(ctx, b):
     xp = _powers(POLY_X, n)
     for j in range(n + 1):
         s2 = poly_add(s2, poly_scale(2 ** (n - j), poly_mul(xp[j], L(n - j))))
-    s2 = poly_scale(Fraction(1, 2 ** n), s2)
+    s2 = poly_scale(Rat(1, 2 ** n), s2)
     s3 = poly_scale(2, F(n + 1))
     return (s1, s2, s3), ()
 
@@ -105,7 +104,7 @@ def _p03(ctx, b):
     for j in range(n + 1):
         s2 = poly_add(s2, poly_scale(2 ** (n - j),
                                      poly_mul(wp[j], L(2 * (n - j)))))
-    s2 = poly_scale(Fraction(1, 2 ** n), poly_mul(POLY_X, s2))
+    s2 = poly_scale(Rat(1, 2 ** n), poly_mul(POLY_X, s2))
     s3 = poly_scale(2, F(2 * (n + 1)))
     return (s1, s2, s3), ()
 
@@ -135,7 +134,7 @@ def _p04(ctx, b):
     for j in range(n + 1):
         s2 = poly_add(s2, poly_scale(2 ** (n - j),
                                      poly_mul(pwl[j], poly_add(pw1[n - j], pw_1[n - j]))))
-    s2 = poly_scale(Fraction(1, 2 ** n), poly_mul(poly_mul(POLY_X, fr), s2))
+    s2 = poly_scale(Rat(1, 2 ** n), poly_mul(poly_mul(POLY_X, fr), s2))
     s3 = poly_scale(2, poly_sub(pw1[n + 1], pw_1[n + 1]))
     return (s1, s2, s3), ()
 
@@ -180,6 +179,8 @@ P05 = Entry(
 # P06's four sides of the other parity of r, two whole groups absent at a point
 _ABSENT = (None,) * 4
 
+_I = QuadExt(0, 1, -1)      # the imaginary unit
+
 
 def _p06(ctx, b):
     r, n = b["r"], b["n"]
@@ -190,10 +191,9 @@ def _p06(ctx, b):
         return (poly_eval(ln, arg), L(r * n), F(r) * poly_eval(fn, arg),
                 F(r * n)) + _ABSENT, ()
     # even r routes through the imaginary unit: argument i*L_r
-    i = QuadExt(0, 1, -1)
-    arg = i * L(r)
-    return _ABSENT + (poly_eval(ln, arg), i ** n * L(r * n),
-                      F(r) * poly_eval(fn, arg), i ** (n - 1) * F(r * n)), ()
+    arg = _I * L(r)
+    return _ABSENT + (poly_eval(ln, arg), _I ** n * L(r * n),
+                      F(r) * poly_eval(fn, arg), _I ** (n - 1) * F(r * n)), ()
 
 
 P06 = Entry(

@@ -16,6 +16,8 @@ sums with negative inner index require.
 
 from __future__ import annotations
 
+from .scalars import render_scalar
+
 Poly = tuple
 
 POLY_ZERO: Poly = ()
@@ -124,8 +126,6 @@ def cheb_U(n: int) -> Poly:
 
 def render_poly(p: Poly) -> str:
     """Descending-power text with exact coefficients, e.g. '4x^2 - 1'."""
-    from .scalars import render_scalar
-
     if not p:
         return "0"
     parts = []

@@ -29,13 +29,14 @@ builds one ``Rat``. The Horadam sums use this instead of a ``Rat`` product
 and a ``Rat`` sum per term.
 
 Canonical where read. Kernel values stay unreduced until they are read or
-rendered. The verdict compares the side values an entry returns as they
-are: ``Rat`` and ``QuadExt`` equality cross-multiplies, so comparing takes
-no gcd. A reported ``Side``, reports and ``QuadExt(a, b, d)`` read a
-``Rat`` as its reduced ``Fraction`` through one function, ``canonical``. ``QuadExt.a``, ``QuadExt.b`` and ``norm()`` are
-reduced ``Fraction``s. ``==`` and ``hash`` of both types, and ``repr`` and
-``render_scalar`` of a ``QuadExt``, depend only on the value, never on how
-far it was reduced.
+rendered, and a sweep computes with ``Rat`` alone: ``Fraction`` appears
+only in what public functions return. The verdict compares side values as
+returned: ``Rat`` and ``QuadExt`` equality cross-multiplies, so comparing
+takes no gcd. A reported ``Side`` reads a ``Rat``, or a polynomial's
+coefficients, as reduced ``Fraction``s through one function, ``canonical``.
+``QuadExt.a``, ``.b`` and ``norm()`` are reduced ``Fraction``s. ``==``,
+``hash``, ``repr`` and ``render_scalar`` depend only on the value, never
+on how far it was reduced.
 
 Decimal text. ``int_text`` renders every int that a report prints. An int
 of at least 2 * ``_STR_DIGITS`` = 600 digits is split once at a cached power
@@ -55,8 +56,6 @@ import math
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Union
-
-RationalLike = Union[int, Fraction]
 
 #: Kernel values are reduced once their denominator has more bits than this.
 #: On the Horadam sweeps 512 ran a few percent faster than 128, and 128 no
@@ -120,6 +119,16 @@ def _nd(x):
     return None
 
 
+def _exact(x):
+    """``_nd(x)``, or a TypeError for anything but an int, Fraction or Rat:
+    the one reader of every rational given to a constructor or renderer, so
+    a float, Decimal or string is refused, never coerced."""
+    nd = _nd(x)
+    if nd is None:
+        raise TypeError(f"expected an int, Fraction or Rat, got {type(x).__name__}")
+    return nd
+
+
 def _rat(n: int, d: int) -> "Rat":
     """Trusted Rat from integers with d > 0, reduced only past _REDUCE_BITS."""
     if d.bit_length() > _REDUCE_BITS:
@@ -136,28 +145,22 @@ def _rat(n: int, d: int) -> "Rat":
 class Rat:
     """Exact rational n/d with d > 0, reduced lazily (see the module docstring).
 
-    ``Rat(x)`` takes an int, Fraction or Rat; ``Rat(n, d)`` takes two ints.
-    ``canonical()`` gives the reduced value to whatever reads or renders it.
+    ``Rat(n, d)`` is n / d for ints, Fractions or Rats (``Rat(x)`` is x);
+    ``canonical`` gives the reduced value to whatever reads or renders it.
     """
 
     __slots__ = ("n", "d")
 
-    def __init__(self, n=0, d: int = 1):
-        if type(n) is not int:
-            parts = _nd(n)
-            if parts is None or d != 1:
-                raise TypeError(f"Rat({n!r}, {d!r}): expected int, Fraction or Rat")
-            n, d = parts
+    def __init__(self, n=0, d=1):
+        if type(n) is not int or type(d) is not int:
+            (n, e), (f, d) = _exact(n), _exact(d)
+            n, d = n * d, e * f
         if d <= 0:
             if d == 0:
                 raise ZeroDivisionError("Rat division by zero")
             n, d = -n, -d
         self.n = n
         self.d = d
-
-    def canonical(self) -> Fraction:
-        """The same value as a reduced Fraction."""
-        return Fraction(self.n, self.d)
 
     def __add__(self, o):
         if type(o) is int:
@@ -261,8 +264,11 @@ class Rat:
 
 
 def canonical(value):
-    """``value`` as read: a ``Rat`` as its reduced Fraction, else unchanged."""
-    return value.canonical() if type(value) is Rat else value
+    """``value`` as read: a ``Rat`` as its reduced Fraction, a polynomial
+    coefficient tuple coefficient by coefficient, anything else unchanged."""
+    if type(value) is tuple:
+        return tuple(map(canonical, value))
+    return Fraction(value.n, value.d) if type(value) is Rat else value
 
 
 def power(base: int, e: int):
@@ -297,10 +303,7 @@ def int_weights(coeffs) -> tuple:
         return coeffs, 1
     parts = []
     for c in coeffs:
-        nd = _nd(c)
-        if nd is None:
-            raise TypeError(f"int_weights: expected int, Fraction or Rat, got {c!r}")
-        n, d = nd
+        n, d = _exact(c)
         g = _gcd(n, d)
         parts.append((n // g, d // g))
     den = math.lcm(*(d for _, d in parts))
@@ -345,13 +348,13 @@ class QuadExt:
 
     __slots__ = ("_a", "_b", "_den", "d")
 
-    def __init__(self, a: RationalLike, b: RationalLike, d: int):
+    def __init__(self, a, b, d: int):
         if d == 0 or _is_square(d):
             raise DomainError(f"QuadExt requires a non-square d, got {d}")
-        fa, fb = Fraction(canonical(a)), Fraction(canonical(b))
-        den = math.lcm(fa.denominator, fb.denominator)
-        _set_a(self, fa.numerator * (den // fa.denominator))
-        _set_b(self, fb.numerator * (den // fb.denominator))
+        (a, e), (b, f) = _exact(a), _exact(b)
+        den = math.lcm(e, f)
+        _set_a(self, a * (den // e))
+        _set_b(self, b * (den // f))
         _set_den(self, den)
         _set_d(self, d)
 
@@ -578,9 +581,7 @@ def make_roots(p: int, q: int) -> CharRoots:
     if _is_square(d):
         s = math.isqrt(d)
         return CharRoots(Fraction(p + s, 2), Fraction(p - s, 2), Fraction(s))
-    tau = QuadExt(Fraction(p, 2), Fraction(1, 2), d)
-    sigma = QuadExt(Fraction(p, 2), Fraction(-1, 2), d)
-    return CharRoots(tau, sigma, QuadExt(0, 1, d))
+    return CharRoots(_quad(p, 1, 2, d), _quad(p, -1, 2, d), _quad(0, 1, 1, d))
 
 
 def fib_roots() -> CharRoots:
@@ -613,9 +614,10 @@ def render_scalar(value) -> str:
         sign = "+" if b > 0 else "-"
         mag = bs.lstrip("-")
         return f"{render_scalar(a)} {sign} {mag}"
-    f = Fraction(canonical(value))
-    if f.denominator == 1:
-        return int_text(f.numerator)
-    return f"{int_text(f.numerator)}/{int_text(f.denominator)}"
+    n, d = _exact(value)
+    g = _gcd(n, d)
+    if g == d:
+        return int_text(n // g)
+    return f"{int_text(n // g)}/{int_text(d // g)}"
 
 

@@ -90,6 +90,10 @@ class HoradamParams:
     q: int
 
     def __post_init__(self):
+        for name in ("a", "b", "p", "q"):
+            if not isinstance(getattr(self, name), int):
+                raise TypeError(f"HoradamParams.{name} must be an int, "
+                                f"not {getattr(self, name)!r}")
         if self.p == 0:
             raise DomainError("Horadam recurrence requires p != 0")
         if self.q == 0:

@@ -8,13 +8,16 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from test_mutation import _sub_grid
 
 from fibsums.identities import (Context, RejectedInstance, Witness,
-                                check_divisibility, evaluate_identity,
-                                get_entry, make_witness, sweep)
+                                check_divisibility, evaluate_entry,
+                                evaluate_identity, get_entry, make_witness,
+                                sweep)
 from fibsums.reports import (div_csv, document, sweep_payload, to_json,
                              witness_row)
 from fibsums.scalars import QuadExt, Rat
+from fibsums.sequences import neg_one
 
 
 class TestMakeWitness:
@@ -244,6 +247,46 @@ class TestWitnessSoundnessSweeps:
         rep = sweep(get_entry(entry_id), None, Context(), on_result=check)
         assert rep.verified
         assert rep.checked == len(seen) > 0
+
+
+#: D entry -> (source identity, factor at the bindings): the D entry's first
+#: quotient times the factor is the source's left side at every point. A
+#: factor of 2 carries the sign of the source's closed-form denominator,
+#: (-1)^(r+1) 5 F_r^2 for I12 and I13. D01-D03 and D21 bind other
+#: parameters than their sources and are not listed.
+COROLLARIES = {
+    "D04": ("I10", lambda b: 1),
+    "D05": ("I11", lambda b: 1),
+    "D14": ("I16", lambda b: 1),
+    "D15": ("I17", lambda b: 1),
+    "D22": ("H05", lambda b: 1),
+    "D09": ("I13", lambda b: 2 * neg_one(b["r"] + 1)),
+    "D11": ("I12", lambda b: 2 * neg_one(b["r"] + 1)),
+    "D12": ("I14", lambda b: 2),
+    "D13": ("I14", lambda b: 2),
+    "D16": ("I18", lambda b: 2),
+}
+
+
+class TestCorollaryTable:
+    @pytest.mark.parametrize("entry_id", COROLLARIES)
+    def test_quotient_times_factor_is_the_source_left_side(self, entry_id):
+        source_id, factor = COROLLARIES[entry_id]
+        entry, source = get_entry(entry_id), get_entry(source_id)
+        if entry_id == "D22":       # 132,580 default points; a sub-grid will do
+            entry = dataclasses.replace(
+                entry, grid=_sub_grid(entry, entry.primary_variant))
+        ctx, points = Context(), []
+        rep = sweep(entry, None, ctx, on_result=points.append)
+        assert rep.verified and len(points) == rep.checked
+        nonzero = 0
+        for ev in points:
+            left = evaluate_entry(source, ev.bindings, ctx).sides[0]
+            assert left.label == "left sum"
+            quotient = ev.witnesses[0].quotient
+            assert quotient * factor(ev.bindings) == left.value, ev.bindings
+            nonzero += quotient != 0
+        assert nonzero
 
 
 class TestDigitLimit:

@@ -687,6 +687,42 @@ class TestZeroInstanceSweeps:
         assert not rep.verified
 
 
+class TestExactBindings:
+    """A binding that is not an int, Fraction, Rat or QuadExt is a usage
+    error naming its parameter: a float would run the sweep in floats and
+    refute true identities with its binary expansion."""
+
+    @pytest.mark.parametrize("entry_id,overrides", [
+        ("I01", {"u": [0.1], "v": [Fraction(3, 10)], "n": range(11)}),
+        ("I06", {"x": [Fraction(1, 10)], "y": [0.7], "n": range(11)}),
+        ("I07", {"r": [2], "n": [1, "2"]}),
+    ])
+    def test_sweep_refuses_inexact_values(self, entry_id, overrides):
+        name = next(k for k, vs in overrides.items()
+                    if any(type(v) in (float, str) for v in vs))
+        with pytest.raises(engine.UsageError, match=f"parameter {name} takes exact"):
+            sweep(get_entry(entry_id), overrides)
+
+    def test_a_replaced_grid_is_read_too(self):
+        entry = get_entry("I07")
+        sub = dataclasses.replace(entry, grid=(axis("r", [2.0]), axis("n", [1])))
+        with pytest.raises(engine.UsageError, match="parameter r"):
+            sweep(sub)
+
+    def test_evaluate_entry_refuses_inexact_values(self):
+        with pytest.raises(engine.UsageError, match="parameter u"):
+            evaluate_entry(get_entry("I01"), {"u": 0.1, "v": 0, "n": 2})
+
+    def test_exact_values_of_every_type_sweep(self):
+        i = QuadExt(0, 1, -1)
+        rep = sweep(get_entry("I06"), {"x": [1, Fraction(1, 10), Rat(2, 3), i],
+                                       "y": [Rat(7, 10), -i], "n": range(4)})
+        assert rep.verified and rep.checked == 32
+        rep = sweep(get_entry("I01"), {"u": [Fraction(1, 10)], "v": [Rat(3, 10), 2],
+                                       "n": range(11)})
+        assert rep.verified and rep.checked == 22
+
+
 class TestD22GuardOrder:
     def test_x_guard_runs_once_per_row(self):
         entry = get_entry("D22")
@@ -836,7 +872,7 @@ def stored_values(draw, d):
 
 def canonical_form(value):
     if type(value) is Rat:
-        return value.canonical()
+        return Fraction(value.n, value.d)
     if type(value) is QuadExt:
         return QuadExt(value.a, value.b, value.d)
     return value

@@ -151,6 +151,19 @@ class TestGeneratingSum:
         with pytest.raises(RejectedInstance):
             sury_f(2, 1, -1)
 
+    def test_a_rational_pairs_with_a_quadratic_argument(self):
+        i = QuadExt(0, 1, -1)
+        forms = sury_f(Fraction(1, 2), i, 3)
+        assert forms.pair_sum == forms.half_sum == forms.convolution \
+            == forms.closed
+        assert sury_f(Fraction(1, 2), 2, 1).closed == Fraction(5)
+        assert type(sury_f(Fraction(1, 2), 2, 1).closed) is Fraction
+
+    @pytest.mark.parametrize("x,y", [(0.5, 1.5), (0.5, 0.5), (1, "2")])
+    def test_inexact_arguments_are_type_errors(self, x, y):
+        with pytest.raises(TypeError):
+            sury_f(x, y, 2)
+
 
 class TestVariants:
     def test_two_readings_disagree_generically(self):

@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibsums.scalars import (_REDUCE_BITS, _STR_DIGITS, CharRoots, DomainError,
-                             QuadExt, Rat, fib_roots, int_text, int_weights,
-                             make_roots, power, render_scalar, weighted_sum)
+                             QuadExt, Rat, canonical, fib_roots, int_text,
+                             int_weights, make_roots, power, render_scalar,
+                             weighted_sum)
 from fibsums.sequences import fib
 
 HALF = Fraction(1, 2)
@@ -39,6 +41,36 @@ class TestQuadExtConstruction:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             ALPHA.a = Fraction(0)
+
+    def test_kernel_rationals_are_read_exactly(self):
+        u = QuadExt(Rat(2, 4), Rat(-3, 6), 5)
+        assert u == QuadExt(HALF, -HALF, 5) and repr(u) == repr(BETA)
+
+
+class TestInexactInputIsRefused:
+    """Every reader of a rational value takes an int, Fraction or Rat and
+    nothing else: a float, a Decimal or a string is never coerced."""
+
+    @pytest.mark.parametrize("read", [
+        lambda: QuadExt(0.5, 1, 5),
+        lambda: QuadExt("1/2", 1, 5),
+        lambda: QuadExt(1, Decimal("0.25"), 5),
+        lambda: render_scalar(0.1),
+        lambda: render_scalar("1/2"),
+        lambda: Rat(0.5),
+        lambda: Rat(1, 2.0),
+        lambda: int_weights([1, 0.5]),
+    ], ids=["QuadExt-float", "QuadExt-str", "QuadExt-Decimal", "render-float",
+            "render-str", "Rat-float", "Rat-float-denominator", "int_weights"])
+    def test_type_error(self, read):
+        with pytest.raises(TypeError, match="int, Fraction or Rat"):
+            read()
+
+    def test_rat_of_two_rationals_is_their_quotient(self):
+        assert Rat(Fraction(1, 2), Rat(3, 4)) == Fraction(2, 3)
+        assert Rat(6, Fraction(-3, 2)).d > 0
+        with pytest.raises(ZeroDivisionError):
+            Rat(Fraction(1, 2), Rat(0, 3))
 
 
 class TestQuadExtArithmetic:
@@ -214,6 +246,8 @@ class TestRendering:
         (QuadExt(0, Fraction(-1, 3), 7), "-1/3*sqrt(7)"),
         (Rat(2, 4), "1/2"),
         (Rat(-6, 3), "-2"),
+        (Rat(0, 7), "0"),
+        (True, "1"),
     ])
     def test_render_scalar_frozen(self, value, text):
         assert render_scalar(value) == text
@@ -328,7 +362,7 @@ class TestRatKernel:
                 continue
             x, ref = apply(op, x, y), expected
             assert type(x) is Rat and x.d > 0
-            assert x == ref and x.canonical() == ref
+            assert x == ref and canonical(x) == ref
         assert hash(x) == hash(ref)
 
     def test_long_chain_crosses_the_reduction_threshold(self):
@@ -337,7 +371,7 @@ class TestRatKernel:
             x, ref = x + Rat(1, k), ref + Fraction(1, k)
             x, ref = x * Rat(k + 1, 3), ref * Fraction(k + 1, 3)
             assert x == ref
-        assert x.canonical() == ref
+        assert canonical(x) == ref
 
     def test_unchanged_value_keeps_a_bounded_denominator(self):
         x = Rat(5, 3)
@@ -402,7 +436,7 @@ class TestRatKernel:
 
 
 def as_fraction(x) -> Fraction:
-    return x.canonical() if type(x) is Rat else Fraction(x)
+    return canonical(x) if type(x) is Rat else Fraction(x)
 
 
 @st.composite
@@ -448,7 +482,7 @@ class TestWeightedSum:
         terms, scale = [7, -2, 9], (-3) ** 5
         got = weighted_sum(weights, terms, scale)
         assert got.d > 0 and got.d == 4 * 3 ** 5
-        assert got.canonical() == (Fraction(7, 2) - 6 - Fraction(45, 4)) / scale
+        assert canonical(got) == (Fraction(7, 2) - 6 - Fraction(45, 4)) / scale
 
     def test_rejects_terms_that_are_not_ints(self):
         weights = int_weights([1, 2, 3])

@@ -1,16 +1,19 @@
 """Sequence families: frozen values, signed indices, oracle equivalence."""
 
 import contextlib
+import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_mutation import _sub_grid
 
 from fibsums import sequences
-from fibsums.identities import Context, engine, get_entry, sweep
-from fibsums.scalars import DomainError, Rat, make_roots
+from fibsums.identities import ENTRIES, Context, engine, get_entry, sweep
+from fibsums.scalars import DomainError, Rat, canonical, make_roots
 from fibsums.sequences import (HoradamParams, SeqTable, fib, gibonacci,
                                horadam_w, lucas, lucas_u, lucas_v, neg_one,
                                pell, pell_lucas)
@@ -121,6 +124,12 @@ class TestHoradam:
             assert lucas_u(2, -1, n) == pell(n)
             assert lucas_v(2, -1, n) == pell_lucas(n)
 
+    @pytest.mark.parametrize("params", [(0.5, 1, 1, -1), (0, Fraction(1), 1, -1),
+                                        (0, 1, 1.0, -1), (0, 1, 1, "-1")])
+    def test_parameters_that_are_not_ints_are_refused(self, params):
+        with pytest.raises(TypeError):
+            HoradamParams(*params)
+
     def test_degenerate_coefficients_rejected(self):
         with pytest.raises(DomainError):
             HoradamParams(0, 1, 0, 1)
@@ -187,7 +196,7 @@ class TestSeqTable:
                     assert type(value) is int and value == want, (row, n)
                 else:
                     assert type(value) is Rat, (row, n, value)
-                    assert value.canonical() == want, (row, n)
+                    assert canonical(value) == want, (row, n)
 
     def test_values_are_cached(self):
         table = SeqTable(0, 1, 1, -1)
@@ -305,11 +314,12 @@ SQUARE_ROWS = {"p": [3, -3], "q": [2, -4]}
 
 @contextlib.contextmanager
 def counted_fractions():
-    """Yields a list that gets the arguments of every Fraction built."""
+    """Yields a list that gets, for every Fraction built, the name of the
+    function that built it and the arguments."""
     built, new = [], Fraction.__dict__["__new__"]
 
     def counted(cls, *args, **kwargs):
-        built.append(args)
+        built.append((sys._getframe(1).f_code.co_name, args))
         return new.__func__(cls, *args, **kwargs)
 
     Fraction.__new__ = staticmethod(counted)
@@ -336,3 +346,23 @@ class TestRationalRootsBuildNoFraction:
             rep = sweep(entry, ranges, ctx)
         assert rep.checked and not rep.failures and rep.verified
         assert built == []
+
+
+class TestNoSweepBuildsAFraction:
+    """``Rat`` is the only rational type a sweep computes with: every entry,
+    swept on a sub-grid over a warm Context, builds no Fraction, and a cold
+    Context builds them only in ``make_roots``, whose rational roots are
+    public Fractions that the Context keeps as Rats."""
+
+    def test_every_entry(self, monkeypatch):
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 1)    # no fork
+        subs = [dataclasses.replace(e, grid=_sub_grid(e, e.primary_variant))
+                for e in ENTRIES]
+        ctx = Context()
+        with counted_fractions() as cold:
+            reports = [sweep(e, None, ctx) for e in subs]
+        assert {name for name, _ in cold} <= {"make_roots"}
+        with counted_fractions() as warm:
+            reports += [sweep(e, None, ctx) for e in subs]
+        assert warm == []
+        assert all(rep.checked and rep.verified for rep in reports)
