@@ -9,13 +9,14 @@ closed-form numerator of an I-catalog identity, the entry calls the
 numerator function that identity calls (from entries_common) instead of
 re-typing the expression.
 
-Shared factors and integer numerators. What a D21 or D22 point computes
-without reading the seed (a, b) or the shift t is built once per Context
-through ``ctx.memo``: D21's witness pairs v_r | v_(rm) and v_r | u_(rn),
-and H05's X and Y coefficients (``_h05_x``, ``_h05_y``), integers on D22's
-domain, so Y is four products with table terms. A witness value may be an
-int or a kernel ``Rat`` that lands on an integer, such as D21's
-w_(t+rn) - q^(rn) w_(t-rn); the engine reads either as an int.
+Shared factors and integer numerators. What a D22 point computes without
+reading the seed (a, b) or the shift t is built once per Context through
+``ctx.memo``: H05's X and Y coefficients (``_h05_x``, ``_h05_y``), integers
+on D22's domain, so Y is four products with table terms. D21 reads its
+witness values from the sequence tables, which keep every term they have
+walked, and reads v_r once per point for all three witnesses. A witness
+value may be an int or a kernel ``Rat`` that lands on an integer, such as
+D21's w_(t+rn) - q^(rn) w_(t-rn); the engine reads either as an int.
 """
 
 from __future__ import annotations
@@ -416,28 +417,18 @@ D20 = Entry(
 )
 
 
-def _d21_vm(ctx, p, q, r, m):
-    """The witness v_r | v_(rm), which reads no seed, shift or t."""
-    v = ctx.v(p, q)
-    return v(r), v(r * m)
-
-
-def _d21_un(ctx, p, q, r, n):
-    """The witness v_r | u_(rn), which reads no seed, shift or t."""
-    return ctx.v(p, q)(r), ctx.u(p, q)(r * n)
-
-
 def _d21(ctx, b):
-    # a witness whose parameters are not all bound is absent
-    p, q, r = b["p"], b["q"], b["r"]
-    vm = ctx.memo(_d21_vm, p, q, r, b["m"]) if "m" in b else None
+    # a witness whose parameters are not all bound is absent; n is required,
+    # so v_r | u_(rn) is present at every point
+    p, q, r, n = b["p"], b["q"], b["r"], b["n"]
+    v = ctx.v(p, q)
+    vr = v(r)
+    vm = (vr, v(r * b["m"])) if "m" in b else None
     seeded = None
-    if all(k in b for k in ("a", "b", "t", "n")):
-        w = ctx.table(b["a"], b["b"], p, q)
-        t, n = b["t"], b["n"]
-        seeded = ctx.v(p, q)(r), w(t + r * n) - power(q, r * n) * w(t - r * n)
-    un = ctx.memo(_d21_un, p, q, r, b["n"]) if "n" in b else None
-    return (), (vm, seeded, un)
+    if all(k in b for k in ("a", "b", "t")):
+        w, t = ctx.table(b["a"], b["b"], p, q), b["t"]
+        seeded = vr, w(t + r * n) - power(q, r * n) * w(t - r * n)
+    return (), (vm, seeded, (vr, ctx.u(p, q)(r * n)))
 
 
 D21 = Entry(
@@ -450,7 +441,7 @@ D21 = Entry(
             GUARD_M_ODD_POSITIVE, GUARD_T,
             Guard("n even and n >= 2", ("n",),
                   lambda ctx, b: b["n"] % 2 == 0 and b["n"] >= 2)),
-    evaluate=_d21, required=("p", "q", "r"),
+    evaluate=_d21, required=("p", "q", "r", "n"),
     witnesses=("v_r | v_(rm)", "v_r | w_(t+rn) - q^(rn) w_(t-rn)", "v_r | u_(rn)"),
     grid=(*PQ_AXES, joint(("a", "b"), SEED_PANEL),
           axis("r", irange(0, 4)), axis("m", [1, 3]),

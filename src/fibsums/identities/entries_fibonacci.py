@@ -35,7 +35,8 @@ from typing import NamedTuple
 
 from ..scalars import QuadExt, Rat, canonical, int_weights, weighted_sum
 from ..sequences import neg_one
-from .engine import Entry, Guard, RejectedInstance, Slot, axis, irange, joint
+from .engine import (Entry, Guard, RejectedInstance, Slot,
+                     _first_violated_guard, axis, irange, joint)
 from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
                              GUARD_N, GUARD_R_NONZERO, R_K_S_N_AXES, R_N_AXES,
                              R_T_N_AXES, SUMS, _i10_den, _i10_num, _i11_num,
@@ -162,16 +163,16 @@ def sury_f(x, y, n: int) -> SuryForms:
 
     Rational arguments (int, Fraction or Rat; any other type but QuadExt
     is a TypeError) are computed on the kernel ``Rat``, and the forms come
-    back reduced, as Fractions. Raises RejectedInstance when x = y (closed
-    form divides by x - y) or when either variable is 0 (the pair sum
-    takes negative powers).
+    back reduced, as Fractions. Raises RejectedInstance naming the first of
+    I06's guards that fails, in I06's order: x = y (the closed form divides
+    by x - y), either variable 0 (the pair sum takes negative powers), or
+    n < 0.
     """
     bindings = {"x": x, "y": y, "n": n}
     x, y = _kernel(x), _kernel(y)
-    for holds, predicate in ((n >= 0, "n >= 0"), (x != y, "x != y"),
-                             (x != 0 and y != 0, "x != 0 and y != 0")):
-        if not holds:
-            raise RejectedInstance("sury_f", predicate, bindings)
+    violated = _first_violated_guard(I06, None, {"x": x, "y": y, "n": n})
+    if violated is not None:
+        raise RejectedInstance("sury_f", violated, bindings)
     return SuryForms(*map(canonical, _sury(x, y, n)))
 
 

@@ -1,14 +1,14 @@
 """The I, P and D entries that share factors agree with plain references.
 
 I16, I17, I18, P01, P03 and P04 build their weights once per (r, n) or
-their power lists once per point, and D21 and D22 build their seed-free
-witnesses and coefficients once per Context. Each test here recomputes
+their power lists once per point, and D22 builds its seed-free
+coefficients once per Context. Each test here recomputes
 every side (or every dividend) from the printed statement, one summand at
 a time in plain ``Fraction`` arithmetic, with its own Fibonacci/Lucas
 numbers and polynomials, and requires the entry's value to be equal. The
 parameters reach past the default grids: negative r, k and s, and, for
-D21 and D22, shifts deep enough that terms below index 0 are Fractions
-with |q| > 1.
+D21 and D22, shifts deep enough that terms below index 0 are not integers
+(kernel ``Rat``s) with |q| > 1.
 """
 
 from fractions import Fraction

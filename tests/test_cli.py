@@ -375,6 +375,15 @@ class TestDiv:
         assert rows[1] == ["3", "2", "F_r | F_(mr)", "2", "8", "4", ""]
         assert rows[2] == ["3", "3", "F_r | F_(mr)", "2", "34", "17", ""]
 
+    def test_ranges_binding_no_witness_are_a_usage_error(self, capsys):
+        # p, q and r alone bind none of D21's witnesses: a sweep would check
+        # nothing and still verify
+        for command in ("verify", "div"):
+            code, out, err = run_cli(capsys, command, "D21", "--p=1..1",
+                                     "--q=-1..-1", "--r=1..2", "--format", "csv")
+            assert (code, out) == (2, ""), command
+            assert "D21: missing parameter(s) n" in err
+
     def test_identity_entries_are_refused(self, capsys):
         code, _, err = run_cli(capsys, "div", "I07")
         assert code == 2 and "not a divisibility entry" in err

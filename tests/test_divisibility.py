@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 from test_mutation import _sub_grid
 
-from fibsums.identities import (Context, RejectedInstance, Witness,
-                                check_divisibility, evaluate_entry,
+from fibsums.identities import (ENTRIES, Context, RejectedInstance, Witness,
+                                axis, check_divisibility, evaluate_entry,
                                 evaluate_identity, get_entry, make_witness,
                                 sweep)
 from fibsums.reports import (div_csv, document, sweep_payload, to_json,
@@ -249,11 +249,30 @@ class TestWitnessSoundnessSweeps:
         assert rep.checked == len(seen) > 0
 
 
+def _axes(entry_id, *names):
+    """The axes of the entry's default grid that bind only ``names``."""
+    return tuple(ax for ax in get_entry(entry_id).grid
+                 if set(ax.names) <= set(names))
+
+
+@pytest.mark.parametrize("entry_id", [e.id for e in ENTRIES if e.required])
+def test_required_parameters_alone_check_a_witness_at_every_point(entry_id):
+    # a point with every optional parameter unbound must still check one
+    # witness, or its verdict is vacuous
+    entry = get_entry(entry_id)
+    entry = dataclasses.replace(entry, grid=_axes(entry_id, *entry.required))
+    counts = []
+    rep = sweep(entry, None, Context(),
+                on_result=lambda ev: counts.append(len(ev.witnesses)))
+    assert rep.verified and len(counts) == rep.checked
+    assert min(counts) >= 1
+
+
 #: D entry -> (source identity, factor at the bindings): the D entry's first
 #: quotient times the factor is the source's left side at every point. A
 #: factor of 2 carries the sign of the source's closed-form denominator,
 #: (-1)^(r+1) 5 F_r^2 for I12 and I13. D01-D03 and D21 bind other
-#: parameters than their sources and are not listed.
+#: parameters than their sources and are listed in MAPPED.
 COROLLARIES = {
     "D04": ("I10", lambda b: 1),
     "D05": ("I11", lambda b: 1),
@@ -265,6 +284,38 @@ COROLLARIES = {
     "D12": ("I14", lambda b: 2),
     "D13": ("I14", lambda b: 2),
     "D16": ("I18", lambda b: 2),
+}
+
+
+_SEEDED = ("p", "q", "a", "b", "r", "t")
+
+#: case -> (D entry, its grid, witness label, source identity, the map from
+#: the D entry's bindings to the source's, factor, source side, points with
+#: a source point, points without): factor * quotient is the source's side
+#: at the mapped point. Where the source rejects the mapped point (its
+#: n < 0, or H07's and H10's u_r != 0 and p^2 - 4q != 0), the D entry rests
+#: on its own argument. D21 runs one witness at a time, each on the axes of
+#: its own parameters (v_r | v_(rm) at n = 2 alone, n being required).
+MAPPED = {
+    "D01": ("D01", _axes("D01", "r", "m"), "F_r | F_(mr)", "I07",
+            lambda b: {"r": b["r"], "n": b["m"] - 1}, 2, "left sum", 72, 84),
+    "D02": ("D02", _axes("D02", "r", "m"), "L_r | L_(mr)", "I08",
+            lambda b: {"r": b["r"], "n": (b["m"] - 1) // 2}, 2, "left sum",
+            39, 39),
+    "D03": ("D03", _axes("D03", "r", "m"), "L_r | F_(mr)", "I09",
+            lambda b: {"r": b["r"], "n": b["m"] // 2}, 2, "left sum", 52, 39),
+    "D21-seeded": ("D21", _axes("D21", *_SEEDED, "n"),
+                   "v_r | w_(t+rn) - q^(rn) w_(t-rn)", "H07",
+                   lambda b: {**{k: b[k] for k in _SEEDED}, "n": b["n"] // 2},
+                   1, "left sum", 13800, 5160),
+    "D21-vm": ("D21", (*_axes("D21", "p", "q", "r", "m"), axis("n", [2])),
+               "v_r | v_(rm)", "H11",
+               lambda b: {"p": b["p"], "q": b["q"], "r": b["r"],
+                          "n": (b["m"] - 1) // 2}, 2, "left sum", 562, 70),
+    "D21-un": ("D21", _axes("D21", "p", "q", "r", "n"), "v_r | u_(rn)", "H10",
+               lambda b: {"p": b["p"], "q": b["q"], "r": b["r"], "t": 0,
+                          "n": b["n"] // 2},
+               2, "left sum without shift", 690, 258),
 }
 
 
@@ -287,6 +338,29 @@ class TestCorollaryTable:
             assert quotient * factor(ev.bindings) == left.value, ev.bindings
             nonzero += quotient != 0
         assert nonzero
+
+    @pytest.mark.parametrize("case", MAPPED)
+    def test_quotient_times_factor_is_the_mapped_source_side(self, case):
+        (entry_id, grid, label, source_id, to_source, factor, side,
+         held, unsourced) = MAPPED[case]
+        entry = dataclasses.replace(get_entry(entry_id), grid=grid)
+        source = get_entry(source_id)
+        ctx, points = Context(), []
+        rep = sweep(entry, None, ctx, on_result=points.append)
+        assert rep.verified and len(points) == rep.checked
+        sourced = nonzero = 0
+        for ev in points:
+            (quotient,) = [w.quotient for w in ev.witnesses if w.label == label]
+            try:
+                sides = evaluate_entry(source, to_source(ev.bindings), ctx).sides
+            except RejectedInstance:
+                continue
+            (value,) = [s.value for s in sides if s.label == side]
+            assert factor * quotient == value, ev.bindings
+            sourced += 1
+            nonzero += quotient != 0
+        assert nonzero
+        assert (sourced, len(points) - sourced) == (held, unsourced)
 
 
 class TestDigitLimit:

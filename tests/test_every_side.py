@@ -8,10 +8,10 @@ sub-grid: a wrong sum in any position, first or not, must fail every point
 of each reading it belongs to.
 
 ``test_mutation.py`` also bumps only the first witness whose divisor is not
-a unit, while D21 returns witness pairs it built once per Context and D22
-one built from shared coefficients. So each witness dividend of D21 and D22 is
-bumped in turn, and every point where that witness's divisor is not a unit
-must fail.
+a unit, while D21 reads one divisor v_r for its three witnesses and D22
+builds its one witness from shared coefficients. So each witness dividend of
+D21 and D22 is bumped in turn, and every point where that witness's divisor
+is not a unit must fail.
 """
 
 import dataclasses

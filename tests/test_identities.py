@@ -151,6 +151,16 @@ class TestGeneratingSum:
         with pytest.raises(RejectedInstance):
             sury_f(2, 1, -1)
 
+    @pytest.mark.parametrize("x,y,n,first", [
+        (2, 2, -1, "x != y"), (0, 1, -1, "x != 0 and y != 0"),
+        (2, 1, -1, "n >= 0")])
+    def test_rejection_names_the_first_failing_guard_of_i06(self, x, y, n, first):
+        for check in (lambda: sury_f(x, y, n),
+                      lambda: evaluate_identity("I06", {"x": x, "y": y, "n": n})):
+            with pytest.raises(RejectedInstance) as exc:
+                check()
+            assert exc.value.predicate == first
+
     def test_a_rational_pairs_with_a_quadratic_argument(self):
         i = QuadExt(0, 1, -1)
         forms = sury_f(Fraction(1, 2), i, 3)
