@@ -16,7 +16,7 @@ import math
 import re
 import sys
 
-from .identities import Context, UsageError, catalog, get_entry, irange, sweep
+from .identities import ENTRIES, Context, UsageError, get_entry, irange, sweep
 from .reports import (catalog_csv, catalog_payload, catalog_text, div_csv,
                       document, sweep_payload, to_json, verify_csv, witness_row)
 from .scalars import DomainError, render_scalar
@@ -88,7 +88,7 @@ def _fail_exhausted(entry, exc: Exception) -> int:
 def _fail_unknown_id(message: str) -> int:
     code = _fail_usage(message)
     print("known catalog entries:", file=sys.stderr)
-    sys.stderr.write(catalog_text(catalog()))
+    sys.stderr.write(catalog_text(ENTRIES))
     return code
 
 
@@ -144,7 +144,7 @@ def _cmd_verify(args, ranges) -> int:
         return _fail_usage("verify needs an identity id or --all")
 
     try:
-        entries = list(catalog()) if args.all_entries else [get_entry(args.id)]
+        entries = ENTRIES if args.all_entries else [get_entry(args.id)]
     except UsageError as exc:
         return _fail_unknown_id(str(exc))
     ctx = Context()
@@ -192,11 +192,11 @@ def _cmd_div(args, ranges) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.format == "csv":
-        sys.stdout.write(catalog_csv(catalog()))
+        sys.stdout.write(catalog_csv(ENTRIES))
     elif args.format == "json":
-        sys.stdout.write(to_json(document("catalog", catalog_payload(catalog()))))
+        sys.stdout.write(to_json(document("catalog", catalog_payload(ENTRIES))))
     else:
-        sys.stdout.write(catalog_text(catalog()))
+        sys.stdout.write(catalog_text(ENTRIES))
     return 0
 
 

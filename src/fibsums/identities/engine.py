@@ -501,11 +501,22 @@ def _check_bindings(entry: Entry, bindings: dict):
 
 def _check_exact(entry: Entry, bindings):
     """Refuse a (name, value) binding whose value is not an int, Fraction,
-    Rat or QuadExt: a float would run the entry in floats."""
+    Rat or QuadExt: a float would run the entry in floats. A parameter whose
+    default-grid values are all ints takes only ints (not ``True``): an
+    integral Fraction there reaches index and parity code that reads ints."""
+    ints = None
     for name, x in bindings:
+        if type(x) is int:
+            continue
         if type(x) is not QuadExt and _nd(x) is None:
             raise UsageError(f"{entry.id}: parameter {name} takes exact values "
                              f"(int, Fraction, Rat or QuadExt), not {x!r}")
+        if ints is None:
+            ints = {name for ax in entry.grid for k, name in enumerate(ax.names)
+                    if all(type(row[k]) is int for row in ax.values)}
+        if name in ints:
+            raise UsageError(f"{entry.id}: parameter {name} takes integers, "
+                             f"not {x!r}")
 
 
 def evaluate_entry(entry: Entry, bindings: dict, ctx: Optional[Context] = None) -> Evaluation:

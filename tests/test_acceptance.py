@@ -15,8 +15,8 @@ from fractions import Fraction
 import pytest
 from conftest import run_main
 
-from fibsums.identities import (ENTRIES, Context, check_divisibility,
-                                evaluate_identity, get_entry, sweep)
+from fibsums.identities import (ENTRIES, Context, evaluate_entry, get_entry,
+                                sweep)
 from fibsums.polynomials import cheb_T, cheb_U, poly_add, poly_eval, poly_mul
 from fibsums.scalars import make_roots
 from fibsums.sequences import (HoradamParams, fib, horadam_w, lucas_u,
@@ -119,9 +119,10 @@ def test_criterion_3():
         total += rep.checked
         sound = sound and rep.verified and rep.checked > 0 and not bad
 
-    (w1,) = check_divisibility("D01", {"r": 3, "m": 3})
-    (w2,) = check_divisibility("D06", {"n": 3})
-    (w3,) = check_divisibility("D21", {"p": 1, "q": -1, "r": 2, "n": 4})
+    (w1,) = evaluate_entry(get_entry("D01"), {"r": 3, "m": 3}).witnesses
+    (w2,) = evaluate_entry(get_entry("D06"), {"n": 3}).witnesses
+    (w3,) = evaluate_entry(get_entry("D21"),
+                           {"p": 1, "q": -1, "r": 2, "n": 4}).witnesses
     spots = ((w1.divisor, w1.dividend, w1.quotient) == (2, 34, 17)
              and (w2.divisor, w2.dividend, w2.quotient) == (5, 110, 22)
              and (w3.divisor, w3.dividend, w3.quotient) == (3, 21, 7))
@@ -187,24 +188,25 @@ def test_criterion_5():
 
         for r, t, n in itertools.product((1, 2, 3, -2), (-2, 0, 1, 3),
                                          (0, 1, 2, 4)):
-            ev = evaluate_identity(
-                "H01", {"p": 1, "q": -1, "a": a0, "b": b0,
-                        "r": r, "t": t, "n": n}, ctx)
+            ev = evaluate_entry(
+                get_entry("H01"), {"p": 1, "q": -1, "a": a0, "b": b0,
+                                   "r": r, "t": t, "n": n}, ctx)
             left = sum(neg_one(r * j) * classic(r * (n - 2 * j) + t)
                        for j in range(n + 1))
             ok = ok and ev.ok and all(s.value == left for s in ev.sides)
 
     # polynomial identity at x = 1 against the numeric Fibonacci entry
     for n in range(11):
-        closed = evaluate_identity("I07", {"r": 1, "n": n}, ctx).sides[-1].value
-        for side in evaluate_identity("P01", {"n": n}, ctx).sides:
+        closed = evaluate_entry(get_entry("I07"), {"r": 1, "n": n},
+                                ctx).sides[-1].value
+        for side in evaluate_entry(get_entry("P01"), {"n": n}, ctx).sides:
             ok = ok and poly_eval(side.value, 1) == closed
 
     # Pell specialization against the Pell fast path
     for n in range(13):
         expected_left = sum(neg_one(j) * pell_lucas(n - 2 * j)
                             for j in range(n + 1))
-        ev = evaluate_identity("P02", {"n": n}, ctx)
+        ev = evaluate_entry(get_entry("P02"), {"n": n}, ctx)
         values = [s.value for s in ev.sides]
         ok = ok and ev.ok and values[0] == expected_left \
             and values[-1] == 2 * pell(n + 1)

@@ -16,8 +16,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fibsums.identities import (RejectedInstance, check_divisibility,
-                                evaluate_identity)
+from fibsums.identities import RejectedInstance, evaluate_entry, get_entry
 
 ONE = Fraction(1)
 
@@ -46,7 +45,7 @@ def sign(e):
 def sides_of(entry_id, bindings):
     """{variant or None: {label: value}} of one instance; skips rejections."""
     try:
-        ev = evaluate_identity(entry_id, bindings)
+        ev = evaluate_entry(get_entry(entry_id), bindings)
     except RejectedInstance:
         assume(False)
     out = {}
@@ -248,7 +247,7 @@ NONZERO = st.integers(-4, 4).filter(bool)
 
 def witnesses_of(entry_id, bindings):
     try:
-        return check_divisibility(entry_id, bindings)
+        return evaluate_entry(get_entry(entry_id), bindings).witnesses
     except RejectedInstance:
         assume(False)
 

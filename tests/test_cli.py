@@ -14,7 +14,7 @@ import pytest
 import fibsums
 from fibsums import cli
 from fibsums.cli import main
-from fibsums.identities import SweepReport, catalog, resolve_axes
+from fibsums.identities import ENTRIES, SweepReport, resolve_axes
 from fibsums.reports import document
 
 DOCUMENT_SCHEMA = {
@@ -418,8 +418,8 @@ class TestRangeFlags:
     --all), so the sweep is replaced by one that records what it is given.
     """
 
-    CASES = [("verify", e) for e in catalog()] + [
-        ("div", e) for e in catalog() if e.kind == "divisibility"]
+    CASES = [("verify", e) for e in ENTRIES] + [
+        ("div", e) for e in ENTRIES if e.kind == "divisibility"]
 
     @pytest.mark.parametrize("command,entry", CASES,
                              ids=[f"{c}-{e.id}" for c, e in CASES])

@@ -30,13 +30,13 @@ from hypothesis import strategies as st
 
 import fibsums
 from fibsums import cli
-from fibsums.identities import catalog
+from fibsums.identities import ENTRIES
 
 resource = pytest.importorskip("resource")
 
 BOUND, POINTS, INDEX = cli.MAX_RANGE_BOUND, cli.MAX_RANGE_POINTS, cli.MAX_SEQ_INDEX
-ENTRIES = {e.id: e for e in catalog()}
-D_IDS = [i for i, e in ENTRIES.items() if e.kind == "divisibility"]
+BY_ID = {e.id: e for e in ENTRIES}
+D_IDS = [i for i, e in BY_ID.items() if e.kind == "divisibility"]
 UNKNOWN_IDS = ["I00", "D23", "i01", "LEM7", "X"]
 FORMATS = [None, None, "json", "csv", "xml"]
 SRC = os.path.dirname(os.path.dirname(fibsums.__file__))
@@ -88,14 +88,14 @@ AT_POINTS = [_range("zz", -500, 499), _range("yy", -500, 499)]
 
 @st.composite
 def sweep_argv(draw, command):
-    ids = list(ENTRIES) if command == "verify" else D_IDS
+    ids = list(BY_ID) if command == "verify" else D_IDS
     target = draw(st.sampled_from(["known", "known", "known", "other", "unknown",
                                    "none", "all"]))
     if target in ("known", "other"):
         # "other": a verify-only id given to div, or a D id given to verify
-        pool = ids if target == "known" else [i for i in ENTRIES if i not in ids] or ids
+        pool = ids if target == "known" else [i for i in BY_ID if i not in ids] or ids
         entry_id = draw(st.sampled_from(pool))
-        argv = [command, entry_id, *draw(ranges(ENTRIES[entry_id].params))]
+        argv = [command, entry_id, *draw(ranges(BY_ID[entry_id].params))]
     elif target == "unknown":
         argv = [command, draw(st.sampled_from(UNKNOWN_IDS)),
                 *draw(st.sampled_from([[], ["--n=0..2"], AT_POINTS]))]
@@ -178,7 +178,7 @@ def assert_complete_report(argv, out):
         assert rows[0][0] == "identity" and len(rows) == 2
         assert rows[1][0] == entry_id and rows[1][5] == "False"
     else:
-        params = list(ENTRIES[entry_id].params)
+        params = list(BY_ID[entry_id].params)
         assert rows[0] == params + ["label", "divisor", "dividend", "quotient",
                                     "residue"]
         assert all(len(row) == len(rows[0]) for row in rows)

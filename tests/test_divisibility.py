@@ -1,4 +1,5 @@
-"""Divisibility entries: witness soundness, frozen quotients, rejections."""
+"""Divisibility entries: witness soundness, frozen quotients, rejections;
+the classic entries as specialisations of the Horadam theorems."""
 
 import csv
 import dataclasses
@@ -11,9 +12,9 @@ import pytest
 from test_mutation import _sub_grid
 
 from fibsums.identities import (ENTRIES, Context, RejectedInstance, Witness,
-                                axis, check_divisibility, evaluate_entry,
-                                evaluate_identity, get_entry, make_witness,
+                                axis, evaluate_entry, get_entry, make_witness,
                                 sweep)
+from fibsums.polynomials import poly_eval
 from fibsums.reports import (div_csv, document, sweep_payload, to_json,
                              witness_row)
 from fibsums.scalars import QuadExt, Rat
@@ -112,31 +113,32 @@ class TestWitnessContract:
 
 class TestFrozenWitnesses:
     def test_fib_divides_fib_multiple(self):
-        (w,) = check_divisibility("D01", {"r": 3, "m": 3})
+        (w,) = evaluate_entry(get_entry("D01"), {"r": 3, "m": 3}).witnesses
         assert w.label == "F_r | F_(mr)"
         assert (w.divisor, w.dividend, w.quotient, w.residue) == (2, 34, 17, None)
 
     def test_negative_index_witnesses(self):
-        (w,) = check_divisibility("D01", {"r": -3, "m": 3})
+        (w,) = evaluate_entry(get_entry("D01"), {"r": -3, "m": 3}).witnesses
         assert (w.divisor, w.dividend, w.quotient) == (2, 34, 17)
-        (w,) = check_divisibility("D01", {"r": -4, "m": 2})
+        (w,) = evaluate_entry(get_entry("D01"), {"r": -4, "m": 2}).witnesses
         assert (w.divisor, w.dividend, w.quotient) == (-3, -21, 7)
         assert w.divisor * w.quotient == w.dividend
 
     def test_constant_modulus_family(self):
-        (w,) = check_divisibility("D06", {"n": 3})
+        (w,) = evaluate_entry(get_entry("D06"), {"n": 3}).witnesses
         assert (w.divisor, w.dividend, w.quotient) == (5, 110, 22)
 
     def test_partial_bindings_emit_partial_witnesses(self):
-        witnesses = check_divisibility("D21", {"p": 1, "q": -1, "r": 2, "n": 4})
+        witnesses = evaluate_entry(
+            get_entry("D21"), {"p": 1, "q": -1, "r": 2, "n": 4}).witnesses
         assert [w.label for w in witnesses] == ["v_r | u_(rn)"]
         w = witnesses[0]
         assert (w.divisor, w.dividend, w.quotient) == (3, 21, 7)
 
     def test_full_bindings_emit_all_witnesses(self):
-        witnesses = check_divisibility(
-            "D21", {"p": 1, "q": -1, "a": 2, "b": 1, "r": 2, "m": 3,
-                    "t": 2, "n": 4})
+        witnesses = evaluate_entry(
+            get_entry("D21"), {"p": 1, "q": -1, "a": 2, "b": 1, "r": 2,
+                               "m": 3, "t": 2, "n": 4}).witnesses
         assert [w.label for w in witnesses] == [
             "v_r | v_(rm)",
             "v_r | w_(t+rn) - q^(rn) w_(t-rn)",
@@ -145,15 +147,15 @@ class TestFrozenWitnesses:
         assert all(w.ok for w in witnesses)
 
     def test_five_parameter_entry_spot(self):
-        (w,) = check_divisibility(
-            "D22", {"p": 3, "q": 2, "a": 0, "b": 1, "m": 1, "s": 0,
-                    "r": 2, "t": 0, "n": 1})
+        (w,) = evaluate_entry(
+            get_entry("D22"), {"p": 3, "q": 2, "a": 0, "b": 1, "m": 1,
+                               "s": 0, "r": 2, "t": 0, "n": 1}).witnesses
         assert (w.divisor, w.dividend, w.quotient) == (40, 120, 3)
 
 
 class TestCombinedEntries:
     def test_decomposition_sides_plus_two_witnesses(self):
-        ev = evaluate_identity("D11", {"r": 2, "n": 1})
+        ev = evaluate_entry(get_entry("D11"), {"r": 2, "n": 1})
         assert ev.ok
         assert [s.group for s in ev.sides] == ["decomposition", "decomposition"]
         assert ev.sides[0].value == ev.sides[1].value == -45
@@ -161,17 +163,17 @@ class TestCombinedEntries:
             == [(5, -45, -9), (1, 8, 8)]
 
     def test_particular_case_appears_only_at_its_point(self):
-        at_point = evaluate_identity("D14", {"r": 2, "t": 0, "n": 1})
+        at_point = evaluate_entry(get_entry("D14"), {"r": 2, "t": 0, "n": 1})
         assert len(at_point.witnesses) == 2
         assert {s.group for s in at_point.sides} == {"mod-11 particular"}
         assert all(w.ok for w in at_point.witnesses)
 
-        elsewhere = evaluate_identity("D14", {"r": 3, "t": 1, "n": 1})
+        elsewhere = evaluate_entry(get_entry("D14"), {"r": 3, "t": 1, "n": 1})
         assert len(elsewhere.witnesses) == 1
         assert elsewhere.sides == []
 
     def test_partner_entry_particular_case(self):
-        ev = evaluate_identity("D15", {"r": 2, "t": 0, "n": 2})
+        ev = evaluate_entry(get_entry("D15"), {"r": 2, "t": 0, "n": 2})
         assert len(ev.witnesses) == 2
         assert all(w.ok for w in ev.witnesses)
         assert ev.witnesses[0].divisor == 11      # denominator at r = 2
@@ -180,27 +182,28 @@ class TestCombinedEntries:
 class TestRejections:
     def test_zero_divisor_is_a_domain_rejection(self):
         with pytest.raises(RejectedInstance) as exc:
-            evaluate_identity("D01", {"r": 0, "m": 1})
+            evaluate_entry(get_entry("D01"), {"r": 0, "m": 1})
         assert "r != 0" in exc.value.predicate
 
     def test_parity_guards(self):
         with pytest.raises(RejectedInstance) as exc:
-            evaluate_identity("D02", {"r": 2, "m": 2})
+            evaluate_entry(get_entry("D02"), {"r": 2, "m": 2})
         assert exc.value.predicate == "m odd"
         with pytest.raises(RejectedInstance) as exc:
-            evaluate_identity("D21", {"p": 1, "q": -1, "r": 2, "n": 3})
+            evaluate_entry(get_entry("D21"), {"p": 1, "q": -1, "r": 2, "n": 3})
         assert exc.value.predicate == "n even and n >= 2"
 
     def test_ordering_guard(self):
         with pytest.raises(RejectedInstance) as exc:
-            evaluate_identity("D22", {"p": 3, "q": 2, "a": 0, "b": 1, "m": 2,
-                                      "s": 0, "r": 1, "t": 0, "n": 1})
+            evaluate_entry(get_entry("D22"), {"p": 3, "q": 2, "a": 0, "b": 1,
+                                              "m": 2, "s": 0, "r": 1, "t": 0,
+                                              "n": 1})
         assert exc.value.predicate == "r >= m >= s >= 0"
 
     def test_integrality_guard_on_generalized_sequences(self):
         # u_{-1}(3, 2) = -1/2 is not an integer, so no witness is attempted
         with pytest.raises(RejectedInstance) as exc:
-            evaluate_identity("D20", {"p": 3, "q": 2, "r": -1, "n": 1})
+            evaluate_entry(get_entry("D20"), {"p": 3, "q": 2, "r": -1, "n": 1})
         assert "integers" in exc.value.predicate
 
     @pytest.mark.parametrize("p, q, below_zero_rejected, counts",
@@ -361,6 +364,95 @@ class TestCorollaryTable:
             nonzero += quotient != 0
         assert nonzero
         assert (sourced, len(points) - sourced) == (held, unsourced)
+
+
+#: Horadam bindings at (p, q) = (1, -1) and t = 0, where w is L or F.
+LUCAS_W = {"p": 1, "q": -1, "a": 2, "b": 1, "t": 0}
+FIB_W = {**LUCAS_W, "a": 0, "b": 1}
+#: Where a P entry's polynomial sides are read.
+XS = [x for x in range(-4, 5) if x]
+THREE = ("left sum", "middle sum", "closed form")
+SAME = dict(zip(THREE, THREE))
+AS_PROVED = dict(zip(("left sum", "middle sum, weight 1/2^(j+1)",
+                      "closed form"), THREE))
+
+#: classic entry -> (Horadam entry, the map from the classic bindings and x
+#: to the Horadam's, classic slot -> Horadam slot, factor, (points the
+#: classic guards reject, points compared, points the Horadam guards
+#: reject)): each classic slot is factor times its Horadam slot at every
+#: default-grid point, at every x in XS for a P entry. The Horadam guards
+#: reject I08's and I09's r = 0 at n >= 1 (u_r = 0), which rest on the
+#: classic argument alone.
+SPECIALISATIONS = {
+    "I07": ("H01", lambda b, x: {**LUCAS_W, **b}, SAME, lambda b: 1,
+            (11, 132, 0)),
+    "I12": ("H04", lambda b, x: {**LUCAS_W, **b}, SAME, lambda b: 1,
+            (11, 132, 0)),
+    "I13": ("H04", lambda b, x: {**FIB_W, **b}, SAME, lambda b: 1,
+            (11, 132, 0)),
+    "I08": ("H06", lambda b, x: {**LUCAS_W, **b}, SAME, lambda b: 1,
+            (0, 133, 10)),
+    "I09": ("H07", lambda b, x: {**FIB_W, **b}, SAME, lambda b: 1,
+            (0, 133, 10)),
+    "I10": ("H05", lambda b, x: {**LUCAS_W, "m": 0, "s": 1, **b}, AS_PROVED,
+            lambda b: 1, (0, 143, 0)),
+    "I11": ("H05", lambda b, x: {**FIB_W, "m": 0, "s": 1, **b}, AS_PROVED,
+            lambda b: 1, (0, 143, 0)),
+    "I02": ("H03", lambda b, x: {"p": 1, "q": -1, **b},
+            {"sum": "middle sum", "closed form": "closed form"},
+            lambda b: 2 ** b["n"], (0, 11, 0)),
+    "P02": ("H03", lambda b, x: {"p": 2, "q": -1, **b},
+            dict(zip(("alternating sum", "unit-weight sum", "closed form"),
+                     THREE)), lambda b: 1, (0, 16, 0)),
+    # L_n(x) = v_n(x, -1) and F_n(x) = u_n(x, -1)
+    "P01": ("H03", lambda b, x: {"p": x, "q": -1, **b},
+            dict(zip(("alternating sum", "halved sum", "closed form"), THREE)),
+            lambda b: 1, (0, 128, 0)),
+    # 2 T_n(x) = v_n(2x, 1) and U_n(x) = u_(n+1)(2x, 1)
+    "P05": ("H03", lambda b, x: {"p": 2 * x, "q": 1, **b},
+            dict(zip(("folded sum", "convolution sum", "closed form"), THREE)),
+            lambda b: Fraction(1, 2), (0, 168, 0)),
+}
+
+#: Classic entries with no Horadam parent found yet: each is a candidate for
+#: a new generalisation. I01 is the identity in u and v the sums are derived
+#: from; it reads no sequence.
+UNMAPPED = ("I03", "I04", "I05", "I06", "I14", "I15", "I16", "I17", "I18",
+            "P03", "P04", "P06")
+
+
+class TestHoradamSpecialisations:
+    @pytest.mark.parametrize("classic_id", SPECIALISATIONS)
+    def test_classic_slots_are_horadam_slots(self, classic_id):
+        horadam_id, to_horadam, slots, factor, counts = \
+            SPECIALISATIONS[classic_id]
+        classic, horadam = get_entry(classic_id), get_entry(horadam_id)
+        ctx, points = Context(), []
+        rep = sweep(classic, None, ctx, on_result=points.append)
+        assert rep.verified and len(points) == rep.checked
+        compared = unsourced = 0
+        for ev in points:
+            mine = {s.label: s.value for s in ev.sides}
+            polynomial = type(ev.sides[0].value) is tuple
+            for x in XS if polynomial else [None]:
+                try:
+                    theirs = evaluate_entry(
+                        horadam, to_horadam(ev.bindings, x), ctx).sides
+                except RejectedInstance:
+                    unsourced += 1
+                    continue
+                theirs = {s.label: s.value for s in theirs}
+                for label, source in slots.items():
+                    value = poly_eval(mine[label], x) if polynomial \
+                        else mine[label]
+                    assert value == factor(ev.bindings) * theirs[source], \
+                        (ev.bindings, x, label)
+                compared += 1
+        assert (rep.rejected, compared, unsourced) == counts
+
+    def test_every_classic_entry_is_mapped_or_listed(self):
+        classic = [e.id for e in ENTRIES if e.id[0] in "IP"]
+        assert sorted(["I01", *SPECIALISATIONS, *UNMAPPED]) == classic
 
 
 class TestDigitLimit:

@@ -722,6 +722,26 @@ class TestExactBindings:
                                        "n": range(11)})
         assert rep.verified and rep.checked == 22
 
+    # I07 reads r's parity by a bit test and H06's v_r != 0 guard indexes a
+    # table by r: an integral Fraction or Rat there would be a TypeError
+    @pytest.mark.parametrize("entry_id,bindings,value,r", [
+        ("I07", {"n": 1}, Fraction(4, 2), 2),
+        ("I07", {"n": 1}, True, 1),
+        ("H06", {"p": 1, "q": -1, "a": 2, "b": 1, "t": 0, "n": 1}, Rat(2, 1), 2),
+    ], ids=["I07-Fraction", "I07-bool", "H06-Rat"])
+    def test_integer_parameters_take_only_ints(self, entry_id, bindings,
+                                               value, r):
+        entry = get_entry(entry_id)
+        message = f"{entry_id}: parameter r takes integers, not {value!r}"
+        with pytest.raises(engine.UsageError) as exc:
+            evaluate_entry(entry, {**bindings, "r": value})
+        assert str(exc.value) == message
+        with pytest.raises(engine.UsageError) as exc:
+            sweep(entry, {k: [v] for k, v in {**bindings, "r": value}.items()})
+        assert str(exc.value) == message
+        assert evaluate_entry(entry, {**bindings, "r": r}).ok
+        assert sweep(entry, {k: [v] for k, v in {**bindings, "r": r}.items()}).verified
+
 
 class TestD22GuardOrder:
     def test_x_guard_runs_once_per_row(self):

@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from fibsums.identities import (ENTRIES, Axis, Context, RejectedInstance,
-                                UsageError, catalog, check_divisibility,
-                                evaluate_identity, get_entry, sury_f, sweep,
-                                verify_grid)
+                                UsageError, evaluate_entry, get_entry, irange,
+                                sury_f, sweep)
 from fibsums.polynomials import poly_eval
 from fibsums.scalars import QuadExt, fib_roots
 
@@ -23,16 +22,16 @@ FLAGGED = {"I10", "I11", "I16", "I17", "H10"}
 
 class TestCatalog:
     def test_size_and_order(self):
-        assert [e.id for e in catalog()] == EXPECTED_IDS
+        assert [e.id for e in ENTRIES] == EXPECTED_IDS
         assert len(ENTRIES) == 62
 
     def test_kinds(self):
-        for e in catalog():
+        for e in ENTRIES:
             expected = "divisibility" if e.id.startswith("D") else "identity"
             assert e.kind == expected
 
     def test_entries_are_well_formed(self):
-        for e in catalog():
+        for e in ENTRIES:
             assert e.params and all(isinstance(p, str) for p in e.params)
             assert e.statement and e.domain
             # params are the grid's names: each is bound by one axis only
@@ -41,12 +40,12 @@ class TestCatalog:
 
     def test_guards_need_only_entry_params(self):
         # a guard that needs a parameter the entry lacks is never checked
-        for e in catalog():
+        for e in ENTRIES:
             for g in e.guards:
                 assert set(g.needs) <= set(e.params), (e.id, g.text)
 
     def test_variant_declarations(self):
-        for e in catalog():
+        for e in ENTRIES:
             if e.id in FLAGGED:
                 assert e.flagged
                 assert e.variants == ("as-printed", "as-proved")
@@ -65,60 +64,62 @@ class TestCatalog:
 
 class TestEvaluate:
     def test_frozen_three_way_values(self):
-        ev = evaluate_identity("I07", {"r": 2, "n": 2})
+        ev = evaluate_entry(get_entry("I07"), {"r": 2, "n": 2})
         assert [s.value for s in ev.sides] == [16, 16, 16]
         assert ev.ok and ev.first_diff is None
         assert ev.variant_ok == {"as-stated": True}
 
-        ev = evaluate_identity("I08", {"r": 1, "n": 1})
+        ev = evaluate_entry(get_entry("I08"), {"r": 1, "n": 1})
         assert [s.value for s in ev.sides] == [8, 8, 8]
 
-        ev = evaluate_identity("H03", {"p": 3, "q": 2, "n": 2})
+        ev = evaluate_entry(get_entry("H03"), {"p": 3, "q": 2, "n": 2})
         assert [s.value for s in ev.sides] == [14, 14, 14]
 
     def test_frozen_four_way_generating_sum(self):
-        ev = evaluate_identity("I06", {"x": 2, "y": 1, "n": 2})
+        ev = evaluate_entry(get_entry("I06"), {"x": 2, "y": 1, "n": 2})
         assert [s.value for s in ev.sides] == [14, 14, 14, 14]
 
     def test_polynomial_sides_specialize(self):
-        ev = evaluate_identity("P02", {"n": 3})
+        ev = evaluate_entry(get_entry("P02"), {"n": 3})
         assert [s.value for s in ev.sides] == [24, 24, 24]
         # P01 at x = 1 collapses onto I07 at r = 1
         for n in range(8):
-            closed = evaluate_identity("I07", {"r": 1, "n": n}).sides[-1].value
-            for side in evaluate_identity("P01", {"n": n}).sides:
+            closed = evaluate_entry(get_entry("I07"),
+                                    {"r": 1, "n": n}).sides[-1].value
+            for side in evaluate_entry(get_entry("P01"), {"n": n}).sides:
                 assert poly_eval(side.value, 1) == closed
 
     def test_generalized_specializes_to_classic(self):
-        ev = evaluate_identity(
-            "H01", {"p": 1, "q": -1, "a": 0, "b": 1, "r": 2, "t": 1, "n": 2})
+        ev = evaluate_entry(
+            get_entry("H01"),
+            {"p": 1, "q": -1, "a": 0, "b": 1, "r": 2, "t": 1, "n": 2})
         assert ev.ok
         assert [s.value for s in ev.sides] == [8, 8, 8]
 
     def test_guard_rejection_names_predicate(self):
         with pytest.raises(RejectedInstance) as exc:
-            evaluate_identity("I07", {"r": 0, "n": 1})
+            evaluate_entry(get_entry("I07"), {"r": 0, "n": 1})
         assert exc.value.entry_id == "I07"
         assert "r != 0" in exc.value.predicate
         assert exc.value.bindings == {"r": 0, "n": 1}
 
         with pytest.raises(RejectedInstance) as exc:
-            evaluate_identity("H03", {"p": 0, "q": 1, "n": 1})
+            evaluate_entry(get_entry("H03"), {"p": 0, "q": 1, "n": 1})
         assert "p != 0" in exc.value.predicate
 
     def test_binding_validation(self):
         with pytest.raises(UsageError, match="missing parameter"):
-            evaluate_identity("I07", {"r": 1})
+            evaluate_entry(get_entry("I07"), {"r": 1})
         with pytest.raises(UsageError, match="unknown parameter"):
-            evaluate_identity("I07", {"r": 1, "n": 1, "z": 9})
+            evaluate_entry(get_entry("I07"), {"r": 1, "n": 1, "z": 9})
         with pytest.raises(UsageError, match="unknown catalog id"):
-            evaluate_identity("NOPE", {"n": 1})
+            evaluate_entry(get_entry("NOPE"), {"n": 1})
 
     def test_shared_context_is_equivalent(self):
         ctx = Context()
-        a = evaluate_identity("I07", {"r": 3, "n": 4}, ctx)
-        b = evaluate_identity("I07", {"r": 3, "n": 4}, ctx)
-        fresh = evaluate_identity("I07", {"r": 3, "n": 4})
+        a = evaluate_entry(get_entry("I07"), {"r": 3, "n": 4}, ctx)
+        b = evaluate_entry(get_entry("I07"), {"r": 3, "n": 4}, ctx)
+        fresh = evaluate_entry(get_entry("I07"), {"r": 3, "n": 4})
         assert [s.value for s in a.sides] == [s.value for s in b.sides] \
             == [s.value for s in fresh.sides]
 
@@ -156,7 +157,8 @@ class TestGeneratingSum:
         (2, 1, -1, "n >= 0")])
     def test_rejection_names_the_first_failing_guard_of_i06(self, x, y, n, first):
         for check in (lambda: sury_f(x, y, n),
-                      lambda: evaluate_identity("I06", {"x": x, "y": y, "n": n})):
+                      lambda: evaluate_entry(get_entry("I06"),
+                                             {"x": x, "y": y, "n": n})):
             with pytest.raises(RejectedInstance) as exc:
                 check()
             assert exc.value.predicate == first
@@ -177,7 +179,7 @@ class TestGeneratingSum:
 
 class TestVariants:
     def test_two_readings_disagree_generically(self):
-        ev = evaluate_identity("I10", {"r": 3, "n": 2})
+        ev = evaluate_entry(get_entry("I10"), {"r": 3, "n": 2})
         assert ev.variant_ok == {"as-printed": False, "as-proved": True}
         assert ev.ok                      # verdict follows the primary reading
         assert ev.first_diff is None
@@ -185,18 +187,19 @@ class TestVariants:
         for entry_id in ("I11", "I16", "I17"):
             bindings = {"r": 3, "n": 2} if entry_id == "I11" \
                 else {"r": 3, "t": 2, "n": 1}
-            ev = evaluate_identity(entry_id, bindings)
+            ev = evaluate_entry(get_entry(entry_id), bindings)
             assert ev.variant_ok == {"as-printed": False, "as-proved": True}, \
                 entry_id
 
     def test_shifted_reading_agrees_only_without_shift(self):
-        both = evaluate_identity("H10", {"p": 1, "q": -1, "r": 2, "t": 0, "n": 1})
+        h10 = get_entry("H10")
+        both = evaluate_entry(h10, {"p": 1, "q": -1, "r": 2, "t": 0, "n": 1})
         assert both.variant_ok == {"as-printed": True, "as-proved": True}
-        shifted = evaluate_identity("H10", {"p": 1, "q": -1, "r": 2, "t": 1, "n": 1})
+        shifted = evaluate_entry(h10, {"p": 1, "q": -1, "r": 2, "t": 1, "n": 1})
         assert shifted.variant_ok == {"as-printed": False, "as-proved": True}
 
     def test_flagged_sweep_verifies_via_single_reading(self):
-        rep = verify_grid("I10", {"r": (1, 3), "n": (0, 2)})
+        rep = sweep(get_entry("I10"), {"r": irange(1, 3), "n": irange(0, 2)})
         assert rep.checked == 9 and rep.rejected == 0
         assert rep.variant_verified == {"as-printed": 0, "as-proved": 9}
         assert rep.verified and not rep.failures
@@ -204,34 +207,30 @@ class TestVariants:
 
 class TestVerifyGrid:
     def test_counts_and_verdict(self):
-        rep = verify_grid("I07", {"r": (-1, 1), "n": (0, 5)})
+        rep = sweep(get_entry("I07"), {"r": irange(-1, 1), "n": irange(0, 5)})
         assert rep.checked == 12
         assert rep.rejected == 6          # the r = 0 column
         assert rep.variant_verified == {"as-stated": 12}
         assert rep.verified and rep.failures == []
 
     def test_value_lists_and_scalars(self):
-        assert verify_grid("I07", {"r": [2], "n": [0, 1, 2]}).checked == 3
-        assert verify_grid("I07", {"r": 2, "n": 0}).checked == 1
+        assert sweep(get_entry("I07"), {"r": [2], "n": [0, 1, 2]}).checked == 3
 
     def test_fully_rejected_grid_does_not_verify(self):
-        rep = verify_grid("I07", {"r": 0, "n": 0})
+        rep = sweep(get_entry("I07"), {"r": [0], "n": [0]})
         assert rep.checked == 0 and rep.rejected == 1
         assert not rep.verified
 
     def test_override_validation(self):
         with pytest.raises(UsageError, match="unknown parameter"):
-            verify_grid("I07", {"z": (0, 1)})
+            sweep(get_entry("I07"), {"z": irange(0, 1)})
         with pytest.raises(UsageError, match="missing parameter"):
-            verify_grid("D21", {"m": [1]})    # p, q, r are required
+            sweep(get_entry("D21"), {"m": [1]})    # p, q, r are required
 
     def test_optional_parameters_run_partial_checks(self):
-        rep = verify_grid("D21", {"p": [1], "q": [-1], "r": (1, 2), "n": [2]})
+        rep = sweep(get_entry("D21"),
+                    {"p": [1], "q": [-1], "r": irange(1, 2), "n": [2]})
         assert rep.checked == 2 and rep.verified
-
-    def test_divisibility_gate(self):
-        with pytest.raises(UsageError, match="not a divisibility entry"):
-            check_divisibility("I07", {"r": 1, "n": 1})
 
 
 # |q| = 1 (integer terms both ways), |q| > 1 (fractions below index 0), and a
