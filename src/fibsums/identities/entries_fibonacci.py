@@ -7,33 +7,22 @@ that a divisibility corollary reuses are called from entries_common, where
 each is written once. Four entries (I10, I11, I16, I17) carry two readings
 of a printed summand under the variant protocol; the corrected reading is
 the one their proofs imply, and sweeps tally both so the report pins down
-exactly one verifying form. Rational values, I01's and I06's bindings
-included, are computed on the kernel ``Rat``, which a side reduces only
-when it is read; only ``sury_f`` returns Fractions.
+exactly one verifying form. Rational values are kernel ``Rat``s (see
+``scalars``); only ``sury_f`` returns Fractions.
 
-Shared factors and integer numerators. I16 and I17 visit each (r, n) once
-per shift t, so two builders called through ``ctx.memo`` build the weights
-of their left and middle sums once per Context and argument list, as
-integer numerators over one denominator (``int_weights``): ``_i16_left``,
-which both read, and ``_i16_middle``, keyed by the base letter of the first
-inner sum and the offset of the second's power of 5, which I16 reads at
-(L, 0) and I17 at (F, 0) as printed and (L, 1) as proved. A point then
-forms each sum as one integer dot product with its table terms
-(``weighted_sum``), summand by summand as printed. A summand c (x + y) is
-kept as the two products c x and c y, in that order.
-I18 builds the powers of L_(2k+r+s) and L_(r-s) once per point and forms
-its middle sum over the one denominator 2^n. Each side's weights come from
-that side's own printed expression, and the closed forms are still those
-of entries_common.
+Power-weighted sums. A sum sum_j x^j y^(n-j) X_j, the shape of most sides
+of I07-I18, takes its weights from ``scalars.power_weights`` and is one
+integer dot product with its terms (``scalars.weighted_sum``). I16 and I17
+visit each (r, n) once per shift t, so ``_i16_left`` and ``_i16_middle``
+build their weights once per Context through ``ctx.memo``.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
-from operator import mul
 from typing import NamedTuple
 
-from ..scalars import QuadExt, Rat, canonical, int_weights, weighted_sum
+from ..scalars import (QuadExt, Rat, canonical, joined_weights, power_weights,
+                       weighted_sum)
 from ..sequences import neg_one
 from .engine import (Entry, Guard, RejectedInstance, Slot,
                      _first_violated_guard, axis, irange, joint)
@@ -44,6 +33,12 @@ from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
                              _i17_num, _i18_num)
 
 HALVES = [Rat(k, 2) for k in range(-6, 7)]
+
+
+def _power_sum(x: int, y: int, n: int) -> int:
+    """sum_{j=0..n} x^j y^(n-j); a sum of (x/2)^j y^(n-j) is
+    _power_sum(x, 2y, n) / 2^n."""
+    return sum(power_weights(x, y, n)[0])
 
 
 def _kernel(x):
@@ -226,7 +221,7 @@ def _i07(ctx, b):
     r, n = b["r"], b["n"]
     L, F = ctx.luc(), ctx.fib()
     s1 = sum(neg_one(r * j) * L(r * (n - 2 * j)) for j in range(n + 1))
-    s2 = sum(Rat(L(r), 2) ** j * L(r * (n - j)) for j in range(n + 1))
+    s2 = weighted_sum(power_weights(Rat(L(r), 2), 1, n), *L.read(r * n, -r, n + 1))
     s3 = Rat(2 * F(r * (n + 1)), F(r))
     return (s1, s2, s3), ()
 
@@ -245,10 +240,12 @@ def _i08(ctx, b):
     r, n = b["r"], b["n"]
     L, F = ctx.luc(), ctx.fib()
     s1 = sum(neg_one(j * (r + 1)) * L(2 * r * (n - j)) for j in range(2 * n + 1))
-    s2 = (sum(Rat(F(r), 2) ** (2 * j) * 5 ** j * L(2 * r * (n - j))
-              for j in range(n + 1))
-          + sum(Rat(F(r), 2) ** (2 * j - 1) * 5 ** j * F(r * (2 * n - 2 * j + 1))
-                for j in range(1, n + 1)))
+    # (F_r/2)^(2j) 5^j = x^j, x = 5 F_r^2/4, and (F_r/2)^(2j-1) 5^j is
+    # 5 F_r/2 times x^(j-1)
+    powers, den = power_weights(Rat(5 * F(r) ** 2, 4), 1, n)
+    s2 = (weighted_sum((powers, den), *L.read(2 * r * n, -2 * r, n + 1))
+          + Rat(5 * F(r), 2) * weighted_sum((powers[:n], den),
+                                            *F.read(r * (2 * n - 1), -2 * r, n)))
     s3 = Rat(2 * L(r * (2 * n + 1)), L(r))
     return (s1, s2, s3), ()
 
@@ -268,10 +265,11 @@ def _i09(ctx, b):
     r, n = b["r"], b["n"]
     L, F = ctx.luc(), ctx.fib()
     s1 = sum(neg_one(j * (r + 1)) * F(r * (2 * n - 2 * j - 1)) for j in range(2 * n))
-    s2 = (sum(Rat(F(r), 2) ** (2 * j) * 5 ** j * F(r * (2 * n - 2 * j - 1))
-              for j in range(n))
-          + sum(Rat(F(r), 2) ** (2 * j - 1) * 5 ** (j - 1) * L(r * (2 * n - 2 * j))
-                for j in range(1, n + 1)))
+    # (F_r/2)^(2j) 5^j = x^j as in I08, and (F_r/2)^(2j-1) 5^(j-1) is F_r/2
+    # times x^(j-1)
+    powers = power_weights(Rat(5 * F(r) ** 2, 4), 1, n - 1)
+    s2 = (weighted_sum(powers, *F.read(r * (2 * n - 1), -2 * r, n))
+          + Rat(F(r), 2) * weighted_sum(powers, *L.read(2 * r * (n - 1), -2 * r, n)))
     s3 = Rat(2 * F(2 * r * n), L(r))
     return (s1, s2, s3), ()
 
@@ -294,17 +292,13 @@ I09 = Entry(
 def _i10(ctx, b):
     r, n = b["r"], b["n"]
     L, F = ctx.luc(), ctx.fib()
-    s1 = sum(F(r) ** j * F(r - 1) ** (n - j) * L(j) for j in range(n + 1))
-
-    def middle(shift):
-        # Rat(1, 2) ** e stays exact for the negative exponent at j = 0
-        return sum(Rat(1, 2) ** (j + shift) *
-                   (F(r) ** (n - j) * L(n + j * (r - 1)) +
-                    F(r - 1) ** (n - j) * L(r * j))
-                   for j in range(n + 1))
-
+    s1 = weighted_sum(power_weights(F(r), F(r - 1), n), *L.read(0, 1, n + 1))
+    # the middle sum at weight 1/2^j: the printed weight 1/2^(j-1) is twice
+    # it, the proved 1/2^(j+1) half of it
+    mid = (weighted_sum(power_weights(Rat(1, 2), F(r), n), *L.read(n, r - 1, n + 1))
+           + weighted_sum(power_weights(Rat(1, 2), F(r - 1), n), *L.read(0, r, n + 1)))
     s3 = Rat(_i10_num(ctx, b), ctx.memo(_i10_den, b["r"]))
-    return (s1, middle(-1), middle(+1), s3), ()
+    return (s1, 2 * mid, mid / 2, s3), ()
 
 
 I10 = Entry(
@@ -328,16 +322,11 @@ I10 = Entry(
 def _i11(ctx, b):
     r, n = b["r"], b["n"]
     F = ctx.fib()
-    s1 = sum(F(r) ** j * F(r - 1) ** (n - j) * F(j) for j in range(n + 1))
-
-    def middle(shift):
-        return sum(Rat(1, 2) ** (j + shift) *
-                   (F(r) ** (n - j) * F(n + j * (r - 1)) +
-                    F(r - 1) ** (n - j) * F(r * j))
-                   for j in range(n + 1))
-
+    s1 = weighted_sum(power_weights(F(r), F(r - 1), n), *F.read(0, 1, n + 1))
+    mid = (weighted_sum(power_weights(Rat(1, 2), F(r), n), *F.read(n, r - 1, n + 1))
+           + weighted_sum(power_weights(Rat(1, 2), F(r - 1), n), *F.read(0, r, n + 1)))
     s3 = Rat(_i11_num(ctx, b), ctx.memo(_i10_den, b["r"]))
-    return (s1, middle(-1), middle(+1), s3), ()
+    return (s1, 2 * mid, mid / 2, s3), ()
 
 
 I11 = Entry(
@@ -361,8 +350,10 @@ def _i12(ctx, b):
     r, n = b["r"], b["n"]
     L = ctx.luc()
     s1 = 2 * sum(neg_one(r * (n - j)) * L(2 * r * j) for j in range(n + 1))
-    s2 = sum(Rat(L(r), 2) ** j * (L(r * (2 * n - j)) + neg_one(r * (n - j)) * L(r * j))
-             for j in range(n + 1))
+    # (L_r/2)^j (-1)^(r(n-j)) is x^j y^(n-j) at y = (-1)^r
+    x = Rat(L(r), 2)
+    s2 = (weighted_sum(power_weights(x, 1, n), *L.read(2 * r * n, -r, n + 1))
+          + weighted_sum(power_weights(x, neg_one(r), n), *L.read(0, r, n + 1)))
     F = ctx.fib()
     s3 = Rat(2 * _i12_num(ctx, b), neg_one(r + 1) * 5 * F(r) ** 2)
     return (s1, s2, s3), ()
@@ -384,8 +375,9 @@ def _i13(ctx, b):
     r, n = b["r"], b["n"]
     L, F = ctx.luc(), ctx.fib()
     s1 = 2 * sum(neg_one(r * (n - j)) * F(2 * r * j) for j in range(n + 1))
-    s2 = sum(Rat(L(r), 2) ** j * (F(r * (2 * n - j)) + neg_one(r * (n - j)) * F(r * j))
-             for j in range(n + 1))
+    x = Rat(L(r), 2)
+    s2 = (weighted_sum(power_weights(x, 1, n), *F.read(2 * r * n, -r, n + 1))
+          + weighted_sum(power_weights(x, neg_one(r), n), *F.read(0, r, n + 1)))
     s3 = Rat(2 * _i13_num(ctx, b), neg_one(r + 1) * 5 * F(r) ** 2)
     return (s1, s2, s3), ()
 
@@ -405,16 +397,15 @@ I13 = Entry(
 def _i14(ctx, b):
     r, n = b["r"], b["n"]
     L, F = ctx.luc(), ctx.fib()
-    s1 = sum(L(2 * r) ** j * 2 ** (n - j + 1) for j in range(n + 1))
-    # the middle weight and the closed denominator swap with the parity of r
+    s1 = 2 * _power_sum(L(2 * r), 2, n)
+    # the middle weight c/2 and the closed denominator swap with the parity of r
     if r % 2 == 0:
-        s2 = sum(Rat(L(r) ** 2, 2) ** j * (L(2 * r) ** (n - j) + 2 ** (n - j))
-                 for j in range(n + 1))
+        c = L(r) ** 2
         s3 = Rat(2 * _i14_num(ctx, b), 5 * F(r) ** 2)
     else:
-        s2 = sum(Rat(5 * F(r) ** 2, 2) ** j * (L(2 * r) ** (n - j) + 2 ** (n - j))
-                 for j in range(n + 1))
+        c = 5 * F(r) ** 2
         s3 = Rat(2 * _i14_num(ctx, b), L(r) ** 2)
+    s2 = Rat(_power_sum(c, 2 * L(2 * r), n) + _power_sum(c, 4, n), 2 ** n)
     return (s1, s2, s3), ()
 
 
@@ -433,11 +424,10 @@ I14 = Entry(
 def _i15(ctx, b):
     r, n = b["r"], b["n"]
     L, F = ctx.luc(), ctx.fib()
-    s1 = 2 * sum(neg_one(r * j) * 4 ** j * F(r) ** (2 * n - 2 * j) * 5 ** (n - j)
-                 for j in range(n + 1))
-    s2 = sum(Rat(L(r) ** 2, 2) ** j
-             * (5 ** (n - j) * F(r) ** (2 * (n - j)) + neg_one(r * (n - j)) * 4 ** (n - j))
-             for j in range(n + 1))
+    # (-1)^(rj) 4^j and 5^(n-j) F_r^(2(n-j)) are powers of (-1)^r 4 and 5 F_r^2
+    y, z = neg_one(r) * 4, 5 * F(r) ** 2
+    s1 = 2 * _power_sum(y, z, n)
+    s2 = Rat(_power_sum(L(r) ** 2, 2 * z, n) + _power_sum(L(r) ** 2, 2 * y, n), 2 ** n)
     s3 = Rat(2 * ((5 * F(r) ** 2) ** (n + 1) - neg_one(r * (n + 1)) * 4 ** (n + 1)),
              5 * F(r) ** 2 - neg_one(r) * 4)
     return (s1, s2, s3), ()
@@ -462,25 +452,23 @@ I15 = Entry(
 def _i16_left(ctx, r, n):
     """Weights L_r^j L_(r-1)^(2n-j) of the I16 and I17 left sums."""
     L = ctx.luc()
-    lr, lr1 = L(r), L(r - 1)
-    return int_weights(lr ** j * lr1 ** (2 * n - j) for j in range(2 * n + 1))
+    return power_weights(L(r), L(r - 1), 2 * n)
 
 
 def _i16_middle(ctx, base, e, r, n):
-    """Middle-sum weights of I16 and I17: 5^j/2^(2j+1) L_r^(2n-2j) and
-    5^j/2^(2j+1) B_(r-1)^(2n-2j), in turn, per j of the first inner sum,
-    B = F for base "F" and L for "L"; then 5^(j-e)/2^(2j) L_r^(2n-2j+1) and
-    5^(j-e)/2^(2j) L_(r-1)^(2n-2j+1) per j of the second."""
+    """Middle-sum weights of I16 and I17 over one denominator: the first
+    inner sum's 5^j/2^(2j+1) L_r^(2n-2j), then its 5^j/2^(2j+1) B_(r-1)^(2n-2j)
+    (B = F for base "F", L for "L"), then the second's 5^(j-e)/2^(2j) c^(2n-2j+1)
+    for c = L_r, then L_(r-1). With x = 5/4, these are x^j (c^2)^(n-j) / 2 for
+    each base c of the first, and c / 5^e times x^j (c^2)^(n-j), j >= 1."""
     L = ctx.luc()
     lr, lr1 = L(r), L(r - 1)
     br1 = (ctx.fib() if base == "F" else L)(r - 1)
-    first = [Rat(5 ** j, 2 ** (2 * j + 1)) for j in range(n + 1)]
-    second = [Rat(5 ** (j - e), 2 ** (2 * j)) for j in range(1, n + 1)]
-    return int_weights(
-        [x for j, c in enumerate(first)
-         for x in (c * lr ** (2 * n - 2 * j), c * br1 ** (2 * n - 2 * j))]
-        + [x for j, c in enumerate(second, 1)
-           for x in (c * lr ** (2 * n - 2 * j + 1), c * lr1 ** (2 * n - 2 * j + 1))])
+    (a, da), (b, db), (c, dc) = (power_weights(Rat(5, 4), y * y, n)
+                                 for y in (lr, br1, lr1))
+    return joined_weights((a, 2 * da), (b, 2 * db),
+                          ([lr * y for y in a[1:]], 5 ** e * da),
+                          ([lr1 * y for y in c[1:]], 5 ** e * dc))
 
 
 def _i16(ctx, b):
@@ -488,14 +476,13 @@ def _i16(ctx, b):
     L, F = ctx.luc(), ctx.fib()
     # both readings differ in an index only, so they share the middle weights
     left, mid = ctx.memo(_i16_left, r, n), ctx.memo(_i16_middle, "L", 0, r, n)
-    s1 = weighted_sum(left, [L(j + t) for j in range(2 * n + 1)])
-    first = [x for j in range(n + 1)
-             for x in (L(2 * n - 2 * j + 2 * j * r + t), L(2 * j * r + t))]
+    s1 = weighted_sum(left, *L.read(t, 1, 2 * n + 1))
+    first = ([L(2 * n - 2 * j + 2 * j * r + t) for j in range(n + 1)]
+             + [L(2 * j * r + t) for j in range(n + 1)])
 
     def second(extra):
-        return [x for j in range(1, n + 1)
-                for x in (F(2 * n - 2 * j + extra + (2 * j - 1) * r + t),
-                          F((2 * j - 1) * r + t))]
+        return ([F(2 * n - 2 * j + extra + (2 * j - 1) * r + t) for j in range(1, n + 1)]
+                + [F((2 * j - 1) * r + t) for j in range(1, n + 1)])
 
     s3 = Rat(_i16_num(ctx, b), ctx.memo(_i16_den, b["r"]))
     return (s1, weighted_sum(mid, first + second(0)),
@@ -531,14 +518,13 @@ def _i17(ctx, b):
     # as printed: B = F and 5^j in the second inner sum; as proved: L, 5^(j-1)
     printed = ctx.memo(_i16_middle, "F", 0, r, n)
     proved = ctx.memo(_i16_middle, "L", 1, r, n)
-    s1 = weighted_sum(left, [F(j + t) for j in range(2 * n + 1)])
-    first = [x for j in range(n + 1)
-             for x in (F(2 * n - 2 * j + 2 * j * r + t), F(2 * j * r + t))]
+    s1 = weighted_sum(left, *F.read(t, 1, 2 * n + 1))
+    first = ([F(2 * n - 2 * j + 2 * j * r + t) for j in range(n + 1)]
+             + [F(2 * j * r + t) for j in range(n + 1)])
 
     def second(extra):
-        return [x for j in range(1, n + 1)
-                for x in (L(2 * n - 2 * j + extra + (2 * j - 1) * r + t),
-                          L((2 * j - 1) * r + t))]
+        return ([L(2 * n - 2 * j + extra + (2 * j - 1) * r + t) for j in range(1, n + 1)]
+                + [L((2 * j - 1) * r + t) for j in range(1, n + 1)])
 
     s3 = Rat(_i17_num(ctx, b), ctx.memo(_i16_den, b["r"]))
     return (s1, weighted_sum(printed, first + second(0)),
@@ -573,14 +559,11 @@ I17 = Entry(
 def _i18(ctx, b):
     r, k, s, n = b["r"], b["k"], b["s"], b["n"]
     L, F = ctx.luc(), ctx.fib()
-    # A^i and B^i for i = 0..n, A = L_(2k+r+s), B = L_(r-s), built once
-    pa = list(accumulate(repeat(L(2 * k + r + s), n), mul, initial=1))
-    pb = list(accumulate(repeat(L(r - s), n), mul, initial=1))
-    s1 = 2 * sum(neg_one((k + s) * j) * pb[j] * pa[n - j] for j in range(n + 1))
-    # the middle sum over 2^n: (c/2)^j = c^j 2^(n-j) / 2^n, c = L_(k+r) L_(k+s)
-    pc = accumulate(repeat(L(k + r) * L(k + s), n), mul, initial=1)
-    s2 = Rat(sum(c * 2 ** (n - j) * (pa[n - j] + neg_one((k + s) * (n - j)) * pb[n - j])
-                 for j, c in enumerate(pc)), 2 ** n)
+    # A = L_(2k+r+s), and B = (-1)^(k+s) L_(r-s), whose powers carry the signs
+    A, B = L(2 * k + r + s), neg_one(k + s) * L(r - s)
+    c = L(k + r) * L(k + s)
+    s1 = 2 * _power_sum(B, A, n)
+    s2 = Rat(_power_sum(c, 2 * A, n) + _power_sum(c, 2 * B, n), 2 ** n)
     s3 = Rat(2 * _i18_num(ctx, b), 5 * F(k + r) * F(k + s))
     return (s1, s2, s3), ()
 

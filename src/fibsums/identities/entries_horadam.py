@@ -21,25 +21,19 @@ its weights, and H10 (H07 at w = u) and H11 (H06 at w = v) read its
 ``_hNN_shared`` values. H05's guard and closed form, and D22, read
 X = q^m X0 and Y's coefficients from ``_h05_x`` and ``_h05_y``.
 
-Integer numerators. Each coefficient list is kept as integer numerators
-over one common denominator (``int_weights``). A point reads the terms of
-each side from its table as integers over one power of q: a progression
-k_0 + t, k_0 + d + t, ... as one read (``SeqTable.read``), a closed form's
-few terms, and the w_t that a middle sum multiplies, as one listed read
-(``SeqTable.at``). It then forms the side as one integer dot product and
-one ``Rat`` (``weighted_sum``), not as a ``Rat`` product and a ``Rat`` sum
-per term. A summand c (x + y) is kept as the two products c x and c y, in
-that order: H04 reads both terms of every summand of its middle sum from
-one progression, and H05 its middle sum's terms as one listed read over
-the index offsets its builder keeps. Every printed sum is still summed
-term by term as printed; only the factors no seed or shift can change are
-shared, and no sum is replaced by a shortcut derived from a recurrence.
+Integer numerators. Every coefficient list is integers over one
+denominator: powers from ``scalars.power_weights``, a few closed-form
+coefficients from ``int_weights``. A point reads each side's terms from its
+table as integers over one power of q (``SeqTable.read`` and ``at``) and
+forms the side as one integer dot product (``scalars.weighted_sum``). Only
+the factors no seed or shift can change are shared, and no printed sum is
+replaced by a shortcut derived from a recurrence.
 """
 
 from __future__ import annotations
 
-from ..scalars import Rat, int_weights, power, weighted_sum
-from ..sequences import neg_one
+from ..scalars import (Rat, int_weights, joined_weights, power, power_weights,
+                       weighted_sum)
 from .engine import Entry, Guard, Slot, axis, irange, joint
 from .entries_common import (GUARD_N, GUARD_PQ, GUARD_UR, GUARD_VR, PQ_AXES,
                              PQ_R_N_AXES, PQ_SEED_R_T_N_AXES, SUMS, _h05_x,
@@ -221,12 +215,12 @@ LEM6 = Entry(
 
 def _q_weights(ctx, q, r, count):
     """Weights q^(rj) for j < count."""
-    return int_weights(power(q, r * j) for j in range(count))
+    return power_weights(power(q, r), 1, count - 1)
 
 
 def _signed_q_weights(ctx, q, r, count):
     """Weights (-1)^j q^(rj) for j < count."""
-    return int_weights(neg_one(j) * power(q, r * j) for j in range(count))
+    return power_weights(-power(q, r), 1, count - 1)
 
 
 def _h01_shared(ctx, p, q, r, n):
@@ -234,7 +228,7 @@ def _h01_shared(ctx, p, q, r, n):
     the closed form's weights (1, -q^M, -q, q q^M) / (u_r Delta^2),
     M = r(n+1)."""
     u, v = ctx.u(p, q), ctx.v(p, q)
-    mid = sum(Rat(1, 2 ** (j + 1)) * v(r) ** j * v(r * (n - j)) for j in range(n + 1))
+    mid = weighted_sum(power_weights(Rat(v(r), 2), 1, n), *v.read(r * n, -r, n + 1)) / 2
     qM, den = power(q, r * (n + 1)), Rat(u(r) * _disc(p, q))
     return (ctx.memo(_q_weights, q, r, n + 1), int_weights((mid,)),
             int_weights(c / den for c in (1, -qM, -q, q * qM)))
@@ -289,7 +283,7 @@ def _h03(ctx, b):
     p, q, n = b["p"], b["q"], b["n"]
     u, v = ctx.u(p, q), ctx.v(p, q)
     s1 = weighted_sum(ctx.memo(_q_weights, q, 1, n + 1), *v.read(n, -2, n + 1))
-    s2 = sum(Rat(p, 2) ** j * v(n - j) for j in range(n + 1))
+    s2 = weighted_sum(power_weights(Rat(p, 2), 1, n), *v.read(n, -1, n + 1))
     return (s1, s2, 2 * u(n + 1)), ()
 
 
@@ -303,16 +297,16 @@ H03 = Entry(
 
 
 def _h04_shared(ctx, p, q, r, n):
-    """Weights 2 q^(r(n-j)) of the left sum; weights v_r^j / 2^j and
-    v_r^j q^(r(n-j)) / 2^j, in turn, of the middle sum's two terms per j;
-    the closed form's weights 2 (1, -q, -q^M, q q^M) / (u_r Delta^2),
+    """Weights 2 q^(r(n-j)) of the left sum; the middle sum's weights
+    v_r^j / 2^j of its first terms, then v_r^j q^(r(n-j)) / 2^j of its
+    second; the closed form's weights 2 (1, -q, -q^M, q q^M) / (u_r Delta^2),
     M = r(n+1)."""
     u, v = ctx.u(p, q), ctx.v(p, q)
-    qr = [power(q, r * (n - j)) for j in range(n + 1)]
-    half = [Rat(1, 2 ** j) * v(r) ** j for j in range(n + 1)]
+    qr, half = power(q, r), Rat(v(r), 2)
+    left, den_left = power_weights(1, qr, n)
     qM, den = power(q, r * (n + 1)), Rat(u(r) * _disc(p, q))
-    return (int_weights(2 * c for c in qr),
-            int_weights(x for h, c in zip(half, qr) for x in (h, h * c)),
+    return (([2 * c for c in left], den_left),
+            joined_weights(power_weights(half, 1, n), power_weights(half, qr, n)),
             int_weights(2 * c / den for c in (1, -q, -qM, q * qM)))
 
 
@@ -324,10 +318,7 @@ def _h04(ctx, b):
     # z_j = q^K w_(rj+t), j = 0..2n, holds both terms of every summand of the
     # middle sum, over one scale: w_(r(2n-j)+t) is z_(2n-j)
     z, scale = w.read(t, r, 2 * n + 1)
-    x, y = z[n:][::-1], z[:n + 1]
-    pairs = x + y
-    pairs[::2], pairs[1::2] = x, y
-    s2 = weighted_sum(mid, pairs, scale)
+    s2 = weighted_sum(mid, z[n:][::-1] + z[:n + 1], scale)
     top = r * (2 * n + 1) + t
     s3 = weighted_sum(closed, *w.at(top + 1, top - 1, t - r + 1, t - r - 1))
     return (s1, s2, s3), ()
@@ -349,27 +340,22 @@ H04 = Entry(
 def _h05_shared(ctx, p, q, m, s, r, n):
     """Every seed- and shift-free factor of the three sides.
 
-    The left sum's weights (-1)^j q^((m-s)j) u_(r-s)^(n-j) u_(r-m)^j; the
-    middle sum's weights u_(m-s)^j / 2^(j+1) u_(r-s)^(n-j) and
-    u_(m-s)^j / 2^(j+1) (-1)^(n-j) q^((m-s)(n-j)) u_(r-m)^(n-j), in turn,
-    of its two terms per j, and the index offsets from t of those terms,
-    mn + (r-m)j and sn + (r-s)j, in the same order; the closed form's
-    weights, Y's coefficients (``_h05_y``) over X = q^m X0 (``_h05_x``).
+    The left sum's weights g^j u_(r-s)^(n-j), g = -q^(m-s) u_(r-m); the
+    middle sum's weights u_(m-s)^j / 2^(j+1) u_(r-s)^(n-j) of its first
+    terms, then u_(m-s)^j / 2^(j+1) g^(n-j) of its second, and the index
+    offsets from t of those terms, mn + (r-m)j and then sn + (r-s)j; the
+    closed form's weights, Y's coefficients (``_h05_y``) over X = q^m X0
+    (``_h05_x``).
     """
     u = ctx.u(p, q)
-    qms = [power(q, (m - s) * j) for j in range(n + 1)]
-    us = [u(r - s) ** k for k in range(n + 1)]
-    um = [u(r - m) ** k for k in range(n + 1)]
-    left = int_weights(neg_one(j) * qms[j] * us[n - j] * um[j] for j in range(n + 1))
-    half = [Rat(1, 2 ** (j + 1)) * u(m - s) ** j for j in range(n + 1)]
-    across = [neg_one(k) * qms[k] * um[k] for k in range(n + 1)]
-    mid = int_weights(x for j in range(n + 1)
-                      for x in (half[j] * us[n - j], half[j] * across[n - j]))
+    us, g, half = u(r - s), -power(q, m - s) * u(r - m), Rat(u(m - s), 2)
+    mid, den = joined_weights(power_weights(half, us, n), power_weights(half, g, n))
     # s (n - j) + t + r j = s n + t + (r - s) j
-    offsets = [k for j in range(n + 1)
-               for k in (m * n + (r - m) * j, s * n + (r - s) * j)]
+    offsets = ([m * n + (r - m) * j for j in range(n + 1)]
+               + [s * n + (r - s) * j for j in range(n + 1)])
     x, y = ctx.memo(_h05_x, p, q, m, s, r), ctx.memo(_h05_y, p, q, m, s, r, n)
-    return left, mid, offsets, int_weights(Rat(c) / x for c in y)
+    return (power_weights(g, us, n), (mid, 2 * den), offsets,
+            int_weights(Rat(c) / x for c in y))
 
 
 def _h05(ctx, b):
@@ -422,13 +408,6 @@ GUARD_H07 = Guard("n = 0 or (u_r != 0 and p^2 - 4q != 0)", ("p", "q", "r", "n"),
                   or (ctx.u(b["p"], b["q"])(b["r"]) != 0 and _disc(b["p"], b["q"]) != 0))
 
 
-def _growth_powers(ctx, p, q, r, count):
-    """g^j for j < count, g = (u_r Delta / 2)^2 the squared-root weight of
-    the H06-H11 middle sums."""
-    g = Rat(_disc(p, q), 4) * ctx.u(p, q)(r) ** 2
-    return tuple(g ** j for j in range(count))
-
-
 def _h06_shared(ctx, p, q, r, n):
     """Weights (-1)^j q^(rj); the middle side over w_t and v_(r(2n+1)) / v_r,
     each as the weight of w_t.
@@ -437,10 +416,10 @@ def _h06_shared(ctx, p, q, r, n):
     over u_r (present for n >= 1).
     """
     u, v = ctx.u(p, q), ctx.v(p, q)
-    g = _growth_powers(ctx, p, q, r, n + 1)
-    mid = Rat(1, 2) * sum(g[j] * v(2 * r * (n - j)) for j in range(n + 1))
+    g, den = power_weights(Rat(u(r) ** 2 * _disc(p, q), 4), 1, n)
+    mid = weighted_sum((g, den), *v.read(2 * r * n, -2 * r, n + 1)) / 2
     if n >= 1:
-        mid += sum(g[j] * u(r * (2 * n - 2 * j + 1)) for j in range(1, n + 1)) / u(r)
+        mid += weighted_sum((g[1:], den), *u.read(r * (2 * n - 1), -2 * r, n)) / u(r)
     return (ctx.memo(_signed_q_weights, q, r, 2 * n + 1), int_weights((mid,)),
             int_weights((v(r * (2 * n + 1)) / Rat(v(r)),)))
 
@@ -476,10 +455,10 @@ def _h07_shared(ctx, p, q, r, n):
     (present for n >= 1).
     """
     u, v = ctx.u(p, q), ctx.v(p, q)
-    g = _growth_powers(ctx, p, q, r, n + 1)
-    mid = Rat(1, 2) * sum(g[j] * u(r * (2 * n - 2 * j - 1)) for j in range(n))
+    g, den = power_weights(Rat(u(r) ** 2 * _disc(p, q), 4), 1, n)
+    mid = weighted_sum((g[:n], den), *u.read(r * (2 * n - 1), -2 * r, n)) / 2
     if n >= 1:
-        mid += (sum(g[j] * v(r * (2 * n - 2 * j)) for j in range(1, n + 1))
+        mid += (weighted_sum((g[1:], den), *v.read(2 * r * (n - 1), -2 * r, n))
                 / (u(r) * _disc(p, q)))
     vr = Rat(v(r))
     return (ctx.memo(_signed_q_weights, q, r, 2 * n), mid,

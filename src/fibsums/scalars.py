@@ -20,13 +20,16 @@ stay bounded by that length plus one operation's growth, unless the
 reduced value itself needs more.
 
 Weighted sums. A sum sum_j c_j x_j whose coefficients c_j are fixed while
-its terms x_j vary is split in two. ``int_weights`` writes the c_j once as
-integer numerators N_j over one common denominator D. The terms come as
+its terms x_j vary is split in two. The c_j are written once as integer
+numerators N_j over one common denominator D: ``power_weights`` builds the
+powers x^j y^(n-j) of a power-weighted sum by two running products of
+integers, ``int_weights`` reduces a few rational coefficients, and
+``joined_weights`` puts several such lists over one D. The terms come as
 integers Z_j over one scale S, x_j = Z_j / S: a sequence table reads them
 so, with S = q^K (``SeqTable.read``). ``weighted_sum`` then forms each sum
 as one integer dot product of the N_j with the Z_j over D * |S|, and
-builds one ``Rat``. The Horadam sums use this instead of a ``Rat`` product
-and a ``Rat`` sum per term.
+builds one ``Rat``, not a ``Rat`` product and a ``Rat`` sum per term, so
+a sum of n terms builds no ``Rat`` that grows with n.
 
 Canonical where read. Kernel values stay unreduced until they are read or
 rendered, and a sweep computes with ``Rat`` alone: ``Fraction`` appears
@@ -305,9 +308,40 @@ def int_weights(coeffs) -> tuple:
     for c in coeffs:
         n, d = _exact(c)
         g = _gcd(n, d)
-        parts.append((n // g, d // g))
+        parts.append(((n // g,), d // g))
+    return joined_weights(*parts)
+
+
+def power_weights(x, y, n: int) -> tuple:
+    """``(N, D)``: a list of integers N_j and D > 0 with N_j / D = x^j y^(n-j)
+    for j = 0..n, none for n < 0; x and y are each an int, Fraction or Rat.
+
+    For x = a/b and y = c/d in lowest terms, N_j = (ad)^j (bc)^(n-j) and
+    D = (bd)^n, built by two running products. ``weighted_sum`` reads the
+    pair; y = 1 gives the weights of a geometric sum. N is a list: CPython
+    keeps dropped short tuples for reuse, which held 1.8 MB after I18's
+    default grid.
+    """
+    (a, b), (c, d) = _exact(x), _exact(y)
+    if n < 0:
+        return [], 1
+    g, h = _gcd(a, b), _gcd(c, d)
+    a, b, c, d = a // g, b // g, c // h, d // h
+    ad, bc = a * d, b * c
+    up, down = [1], [1]
+    for _ in range(n):
+        up.append(up[-1] * ad)
+        down.append(down[-1] * bc)
+    down.reverse()
+    return list(map(mul, up, down)), (b * d) ** n
+
+
+def joined_weights(*parts) -> tuple:
+    """``(N, D)`` for the weight pairs ``parts``, in order: each part's
+    numerators over the lcm D of the parts' denominators, the weights of
+    the parts' terms listed one part after another."""
     den = math.lcm(*(d for _, d in parts))
-    return tuple(n * (den // d) for n, d in parts), den
+    return tuple(x * (den // d) for nums, d in parts for x in nums), den
 
 
 def weighted_sum(weights, terms, scale: int = 1) -> Rat:

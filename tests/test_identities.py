@@ -8,8 +8,9 @@ import pytest
 from fibsums.identities import (ENTRIES, Axis, Context, RejectedInstance,
                                 UsageError, evaluate_entry, get_entry, irange,
                                 sury_f, sweep)
+from fibsums import scalars
 from fibsums.polynomials import poly_eval
-from fibsums.scalars import QuadExt, fib_roots
+from fibsums.scalars import QuadExt, Rat, fib_roots
 
 EXPECTED_IDS = ([f"I{k:02d}" for k in range(1, 19)]
                 + [f"P{k:02d}" for k in range(1, 7)]
@@ -269,3 +270,46 @@ class TestIEntrySideValues:
                     on_result=lambda ev: sides.extend(ev.sides))
         assert rep.checked and not rep.failures
         assert {type(s.value) for s in sides} <= {int, Fraction, QuadExt}
+
+
+# one point of each power-weighted sum; H02, H08 and H09 at r < 0, where
+# their weights q^(rj) are fractions
+_H = {"p": 1, "q": -2, "a": 2, "b": 3, "r": 2, "t": 1}
+LONG_SUMS = {**{f"I{k:02d}": {"r": 2} for k in range(7, 16)},
+             "I16": {"r": 2, "t": 1}, "I17": {"r": 2, "t": 1},
+             "I18": {"r": 2, "k": 1, "s": 1},
+             "H01": _H, "H04": _H, "H06": _H, "H07": _H,
+             "H02": {"p": 1, "q": -2, "r": -1}, "H08": {"p": 1, "q": -2, "r": -1},
+             "H09": {"p": 1, "q": -2, "r": -1}, "H10": {"p": 1, "q": -2, "r": 2, "t": 1},
+             "H11": {"p": 1, "q": -2, "r": 2}, "H03": {"p": 3, "q": 2},
+             "H05": {**_H, "q": -3, "m": 2, "s": -1, "r": -2}}
+
+
+class TestPowerWeightedSums:
+    """A sum of n + 1 terms is a fixed number of integer dot products
+    (``scalars.power_weights`` and ``weighted_sum``), so the ``Rat``s one
+    point builds do not grow with n."""
+
+    @pytest.mark.parametrize("entry_id", sorted(LONG_SUMS))
+    def test_rats_built_do_not_grow_with_n(self, entry_id, monkeypatch):
+        built = []
+        rat, init = scalars._rat, Rat.__init__
+
+        def counted_rat(n, d):
+            built.append(1)
+            return rat(n, d)
+
+        def counted_init(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(scalars, "_rat", counted_rat)
+        monkeypatch.setattr(Rat, "__init__", counted_init)
+        counts = []
+        for n in (40, 80):
+            built.clear()
+            ev = evaluate_entry(get_entry(entry_id), {**LONG_SUMS[entry_id], "n": n},
+                                Context())
+            assert ev.ok
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0

@@ -1,4 +1,5 @@
-"""The package's modules: each imports alone, and none imports a name it never uses.
+"""The package's modules: each imports alone, none imports a name it never
+uses, and none imports anything outside the package and the standard library.
 
 The package root defines only ``__version__``, so importing one module loads
 just what that module imports. A fresh interpreter imports each module by
@@ -56,6 +57,33 @@ def unused_imports(tree) -> list:
                         for t in node.targets)):
             used.update(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def foreign_imports(tree) -> list:
+    """The top-level modules an import names that are neither ``fibsums``
+    nor in the standard library; a relative import names the package."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module.split(".")[0])
+    return [n for n in names if n != "fibsums" and n not in sys.stdlib_module_names]
+
+
+@pytest.mark.parametrize("path", FILES, ids=MODULES)
+def test_imports_only_the_package_and_the_standard_library(path):
+    # the runtime is stdlib-only
+    assert foreign_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_a_third_party_import_is_found():
+    tree = ast.parse("import json, numpy.linalg\n"
+                     "from .engine import Entry\n"
+                     "from fibsums.scalars import Rat\n"
+                     "def f():\n"
+                     "    from sympy import Rational\n")
+    assert foreign_imports(tree) == ["numpy", "sympy"]
 
 
 @pytest.mark.parametrize("path", FILES, ids=MODULES)

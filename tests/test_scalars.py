@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from fibsums.scalars import (_REDUCE_BITS, _STR_DIGITS, CharRoots, DomainError,
                              QuadExt, Rat, canonical, fib_roots, int_text,
-                             int_weights, make_roots, power, render_scalar,
-                             weighted_sum)
+                             int_weights, joined_weights, make_roots, power,
+                             power_weights, render_scalar, weighted_sum)
 from fibsums.sequences import fib
 
 HALF = Fraction(1, 2)
@@ -60,8 +60,12 @@ class TestInexactInputIsRefused:
         lambda: Rat(0.5),
         lambda: Rat(1, 2.0),
         lambda: int_weights([1, 0.5]),
+        lambda: power_weights(0.5, 1, 3),
+        lambda: power_weights(2, Decimal("1.5"), 0),
+        lambda: power_weights(1.0, 1, -1),
     ], ids=["QuadExt-float", "QuadExt-str", "QuadExt-Decimal", "render-float",
-            "render-str", "Rat-float", "Rat-float-denominator", "int_weights"])
+            "render-str", "Rat-float", "Rat-float-denominator", "int_weights",
+            "power_weights-float", "power_weights-Decimal", "power_weights-empty"])
     def test_type_error(self, read):
         with pytest.raises(TypeError, match="int, Fraction or Rat"):
             read()
@@ -508,6 +512,56 @@ class TestWeightedSum:
             with pytest.raises(ValueError):
                 weighted_sum(weights, terms)
         assert weighted_sum(weights, [5, 6, 7]) == 38
+
+
+@st.composite
+def ratio(draw):
+    """A ratio of a power-weighted sum, with its Fraction value: 0, +-1, an
+    int, a Fraction or an unreduced Rat with a negative part."""
+    kind = draw(st.sampled_from(["special", "int", "Fraction", "Rat"]))
+    if kind == "special":
+        x = draw(st.sampled_from([0, 1, -1, Fraction(0), Rat(0, 5), Rat(-3, 3),
+                                  Fraction(-1, 2), Rat(2, -4)]))
+        return x, as_fraction(x)
+    num, den = draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(1, 10 ** 4))
+    if kind == "int":
+        return num, Fraction(num)
+    if kind == "Fraction":
+        return Fraction(num, den), Fraction(num, den)
+    g = draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1]))
+    return Rat(num * g, den * g), Fraction(num, den)
+
+
+class TestPowerWeights:
+    @given(ratio(), ratio(), st.integers(0, 12))
+    def test_matches_a_fraction_reference(self, x, y, n):
+        (x, fx), (y, fy) = x, y
+        nums, den = power_weights(x, y, n)
+        assert type(den) is int and den > 0
+        assert [type(v) for v in nums] == [int] * (n + 1)
+        assert [Fraction(v, den) for v in nums] == [fx ** j * fy ** (n - j)
+                                                    for j in range(n + 1)]
+
+    @given(ratio(), st.lists(st.integers(-10 ** 9, 10 ** 9), max_size=12))
+    def test_y_one_gives_a_geometric_sum(self, x, terms):
+        x, fx = x
+        got = weighted_sum(power_weights(x, 1, len(terms) - 1), terms)
+        assert got == sum((fx ** j * t for j, t in enumerate(terms)), Fraction(0))
+
+    def test_small_cases(self):
+        assert power_weights(Rat(3, 2), 1, 3) == ([8, 12, 18, 27], 8)
+        assert power_weights(0, Fraction(1, 2), 2) == ([1, 0, 0], 4)
+        assert power_weights(Rat(-4, -6), Rat(1, -3), 2) == ([9, -18, 36], 81)
+        assert power_weights(5, 7, 0) == ([1], 1)
+        assert power_weights(5, 7, -1) == ([], 1)
+
+    def test_joined_weights_share_one_denominator(self):
+        parts = (power_weights(Rat(1, 2), 1, 2), ((3,), 1), power_weights(1, Rat(1, 3), 1))
+        nums, den = joined_weights(*parts)
+        assert den == 12
+        want = [Fraction(v, d) for vs, d in parts for v in vs]
+        assert [Fraction(v, den) for v in nums] == want
+        assert joined_weights(((), 1), ((1, -2), 6)) == ((1, -2), 6)
 
 
 def quad_ref(op, x, y, d):
