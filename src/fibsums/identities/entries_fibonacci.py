@@ -4,7 +4,12 @@ Each evaluate function computes every displayed side independently from its
 printed expression; no algebra is shared between sides, so a typo in one
 side cannot hide behind a simplification of another. Closed-form numerators
 that a divisibility corollary reuses are called from entries_common, where
-each is written once. Four entries (I10, I11, I16, I17) carry two readings
+each is written once. The Fibonacci-Lucas twins I10/I11, I12/I13 and
+I16/I17 are one identity read at w = L and at w = F, so each pair is one
+transcription, a factory that takes the table its sums read
+(``Context.luc`` or ``Context.fib``) and its closed-form numerator. That
+sharing is between the two entries of a pair, never between the sides of
+one entry. Four entries (I10, I11, I16, I17) carry two readings
 of a printed summand under the variant protocol; the corrected reading is
 the one their proofs imply, and sweeps tally both so the report pins down
 exactly one verifying form. Rational values are kernel ``Rat``s (see
@@ -24,7 +29,7 @@ from typing import NamedTuple
 from ..scalars import (QuadExt, Rat, canonical, joined_weights, power_weights,
                        weighted_sum)
 from ..sequences import neg_one
-from .engine import (Entry, Guard, RejectedInstance, Slot,
+from .engine import (Context, Entry, Guard, RejectedInstance, Slot,
                      _first_violated_guard, axis, irange, joint)
 from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
                              GUARD_N, GUARD_R_NONZERO, R_K_S_N_AXES, R_N_AXES,
@@ -289,16 +294,21 @@ I09 = Entry(
 # I10/I11: mixed F_r, F_{r-1} powers; middle-sum weight carried as variants
 # ---------------------------------------------------------------------------
 
-def _i10(ctx, b):
-    r, n = b["r"], b["n"]
-    L, F = ctx.luc(), ctx.fib()
-    s1 = weighted_sum(power_weights(F(r), F(r - 1), n), *L.read(0, 1, n + 1))
-    # the middle sum at weight 1/2^j: the printed weight 1/2^(j-1) is twice
-    # it, the proved 1/2^(j+1) half of it
-    mid = (weighted_sum(power_weights(Rat(1, 2), F(r), n), *L.read(n, r - 1, n + 1))
-           + weighted_sum(power_weights(Rat(1, 2), F(r - 1), n), *L.read(0, r, n + 1)))
-    s3 = Rat(_i10_num(ctx, b), ctx.memo(_i10_den, b["r"]))
-    return (s1, 2 * mid, mid / 2, s3), ()
+def _i10_pair(table, num):
+    """The evaluate of I10 (``table`` is ``Context.luc``, ``num``
+    ``_i10_num``) or I11 (``Context.fib``, ``_i11_num``), whose sums read
+    W = table(ctx)."""
+    def evaluate(ctx, b):
+        r, n = b["r"], b["n"]
+        W, F = table(ctx), ctx.fib()
+        s1 = weighted_sum(power_weights(F(r), F(r - 1), n), *W.read(0, 1, n + 1))
+        # the middle sum at weight 1/2^j: the printed weight 1/2^(j-1) is
+        # twice it, the proved 1/2^(j+1) half of it
+        mid = (weighted_sum(power_weights(Rat(1, 2), F(r), n), *W.read(n, r - 1, n + 1))
+               + weighted_sum(power_weights(Rat(1, 2), F(r - 1), n), *W.read(0, r, n + 1)))
+        s3 = Rat(num(ctx, b), ctx.memo(_i10_den, r))
+        return (s1, 2 * mid, mid / 2, s3), ()
+    return evaluate
 
 
 I10 = Entry(
@@ -308,7 +318,7 @@ I10 = Entry(
               "= (F_r^(n+2) L_n + F_(r-1) F_r^(n+1) L_(n+1) + F_r F_(r-1)^(n+1) "
               "- 2 F_(r-1)^(n+2)) / (F_r^2 + F_r F_(r-1) - F_(r-1)^2)",
     domain="F_r^2 + F_r F_(r-1) - F_(r-1)^2 != 0; n >= 0",
-    guards=(GUARD_I10_DEN, GUARD_N), evaluate=_i10,
+    guards=(GUARD_I10_DEN, GUARD_N), evaluate=_i10_pair(Context.luc, _i10_num),
     grid=R_N_AXES,
     sides=(Slot("left sum"),
            Slot("middle sum, weight 1/2^(j-1)", variant="as-printed"),
@@ -319,16 +329,6 @@ I10 = Entry(
 )
 
 
-def _i11(ctx, b):
-    r, n = b["r"], b["n"]
-    F = ctx.fib()
-    s1 = weighted_sum(power_weights(F(r), F(r - 1), n), *F.read(0, 1, n + 1))
-    mid = (weighted_sum(power_weights(Rat(1, 2), F(r), n), *F.read(n, r - 1, n + 1))
-           + weighted_sum(power_weights(Rat(1, 2), F(r - 1), n), *F.read(0, r, n + 1)))
-    s3 = Rat(_i11_num(ctx, b), ctx.memo(_i10_den, b["r"]))
-    return (s1, 2 * mid, mid / 2, s3), ()
-
-
 I11 = Entry(
     id="I11",
     statement="sum_{j=0..n} F_r^j F_(r-1)^(n-j) F_j "
@@ -336,7 +336,7 @@ I11 = Entry(
               "= (F_r^(n+2) F_n + F_(r-1) F_r^(n+1) F_(n+1) - F_r F_(r-1)^(n+1)) "
               "/ (F_r^2 + F_r F_(r-1) - F_(r-1)^2)",
     domain="F_r^2 + F_r F_(r-1) - F_(r-1)^2 != 0; n >= 0",
-    guards=(GUARD_I10_DEN, GUARD_N), evaluate=_i11,
+    guards=(GUARD_I10_DEN, GUARD_N), evaluate=_i10_pair(Context.fib, _i11_num),
     grid=R_N_AXES, sides=I10.sides,
     notes=("Same weight correction as I10.",),
 )
@@ -346,17 +346,21 @@ I11 = Entry(
 # I12-I15
 # ---------------------------------------------------------------------------
 
-def _i12(ctx, b):
-    r, n = b["r"], b["n"]
-    L = ctx.luc()
-    s1 = 2 * sum(neg_one(r * (n - j)) * L(2 * r * j) for j in range(n + 1))
-    # (L_r/2)^j (-1)^(r(n-j)) is x^j y^(n-j) at y = (-1)^r
-    x = Rat(L(r), 2)
-    s2 = (weighted_sum(power_weights(x, 1, n), *L.read(2 * r * n, -r, n + 1))
-          + weighted_sum(power_weights(x, neg_one(r), n), *L.read(0, r, n + 1)))
-    F = ctx.fib()
-    s3 = Rat(2 * _i12_num(ctx, b), neg_one(r + 1) * 5 * F(r) ** 2)
-    return (s1, s2, s3), ()
+def _i12_pair(table, num):
+    """The evaluate of I12 (``table`` is ``Context.luc``, ``num``
+    ``_i12_num``) or I13 (``Context.fib``, ``_i13_num``), whose sums read
+    W = table(ctx)."""
+    def evaluate(ctx, b):
+        r, n = b["r"], b["n"]
+        W, L = table(ctx), ctx.luc()
+        s1 = 2 * sum(neg_one(r * (n - j)) * W(2 * r * j) for j in range(n + 1))
+        # (L_r/2)^j (-1)^(r(n-j)) is x^j y^(n-j) at y = (-1)^r
+        x = Rat(L(r), 2)
+        s2 = (weighted_sum(power_weights(x, 1, n), *W.read(2 * r * n, -r, n + 1))
+              + weighted_sum(power_weights(x, neg_one(r), n), *W.read(0, r, n + 1)))
+        s3 = Rat(2 * num(ctx, b), neg_one(r + 1) * 5 * ctx.fib()(r) ** 2)
+        return (s1, s2, s3), ()
+    return evaluate
 
 
 I12 = Entry(
@@ -366,20 +370,9 @@ I12 = Entry(
               "= 2 ((-1)^(r+1) L_(2r(n+1)) - (-1)^(r(n+1)) L_(2r) + L_(2rn) "
               "+ 2(-1)^(rn)) / ((-1)^(r+1) 5 F_r^2)",
     domain="r != 0; n >= 0",
-    guards=(GUARD_R_NONZERO, GUARD_N), evaluate=_i12,
+    guards=(GUARD_R_NONZERO, GUARD_N), evaluate=_i12_pair(Context.luc, _i12_num),
     grid=R_N_AXES, sides=SUMS,
 )
-
-
-def _i13(ctx, b):
-    r, n = b["r"], b["n"]
-    L, F = ctx.luc(), ctx.fib()
-    s1 = 2 * sum(neg_one(r * (n - j)) * F(2 * r * j) for j in range(n + 1))
-    x = Rat(L(r), 2)
-    s2 = (weighted_sum(power_weights(x, 1, n), *F.read(2 * r * n, -r, n + 1))
-          + weighted_sum(power_weights(x, neg_one(r), n), *F.read(0, r, n + 1)))
-    s3 = Rat(2 * _i13_num(ctx, b), neg_one(r + 1) * 5 * F(r) ** 2)
-    return (s1, s2, s3), ()
 
 
 I13 = Entry(
@@ -389,7 +382,7 @@ I13 = Entry(
               "= 2 ((-1)^(r+1) F_(2r(n+1)) + (-1)^(r(n+1)) F_(2r) + F_(2rn)) "
               "/ ((-1)^(r+1) 5 F_r^2)",
     domain="r != 0; n >= 0",
-    guards=(GUARD_R_NONZERO, GUARD_N), evaluate=_i13,
+    guards=(GUARD_R_NONZERO, GUARD_N), evaluate=_i12_pair(Context.fib, _i13_num),
     grid=R_N_AXES, sides=SUMS,
 )
 
@@ -471,22 +464,28 @@ def _i16_middle(ctx, base, e, r, n):
                           ([lr1 * y for y in c[1:]], 5 ** e * dc))
 
 
-def _i16(ctx, b):
-    r, t, n = b["r"], b["t"], b["n"]
-    L, F = ctx.luc(), ctx.fib()
-    # both readings differ in an index only, so they share the middle weights
-    left, mid = ctx.memo(_i16_left, r, n), ctx.memo(_i16_middle, "L", 0, r, n)
-    s1 = weighted_sum(left, *L.read(t, 1, 2 * n + 1))
-    first = ([L(2 * n - 2 * j + 2 * j * r + t) for j in range(n + 1)]
-             + [L(2 * j * r + t) for j in range(n + 1)])
+def _i16_pair(table, num, inner, printed, proved):
+    """The evaluate of I16 or I17. The left sum and the first inner sum read
+    W = table(ctx), the second inner sum V = inner(ctx); ``printed`` and
+    ``proved`` are the ``_i16_middle`` (base, e) keys of the two readings,
+    which take the second inner sum's index as printed and with its +1."""
+    (pb, pe), (qb, qe) = printed, proved
 
-    def second(extra):
-        return ([F(2 * n - 2 * j + extra + (2 * j - 1) * r + t) for j in range(1, n + 1)]
-                + [F((2 * j - 1) * r + t) for j in range(1, n + 1)])
+    def evaluate(ctx, b):
+        r, t, n = b["r"], b["t"], b["n"]
+        W, V = table(ctx), inner(ctx)
+        s1 = weighted_sum(ctx.memo(_i16_left, r, n), *W.read(t, 1, 2 * n + 1))
+        first = ([W(2 * n - 2 * j + 2 * j * r + t) for j in range(n + 1)]
+                 + [W(2 * j * r + t) for j in range(n + 1)])
 
-    s3 = Rat(_i16_num(ctx, b), ctx.memo(_i16_den, b["r"]))
-    return (s1, weighted_sum(mid, first + second(0)),
-            weighted_sum(mid, first + second(1)), s3), ()
+        def second(extra):
+            return ([V(2 * n - 2 * j + extra + (2 * j - 1) * r + t) for j in range(1, n + 1)]
+                    + [V((2 * j - 1) * r + t) for j in range(1, n + 1)])
+
+        s3 = Rat(num(ctx, b), ctx.memo(_i16_den, r))
+        return (s1, weighted_sum(ctx.memo(_i16_middle, pb, pe, r, n), first + second(0)),
+                weighted_sum(ctx.memo(_i16_middle, qb, qe, r, n), first + second(1)), s3), ()
+    return evaluate
 
 
 I16 = Entry(
@@ -500,7 +499,9 @@ I16 = Entry(
               "- L_(r-1)^(2n+1) (L_r L_(t-1) + L_(r-1) L_t)) "
               "/ (L_(r-2) L_(r+1) + L_r L_(r-1))",
     domain="L_(r-2) L_(r+1) + L_r L_(r-1) != 0; n >= 0",
-    guards=(GUARD_I16_DEN, GUARD_N), evaluate=_i16,
+    guards=(GUARD_I16_DEN, GUARD_N),
+    # both readings differ in an index only, so they share the middle weights
+    evaluate=_i16_pair(Context.luc, _i16_num, Context.fib, ("L", 0), ("L", 0)),
     grid=R_T_N_AXES,
     sides=(Slot("left sum"),
            Slot("middle sum, inner index 2n-2j+(2j-1)r+t", variant="as-printed"),
@@ -509,26 +510,6 @@ I16 = Entry(
     notes=("The second inner sum's displayed index drops a '+1'; with it "
            "restored the identity verifies everywhere in the domain.",),
 )
-
-
-def _i17(ctx, b):
-    r, t, n = b["r"], b["t"], b["n"]
-    L, F = ctx.luc(), ctx.fib()
-    left = ctx.memo(_i16_left, r, n)
-    # as printed: B = F and 5^j in the second inner sum; as proved: L, 5^(j-1)
-    printed = ctx.memo(_i16_middle, "F", 0, r, n)
-    proved = ctx.memo(_i16_middle, "L", 1, r, n)
-    s1 = weighted_sum(left, *F.read(t, 1, 2 * n + 1))
-    first = ([F(2 * n - 2 * j + 2 * j * r + t) for j in range(n + 1)]
-             + [F(2 * j * r + t) for j in range(n + 1)])
-
-    def second(extra):
-        return ([L(2 * n - 2 * j + extra + (2 * j - 1) * r + t) for j in range(1, n + 1)]
-                + [L((2 * j - 1) * r + t) for j in range(1, n + 1)])
-
-    s3 = Rat(_i17_num(ctx, b), ctx.memo(_i16_den, b["r"]))
-    return (s1, weighted_sum(printed, first + second(0)),
-            weighted_sum(proved, first + second(1)), s3), ()
 
 
 I17 = Entry(
@@ -542,7 +523,9 @@ I17 = Entry(
               "- L_(r-1)^(2n+1) (L_r F_(t-1) + L_(r-1) F_t)) "
               "/ (L_(r-2) L_(r+1) + L_r L_(r-1))",
     domain="L_(r-2) L_(r+1) + L_r L_(r-1) != 0; n >= 0",
-    guards=(GUARD_I16_DEN, GUARD_N), evaluate=_i17,
+    guards=(GUARD_I16_DEN, GUARD_N),
+    # as printed: B = F and 5^j in the second inner sum; as proved: L, 5^(j-1)
+    evaluate=_i16_pair(Context.fib, _i17_num, Context.luc, ("F", 0), ("L", 1)),
     grid=R_T_N_AXES,
     sides=(Slot("left sum"),
            Slot("middle sum, F_(r-1) base, 5^j weight, printed index",

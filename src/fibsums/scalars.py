@@ -618,11 +618,6 @@ def make_roots(p: int, q: int) -> CharRoots:
     return CharRoots(_quad(p, 1, 2, d), _quad(p, -1, 2, d), _quad(0, 1, 1, d))
 
 
-def fib_roots() -> CharRoots:
-    """alpha, beta, sqrt5: the classical golden-ratio pair over Q(sqrt 5)."""
-    return make_roots(1, -1)
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------

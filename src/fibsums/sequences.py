@@ -1,8 +1,7 @@
 """Second-order linear recurrence sequences at arbitrary signed index.
 
-Families: Fibonacci F, Lucas L, Pell P, Pell companions Q, Gibonacci (free
-integer seeds on the Fibonacci recurrence), and the general Horadam
-w_n(a, b; p, q) with w_n = p*w_{n-1} - q*w_{n-2} plus its classical
+Families: Fibonacci F, Lucas L, Pell P, Pell companions Q, and the general
+Horadam w_n(a, b; p, q) with w_n = p*w_{n-1} - q*w_{n-2} plus its classical
 specializations u = w(0,1), v = w(2,p).
 
 Every single term, of every family, comes from one Lucas-sequence
@@ -22,7 +21,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Union
 
-from .scalars import CharRoots, DomainError, Rat, _rat, make_roots
+from .scalars import DomainError, Rat, _rat
 
 #: A single term: an int exactly when it is integral, else a reduced Fraction.
 SeqValue = Union[int, Fraction]
@@ -99,14 +98,6 @@ class HoradamParams:
         if self.q == 0:
             raise DomainError("Horadam recurrence requires q != 0")
 
-    @property
-    def disc(self) -> int:
-        return self.p * self.p - 4 * self.q
-
-    def roots(self) -> CharRoots:
-        """Characteristic roots; rejects the repeated-root case disc = 0."""
-        return make_roots(self.p, self.q)
-
 
 def horadam_w(params: HoradamParams, n: int) -> SeqValue:
     """w_n exactly; integral for n >= 0, possibly fractional below zero."""
@@ -131,11 +122,6 @@ def pell(n: int) -> int:
 def pell_lucas(n: int) -> int:
     """Pell companions: seeds 2,2 on the Pell recurrence, signed index."""
     return lucas_v(2, -1, n)
-
-
-def gibonacci(seed: tuple[int, int], n: int) -> int:
-    """Fibonacci recurrence from arbitrary integer seeds (g0, g1), signed n."""
-    return _w(seed[0], seed[1], 1, -1, n)
 
 
 # ---------------------------------------------------------------------------

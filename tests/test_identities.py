@@ -10,7 +10,7 @@ from fibsums.identities import (ENTRIES, Axis, Context, RejectedInstance,
                                 sury_f, sweep)
 from fibsums import scalars
 from fibsums.polynomials import poly_eval
-from fibsums.scalars import QuadExt, Rat, fib_roots
+from fibsums.scalars import QuadExt, Rat, make_roots
 
 EXPECTED_IDS = ([f"I{k:02d}" for k in range(1, 19)]
                 + [f"P{k:02d}" for k in range(1, 7)]
@@ -132,7 +132,7 @@ class TestGeneratingSum:
             == forms.closed == 14
 
     def test_quadratic_forms_agree(self):
-        alpha, beta, _ = fib_roots()
+        alpha, beta, _ = make_roots(1, -1)
         forms = sury_f(alpha, beta, 3)
         assert forms.closed == 6
         assert forms.pair_sum == forms.half_sum == forms.convolution \

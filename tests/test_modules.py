@@ -1,12 +1,14 @@
 """The package's modules: each imports alone, none imports a name it never
-uses, and none imports anything outside the package and the standard library.
+uses, none imports anything outside the package and the standard library,
+and every function, class and method they define is read somewhere.
 
 The package root defines only ``__version__``, so importing one module loads
 just what that module imports. A fresh interpreter imports each module by
 itself, which shows an import cycle that eager imports elsewhere would hide,
 and the layers below the catalog load none of it. There is no linter in the
 test dependencies, so unused imports are found here from each module's
-syntax tree.
+syntax tree. A name the package defines and neither it nor ``perfbench``
+reads is either a library entry point, listed with its reason, or dead.
 """
 
 import ast
@@ -18,6 +20,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 FILES = sorted(SRC.rglob("*.py"))
+PERFBENCH = sorted((SRC.parent / "perfbench").rglob("*.py"))
 MODULES = [".".join(p.relative_to(SRC).with_suffix("").parts)
            .removesuffix(".__init__") for p in FILES]
 
@@ -97,3 +100,65 @@ def test_an_unused_import_is_found():
                      "__all__ = ['loads']\n"
                      "print(os.sep)\n")
     assert unused_imports(tree) == [(1, "system"), (2, "dumps")]
+
+
+#: The names the package defines for its users that neither it nor
+#: ``perfbench`` reads, each with what it is for.
+ENTRY_POINTS = {
+    "evaluate_entry": "evaluates one entry at one point, as the README's API example does",
+    "sury_f": "the generating lemma's four forms at one (x, y, n), with I06's guards",
+    "QuadExt.conj": "the Galois conjugate, the other root of a characteristic pair",
+    "QuadExt.norm": "the field norm, a value times its conjugate",
+    "poly": "builds a polynomial from its coefficients, canonicalised",
+    "poly_pow": "a polynomial's n-th power, beside poly_add, poly_mul and poly_sub",
+}
+
+
+def definitions(tree) -> list:
+    """A module's top-level functions and classes, and ``Class.method`` for
+    each method whose name is not a dunder."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return names
+
+
+def unread_names(defining, reading) -> list:
+    """The names the ``defining`` trees define that no ``reading`` tree
+    reads, as a bare name or after a dot; an import or an assignment is not
+    a read."""
+    read = set()
+    for tree in reading:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(name for tree in defining for name in definitions(tree)
+                  if name.rpartition(".")[2] not in read)
+
+
+def test_every_defined_name_is_read():
+    defining = [ast.parse(p.read_text(), str(p)) for p in FILES]
+    reading = defining + [ast.parse(p.read_text(), str(p)) for p in PERFBENCH]
+    assert unread_names(defining, reading) == sorted(ENTRY_POINTS)
+
+
+def test_an_unread_name_is_found():
+    module = ast.parse("def used(): pass\n"
+                       "def unused(): pass\n"
+                       "class Box:\n"
+                       "    def __init__(self): pass\n"
+                       "    def get(self): pass\n"
+                       "    def put(self): pass\n"
+                       "    @property\n"
+                       "    def size(self): pass\n")
+    reader = ast.parse("from m import used, unused\n"
+                       "used(Box().get())\n"
+                       "size = 3\n")
+    assert unread_names([module], [module, reader]) == ["Box.put", "Box.size", "unused"]

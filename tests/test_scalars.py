@@ -13,9 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibsums.scalars import (_REDUCE_BITS, _STR_DIGITS, CharRoots, DomainError,
-                             QuadExt, Rat, canonical, fib_roots, int_text,
-                             int_weights, joined_weights, make_roots, power,
-                             power_weights, render_scalar, weighted_sum)
+                             QuadExt, Rat, canonical, int_text, int_weights,
+                             joined_weights, make_roots, power, power_weights,
+                             render_scalar, weighted_sum)
 from fibsums.sequences import fib
 
 HALF = Fraction(1, 2)
@@ -168,9 +168,9 @@ class TestCharRoots:
             make_roots(1, 0)
 
     def test_fib_roots(self):
-        tau, sigma, delta = fib_roots()
+        tau, sigma, delta = make_roots(1, -1)
         assert tau == ALPHA and sigma == BETA and delta == QuadExt(0, 1, 5)
-        assert not fib_roots().is_rational
+        assert not make_roots(1, -1).is_rational
         assert tau ** 2 == tau + 1
 
     def test_negative_discriminant(self):

@@ -14,9 +14,9 @@ from test_mutation import _sub_grid
 from fibsums import sequences
 from fibsums.identities import ENTRIES, Context, engine, get_entry, sweep
 from fibsums.scalars import DomainError, Rat, canonical, make_roots
-from fibsums.sequences import (HoradamParams, SeqTable, fib, gibonacci,
-                               horadam_w, lucas, lucas_u, lucas_v, neg_one,
-                               pell, pell_lucas)
+from fibsums.sequences import (HoradamParams, SeqTable, fib, horadam_w,
+                               lucas, lucas_u, lucas_v, neg_one, pell,
+                               pell_lucas)
 
 # classic opening terms (textbook values)
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
@@ -65,7 +65,8 @@ class TestClassicFamilies:
             assert pell(-n) == neg_one(n - 1) * pell(n)
             assert pell_lucas(-n) == neg_one(n) * pell_lucas(n)
             # g_(-n) = (-1)^n (g0 F_(n+1) - g1 F_n)
-            assert gibonacci((4, -7), -n) == neg_one(n) * (4 * fib(n + 1) + 7 * fib(n))
+            assert horadam_w(HoradamParams(4, -7, 1, -1), -n) \
+                == neg_one(n) * (4 * fib(n + 1) + 7 * fib(n))
 
     def test_recurrence_through_zero(self):
         for n in range(-30, 30):
@@ -80,20 +81,22 @@ class TestClassicFamilies:
 
 
 class TestGibonacci:
+    """Free integer seeds (g0, g1) on the Fibonacci recurrence."""
+
     def test_frozen_values(self):
-        assert gibonacci((2, 1), 4) == 7
-        assert gibonacci((3, 5), 3) == 13
-        assert gibonacci((2, 1), -3) == -4
+        assert horadam_w(HoradamParams(2, 1, 1, -1), 4) == 7
+        assert horadam_w(HoradamParams(3, 5, 1, -1), 3) == 13
+        assert horadam_w(HoradamParams(2, 1, 1, -1), -3) == -4
 
     def test_specializes_to_fib_and_lucas(self):
         for n in range(-20, 21):
-            assert gibonacci((0, 1), n) == fib(n)
-            assert gibonacci((2, 1), n) == lucas(n)
+            assert horadam_w(HoradamParams(0, 1, 1, -1), n) == fib(n)
+            assert horadam_w(HoradamParams(2, 1, 1, -1), n) == lucas(n)
 
     def test_recurrence(self):
+        g = HoradamParams(4, -7, 1, -1)
         for n in range(-10, 10):
-            assert gibonacci((4, -7), n + 2) == \
-                gibonacci((4, -7), n + 1) + gibonacci((4, -7), n)
+            assert horadam_w(g, n + 2) == horadam_w(g, n + 1) + horadam_w(g, n)
 
 
 class TestHoradam:
@@ -135,13 +138,6 @@ class TestHoradam:
             HoradamParams(0, 1, 0, 1)
         with pytest.raises(DomainError):
             HoradamParams(0, 1, 1, 0)
-
-    def test_disc_and_roots(self):
-        params = HoradamParams(1, 2, 3, 2)
-        assert params.disc == 1
-        assert params.roots().is_rational
-        with pytest.raises(DomainError):
-            HoradamParams(0, 1, 2, 1).roots()   # repeated root
 
     def test_matches_naive_oracle(self, naive_horadam):
         rng = random.Random(411)
