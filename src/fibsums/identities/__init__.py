@@ -32,7 +32,7 @@ from .engine import (
     sweep,
 )
 from .entries_divisibility import DIVISIBILITY_ENTRIES
-from .entries_fibonacci import FIB_ENTRIES, SuryForms, sury_f
+from .entries_fibonacci import FIB_ENTRIES
 from .entries_horadam import HORADAM_ENTRIES
 from .entries_polynomial import POLY_ENTRIES
 
@@ -53,7 +53,7 @@ def get_entry(entry_id: str) -> Entry:
 
 __all__ = [
     "Axis", "Context", "Entry", "Evaluation", "Guard", "Outcome",
-    "RejectedInstance", "Side", "Slot", "SuryForms", "SweepReport", "UsageError",
-    "Witness", "ENTRIES", "axis", "evaluate_entry", "get_entry", "irange",
-    "joint", "make_witness", "resolve_axes", "sury_f", "sweep",
+    "RejectedInstance", "Side", "Slot", "SweepReport", "UsageError", "Witness",
+    "ENTRIES", "axis", "evaluate_entry", "get_entry", "irange", "joint",
+    "make_witness", "resolve_axes", "sweep",
 ]

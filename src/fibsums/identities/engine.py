@@ -479,13 +479,6 @@ def _evaluation(plan: _Plan, bindings: dict, sides: tuple, witnesses: list,
         diff is None, diff)
 
 
-def _first_violated_guard(entry: Entry, ctx: Context, b: dict) -> Optional[str]:
-    for g in entry.guards:
-        if all(name in b for name in g.needs) and not g.holds(ctx, b):
-            return g.text
-    return None
-
-
 # ---------------------------------------------------------------------------
 # public evaluation API
 # ---------------------------------------------------------------------------
@@ -524,9 +517,9 @@ def evaluate_entry(entry: Entry, bindings: dict, ctx: Optional[Context] = None) 
     ctx = ctx if ctx is not None else Context()
     _check_bindings(entry, bindings)
     _check_exact(entry, bindings.items())
-    violated = _first_violated_guard(entry, ctx, bindings)
-    if violated is not None:
-        raise RejectedInstance(entry.id, violated, bindings)
+    for g in entry.guards:
+        if all(name in bindings for name in g.needs) and not g.holds(ctx, bindings):
+            raise RejectedInstance(entry.id, g.text, bindings)
     plan, built = _Plan(entry), []
     sides, witnesses = entry.evaluate(ctx, bindings)
     held, diff = _judge(plan, sides, witnesses, built)

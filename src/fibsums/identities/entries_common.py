@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..scalars import power
 from ..sequences import neg_one
-from .engine import Guard, Slot, axis, irange, joint
+from .engine import Context, Guard, Slot, axis, irange, joint
 
 GUARD_N = Guard("n >= 0", ("n",), lambda ctx, b: b["n"] >= 0)
 GUARD_T = Guard("t >= 0", ("t",), lambda ctx, b: b["t"] >= 0)
@@ -118,18 +118,14 @@ def _i14_num(ctx, b):
     return L(2 * r) ** (n + 1) - 2 ** (n + 1)
 
 
-def _i16_num(ctx, b):
+def _i16_num(ctx, b, table):
+    """The numerator of I16 (``table`` is ``Context.luc``) or I17
+    (``Context.fib``), whose inner terms read W = table(ctx)."""
     L = ctx.luc()
+    W = L if table is Context.luc else table(ctx)
     r, t, n = b["r"], b["t"], b["n"]
-    return (L(r) ** (2 * n + 1) * (L(r) * L(2 * n + t) + L(r - 1) * L(2 * n + t + 1))
-            - L(r - 1) ** (2 * n + 1) * (L(r) * L(t - 1) + L(r - 1) * L(t)))
-
-
-def _i17_num(ctx, b):
-    F, L = ctx.fib(), ctx.luc()
-    r, t, n = b["r"], b["t"], b["n"]
-    return (L(r) ** (2 * n + 1) * (L(r) * F(2 * n + t) + L(r - 1) * F(2 * n + t + 1))
-            - L(r - 1) ** (2 * n + 1) * (L(r) * F(t - 1) + L(r - 1) * F(t)))
+    return (L(r) ** (2 * n + 1) * (L(r) * W(2 * n + t) + L(r - 1) * W(2 * n + t + 1))
+            - L(r - 1) ** (2 * n + 1) * (L(r) * W(t - 1) + L(r - 1) * W(t)))
 
 
 def _i18_num(ctx, b):

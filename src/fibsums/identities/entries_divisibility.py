@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from ..scalars import power
 from ..sequences import neg_one
-from .engine import Entry, Guard, Slot, axis, irange, joint
+from .engine import Context, Entry, Guard, Slot, axis, irange, joint
 from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
                              GUARD_M_ODD_POSITIVE, GUARD_N, GUARD_PQ,
                              GUARD_R_NONZERO, GUARD_R_POSITIVE, GUARD_T,
@@ -31,7 +31,7 @@ from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
                              R_K_S_N_AXES, R_N_AXES, R_T_N_AXES, SEED_PANEL,
                              _h05_x, _h05_y, _i10_den, _i10_num, _i11_num,
                              _i12_num, _i13_num, _i14_num, _i16_den, _i16_num,
-                             _i17_num, _i18_num)
+                             _i18_num)
 
 
 def _d01(ctx, b):
@@ -273,7 +273,7 @@ _D14_PARTICULAR = "3^(2n+1) (L_(2n) + 5 F_(2n+1)) + 1"
 
 def _d14(ctx, b):
     return _lucas_pair(
-        ctx, b, _i16_num(ctx, b),
+        ctx, b, _i16_num(ctx, b, Context.luc),
         lambda F, L, n: 3 ** (2 * n + 1) * (L(2 * n) + 5 * F(2 * n + 1)) + 1)
 
 
@@ -295,7 +295,7 @@ _D15_PARTICULAR = "3^(2n+1) (F_(2n) + L_(2n+1)) - 3"
 
 def _d15(ctx, b):
     return _lucas_pair(
-        ctx, b, _i17_num(ctx, b),
+        ctx, b, _i16_num(ctx, b, Context.fib),
         lambda F, L, n: 3 ** (2 * n + 1) * (F(2 * n) + L(2 * n + 1)) - 3)
 
 

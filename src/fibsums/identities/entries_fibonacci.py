@@ -7,13 +7,14 @@ that a divisibility corollary reuses are called from entries_common, where
 each is written once. The Fibonacci-Lucas twins I10/I11, I12/I13 and
 I16/I17 are one identity read at w = L and at w = F, so each pair is one
 transcription, a factory that takes the table its sums read
-(``Context.luc`` or ``Context.fib``) and its closed-form numerator. That
+(``Context.luc`` or ``Context.fib``); I10-I13's factories also take the
+closed-form numerator, and I16/I17's one numerator takes the table. That
 sharing is between the two entries of a pair, never between the sides of
 one entry. Four entries (I10, I11, I16, I17) carry two readings
 of a printed summand under the variant protocol; the corrected reading is
 the one their proofs imply, and sweeps tally both so the report pins down
 exactly one verifying form. Rational values are kernel ``Rat``s (see
-``scalars``); only ``sury_f`` returns Fractions.
+``scalars``), which the engine reduces to Fractions through ``canonical``.
 
 Power-weighted sums. A sum sum_j x^j y^(n-j) X_j, the shape of most sides
 of I07-I18, takes its weights from ``scalars.power_weights`` and is one
@@ -24,18 +25,14 @@ build their weights once per Context through ``ctx.memo``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from ..scalars import (QuadExt, Rat, canonical, joined_weights, power_weights,
-                       weighted_sum)
+from ..scalars import QuadExt, Rat, joined_weights, power_weights, weighted_sum
 from ..sequences import neg_one
-from .engine import (Context, Entry, Guard, RejectedInstance, Slot,
-                     _first_violated_guard, axis, irange, joint)
+from .engine import Context, Entry, Guard, Slot, axis, irange, joint
 from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
                              GUARD_N, GUARD_R_NONZERO, R_K_S_N_AXES, R_N_AXES,
                              R_T_N_AXES, SUMS, _i10_den, _i10_num, _i11_num,
                              _i12_num, _i13_num, _i14_num, _i16_den, _i16_num,
-                             _i17_num, _i18_num)
+                             _i18_num)
 
 HALVES = [Rat(k, 2) for k in range(-6, 7)]
 
@@ -146,49 +143,18 @@ I05 = Entry(
 
 
 # ---------------------------------------------------------------------------
-# I06 and sury_f: the generating lemma itself
+# I06: the generating lemma itself
 # ---------------------------------------------------------------------------
 
-class SuryForms(NamedTuple):
-    """The four exactly-equal shapes of the generating sum."""
-
-    pair_sum: object       # sum (xy)^j (x^(n-2j) + y^(n-2j))
-    half_sum: object       # sum ((x+y)/2)^j (x^(n-j) + y^(n-j))
-    convolution: object    # 2 sum x^j y^(n-j)
-    closed: object         # 2 (x^(n+1) - y^(n+1)) / (x - y)
-
-
-def sury_f(x, y, n: int) -> SuryForms:
-    """All four forms at (x, y, n); x, y rational or quadratic-extension.
-
-    Rational arguments (int, Fraction or Rat; any other type but QuadExt
-    is a TypeError) are computed on the kernel ``Rat``, and the forms come
-    back reduced, as Fractions. Raises RejectedInstance naming the first of
-    I06's guards that fails, in I06's order: x = y (the closed form divides
-    by x - y), either variable 0 (the pair sum takes negative powers), or
-    n < 0.
-    """
-    bindings = {"x": x, "y": y, "n": n}
-    x, y = _kernel(x), _kernel(y)
-    violated = _first_violated_guard(I06, None, {"x": x, "y": y, "n": n})
-    if violated is not None:
-        raise RejectedInstance("sury_f", violated, bindings)
-    return SuryForms(*map(canonical, _sury(x, y, n)))
-
-
-def _sury(x, y, n: int) -> tuple:
-    """The four forms at kernel values x, y, unreduced."""
+def _i06(ctx, b):
+    x, y, n = _kernel(b["x"]), _kernel(b["y"]), b["n"]
     pair = sum((x * y) ** j * (x ** (n - 2 * j) + y ** (n - 2 * j))
                for j in range(n + 1))
     half = sum(((x + y) / 2) ** j * (x ** (n - j) + y ** (n - j))
                for j in range(n + 1))
     conv = 2 * sum(x ** j * y ** (n - j) for j in range(n + 1))
     closed = 2 * (x ** (n + 1) - y ** (n + 1)) / (x - y)
-    return pair, half, conv, closed
-
-
-def _i06(ctx, b):
-    return _sury(_kernel(b["x"]), _kernel(b["y"]), b["n"]), ()
+    return (pair, half, conv, closed), ()
 
 
 _QUAD_PAIRS = [
@@ -297,10 +263,11 @@ I09 = Entry(
 def _i10_pair(table, num):
     """The evaluate of I10 (``table`` is ``Context.luc``, ``num``
     ``_i10_num``) or I11 (``Context.fib``, ``_i11_num``), whose sums read
-    W = table(ctx)."""
+    W = table(ctx), fetched once with F."""
     def evaluate(ctx, b):
         r, n = b["r"], b["n"]
-        W, F = table(ctx), ctx.fib()
+        F = ctx.fib()
+        W = F if table is Context.fib else table(ctx)
         s1 = weighted_sum(power_weights(F(r), F(r - 1), n), *W.read(0, 1, n + 1))
         # the middle sum at weight 1/2^j: the printed weight 1/2^(j-1) is
         # twice it, the proved 1/2^(j+1) half of it
@@ -349,16 +316,17 @@ I11 = Entry(
 def _i12_pair(table, num):
     """The evaluate of I12 (``table`` is ``Context.luc``, ``num``
     ``_i12_num``) or I13 (``Context.fib``, ``_i13_num``), whose sums read
-    W = table(ctx)."""
+    W = table(ctx), fetched once with L and F."""
     def evaluate(ctx, b):
         r, n = b["r"], b["n"]
-        W, L = table(ctx), ctx.luc()
+        L, F = ctx.luc(), ctx.fib()
+        W = L if table is Context.luc else F
         s1 = 2 * sum(neg_one(r * (n - j)) * W(2 * r * j) for j in range(n + 1))
         # (L_r/2)^j (-1)^(r(n-j)) is x^j y^(n-j) at y = (-1)^r
         x = Rat(L(r), 2)
         s2 = (weighted_sum(power_weights(x, 1, n), *W.read(2 * r * n, -r, n + 1))
               + weighted_sum(power_weights(x, neg_one(r), n), *W.read(0, r, n + 1)))
-        s3 = Rat(2 * num(ctx, b), neg_one(r + 1) * 5 * ctx.fib()(r) ** 2)
+        s3 = Rat(2 * num(ctx, b), neg_one(r + 1) * 5 * F(r) ** 2)
         return (s1, s2, s3), ()
     return evaluate
 
@@ -451,12 +419,13 @@ def _i16_left(ctx, r, n):
 def _i16_middle(ctx, base, e, r, n):
     """Middle-sum weights of I16 and I17 over one denominator: the first
     inner sum's 5^j/2^(2j+1) L_r^(2n-2j), then its 5^j/2^(2j+1) B_(r-1)^(2n-2j)
-    (B = F for base "F", L for "L"), then the second's 5^(j-e)/2^(2j) c^(2n-2j+1)
-    for c = L_r, then L_(r-1). With x = 5/4, these are x^j (c^2)^(n-j) / 2 for
-    each base c of the first, and c / 5^e times x^j (c^2)^(n-j), j >= 1."""
+    (B = base(ctx), for ``base`` ``Context.fib`` or ``Context.luc``), then
+    the second's 5^(j-e)/2^(2j) c^(2n-2j+1) for c = L_r, then L_(r-1). With
+    x = 5/4, these are x^j (c^2)^(n-j) / 2 for each base c of the first, and
+    c / 5^e times x^j (c^2)^(n-j), j >= 1."""
     L = ctx.luc()
     lr, lr1 = L(r), L(r - 1)
-    br1 = (ctx.fib() if base == "F" else L)(r - 1)
+    br1 = base(ctx)(r - 1)
     (a, da), (b, db), (c, dc) = (power_weights(Rat(5, 4), y * y, n)
                                  for y in (lr, br1, lr1))
     return joined_weights((a, 2 * da), (b, 2 * db),
@@ -464,11 +433,12 @@ def _i16_middle(ctx, base, e, r, n):
                           ([lr1 * y for y in c[1:]], 5 ** e * dc))
 
 
-def _i16_pair(table, num, inner, printed, proved):
-    """The evaluate of I16 or I17. The left sum and the first inner sum read
-    W = table(ctx), the second inner sum V = inner(ctx); ``printed`` and
-    ``proved`` are the ``_i16_middle`` (base, e) keys of the two readings,
-    which take the second inner sum's index as printed and with its +1."""
+def _i16_pair(table, inner, printed, proved):
+    """The evaluate of I16 or I17. The left sum, the first inner sum and the
+    closed form read W = table(ctx), the second inner sum V = inner(ctx);
+    ``printed`` and ``proved`` are the ``_i16_middle`` (base, e) keys of the
+    two readings, which take the second inner sum's index as printed and
+    with its +1."""
     (pb, pe), (qb, qe) = printed, proved
 
     def evaluate(ctx, b):
@@ -482,7 +452,7 @@ def _i16_pair(table, num, inner, printed, proved):
             return ([V(2 * n - 2 * j + extra + (2 * j - 1) * r + t) for j in range(1, n + 1)]
                     + [V((2 * j - 1) * r + t) for j in range(1, n + 1)])
 
-        s3 = Rat(num(ctx, b), ctx.memo(_i16_den, r))
+        s3 = Rat(_i16_num(ctx, b, table), ctx.memo(_i16_den, r))
         return (s1, weighted_sum(ctx.memo(_i16_middle, pb, pe, r, n), first + second(0)),
                 weighted_sum(ctx.memo(_i16_middle, qb, qe, r, n), first + second(1)), s3), ()
     return evaluate
@@ -501,7 +471,7 @@ I16 = Entry(
     domain="L_(r-2) L_(r+1) + L_r L_(r-1) != 0; n >= 0",
     guards=(GUARD_I16_DEN, GUARD_N),
     # both readings differ in an index only, so they share the middle weights
-    evaluate=_i16_pair(Context.luc, _i16_num, Context.fib, ("L", 0), ("L", 0)),
+    evaluate=_i16_pair(Context.luc, Context.fib, (Context.luc, 0), (Context.luc, 0)),
     grid=R_T_N_AXES,
     sides=(Slot("left sum"),
            Slot("middle sum, inner index 2n-2j+(2j-1)r+t", variant="as-printed"),
@@ -525,7 +495,7 @@ I17 = Entry(
     domain="L_(r-2) L_(r+1) + L_r L_(r-1) != 0; n >= 0",
     guards=(GUARD_I16_DEN, GUARD_N),
     # as printed: B = F and 5^j in the second inner sum; as proved: L, 5^(j-1)
-    evaluate=_i16_pair(Context.fib, _i17_num, Context.luc, ("F", 0), ("L", 1)),
+    evaluate=_i16_pair(Context.fib, Context.luc, (Context.fib, 0), (Context.luc, 1)),
     grid=R_T_N_AXES,
     sides=(Slot("left sum"),
            Slot("middle sum, F_(r-1) base, 5^j weight, printed index",

@@ -298,12 +298,6 @@ def int_weights(coeffs) -> tuple:
     denominators in lowest terms, 1 when all are ints; ``weighted_sum``
     reads the pair.
     """
-    coeffs = tuple(coeffs)
-    for c in coeffs:
-        if type(c) is not int:
-            break
-    else:
-        return coeffs, 1
     parts = []
     for c in coeffs:
         n, d = _exact(c)

@@ -106,7 +106,6 @@ def test_an_unused_import_is_found():
 #: ``perfbench`` reads, each with what it is for.
 ENTRY_POINTS = {
     "evaluate_entry": "evaluates one entry at one point, as the README's API example does",
-    "sury_f": "the generating lemma's four forms at one (x, y, n), with I06's guards",
     "QuadExt.conj": "the Galois conjugate, the other root of a characteristic pair",
     "QuadExt.norm": "the field norm, a value times its conjugate",
     "poly": "builds a polynomial from its coefficients, canonicalised",
@@ -130,17 +129,18 @@ def definitions(tree) -> list:
 
 def unread_names(defining, reading) -> list:
     """The names the ``defining`` trees define that no ``reading`` tree
-    reads, as a bare name or after a dot; an import or an assignment is not
-    a read."""
-    read = set()
+    reads: a function or class as a bare name or after a dot, a method only
+    after a dot. An import or an assignment is not a read."""
+    bare, dotted = set(), set()
     for tree in reading:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                bare.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                dotted.add(node.attr)
     return sorted(name for tree in defining for name in definitions(tree)
-                  if name.rpartition(".")[2] not in read)
+                  if name.rpartition(".")[2] not in (dotted if "." in name
+                                                     else bare | dotted))
 
 
 def test_every_defined_name_is_read():
@@ -162,3 +162,13 @@ def test_an_unread_name_is_found():
                        "used(Box().get())\n"
                        "size = 3\n")
     assert unread_names([module], [module, reader]) == ["Box.put", "Box.size", "unused"]
+
+
+def test_a_method_is_read_only_after_a_dot():
+    # the bare name reads the function fib, not the method Box.fib
+    module = ast.parse("def fib(): pass\n"
+                       "class Box:\n"
+                       "    def fib(self): pass\n")
+    reader = ast.parse("from m import Box, fib\n"
+                       "fib(Box())\n")
+    assert unread_names([module], [module, reader]) == ["Box.fib"]
