@@ -173,19 +173,17 @@ def _cmd_div(args, ranges) -> int:
     if entry.kind != "divisibility":
         return _fail_usage(f"{entry.id} is not a divisibility entry "
                            "(use `verify` for identities)")
-    rows: list[dict] = []
     try:
-        rep = sweep(entry, ranges or None, Context(),
-                    on_result=lambda ev: rows.append(witness_row(ev)))
+        rep = sweep(entry, ranges or None, Context(), row=witness_row)
     except UsageError as exc:
         return _fail_usage(str(exc))
     except (MemoryError, RecursionError) as exc:
         return _fail_exhausted(entry, exc)
 
     if args.format == "csv":
-        sys.stdout.write(div_csv(entry.params, rows))
+        sys.stdout.write(div_csv(entry.params, rep.rows))
     else:
-        doc = document("div", [sweep_payload(rep, rows=rows)])
+        doc = document("div", [sweep_payload(rep)])
         sys.stdout.write(to_json(doc))
     return 0 if rep.verified else 1
 

@@ -15,7 +15,7 @@ of its group, and a group is present or absent as a whole. A point compares
 those pairs by index and checks each witness by one integer remainder.
 Side, Witness and Evaluation objects, labels included, are built from the
 values already returned only for a point that fails its primary reading or
-that the caller streams.
+whose sweep was given a row function.
 
 A sweep walks its grid one axis level at a time, binding each axis into one
 bindings dict that keeps axis order. Each guard is checked once per row of
@@ -29,13 +29,14 @@ divisor), is recorded as a failing instance, not propagated. MemoryError
 and RecursionError are resource limits, not findings: they propagate, as
 guard exceptions do.
 
-A sweep that streams no results is sharded when the process runs one
-thread, can fork and may use more than one CPU: the parent binds whole
-shallow axes into binding prefixes, deals them round-robin over the CPUs in
-the process's affinity mask, walks one share itself and forks a child per
-other share. The guards of the bound axes move down to the split level, so
-each prefix checks them once as its walk starts. The children pickle their
-counts and failures back, and the parent merges them in prefix order. One
+A sweep is sharded when the process runs one thread, can fork and may use
+more than one CPU: the parent binds whole shallow axes into binding
+prefixes, deals them round-robin over the CPUs in the process's affinity
+mask, walks one share itself and forks a child per other share. The guards
+of the bound axes move down to the split level, so each prefix checks them
+once as its walk starts. A sweep's row function runs in the process that
+walks the point. The children pickle their counts, failures and row values
+back, and the parent merges them in prefix order. One
 driver runs every sweep: a grid of at least SHARD_MIN_POINTS points forks
 at once; a smaller one is walked prefix by prefix in the parent until its
 measured time per prefix, times the prefixes left, reaches
@@ -290,6 +291,7 @@ class SweepReport:
     rejected: int
     variant_verified: dict         # variant -> count of fully-ok instances
     failures: list                 # Evaluations failing the primary reading
+    rows: Optional[list] = None    # the row function's value per checked point
 
     @property
     def verified(self) -> bool:
@@ -565,15 +567,15 @@ def _guard_levels(entry: Entry, axes: list, floor: int = 0) -> list:
 class _Sweep:
     """State of one sweep, shared by every level of ``_walk``."""
 
-    __slots__ = ("plan", "evaluate", "ctx", "on_result", "rows", "guards",
+    __slots__ = ("plan", "evaluate", "ctx", "row", "rows", "guards",
                  "below", "bindings", "checked", "rejected", "verified",
-                 "failures")
+                 "failures", "made")
 
-    def __init__(self, entry, ctx, on_result, axes):
+    def __init__(self, entry, ctx, row, axes):
         self.plan = _Plan(entry)
         self.evaluate = entry.evaluate
         self.ctx = ctx
-        self.on_result = on_result
+        self.row = row
         self.rows = [[dict(zip(ax.names, row)) for row in ax.values] for ax in axes]
         self.guards = None      # by level, once the split level is known
         sizes = [len(ax.values) for ax in axes]
@@ -582,6 +584,7 @@ class _Sweep:
         self.checked = self.rejected = 0
         self.verified = [0] * len(self.plan.variants)     # points each reading held at
         self.failures = []
+        self.made = []          # the row function's values, when it is given
 
 
 def _walk(sw: _Sweep, level: int):
@@ -601,8 +604,9 @@ def _walk(sw: _Sweep, level: int):
             b.update(row)
             _walk(sw, level + 1)
         return
-    # a streamed point's witnesses are built by the division that checks them
-    built = None if sw.on_result is None else []
+    # a point given to the row function has its witnesses built by the
+    # division that checks them
+    built = None if sw.row is None else []
     try:
         sides, witnesses = sw.evaluate(sw.ctx, b)
         held, diff = _judge(sw.plan, sides, witnesses, built)
@@ -615,15 +619,15 @@ def _walk(sw: _Sweep, level: int):
     verified = sw.verified
     for v in held:
         verified[v] += 1
-    if diff is not None or sw.on_result is not None:
-        if built is None:       # an unstreamed failure: build its witnesses
+    if diff is not None or sw.row is not None:
+        if built is None:       # a failure without a row: build its witnesses
             built = []
             _judge(sw.plan, sides, witnesses, built)
         ev = _evaluation(sw.plan, b, sides, built, held, diff)
         if diff is not None:
             sw.failures.append(ev)
-        if sw.on_result is not None:
-            sw.on_result(ev)
+        if sw.row is not None:
+            sw.made.append(sw.row(ev))
 
 
 def _cpu_count() -> int:
@@ -634,15 +638,10 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _share_count(sw: _Sweep) -> int:
-    """Processes a sweep may spread over: 1 unless it may fork.
-
-    A streamed sweep stays in-process (its caller sees every result in grid
-    order), and so does a process running other threads, which must not
-    fork.
-    """
-    if (sw.on_result is None and hasattr(os, "fork")
-            and threading.active_count() == 1):
+def _share_count() -> int:
+    """Processes a sweep may spread over: 1 unless it may fork. A process
+    running other threads must not fork."""
+    if hasattr(os, "fork") and threading.active_count() == 1:
         return _cpu_count()
     return 1
 
@@ -665,10 +664,10 @@ def _run_share(sw: _Sweep, level: int, prefixes: list, share) -> tuple:
     """Walk the prefixes of one share from ``level`` down, from zeroed counts.
 
     Returns ``(checked, rejected, variant_verified, parts, error)`` for these
-    prefixes alone, where ``parts`` pairs each prefix index with the failures
-    found below it and ``error`` is ``(prefix index, exception)`` for a guard
-    that raised or a resource limit reached, which ends the share, else
-    None.
+    prefixes alone, where ``parts`` holds ``(prefix index, failures, row
+    values)`` for each prefix that found either below it, and ``error`` is
+    ``(prefix index, exception)`` for a guard or row function that raised or
+    a resource limit reached, which ends the share, else None.
     """
     sw.checked = sw.rejected = 0
     sw.verified = [0] * len(sw.verified)
@@ -676,14 +675,14 @@ def _run_share(sw: _Sweep, level: int, prefixes: list, share) -> tuple:
     error = None
     for i in share:
         sw.bindings = dict(prefixes[i])
-        sw.failures = []
+        sw.failures, sw.made = [], []
         try:
             _walk(sw, level)
         except Exception as exc:
             error = i, exc
             break
-        if sw.failures:
-            parts.append((i, sw.failures))
+        if sw.failures or sw.made:
+            parts.append((i, sw.failures, sw.made))
     verified = dict(zip(sw.plan.variants, sw.verified))
     return sw.checked, sw.rejected, verified, parts, error
 
@@ -711,7 +710,7 @@ def _child(sw: _Sweep, level: int, prefixes: list, share, r: int, w: int):
                 exc = RuntimeError(f"{type(exc).__name__}: {exc}")
             result = (*result[:4], (i, exc))
         with os.fdopen(w, "wb") as f:
-            f.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+            pickle.dump(result, f, pickle.HIGHEST_PROTOCOL)
         status = 0
     except KeyboardInterrupt:
         pass
@@ -724,13 +723,12 @@ def _child(sw: _Sweep, level: int, prefixes: list, share, r: int, w: int):
 
 
 def _receive(fd: int) -> tuple:
-    """A child's share result, read from its pipe until the child closes it."""
+    """A child's share result, unpickled from its pipe as it arrives. The
+    caller closes ``fd``."""
     import pickle
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
     try:
-        return pickle.loads(b"".join(chunks))
+        with open(fd, "rb", closefd=False) as f:
+            return pickle.load(f)
     except Exception:
         raise RuntimeError("a sweep shard ended without reporting its result") from None
 
@@ -801,7 +799,7 @@ def _run_gated(sw: _Sweep, level: int, prefixes: list, workers: int) -> list:
 
 def sweep(entry: Entry, overrides: Optional[dict] = None,
           ctx: Optional[Context] = None,
-          on_result: Optional[Callable] = None) -> SweepReport:
+          row: Optional[Callable] = None) -> SweepReport:
     """Evaluate the entry over a grid; collect all primary-reading failures.
 
     The grid is walked axis by axis in declaration order. Each guard runs
@@ -824,18 +822,21 @@ def sweep(entry: Entry, overrides: Optional[dict] = None,
     single prefix ``{}``). Of several guard exceptions the first in grid
     order is raised, a resource limit reached in a share counting as one.
 
-    ``on_result`` (if given) receives every checked Evaluation in grid order,
-    letting callers stream per-instance rows (witness tables) without the
-    sweep retaining them all; such a sweep runs in one process. Without it,
-    Evaluations are built only for failures.
+    ``row`` (if given) is called with the Evaluation of every checked point,
+    in the process that walks the point, and the report's ``rows`` holds
+    what it returned, in grid order: a witness table is built where its
+    points are, and a sharded sweep's row values travel back pickled, so
+    they must pickle. A row function that raises ends the sweep as a guard
+    exception does. Without it, ``rows`` is None and Evaluations are built
+    only for failures.
     """
     axes = resolve_axes(entry, overrides)
-    sw = _Sweep(entry, ctx if ctx is not None else Context(), on_result, axes)
+    sw = _Sweep(entry, ctx if ctx is not None else Context(), row, axes)
     checked = rejected = 0
     verified = dict.fromkeys(entry.variants, 0)
     parts = []
     if sw.below[0]:     # an empty axis leaves no point, so no guard may run
-        workers = _share_count(sw)
+        workers = _share_count()
         # four prefixes a share even out the work the shares get
         level, prefixes = _prefixes(sw, 4 * workers if workers > 1 else 1)
         sw.guards = _guard_levels(entry, axes, level)
@@ -853,4 +854,5 @@ def sweep(entry: Entry, overrides: Optional[dict] = None,
             raise min(errors, key=lambda e: e[0])[1]
         parts.sort(key=lambda part: part[0])
     return SweepReport(entry, axes, checked, rejected, verified,
-                       [f for _, failures in parts for f in failures])
+                       [f for _, failures, _ in parts for f in failures],
+                       None if row is None else [v for _, _, made in parts for v in made])

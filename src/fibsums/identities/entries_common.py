@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..scalars import power
 from ..sequences import neg_one
-from .engine import Context, Guard, Slot, axis, irange, joint
+from .engine import Guard, Slot, axis, irange, joint
 
 GUARD_N = Guard("n >= 0", ("n",), lambda ctx, b: b["n"] >= 0)
 GUARD_T = Guard("t >= 0", ("t",), lambda ctx, b: b["t"] >= 0)
@@ -82,54 +82,48 @@ GUARD_I16_DEN = Guard("L_(r-2) L_(r+1) + L_r L_(r-1) != 0", ("r",),
                       lambda ctx, b: ctx.memo(_i16_den, b["r"]) != 0)
 
 
-# closed-form numerators, each named after the identity that displays it
+# closed-form numerators, each named after the identity that displays it;
+# each takes the Fibonacci (F) and Lucas (L) tables its caller holds
 
-def _i10_num(ctx, b):
-    F, L = ctx.fib(), ctx.luc()
+def _i10_num(F, L, b):
     r, n = b["r"], b["n"]
     return (F(r) ** (n + 2) * L(n) + F(r - 1) * F(r) ** (n + 1) * L(n + 1)
             + F(r) * F(r - 1) ** (n + 1) - 2 * F(r - 1) ** (n + 2))
 
 
-def _i11_num(ctx, b):
-    F = ctx.fib()
+def _i11_num(F, _, b):
+    """Takes (F, F, b), the signature of ``_i10_num`` with I11's table."""
     r, n = b["r"], b["n"]
     return (F(r) ** (n + 2) * F(n) + F(r - 1) * F(r) ** (n + 1) * F(n + 1)
             - F(r) * F(r - 1) ** (n + 1))
 
 
-def _i12_num(ctx, b):
-    L = ctx.luc()
+def _i12_num(L, b):
     r, n = b["r"], b["n"]
     return (neg_one(r + 1) * L(2 * r * (n + 1)) - neg_one(r * (n + 1)) * L(2 * r)
             + L(2 * r * n) + 2 * neg_one(r * n))
 
 
-def _i13_num(ctx, b):
-    F = ctx.fib()
+def _i13_num(F, b):
     r, n = b["r"], b["n"]
     return (neg_one(r + 1) * F(2 * r * (n + 1)) + neg_one(r * (n + 1)) * F(2 * r)
             + F(2 * r * n))
 
 
-def _i14_num(ctx, b):
-    L = ctx.luc()
+def _i14_num(L, b):
     r, n = b["r"], b["n"]
     return L(2 * r) ** (n + 1) - 2 ** (n + 1)
 
 
-def _i16_num(ctx, b, table):
-    """The numerator of I16 (``table`` is ``Context.luc``) or I17
-    (``Context.fib``), whose inner terms read W = table(ctx)."""
-    L = ctx.luc()
-    W = L if table is Context.luc else table(ctx)
+def _i16_num(L, W, b):
+    """The numerator of I16 (W is L) or I17 (W is F), whose inner terms
+    read W."""
     r, t, n = b["r"], b["t"], b["n"]
     return (L(r) ** (2 * n + 1) * (L(r) * W(2 * n + t) + L(r - 1) * W(2 * n + t + 1))
             - L(r - 1) ** (2 * n + 1) * (L(r) * W(t - 1) + L(r - 1) * W(t)))
 
 
-def _i18_num(ctx, b):
-    L = ctx.luc()
+def _i18_num(L, b):
     r, k, s, n = b["r"], b["k"], b["s"], b["n"]
     return (L(2 * k + r + s) ** (n + 1)
             - neg_one((k + s) * (n + 1)) * L(r - s) ** (n + 1))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from ..scalars import power
 from ..sequences import neg_one
-from .engine import Context, Entry, Guard, Slot, axis, irange, joint
+from .engine import Entry, Guard, Slot, axis, irange, joint
 from .entries_common import (GUARD_F_KR_KS, GUARD_I10_DEN, GUARD_I16_DEN,
                              GUARD_M_ODD_POSITIVE, GUARD_N, GUARD_PQ,
                              GUARD_R_NONZERO, GUARD_R_POSITIVE, GUARD_T,
@@ -88,7 +88,7 @@ D03 = Entry(
 # are divisible by their denominator F_r^2 + F_r F_(r-1) - F_(r-1)^2.
 
 def _d04(ctx, b):
-    return (), ((ctx.memo(_i10_den, b["r"]), _i10_num(ctx, b)),)
+    return (), ((ctx.memo(_i10_den, b["r"]), _i10_num(ctx.fib(), ctx.luc(), b)),)
 
 
 D04 = Entry(
@@ -102,7 +102,8 @@ D04 = Entry(
 
 
 def _d05(ctx, b):
-    return (), ((ctx.memo(_i10_den, b["r"]), _i11_num(ctx, b)),)
+    F = ctx.fib()
+    return (), ((ctx.memo(_i10_den, b["r"]), _i11_num(F, F, b)),)
 
 
 D05 = Entry(
@@ -164,7 +165,7 @@ D08 = Entry(
 
 def _d09(ctx, b):
     F = ctx.fib()
-    return (), ((5 * F(b["r"]) ** 2, _i13_num(ctx, b)),)
+    return (), ((5 * F(b["r"]) ** 2, _i13_num(F, b)),)
 
 
 D09 = Entry(
@@ -194,7 +195,7 @@ D10 = Entry(
 def _d11(ctx, b):
     F, L = ctx.fib(), ctx.luc()
     r, n = b["r"], b["n"]
-    combo = _i12_num(ctx, b)
+    combo = _i12_num(L, b)
     decomp = (neg_one(r + 1) * 5 * F(r) * F(2 * r * n + r)
               - neg_one(r * (n + 1)) * 5 * F(r) ** 2)
     return (combo, decomp), ((5 * F(r) ** 2, combo), (F(r), F(r * (2 * n + 1))))
@@ -216,7 +217,7 @@ D11 = Entry(
 
 def _d12(ctx, b):
     F = ctx.fib()
-    return (), ((5 * F(b["r"]) ** 2, _i14_num(ctx, b)),)
+    return (), ((5 * F(b["r"]) ** 2, _i14_num(ctx.luc(), b)),)
 
 
 D12 = Entry(
@@ -234,7 +235,7 @@ D12 = Entry(
 
 def _d13(ctx, b):
     L = ctx.luc()
-    return (), ((L(b["r"]) ** 2, _i14_num(ctx, b)),)
+    return (), ((L(b["r"]) ** 2, _i14_num(L, b)),)
 
 
 D13 = Entry(
@@ -252,13 +253,15 @@ D13 = Entry(
 # L_(r-2) L_(r+1) + L_r L_(r-1); at (r, t) = (2, 0) the divisor is 11 and
 # the dividend collapses to the displayed mod-11 particular.
 
-def _lucas_pair(ctx, b, num, particular):
-    """Witness den | num; at (r, t) = (2, 0) also match the displayed
-    particular and witness 11 | particular, which are absent elsewhere."""
+def _lucas_pair(ctx, b, L, W, particular):
+    """Witness den | the numerator of I16 (W is L) or I17 (W is F); at
+    (r, t) = (2, 0) also match the displayed particular(n) and witness
+    11 | particular(n), which are absent elsewhere."""
+    num = _i16_num(L, W, b)
     den = ctx.memo(_i16_den, b["r"])
     if (b["r"], b["t"]) != (2, 0):
         return (None, None), ((den, num), None)
-    part = particular(ctx.fib(), ctx.luc(), b["n"])
+    part = particular(b["n"])
     return (part, num), ((den, num), (11, part))
 
 
@@ -272,9 +275,10 @@ _D14_PARTICULAR = "3^(2n+1) (L_(2n) + 5 F_(2n+1)) + 1"
 
 
 def _d14(ctx, b):
+    L = ctx.luc()
     return _lucas_pair(
-        ctx, b, _i16_num(ctx, b, Context.luc),
-        lambda F, L, n: 3 ** (2 * n + 1) * (L(2 * n) + 5 * F(2 * n + 1)) + 1)
+        ctx, b, L, L,
+        lambda n: 3 ** (2 * n + 1) * (L(2 * n) + 5 * ctx.fib()(2 * n + 1)) + 1)
 
 
 D14 = Entry(
@@ -294,9 +298,10 @@ _D15_PARTICULAR = "3^(2n+1) (F_(2n) + L_(2n+1)) - 3"
 
 
 def _d15(ctx, b):
+    F, L = ctx.fib(), ctx.luc()
     return _lucas_pair(
-        ctx, b, _i16_num(ctx, b, Context.fib),
-        lambda F, L, n: 3 ** (2 * n + 1) * (F(2 * n) + L(2 * n + 1)) - 3)
+        ctx, b, L, F,
+        lambda n: 3 ** (2 * n + 1) * (F(2 * n) + L(2 * n + 1)) - 3)
 
 
 D15 = Entry(
@@ -315,7 +320,7 @@ D15 = Entry(
 def _d16(ctx, b):
     F = ctx.fib()
     r, k, s = b["r"], b["k"], b["s"]
-    return (), ((5 * F(k + r) * F(k + s), _i18_num(ctx, b)),)
+    return (), ((5 * F(k + r) * F(k + s), _i18_num(ctx.luc(), b)),)
 
 
 D16 = Entry(
@@ -333,7 +338,7 @@ def _d17(ctx, b):
     # the D16 dividend at s = r, where L_(r-s) = L_0 = 2
     F = ctx.fib()
     r, k = b["r"], b["k"]
-    return (), ((5 * F(k + r) ** 2, _i18_num(ctx, dict(b, s=r))),)
+    return (), ((5 * F(k + r) ** 2, _i18_num(ctx.luc(), dict(b, s=r))),)
 
 
 D17 = Entry(

@@ -273,7 +273,7 @@ def _i10_pair(table, num):
         # twice it, the proved 1/2^(j+1) half of it
         mid = (weighted_sum(power_weights(Rat(1, 2), F(r), n), *W.read(n, r - 1, n + 1))
                + weighted_sum(power_weights(Rat(1, 2), F(r - 1), n), *W.read(0, r, n + 1)))
-        s3 = Rat(num(ctx, b), ctx.memo(_i10_den, r))
+        s3 = Rat(num(F, W, b), ctx.memo(_i10_den, r))
         return (s1, 2 * mid, mid / 2, s3), ()
     return evaluate
 
@@ -326,7 +326,7 @@ def _i12_pair(table, num):
         x = Rat(L(r), 2)
         s2 = (weighted_sum(power_weights(x, 1, n), *W.read(2 * r * n, -r, n + 1))
               + weighted_sum(power_weights(x, neg_one(r), n), *W.read(0, r, n + 1)))
-        s3 = Rat(2 * num(ctx, b), neg_one(r + 1) * 5 * F(r) ** 2)
+        s3 = Rat(2 * num(W, b), neg_one(r + 1) * 5 * F(r) ** 2)
         return (s1, s2, s3), ()
     return evaluate
 
@@ -362,10 +362,10 @@ def _i14(ctx, b):
     # the middle weight c/2 and the closed denominator swap with the parity of r
     if r % 2 == 0:
         c = L(r) ** 2
-        s3 = Rat(2 * _i14_num(ctx, b), 5 * F(r) ** 2)
+        s3 = Rat(2 * _i14_num(L, b), 5 * F(r) ** 2)
     else:
         c = 5 * F(r) ** 2
-        s3 = Rat(2 * _i14_num(ctx, b), L(r) ** 2)
+        s3 = Rat(2 * _i14_num(L, b), L(r) ** 2)
     s2 = Rat(_power_sum(c, 2 * L(2 * r), n) + _power_sum(c, 4, n), 2 ** n)
     return (s1, s2, s3), ()
 
@@ -452,7 +452,8 @@ def _i16_pair(table, inner, printed, proved):
             return ([V(2 * n - 2 * j + extra + (2 * j - 1) * r + t) for j in range(1, n + 1)]
                     + [V((2 * j - 1) * r + t) for j in range(1, n + 1)])
 
-        s3 = Rat(_i16_num(ctx, b, table), ctx.memo(_i16_den, r))
+        L = W if table is Context.luc else V    # I17's second inner sum reads L
+        s3 = Rat(_i16_num(L, W, b), ctx.memo(_i16_den, r))
         return (s1, weighted_sum(ctx.memo(_i16_middle, pb, pe, r, n), first + second(0)),
                 weighted_sum(ctx.memo(_i16_middle, qb, qe, r, n), first + second(1)), s3), ()
     return evaluate
@@ -517,7 +518,7 @@ def _i18(ctx, b):
     c = L(k + r) * L(k + s)
     s1 = 2 * _power_sum(B, A, n)
     s2 = Rat(_power_sum(c, 2 * A, n) + _power_sum(c, 2 * B, n), 2 ** n)
-    s3 = Rat(2 * _i18_num(ctx, b), 5 * F(k + r) * F(k + s))
+    s3 = Rat(2 * _i18_num(L, b), 5 * F(k + r) * F(k + s))
     return (s1, s2, s3), ()
 
 

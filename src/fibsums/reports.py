@@ -51,8 +51,9 @@ def evaluation_payload(ev: Evaluation) -> dict:
     }
 
 
-def sweep_payload(rep: SweepReport, rows: list | None = None) -> dict:
-    """One entry's sweep as a JSON-able dict; ``rows`` adds a witness table."""
+def sweep_payload(rep: SweepReport) -> dict:
+    """One entry's sweep as a JSON-able dict, with its ``rows`` (a witness
+    table) when the sweep was given a row function."""
     entry = rep.entry
     payload = {
         "identity": entry.id,
@@ -72,8 +73,8 @@ def sweep_payload(rep: SweepReport, rows: list | None = None) -> dict:
         "notes": list(entry.notes),
         "failures": [evaluation_payload(f) for f in rep.failures],
     }
-    if rows is not None:
-        payload["rows"] = rows
+    if rep.rows is not None:
+        payload["rows"] = rep.rows
     return payload
 
 

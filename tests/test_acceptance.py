@@ -86,18 +86,19 @@ def test_criterion_2():
     ok = True
     total = 0
     for entry_id in ("H02", "H08", "H09"):
-        nonzero = []
-
-        def check(ev, nonzero=nonzero):
-            if any(side.value != 0 for side in ev.sides):
-                nonzero.append(ev.bindings)
-
-        rep = sweep(get_entry(entry_id), None, ctx, on_result=check)
-        ok = ok and rep.verified and rep.checked > 0 and not nonzero
+        rep = sweep(get_entry(entry_id), None, ctx,
+                    row=lambda ev: any(side.value != 0 for side in ev.sides))
+        ok = ok and rep.verified and rep.checked > 0 and not any(rep.rows)
         total += rep.checked
     _criterion(
         2, f"vanishing sums evaluate to exactly zero at all {total} grid "
            f"points of H02, H08, H09", ok)
+
+
+def unsound_witnesses(ev):
+    """The witnesses of ``ev`` whose certificate does not hold exactly."""
+    return [w for w in ev.witnesses
+            if not (w.ok and w.residue is None and w.divisor * w.quotient == w.dividend)]
 
 
 def test_criterion_3():
@@ -107,17 +108,9 @@ def test_criterion_3():
     for entry in ENTRIES:
         if entry.kind != "divisibility":
             continue
-        bad = []
-
-        def check(ev, bad=bad):
-            for w in ev.witnesses:
-                if not (w.ok and w.residue is None
-                        and w.divisor * w.quotient == w.dividend):
-                    bad.append((ev.bindings, w))
-
-        rep = sweep(entry, None, ctx, on_result=check)
+        rep = sweep(entry, None, ctx, row=unsound_witnesses)
         total += rep.checked
-        sound = sound and rep.verified and rep.checked > 0 and not bad
+        sound = sound and rep.verified and rep.checked > 0 and not any(rep.rows)
 
     (w1,) = evaluate_entry(get_entry("D01"), {"r": 3, "m": 3}).witnesses
     (w2,) = evaluate_entry(get_entry("D06"), {"n": 3}).witnesses

@@ -427,7 +427,7 @@ class TestRangeFlags:
                                                command, entry):
         calls = []
 
-        def recorded(entry, overrides=None, ctx=None, on_result=None):
+        def recorded(entry, overrides=None, ctx=None, row=None):
             calls.append((entry.id, overrides))
             variants = {v: int(v == entry.primary_variant) for v in entry.variants}
             return SweepReport(entry, resolve_axes(entry, overrides), 1, 0,

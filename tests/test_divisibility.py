@@ -12,8 +12,8 @@ import pytest
 from test_mutation import _sub_grid
 
 from fibsums.identities import (ENTRIES, Context, RejectedInstance, Witness,
-                                axis, evaluate_entry, get_entry, make_witness,
-                                sweep)
+                                axis, engine, evaluate_entry, get_entry,
+                                make_witness, sweep)
 from fibsums.polynomials import poly_eval
 from fibsums.reports import (div_csv, document, sweep_payload, to_json,
                              witness_row)
@@ -209,7 +209,7 @@ class TestRejections:
     @pytest.mark.parametrize("p, q, below_zero_rejected, counts",
                              [(1, -1, False, (56, 7)), (3, 2, True, (28, 35))])
     def test_d20_integrality_guard_rejects_only_fractional_terms(
-            self, p, q, below_zero_rejected, counts):
+            self, monkeypatch, p, q, below_zero_rejected, counts):
         # u_(-k)(1, -1) = (-1)^(k+1) F_k is an integer; u_(-k)(3, 2) =
         # -(2^k - 1) / 2^k never is. u_0 = 0 is rejected by the u_r guard.
         entry = get_entry("D20")
@@ -227,8 +227,9 @@ class TestRejections:
             *entry.guards[:-1], dataclasses.replace(integral, holds=holds)))
         grid = {"p": [p], "q": [q], "r": list(range(-4, 5)),
                 "n": list(range(7))}
-        # a streamed sweep runs in this process, so every call is counted
-        rep = sweep(entry, grid, on_result=lambda ev: None)
+        # one CPU keeps the sweep in this process, so every call is counted
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
+        rep = sweep(entry, grid)
         want = [(r, n) for r in range(-4, 0) for n in range(7)]
         assert refused == (want if below_zero_rejected else [])
         assert (rep.checked, rep.rejected) == counts and rep.verified
@@ -238,18 +239,14 @@ class TestWitnessSoundnessSweeps:
     @pytest.mark.parametrize("entry_id",
                              ["D01", "D02", "D03", "D10", "D12", "D13"])
     def test_every_default_grid_witness_is_sound(self, entry_id):
-        seen = []
-
-        def check(ev):
+        rep = sweep(get_entry(entry_id), None, Context(), row=lambda ev: ev)
+        assert rep.verified
+        assert rep.checked == len(rep.rows) > 0
+        for ev in rep.rows:
             for w in ev.witnesses:
                 assert w.ok, (entry_id, ev.bindings, w)
                 assert w.residue is None
                 assert w.divisor * w.quotient == w.dividend
-            seen.append(ev)
-
-        rep = sweep(get_entry(entry_id), None, Context(), on_result=check)
-        assert rep.verified
-        assert rep.checked == len(seen) > 0
 
 
 def _axes(entry_id, *names):
@@ -264,11 +261,9 @@ def test_required_parameters_alone_check_a_witness_at_every_point(entry_id):
     # witness, or its verdict is vacuous
     entry = get_entry(entry_id)
     entry = dataclasses.replace(entry, grid=_axes(entry_id, *entry.required))
-    counts = []
-    rep = sweep(entry, None, Context(),
-                on_result=lambda ev: counts.append(len(ev.witnesses)))
-    assert rep.verified and len(counts) == rep.checked
-    assert min(counts) >= 1
+    rep = sweep(entry, None, Context(), row=lambda ev: len(ev.witnesses))
+    assert rep.verified and len(rep.rows) == rep.checked
+    assert min(rep.rows) >= 1
 
 
 #: D entry -> (source identity, factor at the bindings): the D entry's first
@@ -330,11 +325,11 @@ class TestCorollaryTable:
         if entry_id == "D22":       # 132,580 default points; a sub-grid will do
             entry = dataclasses.replace(
                 entry, grid=_sub_grid(entry, entry.primary_variant))
-        ctx, points = Context(), []
-        rep = sweep(entry, None, ctx, on_result=points.append)
-        assert rep.verified and len(points) == rep.checked
+        ctx = Context()
+        rep = sweep(entry, None, ctx, row=lambda ev: ev)
+        assert rep.verified and len(rep.rows) == rep.checked
         nonzero = 0
-        for ev in points:
+        for ev in rep.rows:
             left = evaluate_entry(source, ev.bindings, ctx).sides[0]
             assert left.label == "left sum"
             quotient = ev.witnesses[0].quotient
@@ -348,11 +343,11 @@ class TestCorollaryTable:
          held, unsourced) = MAPPED[case]
         entry = dataclasses.replace(get_entry(entry_id), grid=grid)
         source = get_entry(source_id)
-        ctx, points = Context(), []
-        rep = sweep(entry, None, ctx, on_result=points.append)
-        assert rep.verified and len(points) == rep.checked
+        ctx = Context()
+        rep = sweep(entry, None, ctx, row=lambda ev: ev)
+        assert rep.verified and len(rep.rows) == rep.checked
         sourced = nonzero = 0
-        for ev in points:
+        for ev in rep.rows:
             (quotient,) = [w.quotient for w in ev.witnesses if w.label == label]
             try:
                 sides = evaluate_entry(source, to_source(ev.bindings), ctx).sides
@@ -363,7 +358,7 @@ class TestCorollaryTable:
             sourced += 1
             nonzero += quotient != 0
         assert nonzero
-        assert (sourced, len(points) - sourced) == (held, unsourced)
+        assert (sourced, len(rep.rows) - sourced) == (held, unsourced)
 
 
 #: Horadam bindings at (p, q) = (1, -1) and t = 0, where w is L or F.
@@ -427,11 +422,11 @@ class TestHoradamSpecialisations:
         horadam_id, to_horadam, slots, factor, counts = \
             SPECIALISATIONS[classic_id]
         classic, horadam = get_entry(classic_id), get_entry(horadam_id)
-        ctx, points = Context(), []
-        rep = sweep(classic, None, ctx, on_result=points.append)
-        assert rep.verified and len(points) == rep.checked
+        ctx = Context()
+        rep = sweep(classic, None, ctx, row=lambda ev: ev)
+        assert rep.verified and len(rep.rows) == rep.checked
         compared = unsourced = 0
-        for ev in points:
+        for ev in rep.rows:
             mine = {s.label: s.value for s in ev.sides}
             polynomial = type(ev.sides[0].value) is tuple
             for x in XS if polynomial else [None]:
@@ -459,16 +454,11 @@ class TestDigitLimit:
     def test_witness_tables_past_the_default_int_str_limit(self, default_int_str_limit):
         # 2^20102 L_20102 has about 10,250 digits; the default limit is 4,300
         entry = get_entry("D06")
-        evaluations, rows = [], []
-
-        def keep(ev):
-            evaluations.append(ev)
-            rows.append(witness_row(ev))
-
-        rep = sweep(entry, {"n": [20100, 20101]}, Context(), on_result=keep)
-        doc = json.loads(to_json(document("div", [sweep_payload(rep, rows=rows)])))
-        table = list(csv.reader(io.StringIO(div_csv(entry.params, rows))))
-        assert rep.verified and len(evaluations) == 2 and len(table) == 3
+        rep = sweep(entry, {"n": [20100, 20101]}, Context(), row=witness_row)
+        evaluations = [evaluate_entry(entry, {"n": n}) for n in (20100, 20101)]
+        doc = json.loads(to_json(document("div", [sweep_payload(rep)])))
+        table = list(csv.reader(io.StringIO(div_csv(entry.params, rep.rows))))
+        assert rep.verified and len(rep.rows) == 2 and len(table) == 3
         for ev, row, line in zip(evaluations, doc["reports"][0]["rows"], table[1:]):
             (w,) = ev.witnesses
             expected = [default_int_str_limit(x)

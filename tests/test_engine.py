@@ -62,30 +62,21 @@ def reference_sweep(entry):
     return checked, rejected, verified, failures, stream, None
 
 
-def engine_sweep(entry):
-    """``sweep`` with the same return shape as ``reference_sweep``."""
-    stream = []
+def engine_sweep(entry, rows=True):
+    """``sweep`` with the same return shape as ``reference_sweep``. Its
+    stream is the sweep's rows, one Evaluation per checked point, or None
+    without ``rows`` or when the sweep raised."""
     try:
-        rep = sweep(entry, on_result=stream.append)
-    except Exception as exc:
-        return None, None, None, None, stream, type(exc)
-    return (rep.checked, rep.rejected, rep.variant_verified, rep.failures,
-            stream, None)
-
-
-def sharded_sweep(entry):
-    """``sweep`` without ``on_result``, which would keep it in one process;
-    the return shape of ``reference_sweep`` with no stream."""
-    try:
-        rep = sweep(entry)
+        rep = sweep(entry, row=(lambda ev: ev) if rows else None)
     except Exception as exc:
         return None, None, None, None, None, type(exc)
-    return rep.checked, rep.rejected, rep.variant_verified, rep.failures, None, None
+    return (rep.checked, rep.rejected, rep.variant_verified, rep.failures,
+            rep.rows, None)
 
 
 def assert_same_sweep(got, want):
     assert got[5] is want[5]
-    if got[4] is not None:      # a sharded sweep streams nothing
+    if got[4] is not None:      # a sweep without rows streams nothing
         assert got[4] == want[4]
         # dict equality ignores order; bindings must also keep axis order
         assert [list(ev.bindings) for ev in got[4]] \
@@ -279,8 +270,7 @@ class TestInstanceErrors:
             grid=(axis("n", range(5)),), sides=XY)
 
     def test_evaluate_errors_become_failing_instances(self):
-        seen = []
-        rep = sweep(self.entry(), on_result=seen.append)
+        rep = sweep(self.entry(), row=lambda ev: ev)
         assert (rep.checked, rep.rejected) == (5, 0)
         assert rep.variant_verified == {"as-stated": 3}
         assert not rep.verified
@@ -289,7 +279,8 @@ class TestInstanceErrors:
         assert failure.first_diff == ("error", "KeyError: 'm'")
         assert (failure.sides, failure.witnesses) == ([], [])
         assert failure.variant_ok == {"as-stated": False} and not failure.ok
-        assert [ev.bindings["n"] for ev in seen] == [0, 1, 2, 3, 4]
+        assert [ev.bindings["n"] for ev in rep.rows] == [0, 1, 2, 3, 4]
+        assert sweep(self.entry()).rows is None
 
     def test_guard_errors_propagate(self):
         def holds(ctx, b):
@@ -370,11 +361,12 @@ class TestShardedSweep:
     @given(entry=synthetic_entries())
     def test_synthetic_entries(self, workers, entry):
         want = reference_sweep(entry)
-        with shards(workers):
-            got = sharded_sweep(entry)
-        assert_same_sweep(got, want)
-        if want[5] is None:
-            assert got[0] + got[1] == grid_size(entry.grid)
+        for rows in (False, True):
+            with shards(workers):
+                got = engine_sweep(entry, rows)
+            assert_same_sweep(got, want)
+            if want[5] is None:
+                assert got[0] + got[1] == grid_size(entry.grid)
 
     @pytest.mark.parametrize("workers", [2, 3])
     @settings(max_examples=15, deadline=None)
@@ -382,7 +374,7 @@ class TestShardedSweep:
     def test_catalog_sub_grids(self, workers, entry):
         want = reference_sweep(entry)
         with shards(workers):
-            got = sharded_sweep(entry)
+            got = engine_sweep(entry)
         assert_same_sweep(got, want)
         assert got[0] + got[1] == grid_size(entry.grid)
 
@@ -399,9 +391,50 @@ class TestShardedSweep:
     def test_one_share_does_not_fork(self):
         with shards(1) as forked:
             rep = sweep(d22_sub_grid())
-        assert forked == [] and rep.verified
+            with_rows = sweep(d22_sub_grid(), row=lambda ev: ev.bindings)
+        assert forked == [] and rep.verified and with_rows.verified
+        assert len(with_rows.rows) == with_rows.checked
 
-    def test_streamed_and_small_sweeps_stay_in_process(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_rows_match_one_process(self, workers):
+        # n = 3 fails its witness, n = 6 raises in evaluate
+        def evaluate(ctx, b):
+            n = b["n"]
+            if n == 6:
+                raise KeyError("m")
+            return Outcome((n, n), ((3, 3 * n + (n == 3)),))
+
+        entry = dataclasses.replace(n_entry(evaluate=evaluate),
+                                    witnesses=("3 | 3n",))
+        with shards(1):
+            want = sweep(entry, row=lambda ev: ev)
+        with shards(workers) as forked:
+            got = sweep(entry, row=lambda ev: ev)
+        assert len(forked) == workers - 1
+        assert [ev.bindings["n"] for ev in got.rows] == list(range(10))
+        assert got.rows == want.rows
+        assert got.failures == want.failures == [got.rows[3], got.rows[6]]
+        assert got.rows[3].witnesses[0].residue == 1
+        assert got.rows[6].first_diff == ("error", "KeyError: 'm'")
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("bad", [(5, 7), (4, 5, 7)])
+    def test_row_error_in_a_child_share_matches_one_process(self, workers, bad):
+        def row(ev):
+            if ev.bindings["n"] in bad:
+                raise ValueError(f"bad row {ev.bindings['n']}")
+            return ev.bindings["n"]
+
+        with shards(1):
+            with pytest.raises(ValueError) as serial:
+                sweep(n_entry(), row=row)
+        with shards(workers) as forked:     # reaps every child or fails
+            with pytest.raises(ValueError) as sharded:
+                sweep(n_entry(), row=row)
+        assert len(forked) == workers - 1
+        assert str(sharded.value) == str(serial.value) == f"bad row {bad[0]}"
+
+    def test_small_sweeps_stay_in_process(self, monkeypatch):
         monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
         # a small sweep that ends before the fork gate opens
         monkeypatch.setattr(engine, "_clock", lambda: 0.0)
@@ -410,8 +443,7 @@ class TestShardedSweep:
         entry = n_entry()
         assert grid_size(entry.grid) < engine.SHARD_MIN_POINTS
         assert sweep(entry).verified
-        monkeypatch.setattr(engine, "SHARD_MIN_POINTS", 0)
-        assert sweep(entry, on_result=lambda ev: None).verified
+        assert sweep(entry, row=lambda ev: ev.bindings["n"]).rows == list(range(10))
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_evaluate_errors_in_child_shares(self, workers):
@@ -623,7 +655,7 @@ class TestTimeGatedSweep:
         want_bytes = one_process_bytes(entry) if want[5] is None else None
         for k in range(prefix_count(entry, workers) + 1):
             with gate_opens_before(k, workers):
-                got = sharded_sweep(entry)
+                got = engine_sweep(entry)
             assert_same_sweep(got, want)
             if want_bytes is not None:
                 with gate_opens_before(k, workers):
@@ -1096,8 +1128,10 @@ class TestContextMemo:
         for entry_id in MEMO_ENTRIES:
             entry = get_entry(entry_id)
             sub = dataclasses.replace(entry, grid=reversed_sub_grid(entry))
-            rep = sweep(sub, ctx=ctx, on_result=streamed.append)
+            with shards(1):     # every sweep fills the one Context
+                rep = sweep(sub, ctx=ctx, row=lambda ev: ev)
             assert rep.checked and rep.verified, entry_id
+            streamed += rep.rows
         for ev in streamed:
             fresh = evaluate_entry(get_entry(ev.entry_id), ev.bindings)
             assert [(s.label, s.value) for s in ev.sides] \

@@ -42,10 +42,9 @@ def test_every_side_is_caught(entry_id):
     caught = 0
     for variant in entry.variants:
         sub = dataclasses.replace(entry, grid=_sub_grid(entry, variant))
-        streamed = []
-        clean = sweep(sub, on_result=streamed.append)
+        clean = sweep(sub, row=lambda ev: ev)
         assert clean.checked and clean.variant_verified[variant] == clean.checked
-        assert len(streamed[0].sides) == len(entry.sides)
+        assert len(clean.rows[0].sides) == len(entry.sides)
         for i, side in enumerate(entry.sides):
             if side.variant not in (None, variant):
                 continue
@@ -73,15 +72,13 @@ def bumped_witness(entry, i):
 def test_every_witness_is_caught(entry_id):
     entry = get_entry(entry_id)
     sub = dataclasses.replace(entry, grid=_sub_grid(entry, entry.primary_variant))
-    streamed = []
-    clean = sweep(sub, on_result=streamed.append)
+    clean = sweep(sub, row=lambda ev: ev)
     assert clean.checked and clean.verified
-    count = len(streamed[0].witnesses)
+    count = len(clean.rows[0].witnesses)
     for i in range(count):
-        bumped = []
         rep = sweep(dataclasses.replace(sub, evaluate=bumped_witness(entry, i)),
-                    on_result=bumped.append)
+                    row=lambda ev: ev)
         assert rep.checked == clean.checked and not rep.verified
-        caught = [ev for ev in bumped if abs(ev.witnesses[i].divisor) != 1]
-        assert caught and not any(ev.ok for ev in caught), streamed[0].witnesses[i].label
+        caught = [ev for ev in rep.rows if abs(ev.witnesses[i].divisor) != 1]
+        assert caught and not any(ev.ok for ev in caught), clean.rows[0].witnesses[i].label
     assert count == {"D21": 3, "D22": 1}[entry_id]

@@ -2,10 +2,10 @@
 
 Catalog sweeps pass, so no report of a real sweep renders a failing point.
 Here a few entries are swept with one side or witness made off by one
-(``test_mutation.py``'s wrapper) and one entry with evaluate errors, and
-every point is streamed. Each sweep is rendered as a ``verify`` document
-whose rows are every streamed point's payload (sides, witnesses, verdicts,
-first difference), and as ``verify_csv``; the SHA-256 digests of both are
+(``test_mutation.py``'s wrapper) and one entry with evaluate errors, with
+``evaluation_payload`` as the row function. Each sweep is rendered as a
+``verify`` document whose rows are every checked point's payload (sides,
+witnesses, verdicts, first difference), and as ``verify_csv``; the SHA-256 digests of both are
 pinned. The cases cover a plain identity (H01), two flagged entries under
 each reading (I16, H10), sides beside witnesses (D11, D14 at
 (r, t) = (2, 0)), a witness built from shared factors (D22), sides whose
@@ -118,11 +118,9 @@ def render(name):
     sub = entry if ranges else dataclasses.replace(
         entry, grid=_sub_grid(entry, variant))
     wrap = _errors if variant == "errors" else lambda e: _bumped(e, variant)
-    streamed = []
     rep = sweep(dataclasses.replace(sub, evaluate=wrap(entry)), ranges,
-                on_result=streamed.append)
-    rows = [evaluation_payload(ev) for ev in streamed]
-    doc = document("verify", [sweep_payload(rep, rows)])
+                row=evaluation_payload)
+    doc = document("verify", [sweep_payload(rep)])
     del doc["generator"]        # the package version, which a release changes
     json_text = to_json(doc)
     csv_text = verify_csv([rep])

@@ -1,13 +1,15 @@
 """Catalog structure, single-point evaluation, grid sweeps, variants."""
 
 import dataclasses
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from fibsums.identities import (ENTRIES, Axis, Context, RejectedInstance,
-                                UsageError, evaluate_entry, get_entry, irange,
-                                sweep)
+                                UsageError, engine, evaluate_entry, get_entry,
+                                irange, sweep)
 from fibsums import scalars
 from fibsums.polynomials import poly_eval
 from fibsums.scalars import QuadExt, Rat, make_roots
@@ -235,11 +237,45 @@ class TestSideValueBoundary:
         for p, q in BOUNDARY_PQ:
             grid = (Axis(("p",), ((p,),)), Axis(("q",), ((q,),)), *inner)
             rep = sweep(dataclasses.replace(entry, grid=grid), ctx=ctx,
-                        on_result=lambda ev: values.extend(
-                            s.value for s in ev.sides))
+                        row=lambda ev: [s.value for s in ev.sides])
             assert rep.checked and rep.verified
+            values += [v for row in rep.rows for v in row]
         assert values
         assert {type(v) for v in values} <= {int, Fraction, QuadExt}
+
+
+class TestTableFetches:
+    # D21's seed (a, b) = (0, 1) names u's table, and LEM3 at (p, q) = (1, -1)
+    # reads F and L as u and v: two accessors, one table key
+    @pytest.mark.parametrize("entry_id", [i for i in EXPECTED_IDS
+                                          if i[0] in "ID" and i != "D21"])
+    def test_one_warm_evaluate_fetches_each_table_once(self, monkeypatch,
+                                                        entry_id):
+        entry = get_entry(entry_id)
+        names = [n for ax in entry.grid for n in ax.names]
+        ctx, fetched, memo = Context(), Counter(), Context.memo
+
+        def counted(self, build, *args):
+            if build is engine._table:
+                fetched[args] += 1
+            return memo(self, build, *args)
+
+        points = 0
+        # every 29th of the first 2,900 points: D14 and D15 reach (r, t) = (2, 0)
+        for combo in itertools.islice(
+                itertools.product(*(ax.values for ax in entry.grid)), 0, 2900, 29):
+            b = dict(zip(names, (x for row in combo for x in row)))
+            try:
+                evaluate_entry(entry, b, ctx)      # fills what the point reads
+            except RejectedInstance:
+                continue
+            fetched.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(Context, "memo", counted)
+                entry.evaluate(ctx, b)
+            assert set(fetched.values()) <= {1}, (b, fetched)
+            points += 1
+        assert points
 
 
 class TestIEntrySideValues:
@@ -249,10 +285,9 @@ class TestIEntrySideValues:
         entry = get_entry(entry_id)
         grid = tuple(Axis(ax.names, ax.values[::max(1, len(ax.values) // 3)])
                      for ax in entry.grid)
-        sides = []
-        rep = sweep(dataclasses.replace(entry, grid=grid),
-                    on_result=lambda ev: sides.extend(ev.sides))
+        rep = sweep(dataclasses.replace(entry, grid=grid), row=lambda ev: ev.sides)
         assert rep.checked and not rep.failures
+        sides = [s for row in rep.rows for s in row]
         assert {type(s.value) for s in sides} <= {int, Fraction, QuadExt}
 
 
