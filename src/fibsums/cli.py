@@ -174,7 +174,10 @@ def _cmd_div(args, ranges) -> int:
         return _fail_usage(f"{entry.id} is not a divisibility entry "
                            "(use `verify` for identities)")
     try:
-        rep = sweep(entry, ranges or None, Context(), row=witness_row)
+        # one text cache per run: each distinct witness integer is
+        # converted once, and nothing outlives the run
+        rep = sweep(entry, ranges or None, Context(),
+                    row=functools.partial(witness_row, texts={}))
     except UsageError as exc:
         return _fail_usage(str(exc))
     except (MemoryError, RecursionError) as exc:

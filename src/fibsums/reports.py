@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from . import __version__
@@ -29,13 +29,26 @@ def render_value(value) -> str:
     return render_scalar(value)
 
 
-def witness_payload(w: Witness) -> dict:
+def _text(n, texts: dict):
+    """``int_text(n)`` through ``texts``, which maps each int already
+    converted to its text and gains ``n``; None for None."""
+    if n is None:
+        return None
+    text = texts.get(n)
+    if text is None:
+        text = texts[n] = int_text(n)
+    return text
+
+
+def witness_payload(w: Witness, texts: dict) -> dict:
+    """A witness's numbers as text, each converted at most once per
+    ``texts`` (see ``_text``)."""
     return {
         "label": w.label,
-        "divisor": int_text(w.divisor),
-        "dividend": int_text(w.dividend),
-        "quotient": None if w.quotient is None else int_text(w.quotient),
-        "residue": None if w.residue is None else int_text(w.residue),
+        "divisor": _text(w.divisor, texts),
+        "dividend": _text(w.dividend, texts),
+        "quotient": _text(w.quotient, texts),
+        "residue": _text(w.residue, texts),
     }
 
 
@@ -44,7 +57,7 @@ def evaluation_payload(ev: Evaluation) -> dict:
         "bindings": {k: render_value(v) for k, v in ev.bindings.items()},
         "sides": [{"label": s.label, "group": s.group, "variant": s.variant,
                    "value": render_value(s.value)} for s in ev.sides],
-        "witnesses": [witness_payload(w) for w in ev.witnesses],
+        "witnesses": [witness_payload(w, {}) for w in ev.witnesses],
         "equal": ev.ok,
         "variant_equal": dict(ev.variant_ok),
         "first_difference": list(ev.first_diff) if ev.first_diff else None,
@@ -89,7 +102,54 @@ def document(command: str, reports: list[dict]) -> dict:
 
 
 def to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, for a document
+    of dicts with str keys, lists, strs, ints, bools and None; anything else,
+    a float or an int key say, is a TypeError. ``json.dumps`` with an indent
+    runs the pure-Python encoder; this writes the same text in one pass,
+    quoting strings with the C one."""
+    parts = []
+    _write(doc, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(o, newline: str, put) -> None:
+    """Append the JSON text of ``o``, whose line starts at ``newline``."""
+    t = type(o)
+    if t is str:
+        put(_quote(o))
+    elif t is dict:
+        if not o:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for k, v in o.items():
+            if type(k) is not str:
+                raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
+            put(sep + _quote(k) + ": ")
+            _write(v, inner, put)
+            sep = comma
+        put(newline + "}")
+    elif t is list:
+        if not o:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for v in o:
+            put(sep)
+            _write(v, inner, put)
+            sep = comma
+        put(newline + "]")
+    elif t is int:
+        put(repr(o))
+    elif t is bool:
+        put("true" if o else "false")
+    elif o is None:
+        put("null")
+    else:
+        raise TypeError(f"{t.__name__} is not a report value")
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +175,15 @@ def verify_csv(reports: list[SweepReport]) -> str:
           rep.entry.primary_variant] for rep in reports))
 
 
-def witness_row(ev: Evaluation) -> dict:
-    """Compact per-instance row for witness tables (shared by JSON and CSV)."""
+def witness_row(ev: Evaluation, texts: dict) -> dict:
+    """Compact per-instance row for witness tables (shared by JSON and CSV).
+
+    ``texts`` is one run's cache of converted witness integers: D01's F_r,
+    say, is the divisor at m = 1..3 and the dividend at m = 1, but is
+    converted once. A run creates it and drops it at its end, and a forked
+    share fills its own copy."""
     return {"bindings": {k: render_value(v) for k, v in ev.bindings.items()},
-            "witnesses": [witness_payload(w) for w in ev.witnesses]}
+            "witnesses": [witness_payload(w, texts) for w in ev.witnesses]}
 
 
 def div_csv(entry_params: tuple, rows: list[dict]) -> str:

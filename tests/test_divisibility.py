@@ -454,7 +454,8 @@ class TestDigitLimit:
     def test_witness_tables_past_the_default_int_str_limit(self, default_int_str_limit):
         # 2^20102 L_20102 has about 10,250 digits; the default limit is 4,300
         entry = get_entry("D06")
-        rep = sweep(entry, {"n": [20100, 20101]}, Context(), row=witness_row)
+        rep = sweep(entry, {"n": [20100, 20101]}, Context(),
+                    row=lambda ev: witness_row(ev, {}))
         evaluations = [evaluate_entry(entry, {"n": n}) for n in (20100, 20101)]
         doc = json.loads(to_json(document("div", [sweep_payload(rep)])))
         table = list(csv.reader(io.StringIO(div_csv(entry.params, rep.rows))))

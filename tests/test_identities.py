@@ -244,14 +244,19 @@ class TestSideValueBoundary:
         assert {type(v) for v in values} <= {int, Fraction, QuadExt}
 
 
+#: the rows where two accessors name one table key, so it is fetched twice:
+#: D21's seed (a, b) = (0, 1) names u's table, and LEM3 at (p, q) = (1, -1)
+#: reads F and L as u and v
+SHARED_KEY_ROWS = {"D21": {"a": 0, "b": 1}, "LEM3": {"p": 1, "q": -1}}
+
+
 class TestTableFetches:
-    # D21's seed (a, b) = (0, 1) names u's table, and LEM3 at (p, q) = (1, -1)
-    # reads F and L as u and v: two accessors, one table key
     @pytest.mark.parametrize("entry_id", [i for i in EXPECTED_IDS
-                                          if i[0] in "ID" and i != "D21"])
+                                          if not i.startswith("P")])
     def test_one_warm_evaluate_fetches_each_table_once(self, monkeypatch,
                                                         entry_id):
         entry = get_entry(entry_id)
+        shared = SHARED_KEY_ROWS.get(entry_id)
         names = [n for ax in entry.grid for n in ax.names]
         ctx, fetched, memo = Context(), Counter(), Context.memo
 
@@ -273,7 +278,8 @@ class TestTableFetches:
             with monkeypatch.context() as mp:
                 mp.setattr(Context, "memo", counted)
                 entry.evaluate(ctx, b)
-            assert set(fetched.values()) <= {1}, (b, fetched)
+            twice = shared is not None and shared.items() <= b.items()
+            assert set(fetched.values()) <= ({1, 2} if twice else {1}), (b, fetched)
             points += 1
         assert points
 
