@@ -18,12 +18,13 @@ values already returned only for a point that fails its primary reading or
 whose sweep was given a row function.
 
 A sweep walks its grid one axis level at a time, binding each axis into one
-bindings dict that keeps axis order. Each guard is checked once per row of
-the shallowest level at which it and every guard declared before it are
-bound, so guards still run in declaration order and each only after the
-earlier ones held; a failing guard rejects its whole subtree at once. This
-relies on a guard reading nothing but its ``needs``. A point that passes
-only bumps counters. An exception raised by an entry's evaluate function,
+bindings dict that keeps axis order; the rows of the last axis are walked
+in one loop, which evaluates each point in place. Each guard is checked once
+per row of the shallowest level at which it and every guard declared before
+it are bound, so guards still run in declaration order and each only after
+the earlier ones held; a failing guard rejects its whole subtree at once.
+This relies on a guard reading nothing but its ``needs``. A point that
+passes only bumps counters. An exception raised by an entry's evaluate function,
 or by reading its witnesses (a value that is not an integer, a zero
 divisor), is recorded as a failing instance, not propagated. MemoryError
 and RecursionError are resource limits, not findings: they propagate, as
@@ -590,44 +591,58 @@ class _Sweep:
 def _walk(sw: _Sweep, level: int):
     """Check the guards of ``level``, then visit each row of the next axis.
 
-    At the last level the bound point is evaluated. A module-level function,
-    not a self-calling closure: a closure cycle would keep each sweep's
-    Context alive until the cyclic garbage collector runs.
+    The last axis is walked in this call's own loop: each row runs the leaf
+    guards in declaration order, a failing one rejecting that point alone,
+    and a point that passes them is evaluated here. A grid with no axis, or
+    a prefix that binds every axis, is the one-row case. A module-level
+    function, not a self-calling closure: a closure cycle would keep each
+    sweep's Context alive until the cyclic garbage collector runs.
     """
-    b = sw.bindings
+    b, ctx = sw.bindings, sw.ctx
     for g in sw.guards[level]:
-        if not g.holds(sw.ctx, b):
+        if not g.holds(ctx, b):
             sw.rejected += sw.below[level]
             return
-    if level < len(sw.rows):
+    if level < len(sw.rows) - 1:
         for row in sw.rows[level]:
             b.update(row)
             _walk(sw, level + 1)
         return
-    # a point given to the row function has its witnesses built by the
-    # division that checks them
-    built = None if sw.row is None else []
-    try:
-        sides, witnesses = sw.evaluate(sw.ctx, b)
-        held, diff = _judge(sw.plan, sides, witnesses, built)
-    except (MemoryError, RecursionError):   # a resource limit, not a finding
-        raise
-    except Exception as exc:  # one broken instance must not hide the rest
-        sides, held, built = (), (), []
-        diff = ("error", f"{type(exc).__name__}: {exc}")
-    sw.checked += 1
-    verified = sw.verified
-    for v in held:
-        verified[v] += 1
-    if diff is not None or sw.row is not None:
-        if built is None:       # a failure without a row: build its witnesses
-            built = []
-            _judge(sw.plan, sides, witnesses, built)
-        ev = _evaluation(sw.plan, b, sides, built, held, diff)
-        if diff is not None:
-            sw.failures.append(ev)
-        if sw.row is not None:
-            sw.made.append(sw.row(ev))
+    if level < len(sw.rows):
+        rows, leaf = sw.rows[level], sw.guards[level + 1]
+    else:
+        rows, leaf = ({},), ()
+    plan, evaluate, row_fn, verified = sw.plan, sw.evaluate, sw.row, sw.verified
+    for row in rows:
+        b.update(row)
+        for g in leaf:
+            if not g.holds(ctx, b):
+                sw.rejected += 1
+                break
+        else:
+            # a point given to the row function has its witnesses built by
+            # the division that checks them
+            built = None if row_fn is None else []
+            try:
+                sides, witnesses = evaluate(ctx, b)
+                held, diff = _judge(plan, sides, witnesses, built)
+            except (MemoryError, RecursionError):   # a resource limit, not a finding
+                raise
+            except Exception as exc:  # one broken instance must not hide the rest
+                sides, held, built = (), (), []
+                diff = ("error", f"{type(exc).__name__}: {exc}")
+            sw.checked += 1
+            for v in held:
+                verified[v] += 1
+            if diff is not None or row_fn is not None:
+                if built is None:       # a failure without a row: build its witnesses
+                    built = []
+                    _judge(plan, sides, witnesses, built)
+                ev = _evaluation(plan, b, sides, built, held, diff)
+                if diff is not None:
+                    sw.failures.append(ev)
+                if row_fn is not None:
+                    sw.made.append(row_fn(ev))
 
 
 def _cpu_count() -> int:

@@ -426,14 +426,16 @@ def _d21(ctx, b):
     # a witness whose parameters are not all bound is absent; n is required,
     # so v_r | u_(rn) is present at every point
     p, q, r, n = b["p"], b["q"], b["r"], b["n"]
-    v = ctx.v(p, q)
+    u, v = ctx.u(p, q), ctx.v(p, q)
     vr = v(r)
     vm = (vr, v(r * b["m"])) if "m" in b else None
     seeded = None
     if all(k in b for k in ("a", "b", "t")):
-        w, t = ctx.table(b["a"], b["b"], p, q), b["t"]
+        # the seed (0, 1) names u's table, already fetched
+        w = u if (b["a"], b["b"]) == (0, 1) else ctx.table(b["a"], b["b"], p, q)
+        t = b["t"]
         seeded = vr, w(t + r * n) - power(q, r * n) * w(t - r * n)
-    return (), (vm, seeded, (vr, ctx.u(p, q)(r * n)))
+    return (), (vm, seeded, (vr, u(r * n)))
 
 
 D21 = Entry(

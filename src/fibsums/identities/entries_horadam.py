@@ -19,7 +19,14 @@ at t = 0 and reads its builders: the q-power sums of H02 (H01 at w = u),
 H03 (H01 at w = v, r = 1), H08 (H06 at w = u) and H09 (H07 at w = v) take
 its weights, and H10 (H07 at w = u) and H11 (H06 at w = v) read its
 ``_hNN_shared`` values. H05's guard and closed form, and D22, read
-X = q^m X0 and Y's coefficients from ``_h05_x`` and ``_h05_y``.
+X = q^m X0 and Y's coefficients from ``_h05_x`` and ``_h05_y``. LEM4's A and
+B read no n, so ``_lem4_ab`` builds them once per (p, q, a, b).
+
+One read per term. A point reads each table term once: H04's left sum is
+the even terms of its middle read, H06's w_t the j = n term of its left
+read, and H01, H05 and H07 take their middle and closed-form terms in one
+``at``. The root lemmas read each u, v, F and L value once and build each
+repeated product once.
 
 Integer numerators. Every coefficient list is integers over one
 denominator: powers from ``scalars.power_weights``, a few closed-form
@@ -89,15 +96,15 @@ def _lem3(ctx, b):
     rt5 = ctx.roots(1, -1).delta
     al_r, be_r = ctx.root_pow(1, -1, r)
     al_s, be_s = ctx.root_pow(1, -1, s)
-    F, L = ctx.fib(), ctx.luc()
-    return (v(r + s) - tau_r * v(s), -(delta * sig_s * u(r)),
-            v(r + s) - sig_r * v(s), delta * tau_s * u(r),
-            u(r + s) - tau_r * u(s), sig_s * u(r),
-            u(r + s) - sig_r * u(s), tau_s * u(r),
-            L(r + s) - L(r) * al_s, -(rt5 * be_r * F(s)),
-            L(r + s) - L(r) * be_s, rt5 * al_r * F(s),
-            F(r + s) - F(r) * al_s, be_r * F(s),
-            F(r + s) - F(r) * be_s, al_r * F(s)), ()
+    # at (p, q) = (1, -1) u and v are F and L: the tables already fetched
+    F, L = (u, v) if (p, q) == (1, -1) else (ctx.fib(), ctx.luc())
+    ur, us, urs, vs, vrs = u(r), u(s), u(r + s), v(s), v(r + s)
+    Fs, Fr, Frs, Lr, Lrs = F(s), F(r), F(r + s), L(r), L(r + s)
+    su, tu, bF, aF = sig_s * ur, tau_s * ur, be_r * Fs, al_r * Fs
+    return (vrs - tau_r * vs, -(delta * su), vrs - sig_r * vs, delta * tu,
+            urs - tau_r * us, su, urs - sig_r * us, tu,
+            Lrs - Lr * al_s, -(rt5 * bF), Lrs - Lr * be_s, rt5 * aF,
+            Frs - Fr * al_s, bF, Frs - Fr * be_s, aF), ()
 
 
 LEM3 = Entry(
@@ -123,13 +130,18 @@ LEM3 = Entry(
 )
 
 
+def _lem4_ab(ctx, p, q, a, b):
+    """A = (b - a sigma) / Delta and B = (a tau - b) / Delta."""
+    tau, sig, delta = ctx.roots(p, q)
+    return (b - a * sig) / delta, (a * tau - b) / delta
+
+
 def _lem4(ctx, b):
     p, q, a, bb, n = b["p"], b["q"], b["a"], b["b"], b["n"]
-    tau, sig, delta = ctx.roots(p, q)
+    delta = ctx.roots(p, q).delta
+    A, B = ctx.memo(_lem4_ab, p, q, a, bb)
     w = ctx.table(a, bb, p, q)
     tau_n, sig_n = ctx.root_pow(p, q, n)
-    A = (bb - a * sig) / delta
-    B = (a * tau - bb) / delta
     return (A * tau_n - B * sig_n, (w(n + 1) - q * w(n - 1)) / delta,
             A * sig_n + B * tau_n, power(q, n) * w(-n)), ()
 
@@ -157,11 +169,12 @@ def _lem5(ctx, b):
     tau_m, sig_m = ctx.root_pow(p, q, m)
     tau_s, sig_s = ctx.root_pow(p, q, s)
     qms = power(q, m - s)
-    return (tau_r * u(m - s), tau_m * u(r - s) - qms * tau_s * u(r - m),
-            sig_r * u(m - s), sig_m * u(r - s) - qms * sig_s * u(r - m),
-            tau_r * u(m - s) * delta, tau_m * v(r - s) - qms * tau_s * v(r - m),
-            sig_r * u(m - s) * delta,
-            -(sig_m * v(r - s)) + qms * sig_s * v(r - m)), ()
+    ums, urs, urm, vrs, vrm = u(m - s), u(r - s), u(r - m), v(r - s), v(r - m)
+    tu, su = tau_r * ums, sig_r * ums
+    qt, qs = tau_s * qms, sig_s * qms      # q^(m-s) tau^s and q^(m-s) sigma^s
+    return (tu, tau_m * urs - qt * urm, su, sig_m * urs - qs * urm,
+            tu * delta, tau_m * vrs - qt * vrm,
+            su * delta, -(sig_m * vrs) + qs * vrm), ()
 
 
 LEM5 = Entry(
@@ -240,9 +253,8 @@ def _h01(ctx, b):
     qr, mid, closed = ctx.memo(_h01_shared, p, q, r, n)
     M = r * (n + 1)
     s1 = weighted_sum(qr, *w.read(r * n + t, -2 * r, n + 1))
-    s2 = weighted_sum(mid, *w.at(t))
-    s3 = weighted_sum(closed, *w.at(t + 1 + M, t + 1 - M, t - 1 + M, t - 1 - M))
-    return (s1, s2, s3), ()
+    z, scale = w.at(t, t + 1 + M, t + 1 - M, t - 1 + M, t - 1 - M)
+    return (s1, weighted_sum(mid, z[:1], scale), weighted_sum(closed, z[1:], scale)), ()
 
 
 H01 = Entry(
@@ -314,10 +326,12 @@ def _h04(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w = ctx.table(a, bb, p, q)
     left, mid, closed = ctx.memo(_h04_shared, p, q, r, n)
-    s1 = weighted_sum(left, *w.read(t, 2 * r, n + 1))
     # z_j = q^K w_(rj+t), j = 0..2n, holds both terms of every summand of the
-    # middle sum, over one scale: w_(r(2n-j)+t) is z_(2n-j)
+    # middle sum, over one scale: w_(r(2n-j)+t) is z_(2n-j). Its even terms
+    # are the left sum's w_(2rj+t); both reads reach the same depth, so the
+    # left sum shares the scale
     z, scale = w.read(t, r, 2 * n + 1)
+    s1 = weighted_sum(left, z[::2], scale)
     s2 = weighted_sum(mid, z[n:][::-1] + z[:n + 1], scale)
     top = r * (2 * n + 1) + t
     s3 = weighted_sum(closed, *w.at(top + 1, top - 1, t - r + 1, t - r - 1))
@@ -364,10 +378,9 @@ def _h05(ctx, b):
     w = ctx.table(a, bb, p, q)
     left, mid, offsets, closed = ctx.memo(_h05_shared, p, q, m, s, r, n)
     s1 = weighted_sum(left, *w.read(m * n + t, s - m, n + 1))
-    s2 = weighted_sum(mid, *w.at(*[t + k for k in offsets]))
-    s3 = weighted_sum(closed, *w.at(m * n + t, m * n + m + t - s,
-                                    s * n + s + t - m, s * n + t))
-    return (s1, s2, s3), ()
+    z, scale = w.at(*[t + k for k in offsets], m * n + t, m * n + m + t - s,
+                    s * n + s + t - m, s * n + t)
+    return (s1, weighted_sum(mid, z[:-4], scale), weighted_sum(closed, z[-4:], scale)), ()
 
 
 H05 = Entry(
@@ -428,9 +441,10 @@ def _h06(ctx, b):
     p, q, a, bb, r, t, n = (b["p"], b["q"], b["a"], b["b"], b["r"], b["t"], b["n"])
     w = ctx.table(a, bb, p, q)
     sq, mid, closed = ctx.memo(_h06_shared, p, q, r, n)
-    s1 = weighted_sum(sq, *w.read(2 * r * n + t, -2 * r, 2 * n + 1))
-    wt = w.at(t)
-    return (s1, weighted_sum(mid, *wt), weighted_sum(closed, *wt)), ()
+    z, scale = w.read(2 * r * n + t, -2 * r, 2 * n + 1)
+    wt = z[n:n + 1]     # the j = n term of the left sum is w_t
+    return (weighted_sum(sq, z, scale), weighted_sum(mid, wt, scale),
+            weighted_sum(closed, wt, scale)), ()
 
 
 H06 = Entry(
@@ -471,9 +485,8 @@ def _h07(ctx, b):
     w = ctx.table(a, bb, p, q)
     sq, _, mid, closed = ctx.memo(_h07_shared, p, q, r, n)
     s1 = weighted_sum(sq, *w.read(r * (2 * n - 1) + t, -2 * r, 2 * n))
-    s2 = weighted_sum(mid, *w.at(t + 1, t - 1))
-    s3 = weighted_sum(closed, *w.at(t + 2 * r * n, t - 2 * r * n))
-    return (s1, s2, s3), ()
+    z, scale = w.at(t + 1, t - 1, t + 2 * r * n, t - 2 * r * n)
+    return (s1, weighted_sum(mid, z[:2], scale), weighted_sum(closed, z[2:], scale)), ()
 
 
 H07 = Entry(

@@ -12,7 +12,9 @@ denominators out and take no gcd. This is Henrici's deferred reduction
 every operation, and that gcd and object work dominated the Horadam sweeps.
 Both kernel types mix with ``int`` and ``Fraction`` operands. ``Fraction``
 does not know ``Rat``, so ``Fraction op Rat`` falls through to Rat's
-reflected operator and yields a ``Rat``.
+reflected operator and yields a ``Rat``. ``+``, ``-``, ``*`` and ``==`` read
+a ``Rat`` operand, or a ``QuadExt`` over the same d, in place; only other
+operands go through ``_nd`` or ``_lift``.
 
 Reduction rule. A result is divided by the gcd of its parts only once its
 denominator is longer than ``_REDUCE_BITS`` bits. Denominators therefore
@@ -166,12 +168,14 @@ class Rat:
         self.d = d
 
     def __add__(self, o):
-        if type(o) is int:
+        if type(o) is Rat:
+            n, d = o.n, o.d
+        elif type(o) is int:
             return _rat(self.n + o * self.d, self.d)
-        o = _nd(o)
-        if o is None:
+        elif (o := _nd(o)) is None:
             return NotImplemented
-        n, d = o
+        else:
+            n, d = o
         if d == self.d:
             return _rat(self.n + n, d)
         return _rat(self.n * d + n * self.d, self.d * d)
@@ -179,12 +183,14 @@ class Rat:
     __radd__ = __add__
 
     def __sub__(self, o):
-        if type(o) is int:
+        if type(o) is Rat:
+            n, d = o.n, o.d
+        elif type(o) is int:
             return _rat(self.n - o * self.d, self.d)
-        o = _nd(o)
-        if o is None:
+        elif (o := _nd(o)) is None:
             return NotImplemented
-        n, d = o
+        else:
+            n, d = o
         if d == self.d:
             return _rat(self.n - n, d)
         return _rat(self.n * d - n * self.d, self.d * d)
@@ -201,12 +207,15 @@ class Rat:
         return _rat(n * self.d - self.n * d, self.d * d)
 
     def __mul__(self, o):
-        if type(o) is int:
+        if type(o) is Rat:
+            n, d = o.n, o.d
+        elif type(o) is int:
             return _rat(self.n * o, self.d)
-        o = _nd(o)
-        if o is None:
+        elif (o := _nd(o)) is None:
             return NotImplemented
-        return _rat(self.n * o[0], self.d * o[1])
+        else:
+            n, d = o
+        return _rat(self.n * n, self.d * d)
 
     __rmul__ = __mul__
 
@@ -249,12 +258,21 @@ class Rat:
         return _rat(-self.n, self.d)
 
     def __eq__(self, o):
-        if type(o) is int:
+        if type(o) is Rat:
+            n, d = o.n, o.d
+        elif type(o) is int:
             return self.n == o * self.d
-        o = _nd(o)
-        if o is None:
+        elif (o := _nd(o)) is None:
             return NotImplemented
-        return self.n * o[1] == o[0] * self.d
+        else:
+            n, d = o
+        return self.n * d == n * self.d
+
+    def __ne__(self, o):
+        if type(o) is Rat:
+            return self.n * o.d != o.n * self.d
+        eq = self.__eq__(o)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash(Fraction(self.n, self.d))
@@ -416,10 +434,14 @@ class QuadExt:
     # arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if type(other) is QuadExt and other.d == self.d:
+            a, b, e = other._a, other._b, other._den
+        elif type(other) is Rat:
+            a, b, e = other.n, 0, other.d
+        elif (o := self._lift(other)) is None:
             return NotImplemented
-        a, b, e = o
+        else:
+            a, b, e = o
         den = self._den
         if e == den:
             return _quad(self._a + a, self._b + b, den, self.d)
@@ -428,10 +450,14 @@ class QuadExt:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if type(other) is QuadExt and other.d == self.d:
+            a, b, e = other._a, other._b, other._den
+        elif type(other) is Rat:
+            a, b, e = other.n, 0, other.d
+        elif (o := self._lift(other)) is None:
             return NotImplemented
-        a, b, e = o
+        else:
+            a, b, e = o
         den = self._den
         if e == den:
             return _quad(self._a - a, self._b - b, den, self.d)
@@ -448,12 +474,16 @@ class QuadExt:
         return _quad(a * den - self._a * e, b * den - self._b * e, den * e, self.d)
 
     def __mul__(self, other):
-        if type(other) is int:
+        if type(other) is QuadExt and other.d == self.d:
+            a, b, e = other._a, other._b, other._den
+        elif type(other) is int:
             return _quad(self._a * other, self._b * other, self._den, self.d)
-        o = self._lift(other)
-        if o is None:
+        elif type(other) is Rat:
+            a, b, e = other.n, 0, other.d
+        elif (o := self._lift(other)) is None:
             return NotImplemented
-        a, b, e = o
+        else:
+            a, b, e = o
         A, B = self._a, self._b
         if b:
             return _quad(A * a + B * b * self.d, A * b + B * a, self._den * e, self.d)

@@ -9,6 +9,7 @@ import math
 import os
 import random
 import signal
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -709,6 +710,75 @@ class TestTimeGatedSweep:
         assert forked == []
         assert calls == {"a": 12, "c": 40, "b": 40}
         assert (rep.checked, rep.rejected) == (30, 30)
+
+
+#: the last axis d meets two leaf guards: "d != 0" rejects d = 0 and
+#: "12 % d != 5" d = 7; a * d = 2 raises at (a, d) = (2, 1), the witness fails
+#: where c d is odd, and the as-printed reading where a = b
+LEAF_GUARDED = synthetic_entry(
+    [-1, 0, 2], [(0, 1), (1, 0), (2, 2), (0, 3)], [-2, 0, 1, 3, 7],
+    (GUARD_POOL[2], GUARD_POOL[0], GUARD_POOL[1], GUARD_POOL[4]))
+
+
+class TestLastAxisWalk:
+    """The rows of the last axis are walked in one loop: its leaf guards run
+    per row, in declaration order, and a row they reject counts one."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_leaf_guards_reject_single_rows(self, workers, rows):
+        want = reference_sweep(LEAF_GUARDED)
+        assert want[5] is None and want[3]          # failures and an error
+        with shards(workers) as forked:
+            got = engine_sweep(LEAF_GUARDED, rows)
+        assert len(forked) == workers - 1
+        assert_same_sweep(got, want)
+        assert got[1] > 0 and got[0] + got[1] == grid_size(LEAF_GUARDED.grid)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_a_prefix_that_binds_every_axis_is_one_row(self, workers, rows):
+        # 2 x 2 x 2 = 8 points and 4 prefixes a share wanted: with two
+        # shares every prefix binds all three axes, and each runs the leaf
+        # guards once, as its walk starts
+        entry = synthetic_entry([0, 2], [(1, 0), (2, 2)], [1, 7],
+                                (GUARD_POOL[0], GUARD_POOL[4]))
+        if workers == 2:
+            sw = engine._Sweep(entry, Context(), None, list(entry.grid))
+            assert engine._prefixes(sw, 8)[0] == len(entry.grid)
+        want = reference_sweep(entry)
+        with shards(workers):
+            got = engine_sweep(entry, rows)
+        assert_same_sweep(got, want)
+        assert (got[0], got[1]) == (4, 4)
+
+    def test_a_fully_bound_prefix_runs_each_guard_once(self):
+        calls = Counter()
+
+        def counted(guard):
+            def check(ctx, b):
+                calls[guard.text] += 1
+                return guard.holds(ctx, b)
+            return Guard(guard.text, guard.needs, check)
+
+        entry = synthetic_entry([0, 2], [(1, 0), (2, 2)], [1, 7],
+                                (counted(GUARD_POOL[0]), counted(GUARD_POOL[4])))
+        # the gate never opens: all 8 prefixes are walked in this process
+        with gate_opens_before(9, 2) as forked:
+            rep = sweep(entry)
+        assert forked == [] and (rep.checked, rep.rejected) == (4, 4)
+        assert calls == {"d != 0": 8, "12 % d != 5": 8}
+
+    @pytest.mark.parametrize("holds", [True, False])
+    def test_a_grid_without_axes_is_one_point(self, holds):
+        entry = Entry(id="XNIL", statement="1 = 1", domain="always",
+                      guards=(Guard("no parameters", (), lambda ctx, b: holds),),
+                      evaluate=lambda ctx, b: Outcome((1, 1)), grid=(), sides=XY)
+        want = reference_sweep(entry)
+        with shards(2):
+            got = engine_sweep(entry)
+        assert_same_sweep(got, want)
+        assert (got[0], got[1]) == ((1, 0) if holds else (0, 1))
 
 
 class TestZeroInstanceSweeps:

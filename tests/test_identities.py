@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from fibsums.identities import (ENTRIES, Axis, Context, RejectedInstance,
-                                UsageError, engine, evaluate_entry, get_entry,
-                                irange, sweep)
+                                UsageError, engine, entries_horadam,
+                                evaluate_entry, get_entry, irange, sweep)
 from fibsums import scalars
 from fibsums.polynomials import poly_eval
 from fibsums.scalars import QuadExt, Rat, make_roots
+from fibsums.sequences import SeqTable
 
 EXPECTED_IDS = ([f"I{k:02d}" for k in range(1, 19)]
                 + [f"P{k:02d}" for k in range(1, 7)]
@@ -244,19 +245,12 @@ class TestSideValueBoundary:
         assert {type(v) for v in values} <= {int, Fraction, QuadExt}
 
 
-#: the rows where two accessors name one table key, so it is fetched twice:
-#: D21's seed (a, b) = (0, 1) names u's table, and LEM3 at (p, q) = (1, -1)
-#: reads F and L as u and v
-SHARED_KEY_ROWS = {"D21": {"a": 0, "b": 1}, "LEM3": {"p": 1, "q": -1}}
-
-
 class TestTableFetches:
     @pytest.mark.parametrize("entry_id", [i for i in EXPECTED_IDS
                                           if not i.startswith("P")])
     def test_one_warm_evaluate_fetches_each_table_once(self, monkeypatch,
                                                         entry_id):
         entry = get_entry(entry_id)
-        shared = SHARED_KEY_ROWS.get(entry_id)
         names = [n for ax in entry.grid for n in ax.names]
         ctx, fetched, memo = Context(), Counter(), Context.memo
 
@@ -278,8 +272,7 @@ class TestTableFetches:
             with monkeypatch.context() as mp:
                 mp.setattr(Context, "memo", counted)
                 entry.evaluate(ctx, b)
-            twice = shared is not None and shared.items() <= b.items()
-            assert set(fetched.values()) <= ({1, 2} if twice else {1}), (b, fetched)
+            assert set(fetched.values()) <= {1}, (b, fetched)
             points += 1
         assert points
 
@@ -338,3 +331,70 @@ class TestPowerWeightedSums:
             assert ev.ok
             counts.append(len(built))
         assert counts[0] == counts[1] > 0
+
+
+#: one point each, n >= 1, so that no read there is a single term
+READS_PER_POINT = {"H01": 2, "H04": 2, "H05": 2, "H07": 2, "H06": 1}
+READ_POINTS = {**{k: {**_H, "n": 3} for k in ("H01", "H04", "H06", "H07")},
+               "H05": {**LONG_SUMS["H05"], "n": 3}}
+
+
+class TestWorkPerPoint:
+    """A warm point reads each table term once and builds each repeated
+    value once."""
+
+    @pytest.mark.parametrize("entry_id", sorted(READS_PER_POINT))
+    @pytest.mark.parametrize("t", [1, -9])
+    def test_table_reads_per_warm_evaluate(self, entry_id, t, monkeypatch):
+        entry, ctx = get_entry(entry_id), Context()
+        b = {**READ_POINTS[entry_id], "t": t}
+        assert evaluate_entry(entry, b, ctx).ok       # fills the memo builders
+        calls = []
+
+        def counted(method):
+            def call(self, *args):
+                calls.append(method.__name__)
+                return method(self, *args)
+            return call
+
+        monkeypatch.setattr(SeqTable, "read", counted(SeqTable.read))
+        monkeypatch.setattr(SeqTable, "at", counted(SeqTable.at))
+        entry.evaluate(ctx, b)
+        assert len(calls) == READS_PER_POINT[entry_id], calls
+
+    def test_lem4_builds_a_and_b_once_per_seed_row(self, monkeypatch):
+        built = Counter()
+        build = entries_horadam._lem4_ab
+
+        def counted(ctx, *key):
+            built[key] += 1
+            return build(ctx, *key)
+
+        monkeypatch.setattr(entries_horadam, "_lem4_ab", counted)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
+        entry = get_entry("LEM4")
+        grid = (Axis(("p",), ((1,), (2,))), Axis(("q",), ((-1,), (1,), (3,))),
+                *entry.grid[2:])
+        rep = sweep(dataclasses.replace(entry, grid=grid))
+        assert rep.verified and rep.checked == len(built) * 7
+        assert set(built.values()) == {1}
+
+    @pytest.mark.parametrize("p,q", [(1, -1), (2, 3), (-1, 1), (3, 2)])
+    def test_lem5_quad_builds_per_warm_point(self, p, q, monkeypatch):
+        # 19 QuadExt results over a non-square p^2 - 4q; none where the
+        # roots are rational (3, 2)
+        entry, ctx = get_entry("LEM5"), Context()
+        quad, built = scalars._quad, []
+
+        def counted(*args):
+            built.append(1)
+            return quad(*args)
+
+        for r, m, s in ((1, 2, 3), (-4, 4, 0), (0, 0, 0), (-2, 3, -4)):
+            b = {"p": p, "q": q, "r": r, "m": m, "s": s}
+            assert evaluate_entry(entry, b, ctx).ok
+            built.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(scalars, "_quad", counted)
+                entry.evaluate(ctx, b)
+            assert len(built) == (0 if (p, q) == (3, 2) else 19), b

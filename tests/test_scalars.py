@@ -1,6 +1,7 @@
 """Exact rational and quadratic-extension arithmetic."""
 
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -653,3 +654,67 @@ class TestQuadExtKernel:
                 x / zero
         with pytest.raises(DomainError):
             zero ** -2
+
+
+# ---------------------------------------------------------------------------
+# operand pairs: each same-type fast path and the generic path it sits beside
+# ---------------------------------------------------------------------------
+
+#: unreduced Rats over equal and unequal denominators, and values equal to
+#: an int, a Fraction and a rational QuadExt below
+PAIR_RATS = (Rat(6, 4), Rat(-5, 3), Rat(3, 6), Rat(4, 2), Rat(0, 7))
+PAIR_INTS = (2, -3, 0)
+PAIR_FRACTIONS = (Fraction(1, 2), Fraction(-7, 3))
+PAIR_QUADS = (ALPHA, QuadExt(Fraction(-2, 3), 1, 5), QuadExt(1, 0, 5) * Rat(3, 6))
+PAIRS = {
+    "Rat, Rat": (PAIR_RATS, PAIR_RATS),
+    "Rat, int": (PAIR_RATS, PAIR_INTS),
+    "int, Rat": (PAIR_INTS, PAIR_RATS),
+    "Rat, Fraction": (PAIR_RATS, PAIR_FRACTIONS),
+    "Rat, QuadExt": (PAIR_RATS, PAIR_QUADS),
+    "QuadExt, QuadExt": (PAIR_QUADS, PAIR_QUADS),
+    "QuadExt, Rat": (PAIR_QUADS, PAIR_RATS),
+    "QuadExt, int": (PAIR_QUADS, PAIR_INTS),
+}
+
+
+def components(x):
+    """(a, b) of x = a + b sqrt(5) as Fractions."""
+    return (x.a, x.b) if type(x) is QuadExt else (as_fraction(x), Fraction(0))
+
+
+class TestOperandPairs:
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    @pytest.mark.parametrize("op", ["+", "-", "*", "r+", "r-", "r*"])
+    def test_arithmetic_matches_the_componentwise_reference(self, pair, op):
+        lefts, rights = PAIRS[pair]
+        for x, y in itertools.product(lefts, rights):
+            lhs, rhs = (y, x) if op.startswith("r") else (x, y)
+            out = apply(op[-1], lhs, rhs)
+            want = quad_ref(op[-1], components(lhs), components(rhs), 5)
+            if QuadExt in (type(x), type(y)):
+                assert type(out) is QuadExt and (out.a, out.b) == want
+            else:
+                assert type(out) is Rat and out.d > 0
+                assert (canonical(out), Fraction(0)) == want
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_equality_matches_the_reference_both_ways(self, pair):
+        lefts, rights = PAIRS[pair]
+        for x, y in itertools.product(lefts, rights):
+            same = components(x) == components(y)
+            assert (x == y) is same and (y == x) is same
+            assert (x != y) is not same and (y != x) is not same
+
+    def test_foreign_operands_compare_unequal_without_raising(self):
+        assert (Rat(1, 2) != "1/2") is True
+        assert (Rat(1, 2) == None) is False     # noqa: E711
+        assert (Rat(1, 2) != None) is True      # noqa: E711
+        assert (Rat(1, 2) == "1/2") is False
+
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    def test_extensions_over_different_d_never_mix(self, op):
+        x, y = QuadExt(1, 1, 5), QuadExt(1, 1, 2)
+        for lhs, rhs in ((x, y), (y, x)):
+            with pytest.raises(DomainError):
+                apply(op, lhs, rhs)
